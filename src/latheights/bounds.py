@@ -9,15 +9,15 @@ two sides, and INCONCLUSIVE when the precision cap is hit first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .heights import height_h as height_h_nf
-from .lattice import RealLattice, _rat_upper, enumerate_cube
-from .modules import OkModule, minima_ck_zk, sigma_embed
+from .lattice import _box_slabs, _coefficient_box, _rat_upper, enumerate_cube
+from .modules import OkModule, minima_ck_zk
 from .nf import NfElement, NumberField
 from .quat import (
     DSubspace,
@@ -37,7 +37,7 @@ from .quat import (
     subspace_height_HO,
 )
 from .reals import (
-    Real,
+    QuadReal,
     Rooted,
     abs_real,
     cmp_real,
@@ -64,28 +64,6 @@ class BoundReport:
     applicable: bool
     verdict: str
     note: str = ""
-
-    def as_dict(self) -> Dict[str, object]:
-        from .reals import real_to_float
-
-        bv = self.bound_value
-        if bv is not None:
-            bv = real_to_float(bv.as_real() if isinstance(bv, Rooted) else bv)
-        r = self.radius
-        if isinstance(r, Rooted):
-            r = real_to_float(r.as_real())
-        elif isinstance(r, Fraction):
-            r = float(r)
-        return {
-            "instance": self.instance,
-            "kind": self.kind,
-            "R": r,
-            "exact": self.exact_count,
-            "bound": bv,
-            "applicable": self.applicable,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
 
 
 def as_rooted(x) -> Rooted:
@@ -137,12 +115,7 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     Float arithmetic screens candidates with a rigorous error band; the few
     band points are re-decided exactly, so the result is certified.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    from .reals import QuadReal
-    from .lattice import ENUM_BUDGET, _coefficient_box
+    import numpy as np
 
     field = module.field
     d = field.degree
@@ -165,56 +138,29 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     for col in cols:
         for e in col:
             den = math.lcm(den, e.a.denominator, e.b.denominator)
-    n, big_l = lat.ambient_dim, lat.rank
-    a_int = [[int(cols[j][i].a * den) for j in range(big_l)] for i in range(n)]
-    b_int = [[int(cols[j][i].b * den) for j in range(big_l)] for i in range(n)]
+    a_int = [[int(e.a * den) for e in col] for col in cols]
+    b_int = [[int(e.b * den) for e in col] for col in cols]
     caps = _coefficient_box(lat, _rat_upper(to_real(rd_frac)))
-    total = 1
-    for c in caps:
-        total *= 2 * c + 1
-    if total > ENUM_BUDGET:
-        raise BudgetExceeded(
-            "enumeration box has %d candidates (budget %d)" % (total, ENUM_BUDGET)
-        )
-    maxentry = max(max(map(abs, row), default=0) for row in a_int + b_int) or 1
-    maxcap = max(caps) if caps else 0
-    if maxentry * (maxcap + 1) * big_l >= 2 ** 52:
+    slabs = _box_slabs(caps, [a_int, b_int])  # over budget raises, not declines
+    maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
+    if maxentry * (max(caps) + 1) * lat.rank >= 2 ** 52:
         return None
-    big_n = n // d  # module coordinates per channel block
-    amat = np.array(a_int, dtype=np.int64)  # n x L
-    bmat = np.array(b_int, dtype=np.int64)
+    big_n = lat.ambient_dim // d  # module coordinates per channel block
     sq = math.sqrt(m_val) if m_val else 0.0
     target = float(Fraction(rd_frac) * den ** d)
     lo_gate = target * (1 - 1e-10)
     hi_gate = target * (1 + 1e-10)
     rd_rooted = as_rooted(rd_frac) if rd_frac >= 0 else None
     count = 0
-    # chunk along the largest axis to bound memory
-    axis = max(range(big_l), key=lambda j: caps[j]) if big_l else 0
-    rest_axes = [j for j in range(big_l) if j != axis]
-    ranges = [np.arange(-caps[j], caps[j] + 1, dtype=np.int64) for j in rest_axes]
-    if ranges:
-        grids = np.meshgrid(*ranges, indexing="ij")
-        rest = np.stack([g.ravel() for g in grids], axis=1)
-    else:
-        rest = np.zeros((1, 0), dtype=np.int64)
-    rest_a = rest @ amat[:, rest_axes].T  # (#rest, n)
-    rest_b = rest @ bmat[:, rest_axes].T
-    for m0 in range(-caps[axis], caps[axis] + 1):
-        va = rest_a + m0 * amat[:, axis]
-        vb = rest_b + m0 * bmat[:, axis]
+    for (va, vb), point in slabs:
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
         np.maximum(per_ch, float(den), out=per_ch)
         hsq = per_ch.prod(axis=1)
         count += int((hsq <= lo_gate).sum())
-        band = np.nonzero((hsq > lo_gate) & (hsq < hi_gate))[0]
-        for idx in band:
-            coeffs = [0] * big_l
-            coeffs[axis] = m0
-            for t, j in enumerate(rest_axes):
-                coeffs[j] = int(rest[idx, t])
-            if all(c == 0 for c in coeffs):
+        for i in np.nonzero((hsq > lo_gate) & (hsq < hi_gate))[0]:
+            coeffs = point(i)
+            if not any(coeffs):
                 count += 1  # h(0) = 1 <= R
                 continue
             x = _module_point(module, coeffs)
@@ -237,8 +183,6 @@ def exact_count_module(module: OkModule, radius) -> int:
     d = field.degree
     rd = r ** d
     if rd.k == 1:
-        from .reals import QuadReal
-
         base = rd.base
         if isinstance(base, QuadReal) and base.is_rational:
             fast = _fast_count_totally_real(module, base.as_fraction())
@@ -285,16 +229,9 @@ def thm1_lower(module: OkModule, radius, instance: str = "module", minima=None) 
                            note="below threshold")
     main = (r * thresh.inverse()).as_real() - to_real(1)
     factor = (e2 * r).as_real() - to_real(1)
-    bound = main * _ipow_real(factor, big_l * d - 1)
+    bound = main * factor ** (big_l * d - 1)
     verdict = _verdict(LOWER, exact, bound, "thm1 verdict")
     return BoundReport(instance, r, exact, bound, LOWER, True, verdict)
-
-
-def _ipow_real(x, n: int):
-    acc = to_real(1)
-    for _ in range(n):
-        acc = acc * x
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +308,7 @@ def thm_main1_lower(z: DSubspace, order: QuatOrder, radius,
                            note="below threshold")
     main = (r * thresh.inverse()).as_real() - to_real(1)
     factor = (e4 * r).as_real() - to_real(1)
-    bound = main * _ipow_real(factor, 4 * big_l * d - 1)
+    bound = main * factor ** (4 * big_l * d - 1)
     verdict = _verdict(LOWER, exact, bound, "main1 verdict")
     return BoundReport(instance, r, exact, bound, LOWER, True, verdict)
 
@@ -434,7 +371,12 @@ def loher_masser_upper(d: int, n: int, radius):
     if d < 2:
         raise ValidationError("the counting upper bound requires degree >= 2")
     r = as_rooted(radius)
-    head = _ipow_real(to_real(1088 * d) * log_real(d), n)
+    base = to_real(1088 * d) * log_real(d)
+    # successive products, not base ** n: square-and-multiply gives a
+    # different enclosure, and the reported midpoint and radius with it
+    head = to_real(1)
+    for _ in range(n):
+        head = head * base
     return head * (r ** ((n + 1) * d)).as_real()
 
 
@@ -456,7 +398,7 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
     free = OkModule.free_module(field, 4 * n)
     lat = free.module_lattice()
     # fail fast: the whole denominator sweep must fit the budget
-    from .lattice import ENUM_BUDGET, _coefficient_box
+    from .lattice import ENUM_BUDGET
 
     grand_total = 0
     for m in range(1, m_max + 1):
@@ -565,7 +507,7 @@ def const_TK(field: NumberField, ell: int, j: int):
         rv_prod = rv_prod * pow_real(const_rv(True, ell - 1), Fraction(1, d))
     for _ in range(r2):
         rv_prod = rv_prod * pow_real(const_rv(False, ell - 1), Fraction(2, d))
-    return val * _ipow_real(rv_prod, mx)
+    return val * rv_prod ** mx
 
 
 def const_A(order: QuatOrder, n: int, big_l: int, big_m: int, big_j: int):

@@ -426,9 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="precision cap in bits (env LATHEIGHTS_PRECISION_CAP)")
     common.add_argument("--budget", type=int, default=None,
                         help="enumeration budget (candidate vectors)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism hint; execution is sequential and "
-                             "reports are sorted either way")
     common.add_argument("--seed", type=int, default=42, help="suite random seed")
     common.add_argument("--format", choices=["jsonl", "csv", "pretty"],
                         default="jsonl")

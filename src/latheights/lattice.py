@@ -5,6 +5,13 @@ irrational) or certified-interval entries.  Membership of a point in a
 closed cube is decided exactly; undecidable boundary ties raise rather than
 mis-count.  The enumeration is the ground-truth oracle that every counting
 bound in this library is checked against.
+
+Every walk of a coefficient box goes through one kernel, ``_box_slabs``: it
+checks the box against ENUM_BUDGET, fixes the first longest axis slab by
+slab, and hands each slab's values B m to the caller's test.  The callers
+keep only that test: the exact integer test for rational lattices, a float
+screen with a certified re-check in its safety band for all others, and the
+per-channel height product in ``bounds._fast_count_totally_real``.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import mpf
 
@@ -26,6 +33,7 @@ from .reals import (
     cmp_real,
     min_real,
     max_real,
+    real_to_float,
     sqrt_real,
     to_real,
 )
@@ -136,25 +144,68 @@ def enumerate_cube(lat: RealLattice, radius) -> List[Tuple[int, ...]]:
     """All integer coefficient vectors m with |B m|_inf <= radius (closed).
 
     Exact boundary decisions; raises BudgetExceeded when the candidate box
-    is larger than ENUM_BUDGET.
+    is larger than ENUM_BUDGET.  Points come slab by slab: the first longest
+    coefficient axis is outermost, and every axis ascends.
     """
     radius = Fraction(radius)
     if radius < 0:
         return []
     caps = _coefficient_box(lat, radius)
-    total = 1
-    for c in caps:
-        total *= 2 * c + 1
-    if total > ENUM_BUDGET:
-        raise BudgetExceeded(
-            "enumeration box has %d candidates (budget %d)" % (total, ENUM_BUDGET)
-        )
     if lat.is_rational():
         return _enumerate_rational(lat, radius, caps)
     return _enumerate_generic(lat, radius, caps)
 
 
+def _box_slabs(caps: Sequence[int], mats, dtype="int64"):
+    """Walk the coefficient box |m_j| <= caps[j] one slab at a time.
+
+    Each of ``mats`` is a lattice given as L columns of n entries, read as
+    an n x L array of ``dtype``.  The walk yields ``(vals, point)`` per
+    slab: ``vals[k]`` holds ``mats[k] @ m`` for every m of the slab, one row
+    each, and ``point(i)`` is the m of row i as a tuple.  The slabs fix the
+    first longest axis, outermost and ascending; inside a slab the other
+    axes run lexicographically.  Coefficients are int64, or Python ints when
+    ``dtype`` is object.  The budget is checked on the call, before any
+    array is built.  numpy is imported on first use, so that importing the
+    package stays cheap.
+    """
+    total = math.prod(2 * c + 1 for c in caps)
+    if total > ENUM_BUDGET:
+        raise BudgetExceeded(
+            "enumeration box has %d candidates (budget %d)" % (total, ENUM_BUDGET)
+        )
+    return _slabs(caps, mats, dtype)
+
+
+def _slabs(caps, mats, dtype):
+    import numpy as np
+
+    coeff = object if dtype is object else np.int64
+    big_l = len(caps)
+    axis = max(range(big_l), key=lambda j: caps[j])
+    rest_axes = [j for j in range(big_l) if j != axis]
+    ranges = [np.arange(-caps[j], caps[j] + 1, dtype=coeff) for j in rest_axes]
+    if ranges:
+        grids = np.meshgrid(*ranges, indexing="ij")
+        rest = np.stack([g.ravel() for g in grids], axis=1)
+    else:
+        rest = np.zeros((1, 0), dtype=coeff)
+    arrays = [np.array(m, dtype=dtype).T for m in mats]
+    rest_vals = [rest @ a[:, rest_axes].T for a in arrays]  # (#rest, n) each
+    axis_cols = [a[:, axis] for a in arrays]
+    for m0 in range(-caps[axis], caps[axis] + 1):
+
+        def point(i, m0=m0):
+            m = rest[i].tolist()
+            m.insert(axis, m0)
+            return tuple(m)
+
+        yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], point
+
+
 def _enumerate_rational(lat, radius, caps):
+    import numpy as np
+
     den = 1
     for col in lat.columns:
         for e in col:
@@ -162,52 +213,13 @@ def _enumerate_rational(lat, radius, caps):
     cols = [[int(e.as_fraction() * den) for e in col] for col in lat.columns]
     bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
     bn, bd = bound.numerator, bound.denominator
+    maxentry = max(abs(x) for col in cols for x in col) or 1
+    # int64 overflow guard for the matrix product and boundary test
+    fits = maxentry * (max(caps) + 1) * lat.rank * bd < 2**62 and bn < 2**62
     out = []
-    n, big_l = lat.ambient_dim, lat.rank
-
-    try:
-        import numpy as np
-
-        maxentry = max(abs(x) for col in cols for x in col) or 1
-        maxcap = max(caps) if caps else 0
-        # int64 overflow guard for the matrix product and boundary test
-        if maxentry * (maxcap + 1) * big_l * bd < 2**62 and bn < 2**62:
-            b = np.array(cols, dtype=np.int64).T  # n x L
-            # chunk along the axis with the largest cap to bound memory
-            axis = max(range(big_l), key=lambda j: caps[j])
-            rest_axes = [j for j in range(big_l) if j != axis]
-            ranges = [
-                np.arange(-caps[j], caps[j] + 1, dtype=np.int64) for j in rest_axes
-            ]
-            if ranges:
-                grids = np.meshgrid(*ranges, indexing="ij")
-                rest = np.stack([g.ravel() for g in grids], axis=1)
-            else:
-                rest = np.zeros((1, 0), dtype=np.int64)
-            rest_vals = rest @ b[:, rest_axes].T  # (#rest, n)
-            col_axis = b[:, axis]
-            for m0 in range(-caps[axis], caps[axis] + 1):
-                vals = rest_vals + m0 * col_axis
-                keep = (np.abs(vals) * bd <= bn).all(axis=1)
-                for row in rest[keep]:
-                    m = [0] * big_l
-                    m[axis] = m0
-                    for t, j in enumerate(rest_axes):
-                        m[j] = int(row[t])
-                    out.append(tuple(m))
-            return out
-    except ImportError:
-        pass
-
-    for m in itertools.product(*[range(-c, c + 1) for c in caps]):
-        ok = True
-        for i in range(n):
-            v = sum(m[j] * cols[j][i] for j in range(big_l))
-            if abs(v) * bd > bn:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(m))
+    for (vals,), point in _box_slabs(caps, [cols], "int64" if fits else object):
+        keep = (np.abs(vals) * bd <= bn).all(axis=1)
+        out.extend(point(i) for i in np.nonzero(keep)[0])
     return out
 
 
@@ -219,49 +231,24 @@ def _certified_in_cube(lat, m, radius) -> bool:
 
 
 def _enumerate_generic(lat, radius, caps):
-    n, big_l = lat.ambient_dim, lat.rank
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None and big_l:
-        from .reals import real_to_float
+    import numpy as np
 
-        colsf = np.array(
-            [[real_to_float(e) for e in col] for col in lat.columns],
-            dtype=np.float64,
-        ).T  # n x L
-        # float screen: certified re-check only inside a safety band around
-        # the boundary, wide enough to absorb all rounding error
-        mags = np.abs(colsf) @ np.array([c + 1 for c in caps], dtype=np.float64)
-        tol = max(1.0, float(mags.max())) * 1e-9
-        rad = float(radius)
-        lo, hi = rad - tol, rad + tol
-        out = []
-        axis = max(range(big_l), key=lambda j: caps[j])
-        rest_axes = [j for j in range(big_l) if j != axis]
-        ranges = [np.arange(-caps[j], caps[j] + 1) for j in rest_axes]
-        if ranges:
-            grids = np.meshgrid(*ranges, indexing="ij")
-            rest = np.stack([g.ravel() for g in grids], axis=1)
-        else:
-            rest = np.zeros((1, 0))
-        rest_vals = rest @ colsf[:, rest_axes].T  # (#rest, n)
-        col_axis = colsf[:, axis]
-        for m0 in range(-caps[axis], caps[axis] + 1):
-            mx = np.abs(rest_vals + m0 * col_axis).max(axis=1)
-            for idx in np.nonzero(mx <= hi)[0]:
-                m = [0] * big_l
-                m[axis] = m0
-                for t, j in enumerate(rest_axes):
-                    m[j] = int(rest[idx, t])
-                if mx[idx] <= lo or _certified_in_cube(lat, m, radius):
-                    out.append(tuple(m))
-        return out
+    cols = np.array(
+        [[real_to_float(e) for e in col] for col in lat.columns], dtype=np.float64
+    )
+    # float screen: certified re-check only inside a safety band around
+    # the boundary, wide enough to absorb all rounding error
+    mags = np.abs(cols.T) @ np.array([c + 1 for c in caps], dtype=np.float64)
+    tol = max(1.0, float(mags.max())) * 1e-9
+    rad = float(radius)
+    lo, hi = rad - tol, rad + tol
     out = []
-    for m in itertools.product(*[range(-c, c + 1) for c in caps]):
-        if _certified_in_cube(lat, m, radius):
-            out.append(tuple(m))
+    for (vals,), point in _box_slabs(caps, [cols], "float64"):
+        mx = np.abs(vals).max(axis=1)
+        for i in np.nonzero(mx <= hi)[0]:
+            m = point(i)
+            if mx[i] <= lo or _certified_in_cube(lat, m, radius):
+                out.append(m)
     return out
 
 

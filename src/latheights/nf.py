@@ -526,7 +526,3 @@ class FracIdeal:
 
 def nf_new(minpoly, integral_basis) -> NumberField:
     return NumberField(minpoly, integral_basis)
-
-
-def ideal_norm(ideal: FracIdeal) -> Fraction:
-    return ideal.norm()

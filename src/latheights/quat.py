@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .intmat import lattice_contains, lattice_index
 from .modules import OkModule, minima_ck_zk
 from .nf import FracIdeal, NfElement, NumberField
-from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real, sqrt_real
+from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
 
 
 class QuatAlgebra:
@@ -182,10 +182,6 @@ def arch_abs_sq(x: QuatElement, channel: int) -> Real:
     return x.algebra.field.channel_values(x.nrm())[channel]
 
 
-def arch_abs(x: QuatElement, channel: int) -> Real:
-    return sqrt_real(arch_abs_sq(x, channel))
-
-
 def s_t_constants(algebra: QuatAlgebra):
     """(s, t, per-channel s_v^2 list, per-channel t_v^2 list).
 
@@ -276,12 +272,6 @@ class EElem:
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
-
-    def abs_sq_channel(self, channel: int) -> Real:
-        """|u + v sqrt(alpha)|^2 at channel n: u^2 - alpha v^2 (alpha < 0)."""
-        field = self.algebra.field
-        val = self.u * self.u - self.algebra.alpha * (self.v * self.v)
-        return field.channel_values(val)[channel]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, NfElement, EElem)):

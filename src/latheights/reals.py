@@ -330,18 +330,6 @@ def cmp_real(x, y, context=""):
         prec = min(2 * prec, PRECISION.cap)
 
 
-def sign_real(x):
-    return cmp_real(x, ZERO)
-
-
-def le_real(x, y, context=""):
-    return cmp_real(x, y, context) <= 0
-
-
-def lt_real(x, y, context=""):
-    return cmp_real(x, y, context) < 0
-
-
 def abs_real(x):
     x = to_real(x)
     if isinstance(x, QuadReal):
@@ -425,13 +413,20 @@ def nthroot_real(x, n):
 
 
 def _exact_iroot(k, n):
-    if k == 0:
-        return 0
-    r = round(k ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == k:
-            return cand
-    return None
+    """The integer r >= 0 with r**n == k, or None when there is none."""
+    if k <= 1:
+        return k if k >= 0 else None
+    if n == 2:
+        r = math.isqrt(k)
+    else:
+        # integer Newton from above settles on floor(k ** (1/n))
+        r = 1 << -(-k.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + k // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == k else None
 
 
 def _iv_root(a, n, prec):
@@ -473,20 +468,6 @@ def _iv_log(a, prec):
         iv.prec = old
 
 
-def exp_real(x):
-    x = to_real(x)
-    return BallReal(lambda p: _iv_exp(x.interval(p), p))
-
-
-def _iv_exp(a, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return iv.exp(a)
-    finally:
-        iv.prec = old
-
-
 def pi_real():
     return BallReal(lambda p: iv.pi)
 
@@ -497,24 +478,6 @@ def real_to_float(x):
 
     a = to_real(x).interval(PRECISION.start)
     return float(mp.mpf(a.mid))
-
-
-def ball_decimals(x, digits=20):
-    """(midpoint, radius, prec) decimal strings for serialization."""
-    x = to_real(x)
-    prec = PRECISION.start
-    a = x.interval(prec)
-    old = iv.prec
-    try:
-        iv.prec = prec
-        mid = (a.a + a.b) / 2
-        rad = (a.b - a.a) / 2
-        from mpmath import mp, mpf
-
-        mp.prec = prec
-        return (mp.nstr(mpf(mid), digits), mp.nstr(mpf(rad), 5), prec)
-    finally:
-        iv.prec = old
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,6 @@ class Block:
             raise SpecFileError("missing required key %r" % key, self.line)
         return v
 
-    def keys(self):
-        return [k for k, _, _ in self.entries]
-
 
 def parse_text(text: str) -> Block:
     root = Block(1)

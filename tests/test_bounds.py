@@ -97,8 +97,7 @@ def test_thm1_lower_holds():
     assert rep.exact_count == 7  # 0, +-1, +-2, +-3
     assert cmp_real(rep.bound_value, 5) == 0  # R/E1 - 1 with E1 = 1/2
     assert rep.verdict == HOLDS
-    d = rep.as_dict()
-    assert d["exact"] == 7 and d["verdict"] == HOLDS and d["kind"] == LOWER
+    assert rep.exact_count == 7 and rep.verdict == HOLDS and rep.kind == LOWER
 
 
 def test_thm1_below_threshold():

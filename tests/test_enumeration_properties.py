@@ -1,0 +1,224 @@
+"""Property tests: the cube enumeration and the totally real fast count
+against independent recounts.
+
+Each oracle is compared with a brute-force walk of its coefficient box
+whose membership test uses plain Fraction arithmetic, not the library's
+float screen.  Hypothesis runs derandomized, so every run sees the same
+examples.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from latheights import bounds, lattice
+from latheights.bounds import _fast_count_totally_real, as_rooted
+from latheights.errors import ValidationError
+from latheights.heights import height_h
+from latheights.lattice import RealLattice, _coefficient_box, enumerate_cube
+from latheights.modules import OkModule
+from latheights.nf import FracIdeal, nf_new
+from latheights.reals import QuadReal
+
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+BOX_LIMIT = 2000  # candidates per brute-force walk
+
+
+def _slab_order(caps):
+    """The box |m_j| <= caps[j] with the first longest axis outermost and
+    the other axes lexicographic inside it."""
+    axis = max(range(len(caps)), key=lambda j: caps[j])
+    order = [axis] + [j for j in range(len(caps)) if j != axis]
+    for combo in itertools.product(*[range(-caps[j], caps[j] + 1) for j in order]):
+        m = [0] * len(caps)
+        for j, v in zip(order, combo):
+            m[j] = v
+        yield tuple(m)
+
+
+def _box_size(caps):
+    total = 1
+    for c in caps:
+        total *= 2 * c + 1
+    return total
+
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+def _sign_sqrt(x, y, m):
+    """Sign of x + y sqrt(m) for rationals x, y and an integer m >= 0."""
+    if _sign(x) * _sign(y) >= 0:
+        return _sign(x) or _sign(y)
+    # opposite signs: the term with the larger square wins
+    return _sign(x) * _sign(x * x - y * y * m)
+
+
+def _in_cube(cols, m, radius, root):
+    """|sum_j m_j cols[j]|_inf <= radius, entries (a, b) meaning a + b sqrt(root)."""
+    for i in range(len(cols[0])):
+        a = sum(mj * col[i][0] for mj, col in zip(m, cols))
+        b = sum(mj * col[i][1] for mj, col in zip(m, cols))
+        if _sign_sqrt(a - radius, b, root) > 0 or _sign_sqrt(-a - radius, -b, root) > 0:
+            return False
+    return True
+
+
+def _brute(cols, radius, root, caps):
+    return [m for m in _slab_order(caps) if _in_cube(cols, m, radius, root)]
+
+
+def _lattice(cols, root):
+    return RealLattice([[QuadReal(a, b, root) for a, b in col] for col in cols])
+
+
+def _columns(draw, entry):
+    n = draw(st.integers(1, 3))
+    big_l = draw(st.integers(1, n))
+    return [[draw(entry) for _ in range(n)] for _ in range(big_l)]
+
+
+@st.composite
+def rational_cases(draw):
+    entry = st.builds(
+        lambda p, q: (Fraction(p, q), 0), st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])
+    )
+    cols = _columns(draw, entry)
+    radius = Fraction(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+    return cols, radius
+
+
+@st.composite
+def sqrt2_cases(draw):
+    entry = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
+    cols = _columns(draw, entry)
+    radius = Fraction(draw(st.integers(0, 8)), draw(st.sampled_from([1, 2])))
+    return cols, radius
+
+
+def _check_against_brute(cols, radius, root):
+    lat = _lattice(cols, root)
+    try:
+        caps = _coefficient_box(lat, radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    assert enumerate_cube(lat, radius) == _brute(cols, radius, root, caps)
+
+
+@PROPERTY
+@given(rational_cases())
+def test_enumerate_cube_rational_matches_brute_force(case):
+    _check_against_brute(*case, root=0)
+
+
+@PROPERTY
+@given(sqrt2_cases())
+def test_enumerate_cube_sqrt2_matches_brute_force(case):
+    _check_against_brute(*case, root=2)
+
+
+def test_enumerate_cube_rechecks_the_float_band():
+    # x = 1 + (sqrt2 - 1)^26 exceeds 1 by 1.1e-10, inside the float screen's
+    # safety band: only the exact re-check can drop the point (1, 0) -> (x, 1)
+    a, b = 1, 0
+    for _ in range(26):
+        a, b = a + 2 * b, a + b  # (a + b sqrt2)(1 + sqrt2)
+    cols = [[(1 + a, -b), (1, 0)], [(1, 0), (0, 0)]]
+    pts = enumerate_cube(_lattice(cols, 2), 1)
+    assert (1, 0) not in pts and (1, -1) in pts
+    assert pts == _brute(cols, 1, 2, _coefficient_box(_lattice(cols, 2), 1))
+
+
+@PROPERTY
+@given(rational_cases(), st.integers(0, 2**70))
+def test_enumerate_cube_python_int_path(case, shift):
+    """Entries of 2^62 and more overflow int64: the walk must use Python ints
+    and give the points of the unscaled lattice, in the same order."""
+    cols, radius = case
+    scale = 2**62 + shift
+    big = _lattice([[(a * scale, 0) for a, _ in col] for col in cols], 0)
+    try:
+        caps = _coefficient_box(big, radius * scale)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    walk, dtypes = lattice._box_slabs, []
+
+    def spy(caps, mats, dtype):
+        dtypes.append(dtype)
+        return walk(caps, mats, dtype)
+
+    lattice._box_slabs = spy
+    try:
+        pts = enumerate_cube(big, radius * scale)
+    finally:
+        lattice._box_slabs = walk
+    assert dtypes == [object]
+    assert pts == _brute(cols, radius, 0, caps)
+    assert pts == enumerate_cube(_lattice(cols, 0), radius)
+
+
+def _field(root):
+    if root == 2:
+        return nf_new([-2, 0, 1], [[1, 0], [0, 1]])
+    return nf_new([-5, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+
+
+@st.composite
+def module_cases(draw):
+    root = draw(st.sampled_from([2, 5]))
+    n = draw(st.integers(1, 2))
+    big_l = draw(st.integers(1, n))
+
+    entry = st.tuples(st.integers(-2, 2), st.integers(-1, 1))  # a + b sqrt(root)
+    ys = [[draw(entry) for _ in range(n)] for _ in range(big_l)]
+    radius = Fraction(draw(st.integers(2, 6)), draw(st.sampled_from([1, 2])))
+    return root, n, ys, radius
+
+
+@PROPERTY
+@given(module_cases())
+def test_fast_count_matches_height_recount(case):
+    root, n, ys, radius = case
+    field = _field(root)
+    unit = FracIdeal.unit(field)
+    try:
+        module = OkModule.from_pseudo_basis(
+            field, n, [([field.element(list(c)) for c in y], unit) for y in ys]
+        )
+    except ValidationError:  # dependent pseudo-basis vectors
+        assume(False)
+    rd = radius**2
+    caps = _coefficient_box(module.module_lattice(), rd)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    fast = _fast_count_totally_real(module, rd)
+    assert fast is not None
+    count = 0
+    for m in enumerate_cube(module.module_lattice(), rd):
+        if not any(m):
+            count += 1
+            continue
+        x = bounds._module_point(module, m)
+        if (height_h(field, x).as_rooted() ** 2).cmp(as_rooted(rd)) <= 0:
+            count += 1
+    assert fast == count
+
+
+@pytest.mark.parametrize("root", [2, 5])
+def test_fast_count_declines_fractional_modules(root):
+    field = _field(root)
+    half = FracIdeal.principal(field, field.rational(Fraction(1, 2)))
+    module = OkModule.from_pseudo_basis(field, 1, [([field.one()], half)])
+    assert _fast_count_totally_real(module, Fraction(9)) is None
+    assert _fast_count_totally_real(OkModule.free_module(field, 1), Fraction(9)) is not None

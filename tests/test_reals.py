@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latheights.errors import PrecisionExhausted
 from latheights.reals import (
@@ -8,6 +10,7 @@ from latheights.reals import (
     BallReal,
     QuadReal,
     Rooted,
+    _exact_iroot,
     abs_real,
     cmp_real,
     log_real,
@@ -80,6 +83,24 @@ def test_nthroot_and_pow():
     assert nthroot_real(27, 3).as_fraction() == 3
     x = pow_real(2, Fraction(3, 2))  # 2*sqrt(2)
     assert cmp_real(x, QuadReal(0, 2, 2)) == 0 or abs(float(x.interval(64).a) - 2.8284271) < 1e-5
+
+
+def test_exact_iroot_large_powers():
+    # beyond float range, and perfect powers a float root rounds away from
+    assert _exact_iroot((3**40 + 1) ** 2, 2) == 3**40 + 1
+    assert _exact_iroot(10**400, 2) == 10**200
+    assert _exact_iroot(10**400 + 1, 2) is None
+    assert _exact_iroot((7**50 + 3) ** 5, 5) == 7**50 + 3
+    assert nthroot_real(Fraction(1, 10**600), 3).as_fraction() == Fraction(1, 10**200)
+    assert Rooted(10**400, 2).base.as_fraction() == 10**200
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.integers(1, 10**60), st.integers(1, 9))
+def test_exact_iroot_inverts_powers(r, n):
+    assert _exact_iroot(r**n, n) == r
+    if n > 1:
+        assert _exact_iroot(r**n + 1, n) is None
 
 
 def test_rooted_compare():
