@@ -24,7 +24,6 @@ from .quat import (
     QuatAlgebra,
     QuatElement,
     QuatOrder,
-    bracket,
     bracket_inv,
     eval_hermitian,
     height_Hinf,
@@ -124,22 +123,12 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     if any(xi.denominator() != 1 for v in module.z_basis for xi in v):
         return None
     lat = module.module_lattice()
-    cols = lat.columns
-    m_val = 0
-    for col in cols:
-        for e in col:
-            if not isinstance(e, QuadReal):
-                return None
-            if e.m:
-                if m_val and e.m != m_val:
-                    return None
-                m_val = e.m
-    den = rd_frac.denominator
-    for col in cols:
-        for e in col:
-            den = math.lcm(den, e.a.denominator, e.b.denominator)
-    a_int = [[int(e.a * den) for e in col] for col in cols]
-    b_int = [[int(e.b * den) for e in col] for col in cols]
+    scaled = lat.scaled_columns()
+    if scaled is None:
+        return None
+    m_val, den0, a0, b0 = scaled
+    den = math.lcm(den0, rd_frac.denominator)
+    a_int, b_int = ([[den // den0 * x for x in col] for col in c] for c in (a0, b0))
     caps = _coefficient_box(lat, _rat_upper(to_real(rd_frac)))
     slabs = _box_slabs(caps, [a_int, b_int])  # over budget raises, not declines
     maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
@@ -581,8 +570,12 @@ def search_basis(z: DSubspace, order: QuatOrder,
                  max_radius: Fraction = Fraction(64)) -> Dict[str, object]:
     """Find a small basis of Z over D avoiding subspaces and form zero sets.
 
-    Returns the basis in nondecreasing height order, the height of its
-    largest vector, the search bound, and a PASS/EXHAUSTED status.
+    Returns the basis, the heights of its vectors, the search bound, and a
+    PASS/FAIL/INCONCLUSIVE status comparing the last height with the bound;
+    raises BudgetExceeded when max_radius is reached first.  The basis is
+    in search order, not in certified height order: shell by shell as the
+    cube radius doubles, each shell sorted by a float approximation of the
+    height, and a later shell can hold smaller heights (ROADMAP item 3).
     """
     alg = z.algebra
     field = alg.field

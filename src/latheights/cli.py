@@ -17,13 +17,11 @@ from typing import Dict, List, Optional
 
 from . import lattice as lattice_mod
 from .bounds import (
-    HOLDS,
     INCONCLUSIVE,
     VIOLATED,
     BoundReport,
     _verdict,
     det_mz_check,
-    exact_count_module,
     thm1_lower,
     thm_main1_lower,
     thm_main2_upper,
@@ -47,7 +45,7 @@ from .nf import FracIdeal, nf_new
 from .quat import DSubspace, QuatAlgebra, QuatOrder, bracket_inv, height_h_order, s_t_constants
 from .reals import PRECISION, Rooted, cmp_real, sqrt_real, to_real
 from .report import ball_mid_rad, check_record, frac_decimal, render, report_record
-from .specfile import Block, parse_file, read_algebra, read_field, read_nf_vector, read_order, read_quat_element
+from .specfile import Block, parse_file, read_algebra, read_field, read_nf_vector, read_order
 from .sunits import SUnitContext, lemma_sunit_bounds, regulator_bound_checks
 
 SUITES = ["cnt-lem", "thm1", "main1", "main2", "sunits", "ffield", "all"]

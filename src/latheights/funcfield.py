@@ -7,12 +7,11 @@ integer enumeration.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import intmat
-from .bounds import HOLDS, INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
+from .bounds import INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
 from .errors import ValidationError
 from .reals import cmp_real, max_real, sqrt_real, to_real
 

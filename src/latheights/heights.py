@@ -20,12 +20,10 @@ from .intmat import lattice_index
 from .nf import FracIdeal, NfElement, NumberField
 from .reals import (
     ONE,
-    QuadReal,
     Real,
     Rooted,
     cmp_real,
     max_real,
-    nthroot_real,
     to_real,
 )
 
@@ -45,10 +43,6 @@ class HeightValue:
 
     def as_rooted(self) -> Rooted:
         return Rooted(self.value_pow(), self.power)
-
-    def combined(self) -> Real:
-        """The height itself (k-th root), exact when possible."""
-        return nthroot_real(self.value_pow(), self.power)
 
     def cmp(self, threshold, context="height threshold") -> int:
         """Exact-or-certified three-way comparison against a rational."""

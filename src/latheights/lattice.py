@@ -10,14 +10,17 @@ Every walk of a coefficient box goes through one kernel, ``_box_slabs``: it
 checks the box against ENUM_BUDGET, fixes the first longest axis slab by
 slab, and hands each slab's values B m to the caller's test.  The callers
 keep only that test: the exact integer test for rational lattices, a float
-screen with a certified re-check in its safety band for all others, and the
-per-channel height product in ``bounds._fast_count_totally_real``.
+screen for all others, and the per-channel height product in
+``bounds._fast_count_totally_real``.  The float screen's safety band is
+decided on the scaled integer columns when all entries lie in one Q(sqrt m),
+and by the certified re-check ``_certified_in_cube`` only for balls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -33,6 +36,7 @@ from .reals import (
     cmp_real,
     min_real,
     max_real,
+    quad_sign,
     real_to_float,
     sqrt_real,
     to_real,
@@ -78,6 +82,8 @@ class RealLattice:
         self.columns = cols
         self._gram = None
         self._supnorm_min = None
+        self._box_norms = None
+        self._scaled = False  # not computed yet; None means no export
 
     @classmethod
     def from_rows(cls, rows) -> "RealLattice":
@@ -112,10 +118,21 @@ class RealLattice:
             for i in range(self.ambient_dim)
         ]
 
-    def is_rational(self) -> bool:
-        return all(
-            isinstance(e, QuadReal) and e.is_rational for col in self.columns for e in col
-        )
+    def scaled_columns(self):
+        """(m, den, A, B): every entry is (A[j][i] + B[j][i] sqrt(m)) / den with
+        integers A, B and one radicand m (0 when all entries are rational).
+        None if an entry is a ball or two radicands differ."""
+        if self._scaled is False:
+            self._scaled = None
+            ents = [e for col in self.columns for e in col]
+            roots = {e.m for e in ents if isinstance(e, QuadReal)} - {0}
+            if len(roots) > 1 or not all(isinstance(e, QuadReal) for e in ents):
+                return None
+            den = math.lcm(*(d for e in ents for d in (e.a.denominator, e.b.denominator)))
+            self._scaled = (max(roots, default=0), den,
+                            [[int(e.a * den) for e in col] for col in self.columns],
+                            [[int(e.b * den) for e in col] for col in self.columns])
+        return self._scaled
 
     def __repr__(self):
         return "RealLattice(N=%d, L=%d)" % (self.ambient_dim, self.rank)
@@ -123,21 +140,18 @@ class RealLattice:
 
 def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
     """Per-coordinate caps M_i with |m_i| <= M_i for all points in the cube."""
-    g = lat.gram()
-    ginv = linalg.inverse(g)
-    if ginv is None:
-        raise ValidationError("basis columns are linearly dependent")
-    # pseudo-inverse rows: (G^{-1} B^T)_i., coefficient m = pinv @ x
-    bt = [[lat.columns[j][i] for i in range(lat.ambient_dim)] for j in range(lat.rank)]
-    pinv = linalg.mat_mul(ginv, bt)
-    caps = []
-    for row in pinv:
-        s = abs_real(row[0])
-        for e in row[1:]:
-            s = s + abs_real(e)
-        cap = _rat_upper(s * radius)
-        caps.append(max(0, math.floor(cap)))
-    return caps
+    if lat._box_norms is None:
+        ginv = linalg.inverse(lat.gram())
+        if ginv is None:
+            raise ValidationError("basis columns are linearly dependent")
+        # pseudo-inverse rows: (G^{-1} B^T)_i., coefficient m = pinv @ x;
+        # the caps are the radius times their l1 norms, cached per lattice
+        bt = [[lat.columns[j][i] for i in range(lat.ambient_dim)] for j in range(lat.rank)]
+        lat._box_norms = [
+            sum(map(abs_real, row[1:]), abs_real(row[0]))
+            for row in linalg.mat_mul(ginv, bt)
+        ]
+    return [max(0, math.floor(_rat_upper(s * radius))) for s in lat._box_norms]
 
 
 def enumerate_cube(lat: RealLattice, radius) -> List[Tuple[int, ...]]:
@@ -151,8 +165,9 @@ def enumerate_cube(lat: RealLattice, radius) -> List[Tuple[int, ...]]:
     if radius < 0:
         return []
     caps = _coefficient_box(lat, radius)
-    if lat.is_rational():
-        return _enumerate_rational(lat, radius, caps)
+    scaled = lat.scaled_columns()
+    if scaled is not None and scaled[0] == 0:
+        return _enumerate_rational(scaled, radius, caps)
     return _enumerate_generic(lat, radius, caps)
 
 
@@ -203,19 +218,15 @@ def _slabs(caps, mats, dtype):
         yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], point
 
 
-def _enumerate_rational(lat, radius, caps):
+def _enumerate_rational(scaled, radius, caps):
     import numpy as np
 
-    den = 1
-    for col in lat.columns:
-        for e in col:
-            den = math.lcm(den, e.as_fraction().denominator)
-    cols = [[int(e.as_fraction() * den) for e in col] for col in lat.columns]
+    _, den, cols, _ = scaled
     bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
     bn, bd = bound.numerator, bound.denominator
     maxentry = max(abs(x) for col in cols for x in col) or 1
     # int64 overflow guard for the matrix product and boundary test
-    fits = maxentry * (max(caps) + 1) * lat.rank * bd < 2**62 and bn < 2**62
+    fits = maxentry * (max(caps) + 1) * len(cols) * bd < 2**62 and bn < 2**62
     out = []
     for (vals,), point in _box_slabs(caps, [cols], "int64" if fits else object):
         keep = (np.abs(vals) * bd <= bn).all(axis=1)
@@ -230,14 +241,41 @@ def _certified_in_cube(lat, m, radius) -> bool:
     return True
 
 
+def _quad_float(a, b, m) -> float:
+    """a + b sqrt(m) for integers a, b as a float, without cancellation:
+    real_to_float turns 1 + (sqrt2 - 1)^60, with a and b near 5e22, into -4096."""
+    s = b * math.sqrt(m)
+    return a + s if (a >= 0) == (b >= 0) else (a * a - b * b * m) / (a - s)
+
+
+def _quad_abs_le(x, y, m, p, q) -> bool:
+    """|x + y sqrt(m)| * q <= p for integers x, y, p, q, decided exactly."""
+    return quad_sign(p - q * x, -q * y, m) >= 0 and quad_sign(p + q * x, q * y, m) >= 0
+
+
 def _enumerate_generic(lat, radius, caps):
     import numpy as np
 
-    cols = np.array(
-        [[real_to_float(e) for e in col] for col in lat.columns], dtype=np.float64
-    )
-    # float screen: certified re-check only inside a safety band around
-    # the boundary, wide enough to absorb all rounding error
+    scaled = lat.scaled_columns()
+    if scaled is None:
+        floats = [[real_to_float(e) for e in col] for col in lat.columns]
+    else:  # one field Q(sqrt r): floats and the exact band test from the integers
+        root, den, a_cols, b_cols = scaled
+        p, q = (radius * den).numerator, (radius * den).denominator
+        rows = list(zip(zip(*a_cols), zip(*b_cols)))
+        floats = [[_quad_float(a, b, root) / den for a, b in zip(*c)] for c in zip(a_cols, b_cols)]
+
+    def in_band(m):
+        if scaled is None:
+            return _certified_in_cube(lat, m, radius)
+        return all(
+            _quad_abs_le(sum(map(operator.mul, m, a)), sum(map(operator.mul, m, b)), root, p, q)
+            for a, b in rows
+        )
+
+    cols = np.array(floats, dtype=np.float64)
+    # float screen: exact decision only inside a safety band around the
+    # boundary, wide enough to absorb all rounding error
     mags = np.abs(cols.T) @ np.array([c + 1 for c in caps], dtype=np.float64)
     tol = max(1.0, float(mags.max())) * 1e-9
     rad = float(radius)
@@ -247,7 +285,7 @@ def _enumerate_generic(lat, radius, caps):
         mx = np.abs(vals).max(axis=1)
         for i in np.nonzero(mx <= hi)[0]:
             m = point(i)
-            if mx[i] <= lo or _certified_in_cube(lat, m, radius):
+            if mx[i] <= lo or in_band(m):
                 out.append(m)
     return out
 

@@ -9,7 +9,6 @@ of admissible denominators, and the two height minima taken over it.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import ValidationError
 from .intmat import lattice_contains, lattice_index
 from .modules import OkModule, minima_ck_zk
-from .nf import FracIdeal, NfElement, NumberField
+from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
 
 

@@ -54,6 +54,23 @@ def _iv_from_fraction(q, ):
     return iv.mpf(q.numerator) / q.denominator
 
 
+def quad_sign(a, b, m):
+    """Exact sign of a + b*sqrt(m) for rational or integer a, b and m >= 0."""
+    if b == 0 or m == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    # compare a^2 with b^2 m when the signs differ
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * m
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
 class Real:
     """Abstract exact-or-certified real."""
 
@@ -137,20 +154,7 @@ class QuadReal(Real):
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        # sign of a + b*sqrt(m): compare a^2 with b^2 m when signs differ
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.m
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return quad_sign(self.a, self.b, self.m)
 
     def interval(self, prec):
         old = iv.prec

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .bounds import BoundReport
-from .reals import PRECISION, Real, Rooted, to_real
+from .reals import PRECISION, Rooted, to_real
 
 _DIGITS = 25
 

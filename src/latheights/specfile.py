@@ -18,7 +18,7 @@ Parse errors carry the line and column.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import SpecFileError
 from .nf import NfElement, NumberField, nf_new

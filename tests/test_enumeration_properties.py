@@ -14,14 +14,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import bounds, lattice
+from latheights import bounds, lattice, linalg
 from latheights.bounds import _fast_count_totally_real, as_rooted
 from latheights.errors import ValidationError
 from latheights.heights import height_h
-from latheights.lattice import RealLattice, _coefficient_box, enumerate_cube
+from latheights.lattice import RealLattice, _coefficient_box, _quad_abs_le, enumerate_cube
 from latheights.modules import OkModule
 from latheights.nf import FracIdeal, nf_new
-from latheights.reals import QuadReal
+from latheights.reals import QuadReal, abs_real, log_real
 
 PROPERTY = settings(
     derandomize=True,
@@ -78,6 +78,14 @@ def _brute(cols, radius, root, caps):
     return [m for m in _slab_order(caps) if _in_cube(cols, m, radius, root)]
 
 
+def _sqrt2_unit(k):
+    """(a, b) with (1 + sqrt2)^k = a + b sqrt2; a - b sqrt2 = (1 - sqrt2)^k."""
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = a + 2 * b, a + b
+    return a, b
+
+
 def _lattice(cols, root):
     return RealLattice([[QuadReal(a, b, root) for a, b in col] for col in cols])
 
@@ -131,13 +139,140 @@ def test_enumerate_cube_sqrt2_matches_brute_force(case):
 def test_enumerate_cube_rechecks_the_float_band():
     # x = 1 + (sqrt2 - 1)^26 exceeds 1 by 1.1e-10, inside the float screen's
     # safety band: only the exact re-check can drop the point (1, 0) -> (x, 1)
-    a, b = 1, 0
-    for _ in range(26):
-        a, b = a + 2 * b, a + b  # (a + b sqrt2)(1 + sqrt2)
+    a, b = _sqrt2_unit(26)
     cols = [[(1 + a, -b), (1, 0)], [(1, 0), (0, 0)]]
     pts = enumerate_cube(_lattice(cols, 2), 1)
     assert (1, 0) not in pts and (1, -1) in pts
     assert pts == _brute(cols, 1, 2, _coefficient_box(_lattice(cols, 2), 1))
+
+
+@st.composite
+def sqrt5_half_cases(draw):
+    """Half-integer entries (den 2) and radii in thirds (R den not integral)."""
+    entry = st.builds(
+        lambda a, b: (Fraction(a, 2), Fraction(b, 2)), st.integers(-5, 5), st.integers(-3, 3)
+    )
+    cols = _columns(draw, entry)
+    radius = Fraction(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+    return cols, radius
+
+
+@PROPERTY
+@given(sqrt5_half_cases())
+def test_enumerate_cube_sqrt5_half_integers_match_brute_force(case):
+    _check_against_brute(*case, root=5)
+
+
+GOLDEN = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))]  # (1 +- sqrt5)/2
+
+
+@st.composite
+def boundary_cases(draw):
+    """Entries (a + 7 s sqrt5)/2 with s in {-1, 0, 1}: the irrational parts
+    of a coordinate often cancel, so many points sit exactly on
+    |coordinate| = R, where the float sums of 7 sqrt5 round either way."""
+    entry = st.builds(
+        lambda a, s: (Fraction(a, 2), Fraction(7 * s, 2)),
+        st.integers(-20, 20), st.sampled_from([-1, 0, 0, 1]),
+    )
+    n = draw(st.integers(2, 3))
+    cols = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(2, n)))]
+    return cols, Fraction(draw(st.integers(1, 12)))
+
+
+@PROPERTY
+@given(boundary_cases())
+def test_enumerate_cube_exact_boundary_points(case):
+    cols, radius = case
+    lat = _lattice(cols, 5)
+    try:
+        caps = _coefficient_box(lat, radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    pts = enumerate_cube(lat, radius)
+    assert pts == _brute(cols, radius, 5, caps)
+    assume(any(abs_real(v) == radius for m in pts for v in lat.point(m)))
+
+
+def test_enumerate_cube_pell_near_tie_beyond_int64():
+    # x = 1 + (sqrt2 - 1)^60 exceeds 1 by 1.1e-23; its scaled integers are
+    # about 5e22 > 2^64, so only exact Python-int arithmetic can reject (1, 0)
+    a, b = _sqrt2_unit(60)
+    assert a > 2**64
+    cols = [[(1 + a, -b), (1, 0)], [(1, 0), (0, 0)]]
+    lat = _lattice(cols, 2)
+    pts = enumerate_cube(lat, 1)
+    assert (1, 0) not in pts and (1, -1) in pts
+    assert pts == _brute(cols, 1, 2, _coefficient_box(lat, 1))
+
+
+def _spy_recheck(monkeypatch):
+    calls = []
+    real = lattice._certified_in_cube
+
+    def spy(lat, m, radius):
+        calls.append(m)
+        return real(lat, m, radius)
+
+    monkeypatch.setattr(lattice, "_certified_in_cube", spy)
+    return calls
+
+
+def test_band_of_quadratic_lattice_skips_certified_recheck(monkeypatch):
+    calls = _spy_recheck(monkeypatch)
+    cols = [[GOLDEN[0], GOLDEN[1], (0, 0)], [GOLDEN[1], (1, 0), (0, 0)], [(1, 0), (0, 0), (1, 0)]]
+    pts = enumerate_cube(_lattice(cols, 5), 1)
+    assert pts == _brute(cols, 1, 5, _coefficient_box(_lattice(cols, 5), 1))
+    assert (1, 1, 0) in pts  # phi + conj(phi) = 1: on the face, in the band
+    assert calls == []
+
+
+def test_band_of_ball_lattice_uses_certified_recheck(monkeypatch):
+    calls = _spy_recheck(monkeypatch)
+    # log 3 = 1.09861228866810969..., just below the radius
+    radius = Fraction(10986122886681098, 10**16)
+    assert enumerate_cube(RealLattice([[log_real(3)]]), radius) == [(-1,), (0,), (1,)]
+    assert sorted(calls) == [(-1,), (1,)]
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("q", [1, 3])
+def test_quad_abs_le_matches_quadreal_sign(m, q):
+    big = _sqrt2_unit(70)
+    xs = [0, 1, 7, 2**64 + 1, big[0], big[0] + 1]
+    ys = [0, 1, 5, 2**65, big[1], big[1] - 1]
+    for x in xs + [-x for x in xs]:
+        for y in ys + [-y for y in ys]:
+            t = QuadReal(x, y, m)
+            for p in {0, 1, abs(x) * q, abs(x) * q + 1, abs(x) * q - 1, 2**70}:
+                if p < 0:
+                    continue
+                want = (QuadReal(Fraction(p, q)) - abs_real(t)).sign() >= 0
+                assert _quad_abs_le(x, y, m, p, q) == want, (x, y, m, p, q)
+    assert _quad_abs_le(0, 0, m, 0, q)
+    assert _quad_abs_le(5 * q, 0, m, 5 * q * q, q)  # |x| = t exactly
+    assert not _quad_abs_le(-5, -1, m, 5 * q, q)
+
+
+def test_coefficient_box_caches_row_norms(monkeypatch):
+    inverse, calls = linalg.inverse, []
+
+    def spy(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(linalg, "inverse", spy)
+    makers = [
+        lambda: _lattice([[(1, 1), (Fraction(1, 2), 0)], [(0, -1), (3, 2)]], 2),
+        lambda: RealLattice([[log_real(3), 1], [1, log_real(5)]]),
+    ]
+    radii = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10**6 + 1, 7)]
+    for make in makers:
+        lat, calls[:] = make(), []
+        caps = [_coefficient_box(lat, r) for r in radii]
+        assert len(calls) == 1
+        assert caps == [_coefficient_box(make(), r) for r in radii]
 
 
 @PROPERTY
