@@ -5,6 +5,11 @@ finite part together with an archimedean part that is exact (quadratic
 fields) or a certified interval.  Sup-norm heights use k = d (the field
 degree); Euclidean-at-infinity heights use k = 2d so that the channel sums
 of squares stay exact.  Roots are taken only for display.
+
+Finite parts are lattice indices on integers: the norm of the content ideal
+of an integral vector is the index in Z^d of the rows omega_i * x_l, read
+off the field's cached multiplication table (Cohen, GTM 138, 4.7), so no
+ideal or field product is formed per point.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import lattice_index
+from .intmat import lattice_index, table_rows
 from .nf import FracIdeal, NfElement, NumberField
 from .reals import (
     ONE,
@@ -79,6 +84,14 @@ def content_ideal(field: NumberField, x: Sequence[NfElement]) -> FracIdeal:
     return FracIdeal.from_generators(field, gens)
 
 
+def _mult_rows(field: NumberField, xi: NfElement, what="coordinate") -> List[List[int]]:
+    """Integral-basis coordinates of omega_i * xi, i < d, for integral xi."""
+    c = field.int_coords(xi)
+    if any(t.denominator != 1 for t in c):
+        raise ValidationError("%s is not integral" % what)
+    return table_rows(field.mult_table(), [int(t) for t in c])
+
+
 def _arch_abs_table(field: NumberField, x: Sequence[NfElement]):
     """per-place list of (abs values of coordinates, local degree d_v)."""
     per_elem = [field.arch_places(xi) for xi in x]
@@ -108,7 +121,7 @@ def height_H(field: NumberField, x: Sequence[NfElement]) -> HeightValue:
         raise ValidationError("height of the zero vector")
     y = clear_denominators(x)
     d = field.degree
-    fin = 1 / content_ideal(field, y).norm()
+    fin = hfin_integral(field, y)
     arch = _prod(
         max_real(*vals) ** dv for vals, dv in _arch_abs_table(field, y)
     )
@@ -126,7 +139,7 @@ def height_H2(field: NumberField, x: Sequence[NfElement]) -> HeightValue:
         raise ValidationError("height of the zero vector")
     y = clear_denominators(x)
     d = field.degree
-    fin = (1 / content_ideal(field, y).norm()) ** 2
+    fin = hfin_integral(field, y) ** 2
     arch = _prod(
         sum((v * v for v in vals[1:]), vals[0] * vals[0]) ** dv
         for vals, dv in _arch_abs_table(field, y)
@@ -158,11 +171,14 @@ def subspace_height(field: NumberField, cols: Sequence[Sequence[NfElement]]) -> 
 
 
 def hfin_integral(field: NumberField, x: Sequence[NfElement]) -> Fraction:
-    """Exact d-th power of the finite height of an integral vector."""
-    for xi in x:
-        if not xi.is_integral():
-            raise ValidationError("coordinate is not integral")
-    return 1 / content_ideal(field, x).norm()
+    """Exact d-th power of the finite height of an integral vector.
+
+    That is 1 / N(content ideal) = 1 / [O_K : sum O_K x_l].
+    """
+    gens = [row for xi in x if not xi.is_zero() for row in _mult_rows(field, xi)]
+    if not gens:
+        raise ValidationError("content ideal of the zero vector")
+    return Fraction(1, lattice_index(gens, field.degree))
 
 
 def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Fraction:
@@ -175,19 +191,11 @@ def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Frac
     m = len(rows)
     n = len(rows[0])
     d = field.degree
-    for row in rows:
-        for e in row:
-            if not e.is_integral():
-                raise ValidationError("matrix entry is not integral")
     gens = []
-    basis = field.basis_elements()
     for j in range(n):
-        for w in basis:
-            img = [rows[i][j] * w for i in range(m)]
-            flat = []
-            for e in img:
-                flat.extend(int(c) for c in field.int_coords(e))
-            gens.append(flat)
+        # image of omega_i e_j: the i-th rows of the entries of column j, joined
+        blocks = [_mult_rows(field, rows[i][j], "matrix entry") for i in range(m)]
+        gens.extend(sum(rs, []) for rs in zip(*blocks))
     idx = lattice_index(gens, m * d)
     if idx is None:
         raise ValidationError("matrix map is rank deficient")

@@ -173,6 +173,17 @@ def lattice_index(generators, k=None):
     return abs(idx)
 
 
+def table_rows(table, c):
+    """Rows of sum_k c[k] * table[k], for integer matrices table[k]."""
+    out = [[0] * len(table[0][0]) for _ in table[0]]
+    for ck, t in zip(c, table):
+        if ck:
+            for o, row in zip(out, t):
+                for j, v in enumerate(row):
+                    o[j] += ck * v
+    return out
+
+
 def kernel(m):
     """Z-basis of the integer kernel {x : m @ x = 0}, as a list of vectors."""
     # row-reduce the transpose while tracking the transform: U * (m^T) = H.

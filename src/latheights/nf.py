@@ -7,9 +7,12 @@ reduces to Hermite Normal Form on integral-basis coordinates, so no prime
 ideal factorization is ever required.
 
 Archimedean embeddings are exposed as real coordinate channels: one channel
-per real embedding, a (Re, Im) pair per complex-conjugate pair.  Quadratic
-fields get exact quadratic-irrational channels; higher-degree totally real
-fields get certified interval channels.
+per real embedding, a (Re, Im) pair per complex-conjugate pair.  Fields of
+degree <= 2 get exact quadratic-irrational channels in closed form,
+c0 + c1*theta at the root theta; higher-degree totally real fields get
+certified interval channels.  The integer multiplication table of the
+integral basis, built on first use, lets heights read ideal norms off
+integer coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import linalg
 from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
 from .intmat import _row_hnf, lattice_contains, lattice_intersection, rational_to_scaled
-from .reals import BallReal, QuadReal, Real, abs_real, sqrt_real, to_real
+from .reals import BallReal, QuadReal, Real, _quad, abs_real, sqrt_real, to_real
 
 
 def _rational_roots(p: Sequence[int]) -> List[Fraction]:
@@ -108,7 +111,7 @@ class NumberField:
         if linalg.det(basis) == 0:
             raise ValidationError("integral basis rows are linearly dependent")
         self.basis = basis
-        self._basis_inv = linalg.inverse(basis)
+        self._basis_inv_t = linalg.transpose(linalg.inverse(basis))
 
         # reduction table: power coordinates of theta^k for k = 0 .. 2d-2
         pw = [[Fraction(1 if i == k else 0) for i in range(d)] for k in range(d)]
@@ -129,6 +132,7 @@ class NumberField:
         self._real_roots = list(reversed(real_roots))
         self._real_channel_vals = None  # lazy
         self._complex_channel = None
+        self._mult_table = None  # lazy
 
         # ring closure of the basis, then trace-pairing discriminant
         self._elements = [NfElement(self, row) for row in basis]
@@ -187,10 +191,19 @@ class NumberField:
 
     def int_coords(self, a: "NfElement") -> List[Fraction]:
         """Coordinates of a in the integral basis (rational in general)."""
-        return linalg.mat_vec(linalg.transpose(self._basis_inv), list(a.coeffs))
+        return linalg.mat_vec(self._basis_inv_t, list(a.coeffs))
 
     def _in_basis_zspan(self, a: "NfElement") -> bool:
         return all(c.denominator == 1 for c in self.int_coords(a))
+
+    def mult_table(self) -> List[List[List[int]]]:
+        """table[k][i]: integral-basis coordinates of omega_k * omega_i (cached)."""
+        if self._mult_table is None:
+            els = self._elements
+            self._mult_table = [
+                [[int(c) for c in self.int_coords(wk * wi)] for wi in els] for wk in els
+            ]
+        return self._mult_table
 
     # -- embeddings -------------------------------------------------------
 
@@ -255,12 +268,10 @@ class NumberField:
 
 
 def _eval_at(coeffs, val):
-    """Horner evaluation of rational coefficients at an exact or ball value."""
+    """Rational power-basis coefficients at a root: exact (degree <= 2) or a ball."""
     if isinstance(val, QuadReal):
-        acc = QuadReal(0)
-        for c in reversed(coeffs):
-            acc = acc * val + QuadReal(c)
-        return acc
+        c1 = coeffs[1] if len(coeffs) > 1 else 0
+        return _quad(coeffs[0] + c1 * val.a, c1 * val.b, val.m)
 
     def fn(prec, coeffs=tuple(coeffs), val=val):
         old = iv.prec

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import lattice_contains, lattice_index
+from .intmat import lattice_contains, lattice_index, table_rows
 from .modules import OkModule, minima_ck_zk
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -350,7 +350,8 @@ class QuatOrder:
         self._coords = [self._flatten(x) for x in basis]
         if linalg.det(self._coords) == 0:
             raise ValidationError("order Z-basis is rank deficient")
-        self._coords_inv = linalg.inverse(self._coords)
+        self._coords_inv_t = linalg.transpose(linalg.inverse(self._coords))
+        self._left_table = None  # lazy
         if not self.contains(algebra.one()):
             raise ValidationError("order does not contain 1")
         for a in basis:
@@ -369,7 +370,16 @@ class QuatOrder:
 
     def coords_of(self, x: QuatElement) -> List[Fraction]:
         """Coordinates of x in the order's Z-basis (rational in general)."""
-        return linalg.mat_vec(linalg.transpose(self._coords_inv), self._flatten(x))
+        return linalg.mat_vec(self._coords_inv_t, self._flatten(x))
+
+    def left_table(self) -> List[List[List[int]]]:
+        """table[k][i]: coordinates of e_i * e_k, so sum_k c_k table[k] has rows e_i * x."""
+        if self._left_table is None:
+            self._left_table = [
+                [[int(c) for c in self.coords_of(ei * ek)] for ei in self.z_basis]
+                for ek in self.z_basis
+            ]
+        return self._left_table
 
     def denominator(self, x: QuatElement) -> int:
         return math.lcm(*[c.denominator for c in self.coords_of(x)])
@@ -418,16 +428,20 @@ def order_constants(order: QuatOrder):
 # heights on D^N
 
 
+def _arch_sq_prod(xs: Sequence[QuatElement]) -> Real:
+    """prod over channels n of max_l N^{(n)}(x_l): the 2d-th power of H_inf."""
+    field = xs[0].algebra.field
+    norms = [field.channel_values(x.nrm()) for x in xs]
+    acc = None
+    for n in range(field.degree):
+        ch = max_real(*[vals[n] for vals in norms])
+        acc = ch if acc is None else acc * ch
+    return acc
+
+
 def height_Hinf(xs: Sequence[QuatElement]) -> Rooted:
     """Homogeneous archimedean height, exact in 2d-th power form."""
-    alg = xs[0].algebra
-    field = alg.field
-    d = field.degree
-    acc = None
-    for n in range(d):
-        ch = max_real(*[arch_abs_sq(x, n) for x in xs])
-        acc = ch if acc is None else acc * ch
-    return Rooted(acc, 2 * d)
+    return Rooted(_arch_sq_prod(xs), 2 * xs[0].algebra.field.degree)
 
 
 def height_hinf(xs: Sequence[QuatElement]) -> Rooted:
@@ -437,15 +451,15 @@ def height_hinf(xs: Sequence[QuatElement]) -> Rooted:
 
 def height_HfinO(order: QuatOrder, xs: Sequence[QuatElement]) -> Fraction:
     """Exact 4d-th power of the finite height: 1 / [O : O x_1 + ... + O x_N]."""
-    for x in xs:
-        if not order.contains(x):
-            raise ValidationError("coordinate outside the order")
+    coords = [order.coords_of(x) for x in xs]
+    if any(c.denominator != 1 for cs in coords for c in cs):
+        raise ValidationError("coordinate outside the order")
     if all(x.is_zero() for x in xs):
         raise ValidationError("finite height of the zero vector")
+    table = order.left_table()
     gens = []
-    for x in xs:
-        for w in order.z_basis:
-            gens.append([int(c) for c in order.coords_of(w * x)])
+    for cs in coords:
+        gens.extend(table_rows(table, [int(c) for c in cs]))
     idx = lattice_index(gens, len(order.z_basis))
     if idx is None:
         raise ValidationError("left module has infinite index in the order")
@@ -463,12 +477,7 @@ def height_HO(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
         raise ValidationError("height of the zero vector")
     _, ys = clear_order_denominators(order, xs)
     d = order.algebra.field.degree
-    fin = height_HfinO(order, ys)
-    arch = None  # prod over channels of max_l N^{(n)}(y_l), the 2d-th power
-    for n in range(d):
-        ch = max_real(*[arch_abs_sq(y, n) for y in ys])
-        arch = ch if arch is None else arch * ch
-    return Rooted(arch * arch * fin, 4 * d)
+    return Rooted(_arch_sq_prod(ys) ** 2 * height_HfinO(order, ys), 4 * d)
 
 
 def height_h(xs: Sequence[QuatElement]) -> Rooted:

@@ -168,7 +168,8 @@ class QuadReal(Real):
             iv.prec = old
 
     def __hash__(self):
-        return hash((self.a, self.b, self.m))
+        # a rational value hashes as the Fraction it equals
+        return hash((self.a, self.b, self.m)) if self.b else hash(self.a)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -181,6 +182,15 @@ class QuadReal(Real):
         if self.b == 0:
             return "QuadReal(%s)" % (self.a,)
         return "QuadReal(%s + %s*sqrt(%d))" % (self.a, self.b, self.m)
+
+
+def _quad(a, b, m):
+    """QuadReal from Fractions a, b and a squarefree m, without normalising."""
+    self = object.__new__(QuadReal)
+    object.__setattr__(self, "a", a)
+    object.__setattr__(self, "b", b)
+    object.__setattr__(self, "m", m if b else 0)
+    return self
 
 
 class BallReal(Real):
@@ -265,20 +275,20 @@ def _binop_ball(x, y, op):
 def _add(x, y):
     if isinstance(x, QuadReal) and isinstance(y, QuadReal) and _compatible(x, y):
         m = x.m or y.m
-        return QuadReal(x.a + y.a, x.b + y.b, m)
+        return _quad(x.a + y.a, x.b + y.b, m)
     return _binop_ball(x, y, lambda a, b: a + b)
 
 
 def _neg(x):
     if isinstance(x, QuadReal):
-        return QuadReal(-x.a, -x.b, x.m)
+        return _quad(-x.a, -x.b, x.m)
     return BallReal(lambda p: -x.interval(p))
 
 
 def _mul(x, y):
     if isinstance(x, QuadReal) and isinstance(y, QuadReal) and _compatible(x, y):
         m = x.m or y.m
-        return QuadReal(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
+        return _quad(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
     return _binop_ball(x, y, lambda a, b: a * b)
 
 
@@ -286,10 +296,8 @@ def _div(x, y):
     if isinstance(y, QuadReal):
         den = y.a * y.a - y.b * y.b * y.m
         if den == 0:
-            if y.a == 0 and y.b == 0:
-                raise ZeroDivisionError("division by zero Real")
-            den = y.a * y.a - y.b * y.b * y.m  # unreachable for m squarefree > 1
-        inv = QuadReal(y.a / den, -y.b / den, y.m)
+            raise ZeroDivisionError("division by zero Real")
+        inv = _quad(y.a / den, -y.b / den, y.m)
         return _mul(x, inv)
     return _binop_ball(x, y, lambda a, b: a / b)
 

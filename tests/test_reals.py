@@ -46,6 +46,27 @@ def test_quad_division():
     assert inv == phi - 1
 
 
+def test_quad_division_by_zero():
+    r2 = QuadReal(0, 1, 2)
+    for zero in (QuadReal(0), r2 - r2, (1 + r2) * (1 - r2) + 1):
+        with pytest.raises(ZeroDivisionError):
+            r2 / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / QuadReal(0)
+
+
+def test_quad_hash_matches_equality():
+    r2 = QuadReal(0, 1, 2)
+    assert QuadReal(1) == 1 and hash(QuadReal(1)) == hash(1)
+    assert len({QuadReal(1), 1}) == 1
+    half = QuadReal(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    # a product that cancels to a rational hashes like that rational
+    assert hash((1 + r2) * (1 - r2)) == hash(-1)
+    assert {r2 * r2: "two"}[2] == "two"
+    assert hash(QuadReal(3, 1, 8)) == hash(QuadReal(3, 2, 2))
+
+
 def test_sqrt_exact_rational():
     s = sqrt_real(Fraction(9, 4))
     assert isinstance(s, QuadReal) and s.as_fraction() == Fraction(3, 2)
