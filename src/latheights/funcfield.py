@@ -128,6 +128,8 @@ class DivisorLattice:
         else:
             self.jxp_order, self.basis = self._genus1_kernel()
         self.rank = n - 1
+        # the HNF of the fixed basis, once: contains() reduces against it
+        self._hnf_rows, _, self._hnf_pivots = intmat._row_hnf(self.basis, n)
         # det(L_P)^2 = n |J|^2, verified on construction
         if self.det_sq() != n * self.jxp_order ** 2:
             raise ValidationError("divisor lattice determinant identity failed")
@@ -188,7 +190,7 @@ class DivisorLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ctx.n or sum(vec) != 0:
             return False
-        return intmat.lattice_contains(self.basis, list(vec))
+        return intmat.hnf_contains(self._hnf_rows, self._hnf_pivots, vec)
 
     def p_height(self, vec: Sequence[int]) -> int:
         """H_P(f) = max |a_m(f)| for f given by its exponent vector."""

@@ -298,9 +298,14 @@ def lattice_intersection(gens_a, gens_b):
 def lattice_contains(gens, vec):
     """Does the Z-span of gens contain vec?  All entries rational."""
     ints, den = rational_to_scaled(list(gens) + [vec])
-    target = ints[-1]
-    rows_h, _, pivots = _row_hnf(ints[:-1], len(target))
-    v = target[:]
+    rows_h, _, pivots = _row_hnf(ints[:-1], len(vec))
+    return hnf_contains(rows_h, pivots, ints[-1])
+
+
+def hnf_contains(rows_h, pivots, vec):
+    """Does the row span of a row HNF (``_row_hnf``'s rows and pivots)
+    contain the integer vector vec?"""
+    v = list(vec)
     for r, c in enumerate(pivots):
         if v[c] % rows_h[r][c] != 0:
             return False

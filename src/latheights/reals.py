@@ -475,6 +475,11 @@ def _iv_log(a, prec):
     old = iv.prec
     try:
         iv.prec = prec
+        if a.a < 0 <= a.b:
+            # the enclosure of a positive value dips below 0 at this
+            # precision: clamp it, so the log is unbounded below and a
+            # comparison refines instead of failing
+            a = iv.mpf([0, a.b])
         return iv.log(a)
     finally:
         iv.prec = old

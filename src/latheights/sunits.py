@@ -12,8 +12,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import HOLDS, INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
 from .errors import PrecisionExhausted, UnresolvedTie, ValidationError
-from .lattice import RealLattice, _rat_upper, enumerate_cube, supnorm_min
-from .nf import FracIdeal, NfElement, NumberField
+from .intmat import table_rows
+from .lattice import RealLattice, _coefficient_box, enumerate_cube, supnorm_min
+from .nf import NfElement, NumberField
 from .reals import (
     PRECISION,
     Real,
@@ -24,6 +25,27 @@ from .reals import (
     sqrt_real,
     to_real,
 )
+
+
+def _mat_vec(m: List[List[int]], c: List[int]) -> List[int]:
+    return [sum(a * b for a, b in zip(row, c)) for row in m]
+
+
+def _divide(n: int, t: List[List[int]], c: List[int]) -> Optional[List[int]]:
+    """Coordinates of y/gen when gen divides y (coordinates c), else None;
+    (n, t) is the divider of gen (``SUnitContext._place``)."""
+    c = _mat_vec(t, c)
+    return None if any(e % n for e in c) else [e // n for e in c]
+
+
+def _ord(n: int, t: List[List[int]], c: List[int]) -> int:
+    """Largest k with gen^k | y, for integral y != 0 with coordinates c."""
+    k = 0
+    while True:
+        c = _divide(n, t, c)
+        if c is None:
+            return k
+        k += 1
 
 
 def _is_prime(p: int) -> bool:
@@ -92,7 +114,6 @@ class SUnitContext:
                  omega: int = 2,
                  weighted: bool = False):
         self.field = field
-        self.ring = FracIdeal.unit(field)
         self.s1 = list(s1)
         for gen, np in self.s1:
             if not gen.is_integral():
@@ -125,43 +146,86 @@ class SUnitContext:
                 % (len(self.all_gens), self.n_places)
             )
         self._lattice = None
+        self._places = {}
+        self._one = [int(c) for c in field.int_coords(field.one())]
 
     # -- valuations ---------------------------------------------------------
 
-    def _ord_integral(self, gen: NfElement, y: NfElement) -> int:
-        k = 0
-        while True:
-            y = y / gen
-            if not self.ring.contains(y):
-                return k
-            k += 1
+    def _mult_matrix(self, y: NfElement) -> List[List[int]]:
+        """Integer matrix M of multiplication by an integral y: coordinates of
+        y * z are M c for integral-basis coordinates c of z."""
+        rows = table_rows(self.field.mult_table(), [int(c) for c in self.field.int_coords(y)])
+        return [list(col) for col in zip(*rows)]
+
+    def _place(self, gen: NfElement) -> Tuple[int, List[List[int]], List[List[int]]]:
+        """(N, T, M) for gen, cached: N = |N(gen)|, T multiplies by the
+        integral element N/gen, M multiplies by gen.  y/gen has coordinates
+        T c / N, so gen divides y exactly when N divides every entry."""
+        place = self._places.get(gen)
+        if place is None:
+            n = int(abs(gen.norm()))
+            place = (n, self._mult_matrix(gen.inv() * n), self._mult_matrix(gen))
+            self._places[gen] = place
+        return place
+
+    def _ord_scaled(self, place, c: List[int], den: int) -> int:
+        """ord of x = y/den at a place, y given by integer coordinates c."""
+        n, t, _ = place
+        k = _ord(n, t, c)
+        return k - _ord(n, t, [den * e for e in self._one]) if den != 1 else k
+
+    def _scaled_coords(self, x: NfElement) -> Tuple[List[int], int]:
+        """(c, den): den the least integer with x * den integral, c the
+        integer coordinates of x * den."""
+        coords = self.field.int_coords(x)
+        den = math.lcm(*[q.denominator for q in coords])
+        return [int(q * den) for q in coords], den
 
     def ord_at(self, gen: NfElement, x: NfElement) -> int:
+        """ord of x != 0 at an integral gen: the largest k with x / gen^k in
+        O_K for integral x, else ord(x * den) - ord(den) with den the least
+        integer that makes x * den integral."""
         if x.is_zero():
             raise ValidationError("valuation of zero")
-        den = x.denominator()
-        k = self._ord_integral(gen, x * den)
-        if den != 1:
-            k -= self._ord_integral(gen, self.field.rational(den))
-        return k
+        return self._ord_scaled(self._place(gen), *self._scaled_coords(x))
+
+    def _s_valuations(self, x: NfElement) -> Optional[List[int]]:
+        """[ord_p(x)] over the finite places of S if x is an S-unit, else None.
+
+        u = x prod p^(-ord_p(x)) is a unit iff u is integral and
+        |N(x)| = prod N(p)^ord_p(x).  u * den is formed on integer
+        coordinates: every multiplication first, then every division, so
+        each partial product is integral whenever u is.
+        """
+        if x.is_zero():
+            return None
+        places = [self._place(g) for g, _ in self.s1]
+        c, den = self._scaled_coords(x)
+        vals = [self._ord_scaled(place, c, den) for place in places]
+        for v, (_, _, m) in zip(vals, places):
+            for _ in range(-v):
+                c = _mat_vec(m, c)
+        for v, (n, t, _) in zip(vals, places):
+            for _ in range(v):
+                c = _divide(n, t, c)
+                if c is None:
+                    return None
+        if any(e % den for e in c):
+            return None
+        norm = Fraction(1)
+        for v, (_, np) in zip(vals, self.s1):
+            norm *= Fraction(np) ** v
+        return vals if abs(x.norm()) == norm else None
 
     def is_s_unit(self, x: NfElement) -> bool:
-        if x.is_zero():
-            return False
-        u = x
-        for gen, _ in self.s1:
-            k = self.ord_at(gen, x)
-            if k > 0:
-                u = u / gen ** k
-            elif k < 0:
-                u = u * gen ** (-k)
-        return self.ring.contains(u) and self.ring.contains(u.inv())
+        return self._s_valuations(x) is not None
 
     # -- the logarithmic embedding ------------------------------------------
 
     def log_embed(self, a: NfElement) -> List[Real]:
         """phi_S(a) = (log|a|_v)_{v in S}; finite coordinates -ord_p(a) log N(p)."""
-        if not self.is_s_unit(a):
+        vals = self._s_valuations(a)
+        if vals is None:
             raise ValidationError("element is not an S-unit")
         out: List[Real] = []
         for av, dv in self.field.arch_places(a):
@@ -169,8 +233,8 @@ class SUnitContext:
             if self.weighted:
                 coord = coord * dv
             out.append(coord)
-        for gen, np in self.s1:
-            out.append(log_real(Fraction(np)) * (-self.ord_at(gen, a)))
+        for (_, np), v in zip(self.s1, vals):
+            out.append(log_real(Fraction(np)) * (-v))
         return out
 
     def s_height(self, a: NfElement) -> Real:
@@ -227,9 +291,15 @@ def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
     """|{a in O_S^* : H_S(a) <= B}| by two independent pipelines.
 
     Pipeline 1 counts lattice points of L_S in the closed sup-norm cube of
-    radius B; pipeline 2 enumerates exponent vectors directly and filters by
-    the S-height.  Both include the omega_K roots of unity per point and
-    must agree.
+    radius B.  Pipeline 2 walks exponent vectors e with |e_i| <= M_i, forms
+    a = prod g_i^e_i in field arithmetic and keeps it when its S-height,
+    computed from a itself (valuations and archimedean absolute values),
+    is at most B.  The caps M_i are the proven coefficient caps of the cube
+    (``lattice._coefficient_box``: B times the l1 row norms of the basis
+    pseudo-inverse), so every S-unit of height <= B lies in the walked box
+    however skewed the generators are; only the box comes from L_S, never
+    membership or height.  Both include the omega_K roots of unity per
+    point and must agree.
     """
     b = Fraction(b)
     if b <= 0:
@@ -242,15 +312,23 @@ def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
     except PrecisionExhausted as e:
         raise UnresolvedTie("boundary tie while counting S-units: %s" % e)
     count1 = ctx.omega * in_cube
-    emax = math.floor(_rat_upper(to_real(b) / ll.hsk))
+    caps = _coefficient_box(ll.lattice, b)
+    # powers[i][e] = g_i^e for |e| <= caps[i], by successive products
+    powers = []
+    for g, cap in zip(ctx.all_gens, caps):
+        pw = {0: ctx.field.one()}
+        if cap:
+            ginv = g.inv()
+            for e in range(1, cap + 1):
+                pw[e] = pw[e - 1] * g
+                pw[-e] = pw[1 - e] * ginv
+        powers.append(pw)
     count2 = 0
-    for es in itertools.product(range(-emax, emax + 1), repeat=ll.rank):
+    for es in itertools.product(*[range(-cap, cap + 1) for cap in caps]):
         a = ctx.field.one()
-        for e, g in zip(es, ctx.all_gens):
-            if e > 0:
-                a = a * g ** e
-            elif e < 0:
-                a = a * g.inv() ** (-e)
+        for e, pw in zip(es, powers):
+            if e:
+                a = a * pw[e]
         try:
             if cmp_real(ctx.s_height(a), b, context="s-height filter") <= 0:
                 count2 += ctx.omega

@@ -208,6 +208,18 @@ def test_count_sunits_command(tmp_path, capsys):
     assert {r["exact"] for r in recs} == {10}
 
 
+def test_count_sunits_command_skewed_prime(tmp_path, capsys):
+    # the generator 58 + 41 sqrt2 = sqrt2 (1 + sqrt2)^5 of the place above 2
+    path = _write(
+        tmp_path,
+        "s2.lh",
+        "field {\n minpoly = -2 0 1\n basis = 1 0 ; 0 1\n}\nprime = 58 41 ; 2\n",
+    )
+    assert cli.main(["count", "sunits", path, "2"]) == 0
+    recs = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+    assert {r["exact"] for r in recs} == {34}
+
+
 def test_verify_deterministic_and_exit_codes(capsys):
     assert cli.main(["verify", "ffield", "--seed", "42"]) == 0
     first = capsys.readouterr().out

@@ -3,8 +3,8 @@ against independent recounts.
 
 Each oracle is compared with a brute-force walk of its coefficient box
 whose membership test uses plain Fraction arithmetic, not the library's
-float screen.  Hypothesis runs derandomized, so every run sees the same
-examples.
+float screen.  Hypothesis runs derandomized (``conftest.py``), so every
+run sees the same examples.
 """
 
 import itertools
@@ -24,10 +24,7 @@ from latheights.nf import FracIdeal, nf_new
 from latheights.reals import QuadReal, abs_real, log_real
 
 PROPERTY = settings(
-    derandomize=True,
-    database=None,
     max_examples=60,
-    deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
 BOX_LIMIT = 2000  # candidates per brute-force walk

@@ -31,7 +31,7 @@ from latheights.nf import _eval_at, nf_new
 from latheights.quat import QuatOrder, height_HfinO
 from latheights.reals import QuadReal, _quad
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+PROPERTY = settings(max_examples=40)
 
 FIELDS = {
     "Q": nf_new([-1, 1], [[1]]),
@@ -266,7 +266,7 @@ def _sym_equal(x, expr):
     return sympy.expand(sympy.radsimp(_sym(x) - expr)) == 0
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.sampled_from(SQUAREFREE).flatmap(lambda m: st.tuples(_quads(m), _quads(m))))
 def test_quadreal_ops_match_sympy(pair):
     x, y = pair

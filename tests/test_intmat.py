@@ -95,3 +95,11 @@ def test_intersection_rational():
     inter = lattice_intersection(a, b)
     assert lattice_contains(inter, [1, 0])
     assert not lattice_contains(inter, [Fraction(1, 2), 0])
+
+
+def test_lattice_contains_rank_deficient():
+    # vec agrees with the span on every pivot column, not on the free one
+    gens = [[1, 2, 0], [0, 3, 0]]
+    assert lattice_contains(gens, [1, 5, 0])
+    assert not lattice_contains(gens, [1, 5, 1])
+    assert not lattice_contains([[2, 4]], [1, 2])

@@ -198,3 +198,19 @@ def test_context_validation():
     with pytest.raises(ValidationError):
         # dependent generators: the same prime listed twice
         SUnitContext(kq, s1=[(kq.rational(2), 2), (kq.rational(2), 2)]).log_lattice()
+
+
+def test_count_sunits_skewed_generators():
+    # three generator sets of one S-unit group of Q(sqrt2), S = {inf, inf', (sqrt2)}:
+    # 58 + 41 sqrt2 = sqrt2 (1 + sqrt2)^5, so the last two bases are skewed and
+    # an S-unit of height <= B can need an exponent far beyond B / H_SK
+    k = field_sqrt2()
+    sqrt2 = k.gen()
+    eps = k.element([1, 1])
+    contexts = [
+        SUnitContext(k, s1=[(sqrt2, 2)]),
+        SUnitContext(k, s1=[(k.element([58, 41]), 2)]),
+        SUnitContext(k, s1=[(sqrt2, 2)], unit_gens=[eps * sqrt2 ** 5]),
+    ]
+    for b, expected in ((1, 10), (2, 34), (3, 94)):
+        assert [count_sunits(ctx, b) for ctx in contexts] == [expected] * 3, b
