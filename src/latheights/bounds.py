@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
+from . import lattice, linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .heights import height_h as height_h_nf
 from .lattice import _box_slabs, _coefficient_box, _rat_upper, enumerate_cube
@@ -24,13 +24,15 @@ from .quat import (
     QuatAlgebra,
     QuatElement,
     QuatOrder,
+    _arch_sq_prod,
     bracket_inv,
-    eval_hermitian,
     height_Hinf,
     height_h,
     height_h_order,
     intersection_module,
     minima_cz_order,
+    module_gram,
+    order_constants,
     s_t_constants,
     split_rho_matrix,
     subspace_height_HO,
@@ -43,6 +45,7 @@ from .reals import (
     log_real,
     pi_real,
     pow_real,
+    real_to_float,
     to_real,
 )
 
@@ -387,18 +390,16 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
     free = OkModule.free_module(field, 4 * n)
     lat = free.module_lattice()
     # fail fast: the whole denominator sweep must fit the budget
-    from .lattice import ENUM_BUDGET
-
     grand_total = 0
     for m in range(1, m_max + 1):
         total = 1
         for c in _coefficient_box(lat, _rat_upper(bd) * m):
             total *= 2 * c + 1
         grand_total += total
-    if grand_total > ENUM_BUDGET:
+    if grand_total > lattice.ENUM_BUDGET:
         raise BudgetExceeded(
             "enumeration sweep has %d candidates (budget %d)"
-            % (grand_total, ENUM_BUDGET)
+            % (grand_total, lattice.ENUM_BUDGET)
         )
     seen = set()
     count = 0
@@ -504,8 +505,6 @@ def const_A(order: QuatOrder, n: int, big_l: int, big_m: int, big_j: int):
     alg = order.algebra
     field = alg.field
     s, t, _, _ = s_t_constants(alg)
-    from .quat import order_constants
-
     _, defect = order_constants(order)
     val = _pow2_half(9 * big_l + 13).as_real()
     val = val * (s ** (9 * big_l + 12)).as_real()
@@ -520,47 +519,84 @@ def const_A(order: QuatOrder, n: int, big_l: int, big_m: int, big_j: int):
 # constructive searches
 
 
-def _in_subspace(u: DSubspace, xs: Sequence[QuatElement]) -> bool:
-    for row in u.constraint_rows():
-        acc = None
-        for ri, xi in zip(row, xs):
-            term = ri * xi
-            acc = term if acc is None else acc + term
-        if not acc.is_zero():
-            return False
-    return True
-
-
 def _d_rank(rows: Sequence[Sequence[QuatElement]]) -> int:
     return linalg.rank(split_rho_matrix(rows)) // 2
 
 
-def _module_points_by_height(z: DSubspace, order: QuatOrder,
-                             start_radius: Fraction, max_radius: Fraction):
-    """Yield (height, point) lists shell by shell, radius doubling."""
-    alg = z.algebra
-    module = intersection_module(z, order)
+def _subspace_form(u: DSubspace) -> List[List[QuatElement]]:
+    """C*C for the constraint rows C of U: x*(C*C)x = sum_r N((Cx)_r) vanishes
+    exactly on U, as the reduced norm of a definite algebra is totally positive
+    off 0."""
+    rows, cols = u.constraint_rows(), range(u.ambient)
+    return [[sum((r[a].conj() * r[b] for r in rows), u.algebra.zero()) for b in cols]
+            for a in cols]
+
+
+def _form_values(grams, arr):
+    """[m^t G m for every row m of arr] for each integer matrix G of grams: int64
+    under an explicit overflow guard, Python ints past it (lattice._enumerate_rational)."""
+    import numpy as np
+
+    n = arr.shape[1]
+    big = max(abs(x) for g in grams for row in g for x in row)
+    mx = int(np.abs(arr).max(initial=1))
+    dtype = np.int64 if n * n * big * mx * mx < 2 ** 62 else object
+    arr = arr.astype(dtype)
+    return [((arr @ np.array(g, dtype=dtype)) * arr).sum(axis=1) for g in grams]
+
+
+def _shell_heights(field: NumberField, norms, arr, memo) -> List[Tuple[float, Rooted]]:
+    """(float key, h(x)) for each row m of arr, from the integer reduced norms
+    of x's coordinates: the channel path of quat.height_h, memoized on them."""
+    vals = [(_form_values(grams, arr), den) for grams, den in norms]
+    out = []
+    for k in range(len(arr)):
+        key = tuple(int(v[k]) for coords, _ in vals for v in coords)
+        if key not in memo:
+            nrms = [field.element([Fraction(int(v[k]), den) for v in coords])
+                    for coords, den in vals]
+            h = Rooted(_arch_sq_prod(field, [field.one()] + nrms), 2 * field.degree)
+            memo[key] = (_height_key(h), h)
+        out.append(memo[key])
+    return out
+
+
+def _search_shells(module: OkModule, alg: QuatAlgebra, zeros, avoid_subspaces,
+                   avoid_forms, max_radius: Fraction):
+    """Yield each shell's surviving (height, m) list in search order.
+
+    Shells are the new points of the cube of radius 1, 2, 4, ... up to
+    max_radius, with x = sum_i m_i z_i over the module's Z-basis.  x survives
+    when every form of ``zeros`` vanishes at x, x lies in no avoided subspace
+    and no avoided form vanishes at x: all decided on integer Gram matrices
+    (``quat.module_gram``) for the whole shell, before any height.  Heights of
+    the survivors are sorted stably by float key, and a stable sort commutes
+    with the filters: the order is that of sorting first, filtering after."""
+    import numpy as np
+
     lat = module.module_lattice()
-    radius = start_radius
+    filters = [(module_gram(module, f)[0], True) for f in zeros]
+    avoid = [_subspace_form(u) for u in avoid_subspaces] + list(avoid_forms)
+    filters += [(module_gram(module, f)[0], False) for f in avoid]
+    one, zero, n = alg.one(), alg.zero(), module.ambient // 4
+    norms = [module_gram(module, [[one if a == b == l else zero for b in range(n)]
+                                  for a in range(n)]) for l in range(n)]  # N(x_l)
+    memo = {}
     emitted = set()
+    radius = Fraction(1)
     while radius <= max_radius:
-        batch = []
-        for m in enumerate_cube(lat, radius):
-            if all(c == 0 for c in m):
-                continue
-            if m in emitted:
-                continue
-            emitted.add(m)
-            xs = bracket_inv(alg, _module_point(module, m))
-            batch.append((height_h(xs), xs))
-        batch.sort(key=lambda p: _height_key(p[0]))
-        yield batch
+        pts = [m for m in enumerate_cube(lat, radius) if any(m) and m not in emitted]
+        emitted.update(pts)
+        arr = np.array(pts, dtype=np.int64).reshape(len(pts), lat.rank)
+        for grams, zero_wanted in filters:
+            arr = arr[np.all([v == 0 for v in _form_values(grams, arr)], axis=0) == zero_wanted]
+        batch = list(zip(_shell_heights(alg.field, norms, arr, memo), map(tuple, arr.tolist())))
+        batch.sort(key=lambda p: p[0][0])
+        yield [(h, m) for (_, h), m in batch]
         radius *= 2
 
 
 def _height_key(h: Rooted) -> float:
-    from .reals import real_to_float
-
     return real_to_float(h.as_real())
 
 
@@ -576,6 +612,11 @@ def search_basis(z: DSubspace, order: QuatOrder,
     in search order, not in certified height order: shell by shell as the
     cube radius doubles, each shell sorted by a float approximation of the
     height, and a later shell can hold smaller heights (ROADMAP item 3).
+
+    Filter order: on each shell the avoided subspaces and form zero sets
+    are removed first, on integer coordinates; heights are computed only
+    for the survivors, and the D-rank test runs on them in search order.
+    QuatElements are built only for rank-test candidates and the basis.
     """
     alg = z.algebra
     field = alg.field
@@ -583,21 +624,17 @@ def search_basis(z: DSubspace, order: QuatOrder,
     big_l = z.dim
     big_m = len(avoid_subspaces)
     big_j = len(avoid_forms)
+    module = intersection_module(z, order)
     basis: List[List[QuatElement]] = []
     heights: List[Rooted] = []
-    for batch in _module_points_by_height(z, order, Fraction(1), max_radius):
-        for h, xs in batch:
+    for batch in _search_shells(module, alg, (), avoid_subspaces, avoid_forms, max_radius):
+        for h, m in batch:
             if len(basis) == big_l:
                 break
-            if any(_in_subspace(u, xs) for u in avoid_subspaces):
+            xs = bracket_inv(alg, _module_point(module, m))
+            if basis and _d_rank(basis + [xs]) != len(basis) + 1:
                 continue
-            if any(eval_hermitian(f, xs).is_zero() for f in avoid_forms):
-                continue
-            if basis and _d_rank(
-                [[v[i] for i in range(z.ambient)] for v in basis + [xs]]
-            ) != len(basis) + 1:
-                continue
-            basis.append(list(xs))
+            basis.append(xs)
             heights.append(h)
         if len(basis) == big_l:
             break
@@ -608,8 +645,6 @@ def search_basis(z: DSubspace, order: QuatOrder,
         )
     ho = subspace_height_HO(z, order)
     s, _, _, _ = s_t_constants(alg)
-    from .quat import order_constants
-
     _, defect = order_constants(order)
     dk = Fraction(abs(field.discriminant))
     bound = to_real(4 * big_l)
@@ -641,24 +676,24 @@ def search_isotropic(form, z: DSubspace, order: QuatOrder,
 
     With check_bound the found height is compared against the explicit
     search bound; without it only the point is reported.
+
+    Filter order: on each shell the zeros of the form are taken first, then
+    the avoided subspaces and form zero sets are removed, all on integer
+    coordinates; heights are computed only for the survivors, and the point
+    is the first survivor in search order (not certified height order, as
+    in search_basis).  Only that point is built as QuatElements.
     """
     alg = z.algebra
     d = alg.field.degree
     big_l = z.dim
     big_m = len(avoid_subspaces)
     big_j = len(avoid_forms)
+    module = intersection_module(z, order)
     found = None
-    for batch in _module_points_by_height(z, order, Fraction(1), max_radius):
-        for h, xs in batch:
-            if not eval_hermitian(form, xs).is_zero():
-                continue
-            if any(_in_subspace(u, xs) for u in avoid_subspaces):
-                continue
-            if any(eval_hermitian(f, xs).is_zero() for f in avoid_forms):
-                continue
-            found = (h, xs)
-            break
-        if found:
+    for batch in _search_shells(module, alg, [form], avoid_subspaces, avoid_forms, max_radius):
+        if batch:
+            h, m = batch[0]
+            found = (h, bracket_inv(alg, _module_point(module, m)))
             break
     if found is None:
         raise BudgetExceeded("isotropic search exhausted its radius budget")

@@ -16,11 +16,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import lattice as lattice_mod
+from . import linalg
 from .bounds import (
     INCONCLUSIVE,
     VIOLATED,
     BoundReport,
     _verdict,
+    const_E1_E2,
+    const_E3_E4,
     det_mz_check,
     thm1_lower,
     thm_main1_lower,
@@ -40,9 +43,18 @@ from .lattice import (
     max_grassmann_sublattice,
     supnorm_min,
 )
-from .modules import OkModule
+from .modules import OkModule, minima_ck_zk
 from .nf import FracIdeal, nf_new
-from .quat import DSubspace, QuatAlgebra, QuatOrder, bracket_inv, height_h_order, s_t_constants
+from .quat import (
+    DSubspace,
+    QuatAlgebra,
+    QuatOrder,
+    bracket_inv,
+    height_h_order,
+    minima_cz_order,
+    s_t_constants,
+    subspace_height_HO,
+)
 from .reals import PRECISION, Rooted, cmp_real, sqrt_real, to_real
 from .report import ball_mid_rad, check_record, frac_decimal, render, report_record
 from .specfile import Block, parse_file, read_algebra, read_field, read_nf_vector, read_order
@@ -77,8 +89,6 @@ def suite_cnt_lem(seed: int) -> List[Dict[str, object]]:
         big_l = rng.randint(1, n)
         rows = [[rng.randint(-9, 9) for _ in range(big_l)] for _ in range(n)]
         lat = RealLattice.from_rows(rows)
-        from . import linalg
-
         gram = [[e.as_fraction() for e in row] for row in lat.gram()]
         if linalg.det(gram) == 0:
             continue
@@ -151,9 +161,6 @@ def _thm1_instances():
 def suite_thm1(seed: int) -> List[Dict[str, object]]:
     records = []
     for name, module in _thm1_instances():
-        from .bounds import const_E1_E2
-        from .modules import minima_ck_zk
-
         minima = minima_ck_zk(module)
         e1, _ = const_E1_E2(module, minima)
         disc = abs(module.module_discriminant())
@@ -181,9 +188,6 @@ def suite_main1(seed: int) -> List[Dict[str, object]]:
     for fname, alg, order, subspaces in _main_quat_instances():
         for zname, z in subspaces:
             name = "%s-%s" % (fname, zname)
-            from .bounds import const_E3_E4
-            from .quat import minima_cz_order, subspace_height_HO
-
             minima = minima_cz_order(z, order)
             e3, _, _ = const_E3_E4(order, z, minima)
             d = alg.field.degree

@@ -54,6 +54,13 @@ class CurveContext:
                 raise ValidationError("point %r is not on the curve" % (p,))
         self.n = len(self.points)
         self.num_points = len(all_points)
+        self._lattice = None
+
+    def divisor_lattice(self) -> "DivisorLattice":
+        """The DivisorLattice of (curve, P), built once per context."""
+        if self._lattice is None:
+            self._lattice = DivisorLattice(self)
+        return self._lattice
 
     def rational_points(self) -> List:
         """All F_q-rational points; P^1 has q + 1, genus 1 scans q^2 pairs."""
@@ -131,7 +138,9 @@ class DivisorLattice:
         # the HNF of the fixed basis, once: contains() reduces against it
         self._hnf_rows, _, self._hnf_pivots = intmat._row_hnf(self.basis, n)
         # det(L_P)^2 = n |J|^2, verified on construction
-        if self.det_sq() != n * self.jxp_order ** 2:
+        g = [[sum(x * y for x, y in zip(u, v)) for v in self.basis] for u in self.basis]
+        self._det_sq = intmat.det(intmat.IntMat.from_rows(g))
+        if self._det_sq != n * self.jxp_order ** 2:
             raise ValidationError("divisor lattice determinant identity failed")
 
     def _genus1_kernel(self) -> Tuple[int, List[List[int]]]:
@@ -180,12 +189,7 @@ class DivisorLattice:
         return j, basis
 
     def det_sq(self) -> int:
-        g = [
-            [sum(x * y for x, y in zip(u, v)) for v in self.basis]
-            for u in self.basis
-        ]
-        rows = intmat.IntMat.from_rows(g)
-        return intmat.det(rows)
+        return self._det_sq
 
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ctx.n or sum(vec) != 0:
@@ -221,7 +225,7 @@ def count_supported(ctx: CurveContext, b: int) -> int:
     """
     if b < 0:
         raise ValidationError("the height bound must be nonnegative")
-    lat = DivisorLattice(ctx)
+    lat = ctx.divisor_lattice()
     count1 = (ctx.q - 1) * len(lat.points_in_cube(b))
     count2 = 0
     n = ctx.n
@@ -250,7 +254,7 @@ def count_supported(ctx: CurveContext, b: int) -> int:
 def lemma_pcount_bounds(ctx: CurveContext, b: int,
                         instance: str = "ffield") -> Tuple[BoundReport, BoundReport]:
     """Sandwich |O_P^*(B)| between the explicit lower and upper bounds."""
-    lat = DivisorLattice(ctx)
+    lat = ctx.divisor_lattice()
     exact = count_supported(ctx, b)
     n = ctx.n
     j = lat.jxp_order
@@ -277,7 +281,7 @@ def lemma_pcount_bounds(ctx: CurveContext, b: int,
 
 def det_bound_checks(ctx: CurveContext) -> dict:
     """det(L_P)^2 = n |J|^2; genus-1 range for det; sup-norm minimum bound."""
-    lat = DivisorLattice(ctx)
+    lat = ctx.divisor_lattice()
     n = ctx.n
     out = {"det_identity": lat.det_sq() == n * lat.jxp_order ** 2}
     if ctx.model == GENUS1:

@@ -8,6 +8,7 @@ the index computations rely on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -242,8 +243,6 @@ def snf_diagonal(m):
     # enforce divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            import math
-
             g = math.gcd(diag[i], diag[j])
             l = diag[i] * diag[j] // g if g else 0
             diag[i], diag[j] = g, l
@@ -259,15 +258,9 @@ def rational_to_scaled(vectors):
     den = 1
     for v in vectors:
         for x in v:
-            den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+            den = math.lcm(den, Fraction(x).denominator)
     ints = [[int(Fraction(x) * den) for x in v] for v in vectors]
     return ints, den
-
-
-def _gcd(a, b):
-    import math
-
-    return math.gcd(a, b)
 
 
 def lattice_intersection(gens_a, gens_b):

@@ -18,9 +18,7 @@ from .heights import height_h
 from .intmat import _row_hnf, lattice_contains, rational_to_scaled
 from .lattice import RealLattice, _rat_upper, enumerate_cube, supnorm_min
 from .nf import FracIdeal, NfElement, NumberField
-from .reals import Real, Rooted, cmp_real
-
-from .reals import _exact_iroot
+from .reals import QuadReal, Real, Rooted, _exact_iroot, cmp_real
 
 
 def sigma_embed(field: NumberField, x: Sequence[NfElement]) -> List[Real]:
@@ -142,8 +140,6 @@ class OkModule:
         r2 = field.signature[1]
         gram = self.module_lattice().gram()
         gdet = linalg.det(gram)  # = det^2, exact when channels are exact
-        from .reals import QuadReal
-
         if not (isinstance(gdet, QuadReal) and gdet.is_rational):
             raise ValidationError(
                 "module discriminant requires exact channels or a pseudo-basis"

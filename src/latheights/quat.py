@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import lattice_contains, lattice_index, table_rows
+from .intmat import IntMat, kernel, lattice_contains, lattice_index, rational_to_scaled, table_rows
 from .modules import OkModule, minima_ck_zk
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -428,10 +428,10 @@ def order_constants(order: QuatOrder):
 # heights on D^N
 
 
-def _arch_sq_prod(xs: Sequence[QuatElement]) -> Real:
-    """prod over channels n of max_l N^{(n)}(x_l): the 2d-th power of H_inf."""
-    field = xs[0].algebra.field
-    norms = [field.channel_values(x.nrm()) for x in xs]
+def _arch_sq_prod(field: NumberField, nrms: Sequence[NfElement]) -> Real:
+    """prod over channels n of max_l N^{(n)}(x_l), the 2d-th power of H_inf,
+    from the reduced norms N(x_l)."""
+    norms = [field.channel_values(v) for v in nrms]
     acc = None
     for n in range(field.degree):
         ch = max_real(*[vals[n] for vals in norms])
@@ -441,7 +441,8 @@ def _arch_sq_prod(xs: Sequence[QuatElement]) -> Real:
 
 def height_Hinf(xs: Sequence[QuatElement]) -> Rooted:
     """Homogeneous archimedean height, exact in 2d-th power form."""
-    return Rooted(_arch_sq_prod(xs), 2 * xs[0].algebra.field.degree)
+    field = xs[0].algebra.field
+    return Rooted(_arch_sq_prod(field, [x.nrm() for x in xs]), 2 * field.degree)
 
 
 def height_hinf(xs: Sequence[QuatElement]) -> Rooted:
@@ -477,7 +478,8 @@ def height_HO(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
         raise ValidationError("height of the zero vector")
     _, ys = clear_order_denominators(order, xs)
     d = order.algebra.field.degree
-    return Rooted(_arch_sq_prod(ys) ** 2 * height_HfinO(order, ys), 4 * d)
+    arch = _arch_sq_prod(order.algebra.field, [y.nrm() for y in ys])
+    return Rooted(arch ** 2 * height_HfinO(order, ys), 4 * d)
 
 
 def height_h(xs: Sequence[QuatElement]) -> Rooted:
@@ -796,6 +798,28 @@ def eval_hermitian(f: Sequence[Sequence[QuatElement]], xs: Sequence[QuatElement]
     return acc.c[0]
 
 
+def module_gram(module: OkModule, f) -> Tuple[List[List[List[int]]], int]:
+    """F on the integer coordinates of a bracket module: (grams, den).
+
+    For x = sum_i m_i z_i over the module's Z-basis, trace_form B gives
+    F(x) = (1/2) m^t (Z^t B Z) m; power-basis coordinate l of F(x) is
+    m^t grams[l] m / den.  The reduced norm of coordinate l is F for the
+    form with a single 1 at (l, l).
+    """
+    zero = module.field.zero()
+
+    def dot(xs, ys):  # B and the Z-basis are mostly zeros
+        return sum((x * y for x, y in zip(xs, ys) if not (x.is_zero() or y.is_zero())), zero)
+
+    zs, b = module.z_basis, trace_form(f)
+    bz = [[dot(row, z) for row in b] for z in zs]
+    ints, den = rational_to_scaled([dot(zi, v).coeffs for zi in zs for v in bz])
+    n = len(zs)
+    grams = [[[ints[i * n + j][l] for j in range(n)] for i in range(n)]
+             for l in range(module.field.degree)]
+    return grams, 2 * den
+
+
 def eval_quadratic(b: Sequence[Sequence[NfElement]], z: Sequence[NfElement]) -> NfElement:
     acc = None
     for i, row in enumerate(b):
@@ -849,8 +873,6 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
             ]
             for f in forms
         ]
-        from .intmat import IntMat, kernel, rational_to_scaled
-
         ints, _ = rational_to_scaled(cond)
         ker = kernel(IntMat.from_rows(ints))
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import iv
+from mpmath import iv, mp
 
 from .errors import PrecisionExhausted
 
@@ -491,8 +491,6 @@ def pi_real():
 
 def real_to_float(x):
     """Midpoint as a float, for display and rough sorting only."""
-    from mpmath import mp
-
     a = to_real(x).interval(PRECISION.start)
     return float(mp.mpf(a.mid))
 

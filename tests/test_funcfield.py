@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from latheights import funcfield
 from latheights.bounds import HOLDS, INCONCLUSIVE
 from latheights.errors import ValidationError
 from latheights.funcfield import (
@@ -159,3 +160,35 @@ def test_det_bound_checks():
     ):
         checks = det_bound_checks(ctx)
         assert all(checks.values()), (ctx.model, checks)
+
+
+def e5_three_points():
+    return CurveContext(5, GENUS1, a=1, b=1, points=[INF, (0, 1), (0, 4)])
+
+
+def test_one_divisor_lattice_per_curve(monkeypatch):
+    expected = {}
+    for name, ctx in (("p1", p1_three_points()), ("e5", e5_three_points())):
+        expected[name] = (
+            [count_supported(ctx, b) for b in range(4)],
+            [(r.exact_count, r.verdict) for b in range(4) for r in lemma_pcount_bounds(ctx, b)],
+            det_bound_checks(ctx),
+        )
+    builds = []
+    real = funcfield.DivisorLattice
+
+    class Spy(real):
+        def __init__(self, ctx):
+            builds.append(ctx)
+            super().__init__(ctx)
+
+    monkeypatch.setattr(funcfield, "DivisorLattice", Spy)
+    for name, ctx in (("p1", p1_three_points()), ("e5", e5_three_points())):
+        got = (
+            [count_supported(ctx, b) for b in range(4)],
+            [(r.exact_count, r.verdict) for b in range(4) for r in lemma_pcount_bounds(ctx, b)],
+            det_bound_checks(ctx),
+        )
+        assert got == expected[name]
+        assert builds.count(ctx) == 1
+    assert len(builds) == 2

@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import of the package is used.
+"""Source hygiene: every module-level import of the package is used, and
+no function re-imports a module that its file already imports at the top.
 
 The repository has no lint step; this test is its guard against imports
-that outlive the code that needed them.
+that outlive the code that needed them.  Lazy imports of modules the file
+does not import at the top (numpy) stay allowed: they keep start-up cheap.
 """
 
 import ast
@@ -27,6 +29,32 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _import_keys(node):
+    """Modules an import statement reads: "numpy", ".quat", ".linalg"."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    dots = "." * node.level
+    if node.module is None:  # "from . import linalg" reads the submodule
+        return {dots + alias.name for alias in node.names}
+    return {dots + node.module}
+
+
+def _redundant_local_imports(path):
+    tree = ast.parse(path.read_text())
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            top |= _import_keys(node)
+    nested = [
+        node
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    return sorted({(n.lineno, key) for n in nested for key in _import_keys(n) & top})
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -34,3 +62,18 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_redundant_local_imports(path):
+    assert _redundant_local_imports(path) == []
+
+
+def test_redundant_local_import_detected(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import math\nfrom . import linalg\nfrom .quat import a\n\n"
+        "def f():\n    import math\n    import numpy\n    from .quat import b\n"
+        "    from . import linalg\n    from .reals import c\n"
+    )
+    assert _redundant_local_imports(src) == [(6, "math"), (8, ".quat"), (9, ".linalg")]

@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from latheights.errors import ValidationError
+from latheights import cli, lattice
+from latheights.errors import PrecisionExhausted, ValidationError
 from latheights.lattice import (
     RealLattice,
+    _coefficient_box,
     bound_lower,
     bound_upper,
     enumerate_cube,
@@ -15,6 +18,7 @@ from latheights.lattice import (
     supnorm_min,
 )
 from latheights.reals import QuadReal, cmp_real, sqrt_real
+from latheights.sunits import SUnitContext
 
 
 def test_enumerate_z2():
@@ -59,6 +63,75 @@ def test_supnorm_min():
     assert cmp_real(supnorm_min(RealLattice([[1, 0], [0, 1]]))[0], 1) == 0
     assert cmp_real(supnorm_min(RealLattice([[2, 0], [0, 3]]))[0], 2) == 0
     assert cmp_real(supnorm_min(RealLattice([[1, 1], [1, -1]]))[0], 1) == 0
+
+
+def _spy_supnorm_pairs(monkeypatch):
+    """Record the two coefficient vectors behind each "supnorm min"
+    comparison, and each comparison that ran out of precision."""
+    point, mx, cmp = RealLattice.point, lattice.max_real, lattice.cmp_real
+    last, owner, pairs, exhausted = [], {}, [], []
+
+    def point_spy(self, m):
+        last.append(tuple(m))
+        return point(self, m)
+
+    def max_spy(*xs):
+        r = mx(*xs)
+        if last:
+            owner[id(r)] = (r, last[-1])
+        return r
+
+    def cmp_spy(a, b, context=""):
+        if context == "supnorm min":
+            pairs.append((owner[id(a)][1], owner[id(b)][1]))
+        try:
+            return cmp(a, b, context=context)
+        except PrecisionExhausted:
+            exhausted.append(context)
+            raise
+
+    monkeypatch.setattr(RealLattice, "point", point_spy)
+    monkeypatch.setattr(lattice, "max_real", max_spy)
+    monkeypatch.setattr(lattice, "cmp_real", cmp_spy)
+    return pairs, exhausted
+
+
+def test_supnorm_min_matches_brute_force(monkeypatch):
+    pairs, _ = _spy_supnorm_pairs(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        lat = RealLattice.from_rows(rows)
+        if cmp_real(lat.det_value(), 0) == 0:
+            continue
+        value, witness = supnorm_min(lat)
+        # every nonzero vector of the box that holds the cube of radius
+        # r0, the smallest column sup-norm, which bounds the minimum
+        r0 = min(max(abs(r[j]) for r in rows) for j in range(n))
+        caps = _coefficient_box(lat, Fraction(r0))
+        norm = {m: max(abs(sum(c * r[j] for j, c in enumerate(m))) for r in rows)
+                for m in itertools.product(*[range(-c, c + 1) for c in caps]) if any(m)}
+        best = min(norm.values())
+        assert cmp_real(value, best) == 0
+        # the witness is the first minimal vector of the searched cube
+        first = [m for m in enumerate_cube(lat, Fraction(best)) if any(m) and norm[m] == best]
+        assert witness == first[0]
+    assert pairs and all(a != tuple(-x for x in b) for a, b in pairs)
+
+
+def test_supnorm_min_no_exhausted_ties_on_log_lattices(monkeypatch):
+    pairs, exhausted = _spy_supnorm_pairs(monkeypatch)
+    kq, k2 = cli._field_q(), cli._field_sqrt2()
+    for ctx in (
+        SUnitContext(cli._field_sqrt5()),
+        SUnitContext(k2),
+        SUnitContext(kq, s1=[(kq.rational(2), 2), (kq.rational(3), 3)]),
+        SUnitContext(k2, s1=[(k2.gen(), 2)]),
+    ):
+        ctx.log_lattice()
+    assert all(a != tuple(-x for x in b) for a, b in pairs)
+    assert exhausted == []
 
 
 def test_det_value():
