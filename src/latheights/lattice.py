@@ -304,14 +304,12 @@ def supnorm_min(lat: RealLattice):
         s = max_real(*[abs_real(lat.columns[j][i]) for i in range(lat.ambient_dim)])
         r0 = s if r0 is None else min_real(r0, s)
     radius = _rat_upper(r0)
+    pts = enumerate_cube(lat, radius)
     best = None
     best_m = None
-    seen = set()
-    for m in enumerate_cube(lat, radius):
-        # -m ties with m exactly: keep the first of each pair in slab order
-        if not any(m) or tuple(-x for x in m) in seen:
+    for m in pts:
+        if all(x == 0 for x in m):
             continue
-        seen.add(m)
         s = max_real(*[abs_real(v) for v in lat.point(m)])
         if best is None:
             best, best_m = s, m

@@ -474,8 +474,6 @@ def test_verify_all_deterministic():
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty report
     # the report bytes are pinned: 1,123 records, 1,095 HOLDS, 28 INCONCLUSIVE
-    # (13 sunits enclosures are 64-bit since supnorm_min stopped comparing
-    # each vector with its negation, which had refined H_SK to 8,192 bits)
     digest = hashlib.sha256(first.stdout).hexdigest()
-    assert digest == "44e43fef1b3e8c9943ede138f289fc79cbdbc15dc9becad492b9229c897c2a0e"
+    assert digest == "ec5455bb67fdd6b80f89b42fa46aa60dda264f8f23565abc447060eda85ed6cb"
     assert b"VIOLATED" not in first.stdout
