@@ -121,7 +121,9 @@ def height_H(field: NumberField, x: Sequence[NfElement]) -> HeightValue:
         raise ValidationError("height of the zero vector")
     y = clear_denominators(x)
     d = field.degree
-    fin = hfin_integral(field, y)
+    # a coordinate 1 generates O_K: the finite part of h(x) = H(1, x) is 1
+    # for integral x, with no index to compute
+    fin = Fraction(1) if y[0] == field.one() else hfin_integral(field, y)
     arch = _prod(
         max_real(*vals) ** dv for vals, dv in _arch_abs_table(field, y)
     )

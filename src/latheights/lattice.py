@@ -14,6 +14,11 @@ screen for all others, and the per-channel height product in
 ``bounds._fast_count_totally_real``.  The float screen's safety band is
 decided on the scaled integer columns when all entries lie in one Q(sqrt m),
 and by the certified re-check ``_certified_in_cube`` only for balls.
+
+The box caps are the radius times the l1 row norms of G^{-1} B^T, from one
+Gauss-Jordan solve per lattice (cached): over Q on the integer Gram matrix
+of the scaled columns when that Gram matrix is rational, over the entries'
+own type (quadratic irrationals or balls) otherwise.
 """
 
 from __future__ import annotations
@@ -141,17 +146,41 @@ class RealLattice:
 def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
     """Per-coordinate caps M_i with |m_i| <= M_i for all points in the cube."""
     if lat._box_norms is None:
-        ginv = linalg.inverse(lat.gram())
-        if ginv is None:
-            raise ValidationError("basis columns are linearly dependent")
-        # pseudo-inverse rows: (G^{-1} B^T)_i., coefficient m = pinv @ x;
-        # the caps are the radius times their l1 norms, cached per lattice
-        bt = [[lat.columns[j][i] for i in range(lat.ambient_dim)] for j in range(lat.rank)]
-        lat._box_norms = [
-            sum(map(abs_real, row[1:]), abs_real(row[0]))
-            for row in linalg.mat_mul(ginv, bt)
-        ]
+        lat._box_norms = _pinv_row_norms(lat)
     return [max(0, math.floor(_rat_upper(s * radius))) for s in lat._box_norms]
+
+
+def _pinv_row_norms(lat: RealLattice) -> List[Real]:
+    """l1 norms of the rows of the pseudo-inverse G^{-1} B^T (m = pinv @ x).
+
+    One Gauss-Jordan solve G X = B^T.  When all entries lie in one Q(sqrt r)
+    and the Gram matrix is rational (always for rational entries), B is
+    (A + B' sqrt r) / den with integers A, B' and G = G_int / den^2, so the
+    solve runs over Q on G_int with right-hand side [A^T | B'^T] and the
+    pseudo-inverse is den X.
+    """
+    gram, rhs, scaled = None, lat.columns, lat.scaled_columns()
+    if scaled is not None:
+        root, den, a_cols, b_cols = scaled
+
+        def dot(x, y):
+            return sum(map(operator.mul, x, y))
+
+        pairs = list(zip(a_cols, b_cols))
+        if all(dot(a, y) == -dot(x, b) for i, (a, b) in enumerate(pairs) for x, y in pairs[: i + 1]):
+            gram = [[Fraction(dot(a, x) + root * dot(b, y)) for x, y in pairs] for a, b in pairs]
+            rhs = [a + b for a, b in pairs]
+    rows = linalg.solve(lat.gram() if gram is None else gram, rhs)
+    if rows is None:
+        raise ValidationError("basis columns are linearly dependent")
+    if gram is None:
+        return [sum(map(abs_real, row[1:]), abs_real(row[0])) for row in rows]
+    out, n = [], lat.ambient_dim
+    for xs, ys in ((row[:n], row[n:]) for row in rows):
+        signs = [quad_sign(x, y, root) for x, y in zip(xs, ys)]
+        out.append(QuadReal(den * sum(map(operator.mul, signs, xs)),
+                            den * sum(map(operator.mul, signs, ys)), root))
+    return out
 
 
 def enumerate_cube(lat: RealLattice, radius) -> List[Tuple[int, ...]]:

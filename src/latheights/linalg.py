@@ -58,9 +58,15 @@ def det(a):
 
 
 def solve(a, b):
-    """Solve a x = b for square a; returns None if singular."""
+    """Solve a x = b for square a; returns None if singular.
+
+    b is a vector, or a matrix given as a list of rows; x has its shape.
+    One Gauss-Jordan pass on [a | b]: each column of b sees exactly the row
+    operations it would see alone.
+    """
     n = len(a)
-    m = [row[:] + [bv] for row, bv in zip(a, b)]
+    vec = not isinstance(b[0], list)
+    m = [list(row) + ([bv] if vec else list(bv)) for row, bv in zip(a, b)]
     for k in range(n):
         piv = None
         for i in range(k, n):
@@ -71,34 +77,24 @@ def solve(a, b):
             return None
         m[k], m[piv] = m[piv], m[k]
         inv = m[k][k]
-        m[k] = [x / inv for x in m[k]]
+        # columns left of k are eliminated and never read again
+        m[k][k:] = [x / inv for x in m[k][k:]]
         for i in range(n):
             if i != k and not _is_zero(m[i][k]):
                 factor = m[i][k]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
+                m[i][k:] = [x - factor * y for x, y in zip(m[i][k:], m[k][k:])]
+    return [m[i][n] for i in range(n)] if vec else [m[i][n:] for i in range(n)]
 
 
 def inverse(a):
+    """a^{-1} as solve(a, I); None if singular."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [a[0][0] - a[0][0]] * n
-        one = None
-        # derive 1 of the right type: x/x for first nonzero entry
-        for row in a:
-            for x in row:
-                if not _is_zero(x):
-                    one = x / x
-                    break
-            if one is not None:
-                break
-        e[j] = one
-        col = solve(a, e)
-        if col is None:
-            return None
-        cols.append(col)
-    return transpose(cols)
+    zero = a[0][0] - a[0][0]
+    # 1 of the right type: x/x for the first nonzero entry
+    one = next((x / x for row in a for x in row if not _is_zero(x)), None)
+    if one is None:
+        return None
+    return solve(a, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
 def row_echelon(a):
@@ -140,17 +136,8 @@ def kernel_basis(a):
     if not a:
         return []
     zero = a[0][0] - a[0][0]
-    one = None
-    for row in a:
-        for x in row:
-            if not _is_zero(x):
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        # zero matrix: kernel is everything; caller supplies Fraction-like 1
-        one = Fraction(1)
+    # 1 of the right type; for the zero matrix (kernel is everything) a Fraction
+    one = next((x / x for row in a for x in row if not _is_zero(x)), Fraction(1))
     out = []
     for fc in free:
         v = [zero] * ncols

@@ -189,10 +189,13 @@ def minima_ck_zk(module: OkModule):
     """Certified minima over the scaling ideal.
 
     Returns (c, alpha_c, z, alpha_z) where c = min h(alpha) and
-    z = min h(alpha) h(1/alpha), both as Rooted values with witnesses.
+    z = min h(alpha) h(1/alpha), both as Rooted values with witnesses.  By
+    the product formula H(1, 1/alpha) = H(alpha, 1), so h(1/alpha) = h(alpha)
+    and z = c^2 with alpha_z = alpha_c (Bombieri and Gubler, Heights in
+    Diophantine Geometry, 2006, ch. 1): only c is searched.
     Termination certificate: h(alpha)^d bounds the sup-norm of the embedded
-    alpha, so a cube of radius (current best)^d contains every candidate
-    that could still improve the minimum.
+    alpha, so the cube of radius h(alpha_0)^d, for the sup-norm minimizer
+    alpha_0, contains every candidate that could still improve c.
     """
     field = module.field
     d = field.degree
@@ -204,27 +207,11 @@ def minima_ck_zk(module: OkModule):
     def h_pow(a: NfElement):
         return height_h(field, [a]).value_pow()
 
-    def z_pow(a: NfElement):
-        return h_pow(a) * h_pow(a.inv())
-
-    best_c_pow, best_c = h_pow(alpha0), alpha0
-    best_z_pow, best_z = z_pow(alpha0), alpha0
-
-    radius = max(_rat_upper(best_c_pow), _rat_upper(best_z_pow))
-    for m in enumerate_cube(lat, radius):
-        if all(x == 0 for x in m):
-            continue
-        a = _elem_from_coeffs(ideal, m)
-        hp = h_pow(a)
-        if cmp_real(hp, best_c_pow, context="c_K search") < 0:
-            best_c_pow, best_c = hp, a
-        if cmp_real(hp, best_z_pow, context="z_K prefilter") <= 0:
-            zp = z_pow(a)
-            if cmp_real(zp, best_z_pow, context="z_K search") < 0:
-                best_z_pow, best_z = zp, a
-    return (
-        Rooted(best_c_pow, d),
-        best_c,
-        Rooted(best_z_pow, d),
-        best_z,
-    )
+    best_pow, best = h_pow(alpha0), alpha0
+    for m in enumerate_cube(lat, _rat_upper(best_pow)):
+        if any(m):
+            a = _elem_from_coeffs(ideal, m)
+            hp = h_pow(a)
+            if cmp_real(hp, best_pow, context="c_K search") < 0:
+                best_pow, best = hp, a
+    return Rooted(best_pow, d), best, Rooted(best_pow * best_pow, d), best

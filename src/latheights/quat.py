@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import ValidationError
 from .intmat import IntMat, kernel, lattice_contains, lattice_index, rational_to_scaled, table_rows
-from .modules import OkModule, minima_ck_zk
+from .modules import OkModule, _flatten_power_coords, minima_ck_zk
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
 
@@ -569,6 +569,7 @@ class DSubspace:
         self._constraint = (
             [list(r) for r in constraint_rows] if constraint_rows else None
         )
+        self._modules = {}  # order -> intersection_module(self, order)
         if self._basis is not None:
             self.dim = len(self._basis)
         else:
@@ -834,7 +835,10 @@ def eval_quadratic(b: Sequence[Sequence[NfElement]], z: Sequence[NfElement]) -> 
 
 
 def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
-    """[Z cap O^N] as an O_K-module in K^{4N}."""
+    """[Z cap O^N] as an O_K-module in K^{4N}, built once per (Z, O) and
+    cached on Z, so its lattice and coefficient-box norms are computed once."""
+    if order in z._modules:
+        return z._modules[order]
     alg = z.algebra
     field = alg.field
     d = field.degree
@@ -846,7 +850,7 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
             vec = [alg.zero()] * n
             vec[m] = w
             lat_vecs.append(bracket(vec))
-    lat_coords = [_flatten_k_vec(v) for v in lat_vecs]
+    lat_coords = [_flatten_power_coords(field, v) for v in lat_vecs]
     # Q-basis of [Z]: x_col * theta^s * q for q in {1,i,j,k}
     span_vecs = []
     units = [alg.one(), alg.i(), alg.j(), alg.k()]
@@ -858,45 +862,24 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
             for q in units:
                 scaled = [(x * t) * q for x in col]
                 span_vecs.append(bracket(scaled))
-    span_coords = [_flatten_k_vec(v) for v in span_vecs]
+    span_coords = [_flatten_power_coords(field, v) for v in span_vecs]
     # linear forms vanishing on the span
     forms = linalg.kernel_basis(span_coords)
+    gens = lat_vecs  # no forms: [Z] is everything
     if forms:
         # integer kernel of (forms . lat_coords^T) z = 0
-        cond = [
-            [
-                sum(
-                    (f[t] * lat_coords[g][t] for t in range(1, len(f))),
-                    f[0] * lat_coords[g][0],
-                )
-                for g in range(len(lat_coords))
-            ]
-            for f in forms
-        ]
-        ints, _ = rational_to_scaled(cond)
-        ker = kernel(IntMat.from_rows(ints))
-    else:
-        ker = [
-            [1 if t == g else 0 for t in range(len(lat_coords))]
-            for g in range(len(lat_coords))
-        ]
-    gens = []
-    for m in ker:
-        acc = None
-        for c, v in zip(m, lat_vecs):
-            if c:
-                term = [vi * c for vi in v]
-                acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-        if acc is not None:
-            gens.append(acc)
-    return OkModule.from_z_generators(field, 4 * n, gens)
-
-
-def _flatten_k_vec(v: Sequence[NfElement]) -> List[Fraction]:
-    flat: List[Fraction] = []
-    for e in v:
-        flat.extend(e.coeffs)
-    return flat
+        ints, _ = rational_to_scaled(linalg.mat_mul(forms, linalg.transpose(lat_coords)))
+        gens = []
+        for m in kernel(IntMat.from_rows(ints)):
+            acc = None
+            for c, v in zip(m, lat_vecs):
+                if c:
+                    term = [vi * c for vi in v]
+                    acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+            if acc is not None:
+                gens.append(acc)
+    module = z._modules[order] = OkModule.from_z_generators(field, 4 * n, gens)
+    return module
 
 
 def minima_cz_order(z: DSubspace, order: QuatOrder):

@@ -37,17 +37,24 @@ PRECISION = _Precision()
 
 
 def _squarefree_split(m):
-    """m = s**2 * m0 with m0 squarefree; returns (s, m0).  m >= 0."""
+    """m = s**2 * m0 with m0 squarefree; returns (s, m0).  m >= 0.
+
+    Trial division runs while k**3 <= r, the part of m not yet factored.
+    Then r has no prime factor below k and r < k**3, so it is 1, a prime,
+    a product of two distinct primes or the square of a prime.
+    """
     if m == 0:
         return 1, 0
-    s, m0, k = 1, m, 2
-    while k * k <= m0:
-        k2 = k * k
-        while m0 % k2 == 0:
-            m0 //= k2
-            s *= k
-        k += 1
-    return s, m0
+    s, m0, r, k = 1, 1, m, 2
+    while k * k * k <= r:
+        e = 0
+        while r % k == 0:
+            r //= k
+            e += 1
+        s, m0 = s * k ** (e // 2), m0 * k ** (e % 2)
+        k += 1 + (k > 2)  # 2, then odd k only
+    root = math.isqrt(r)
+    return (s * root, m0) if root * root == r else (s, m0 * r)
 
 
 def _iv_from_fraction(q, ):

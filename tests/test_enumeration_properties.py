@@ -8,6 +8,7 @@ run sees the same examples.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -253,15 +254,16 @@ def test_quad_abs_le_matches_quadreal_sign(m, q):
 
 
 def test_coefficient_box_caches_row_norms(monkeypatch):
-    inverse, calls = linalg.inverse, []
+    solve, calls = linalg.solve, []
 
-    def spy(g):
-        calls.append(g)
-        return inverse(g)
+    def spy(a, b):
+        calls.append(a)
+        return solve(a, b)
 
-    monkeypatch.setattr(linalg, "inverse", spy)
+    monkeypatch.setattr(linalg, "solve", spy)
     makers = [
         lambda: _lattice([[(1, 1), (Fraction(1, 2), 0)], [(0, -1), (3, 2)]], 2),
+        lambda: _lattice([[(3, 0), (Fraction(1, 2), 0)], [(0, 0), (5, 0)]], 0),
         lambda: RealLattice([[log_real(3), 1], [1, log_real(5)]]),
     ]
     radii = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10**6 + 1, 7)]
@@ -270,6 +272,82 @@ def test_coefficient_box_caches_row_norms(monkeypatch):
         caps = [_coefficient_box(lat, r) for r in radii]
         assert len(calls) == 1
         assert caps == [_coefficient_box(make(), r) for r in radii]
+
+
+def _gauss_jordan_inverse(g):
+    """G^{-1} by Gauss-Jordan on [G | I], written out here."""
+    n = len(g)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def _floor_quad(x):
+    """Exact floor of x = a + b sqrt(m) from integer square roots."""
+    q = x.a.denominator * x.b.denominator
+    p, r = int(x.a * q), int(x.b * q)
+    root = math.isqrt(r * r * x.m)  # r sqrt(m) is irrational unless r = 0
+    return (p + root if r >= 0 else p - root - 1) // q
+
+
+def _reference_caps(cols, radius):
+    """floor(radius * l1 norm) of each row of G^{-1} B^T, with a plain
+    Fraction G^{-1} when the Gram matrix is rational."""
+    zero = QuadReal(0)
+    gram = [[sum((x * y for x, y in zip(u, v)), zero) for v in cols] for u in cols]
+    if all(e.is_rational for row in gram for e in row):
+        gram = [[e.as_fraction() for e in row] for row in gram]
+    caps = []
+    for row in _gauss_jordan_inverse(gram):
+        s = zero
+        for t in range(len(cols[0])):
+            v = sum((g * col[t] for g, col in zip(row, cols)), zero)
+            s = s + (v if v.sign() >= 0 else -v)
+        caps.append(_floor_quad(s * radius))
+    return caps
+
+
+@st.composite
+def box_cases(draw):
+    """Random rational and Q(sqrt m) lattices (rational or irrational Gram),
+    and Minkowski lattices of modules over Q(sqrt2), Q(sqrt5), whose Gram
+    matrices are rational."""
+    kind = draw(st.sampled_from(["rational", "sqrt2", "module"]))
+    if kind == "rational":
+        cols, radius = draw(rational_cases())
+        return _lattice(cols, 0), radius
+    if kind == "sqrt2":
+        cols, radius = draw(sqrt2_cases())
+        return _lattice(cols, 2), radius
+    root, n, ys, radius = draw(module_cases())
+    field = _field(root)
+    unit = FracIdeal.unit(field)
+    try:
+        module = OkModule.from_pseudo_basis(
+            field, n, [([field.element(list(c)) for c in y], unit) for y in ys]
+        )
+    except ValidationError:
+        assume(False)
+    return module.module_lattice(), radius
+
+
+@PROPERTY
+@given(box_cases())
+def test_coefficient_box_matches_fraction_inverse(case):
+    lat, radius = case
+    try:
+        want = _reference_caps(lat.columns, radius)
+    except StopIteration:  # singular Gram: dependent columns
+        with pytest.raises(ValidationError):
+            _coefficient_box(lat, radius)
+        return
+    assert _coefficient_box(lat, radius) == want
 
 
 @PROPERTY

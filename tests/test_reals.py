@@ -11,6 +11,7 @@ from latheights.reals import (
     QuadReal,
     Rooted,
     _exact_iroot,
+    _squarefree_split,
     abs_real,
     cmp_real,
     log_real,
@@ -147,3 +148,41 @@ def test_log_of_tiny_quad_refines():
     x = QuadReal(1, -1, 2) ** 40
     assert cmp_real(log_real(x), -35) < 0
     assert cmp_real(log_real(x), -36) > 0
+
+
+def _squarefree_split_trial(m):
+    """The plain trial division up to sqrt(m): fine for small m only."""
+    s, m0, k = 1, m, 2
+    while k * k <= m0:
+        while m0 % (k * k) == 0:
+            m0 //= k * k
+            s *= k
+        k += 1
+    return s, m0
+
+
+PRIMES = [2, 3, 5, 7, 11, 101, 997, 7919]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**9))
+def test_squarefree_split_matches_trial_division(m):
+    assert _squarefree_split(m) == _squarefree_split_trial(m)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_squarefree_split_prime_products(p):
+    for q in PRIMES:
+        for k in (1, 2, 12, 45):
+            for m in (k * p * q, k * p * p, k * p * p * q, k * p * p * p):
+                assert _squarefree_split(m) == _squarefree_split_trial(m), m
+
+
+def test_squarefree_split_large_prime_square():
+    # the radicand of h(y, c y) with c = 4 * 10^9 + 7 over Q(sqrt2): 3 c^2,
+    # whose trial division up to sqrt(m) does not return in useful time
+    c = 4 * 10**9 + 7
+    assert _squarefree_split(c) == (1, c)  # c is squarefree
+    assert _squarefree_split(3 * c * c) == (c, 3)
+    assert _squarefree_split(0) == (1, 0)
+    assert _squarefree_split(1) == (1, 1)
