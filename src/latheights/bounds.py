@@ -144,14 +144,14 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     hi_gate = target * (1 + 1e-10)
     rd_rooted = as_rooted(rd_frac) if rd_frac >= 0 else None
     count = 0
-    for (va, vb), point in slabs:
+    for (va, vb), coeff_rows in slabs:
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
         np.maximum(per_ch, float(den), out=per_ch)
         hsq = per_ch.prod(axis=1)
         count += int((hsq <= lo_gate).sum())
         for i in np.nonzero((hsq > lo_gate) & (hsq < hi_gate))[0]:
-            coeffs = point(i)
+            coeffs = tuple(coeff_rows[i].tolist())
             if not any(coeffs):
                 count += 1  # h(0) = 1 <= R
                 continue

@@ -8,17 +8,21 @@ bound in this library is checked against.
 
 Every walk of a coefficient box goes through one kernel, ``_box_slabs``: it
 checks the box against ENUM_BUDGET, fixes the first longest axis slab by
-slab, and hands each slab's values B m to the caller's test.  The callers
-keep only that test: the exact integer test for rational lattices, a float
-screen for all others, and the per-channel height product in
-``bounds._fast_count_totally_real``.  The float screen's safety band is
-decided on the scaled integer columns when all entries lie in one Q(sqrt m),
-and by the certified re-check ``_certified_in_cube`` only for balls.
+slab, and hands each slab's values B m and coefficient array m to the
+caller's test.  The callers keep only that test: the exact integer test for
+rational lattices, the first strict minimum of the sup-norms in
+``supnorm_min`` for rational lattices, a float screen for all others, and
+the per-channel height product in ``bounds._fast_count_totally_real``.  The
+float screen's safety band is decided on the scaled integer columns when all
+entries lie in one Q(sqrt m), and by the certified re-check
+``_certified_in_cube`` only for balls.
 
-The box caps are the radius times the l1 row norms of G^{-1} B^T, from one
-Gauss-Jordan solve per lattice (cached): over Q on the integer Gram matrix
-of the scaled columns when that Gram matrix is rational, over the entries'
-own type (quadratic irrationals or balls) otherwise.
+Whenever the Gram matrix is rational it is held as an integer matrix over a
+squared denominator (``RealLattice.int_gram``): the determinant is Bareiss
+elimination on it, and the box caps -- the radius times the l1 row norms of
+G^{-1} B^T -- come from one Gauss-Jordan solve over Q on it per lattice
+(cached).  Other lattices (balls, irrational Gram matrices) solve in the
+entries' own type.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import List, Sequence, Tuple
 
 from mpmath import mpf
 
-from . import linalg
+from . import intmat, linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .reals import (
     PRECISION,
@@ -86,6 +90,7 @@ class RealLattice:
         self.rank = len(cols)
         self.columns = cols
         self._gram = None
+        self._int_gram = False  # not computed yet; None means not rational
         self._supnorm_min = None
         self._box_norms = None
         self._scaled = False  # not computed yet; None means no export
@@ -96,23 +101,38 @@ class RealLattice:
 
     def gram(self):
         if self._gram is None:
-            big_l = self.rank
-            self._gram = [
-                [
-                    sum(
-                        (self.columns[i][t] * self.columns[j][t] for t in range(1, self.ambient_dim)),
-                        self.columns[i][0] * self.columns[j][0],
-                    )
-                    for j in range(big_l)
-                ]
-                for i in range(big_l)
-            ]
+            int_gram = self.int_gram()
+            if int_gram is None:
+                cols, n = self.columns, self.ambient_dim
+                self._gram = [[sum((u[t] * v[t] for t in range(1, n)), u[0] * v[0]) for v in cols]
+                              for u in cols]
+            else:
+                g, den = int_gram
+                self._gram = [[to_real(Fraction(x, den * den)) for x in row] for row in g]
         return self._gram
+
+    def int_gram(self):
+        """(G, den): the Gram matrix B^T B is G / den**2 with integer G, from
+        the scaled columns (A + A' sqrt r) / den.  None when B^T B is not
+        rational: a ball entry, or a sqrt r part of A^T A' + A'^T A."""
+        if self._int_gram is False:
+            self._int_gram, scaled = None, self.scaled_columns()
+            if scaled is not None:
+                root, den, a_cols, b_cols = scaled
+                pairs = list(zip(a_cols, b_cols))
+                if all(_dot(a, y) == -_dot(x, b)
+                       for i, (a, b) in enumerate(pairs) for x, y in pairs[: i + 1]):
+                    g = [[_dot(a, x) + root * _dot(b, y) for x, y in pairs] for a, b in pairs]
+                    self._int_gram = g, den
+        return self._int_gram
 
     def det_value(self) -> Real:
         """det(Lambda) = sqrt(det(B^T B)), exact when the Gram det is rational."""
-        g = linalg.det(self.gram())
-        return sqrt_real(g)
+        int_gram = self.int_gram()
+        if int_gram is None:
+            return sqrt_real(linalg.det(self.gram()))
+        g, den = int_gram
+        return sqrt_real(Fraction(intmat.det(intmat.IntMat.from_rows(g)), den ** (2 * self.rank)))
 
     def point(self, coeffs: Sequence[int]) -> List[Real]:
         return [
@@ -143,6 +163,10 @@ class RealLattice:
         return "RealLattice(N=%d, L=%d)" % (self.ambient_dim, self.rank)
 
 
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
 def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
     """Per-coordinate caps M_i with |m_i| <= M_i for all points in the cube."""
     if lat._box_norms is None:
@@ -153,27 +177,21 @@ def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
 def _pinv_row_norms(lat: RealLattice) -> List[Real]:
     """l1 norms of the rows of the pseudo-inverse G^{-1} B^T (m = pinv @ x).
 
-    One Gauss-Jordan solve G X = B^T.  When all entries lie in one Q(sqrt r)
-    and the Gram matrix is rational (always for rational entries), B is
-    (A + B' sqrt r) / den with integers A, B' and G = G_int / den^2, so the
-    solve runs over Q on G_int with right-hand side [A^T | B'^T] and the
-    pseudo-inverse is den X.
+    One Gauss-Jordan solve G X = B^T.  When the Gram matrix is rational
+    (always for rational entries), B is (A + A' sqrt r) / den with integers
+    A, A' and G = G_int / den^2 (``int_gram``), so the solve runs over Q on
+    G_int with right-hand side [A^T | A'^T] and the pseudo-inverse is den X.
     """
-    gram, rhs, scaled = None, lat.columns, lat.scaled_columns()
-    if scaled is not None:
-        root, den, a_cols, b_cols = scaled
-
-        def dot(x, y):
-            return sum(map(operator.mul, x, y))
-
-        pairs = list(zip(a_cols, b_cols))
-        if all(dot(a, y) == -dot(x, b) for i, (a, b) in enumerate(pairs) for x, y in pairs[: i + 1]):
-            gram = [[Fraction(dot(a, x) + root * dot(b, y)) for x, y in pairs] for a, b in pairs]
-            rhs = [a + b for a, b in pairs]
-    rows = linalg.solve(lat.gram() if gram is None else gram, rhs)
+    int_gram = lat.int_gram()
+    if int_gram is None:
+        rows = linalg.solve(lat.gram(), lat.columns)
+    else:
+        root, den, a_cols, b_cols = lat.scaled_columns()
+        gram = [[Fraction(x) for x in row] for row in int_gram[0]]
+        rows = linalg.solve(gram, [a + b for a, b in zip(a_cols, b_cols)])
     if rows is None:
         raise ValidationError("basis columns are linearly dependent")
-    if gram is None:
+    if int_gram is None:
         return [sum(map(abs_real, row[1:]), abs_real(row[0])) for row in rows]
     out, n = [], lat.ambient_dim
     for xs, ys in ((row[:n], row[n:]) for row in rows):
@@ -204,14 +222,16 @@ def _box_slabs(caps: Sequence[int], mats, dtype="int64"):
     """Walk the coefficient box |m_j| <= caps[j] one slab at a time.
 
     Each of ``mats`` is a lattice given as L columns of n entries, read as
-    an n x L array of ``dtype``.  The walk yields ``(vals, point)`` per
-    slab: ``vals[k]`` holds ``mats[k] @ m`` for every m of the slab, one row
-    each, and ``point(i)`` is the m of row i as a tuple.  The slabs fix the
+    an n x L array of ``dtype``.  The walk yields ``(vals, coeffs)`` per
+    slab: ``coeffs`` holds every m of the slab, one row each, and
+    ``vals[k]`` holds ``mats[k] @ m`` for the same rows.  The slabs fix the
     first longest axis, outermost and ascending; inside a slab the other
     axes run lexicographically.  Coefficients are int64, or Python ints when
-    ``dtype`` is object.  The budget is checked on the call, before any
-    array is built.  numpy is imported on first use, so that importing the
-    package stays cheap.
+    ``dtype`` is object; ``coeffs[i].tolist()`` gives Python ints either
+    way.  ``coeffs`` is one array that each slab rewrites in place, so a
+    caller copies what it keeps before the next slab.  The budget is
+    checked on the call, before any array is built.  numpy is imported on
+    first use, so that importing the package stays cheap.
     """
     total = math.prod(2 * c + 1 for c in caps)
     if total > ENUM_BUDGET:
@@ -237,14 +257,18 @@ def _slabs(caps, mats, dtype):
     arrays = [np.array(m, dtype=dtype).T for m in mats]
     rest_vals = [rest @ a[:, rest_axes].T for a in arrays]  # (#rest, n) each
     axis_cols = [a[:, axis] for a in arrays]
+    coeffs = np.insert(rest, axis, 0, axis=1)
     for m0 in range(-caps[axis], caps[axis] + 1):
+        coeffs[:, axis] = m0
+        yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], coeffs
 
-        def point(i, m0=m0):
-            m = rest[i].tolist()
-            m.insert(axis, m0)
-            return tuple(m)
 
-        yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], point
+def _int_dtype(cols, caps, scale=1):
+    """int64 when scale * |A m| stays below 2**62 on the whole box of the
+    integer columns A, so the product and its tests cannot overflow;
+    object (Python ints) otherwise."""
+    maxentry = max(abs(x) for col in cols for x in col) or 1
+    return "int64" if maxentry * (max(caps) + 1) * len(cols) * scale < 2**62 else object
 
 
 def _enumerate_rational(scaled, radius, caps):
@@ -253,13 +277,11 @@ def _enumerate_rational(scaled, radius, caps):
     _, den, cols, _ = scaled
     bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
     bn, bd = bound.numerator, bound.denominator
-    maxentry = max(abs(x) for col in cols for x in col) or 1
-    # int64 overflow guard for the matrix product and boundary test
-    fits = maxentry * (max(caps) + 1) * len(cols) * bd < 2**62 and bn < 2**62
+    dtype = _int_dtype(cols, caps, bd) if bn < 2**62 else object
     out = []
-    for (vals,), point in _box_slabs(caps, [cols], "int64" if fits else object):
+    for (vals,), coeffs in _box_slabs(caps, [cols], dtype):
         keep = (np.abs(vals) * bd <= bn).all(axis=1)
-        out.extend(point(i) for i in np.nonzero(keep)[0])
+        out.extend(map(tuple, coeffs[keep].tolist()))
     return out
 
 
@@ -310,10 +332,10 @@ def _enumerate_generic(lat, radius, caps):
     rad = float(radius)
     lo, hi = rad - tol, rad + tol
     out = []
-    for (vals,), point in _box_slabs(caps, [cols], "float64"):
+    for (vals,), coeffs in _box_slabs(caps, [cols], "float64"):
         mx = np.abs(vals).max(axis=1)
         for i in np.nonzero(mx <= hi)[0]:
-            m = point(i)
+            m = tuple(coeffs[i].tolist())
             if mx[i] <= lo or in_band(m):
                 out.append(m)
     return out
@@ -323,11 +345,42 @@ def supnorm_min(lat: RealLattice):
     """(c, witness coefficients): minimal sup-norm over nonzero vectors.
 
     Certified: every nonzero lattice vector outside the searched cube has
-    sup-norm exceeding the returned minimum.
+    sup-norm exceeding the returned minimum.  The searched cube has as
+    radius the smallest basis-vector sup-norm (a valid upper bound), and
+    the witness is its first minimal vector in slab order.
     """
-    if lat._supnorm_min is not None:
-        return lat._supnorm_min
-    # initial radius: the smallest basis-vector sup-norm (a valid upper bound)
+    if lat._supnorm_min is None:
+        scaled = lat.scaled_columns()
+        if scaled is not None and scaled[0] == 0:
+            lat._supnorm_min = _supnorm_min_rational(lat, scaled)
+        else:
+            lat._supnorm_min = _supnorm_min_real(lat)
+    return lat._supnorm_min
+
+
+def _supnorm_min_rational(lat, scaled):
+    """supnorm_min on the integer columns A = den B: the first strict
+    minimum of max |A m| over the nonzero rows of the box.  Vectors of the
+    box outside the cube are longer than the basis vector that set the
+    radius, so they never hold the minimum."""
+    import numpy as np
+
+    _, den, cols, _ = scaled
+    caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
+    best = best_m = None
+    for (vals,), coeffs in _box_slabs(caps, [cols], _int_dtype(cols, caps)):
+        norms = np.abs(vals).max(axis=1)
+        rows = np.flatnonzero((coeffs != 0).any(axis=1))
+        if rows.size:
+            i = rows[np.argmin(norms[rows])]
+            if best is None or norms[i] < best:
+                best, best_m = int(norms[i]), tuple(coeffs[i].tolist())
+    if best is None:
+        raise ValidationError("no nonzero vector in the initial search cube")
+    return QuadReal(Fraction(best, den)), best_m
+
+
+def _supnorm_min_real(lat):
     r0 = None
     for j in range(lat.rank):
         s = max_real(*[abs_real(lat.columns[j][i]) for i in range(lat.ambient_dim)])
@@ -352,7 +405,6 @@ def supnorm_min(lat: RealLattice):
             best, best_m = s, m
     if best is None:
         raise ValidationError("no nonzero vector in the initial search cube")
-    lat._supnorm_min = (best, best_m)
     return best, best_m
 
 

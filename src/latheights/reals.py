@@ -17,6 +17,7 @@ to ``PRECISION.cap``; an undecided comparison at the cap raises
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,17 +37,33 @@ class _Precision:
 PRECISION = _Precision()
 
 
+_RHO_FROM = 1025  # trial division below this, Pollard-Brent rho above
+# the first 13 primes decide Miller-Rabin for every n below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
 def _squarefree_split(m):
     """m = s**2 * m0 with m0 squarefree; returns (s, m0).  m >= 0.
 
     Trial division runs while k**3 <= r, the part of m not yet factored.
     Then r has no prime factor below k and r < k**3, so it is 1, a prime,
-    a product of two distinct primes or the square of a prime.
+    a product of two distinct primes or the square of a prime.  Once k
+    passes _RHO_FROM, r is factored by ``_prime_factors`` instead, unless a
+    factor lies past the proven Miller-Rabin range.
     """
     if m == 0:
         return 1, 0
     s, m0, r, k = 1, 1, m, 2
     while k * k * k <= r:
+        if k == _RHO_FROM:
+            primes = _prime_factors(r)
+            if primes is not None:
+                for p in set(primes):
+                    e = primes.count(p)
+                    s, m0 = s * p ** (e // 2), m0 * p ** (e % 2)
+                return s, m0
         e = 0
         while r % k == 0:
             r //= k
@@ -55,6 +72,76 @@ def _squarefree_split(m):
         k += 1 + (k > 2)  # 2, then odd k only
     root = math.isqrt(r)
     return (s * root, m0) if root * root == r else (s, m0 * r)
+
+
+def _prime_factors(n):
+    """The prime factors of n > 1 with multiplicity, n free of primes below
+    _RHO_FROM; None if a factor passes Miller-Rabin at or past _MR_PROVEN,
+    where passing proves nothing."""
+    out, todo = [], [n]
+    while todo:
+        r = todo.pop()
+        # rho needs about sqrt(p) steps to split a power of p: take roots
+        # first (a root is at least _RHO_FROM > 2**10, so e < bits / 10)
+        for e in range(2, r.bit_length() // 10 + 1):
+            root = _exact_iroot(r, e)
+            if root is not None:
+                todo += [root] * e
+                break
+        else:
+            if _mr_composite(r):
+                d = _rho_factor(r)
+                todo += [d, r // d]
+            elif r < _MR_PROVEN:
+                out.append(r)
+            else:
+                return None
+    return out
+
+
+def _mr_composite(n):
+    """True when a Miller-Rabin base proves the odd n > 41 composite."""
+    d, t = n - 1, 0
+    while not d & 1:
+        d, t = d >> 1, t + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(t - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return True
+    return False
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n: Brent's variant of Pollard's
+    rho (Brent, BIT 20 (1980)), gcds taken over batches of 128 steps."""
+    for c in itertools.count(1):
+        y, step, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(step):
+                y = (y * y + c) % n
+            done = 0
+            while done < step and g == 1:
+                ys = y
+                for _ in range(min(128, step - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            step *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _iv_from_fraction(q, ):
@@ -191,6 +278,9 @@ class QuadReal(Real):
         return "QuadReal(%s + %s*sqrt(%d))" % (self.a, self.b, self.m)
 
 
+_FZERO = Fraction(0)
+
+
 def _quad(a, b, m):
     """QuadReal from Fractions a, b and a squarefree m, without normalising."""
     self = object.__new__(QuadReal)
@@ -252,7 +342,7 @@ def to_real(x):
     if isinstance(x, Real):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadReal(x)
+        return _quad(Fraction(x), _FZERO, 0)
     raise TypeError("cannot interpret %r as a Real" % (x,))
 
 
@@ -293,9 +383,15 @@ def _neg(x):
 
 
 def _mul(x, y):
-    if isinstance(x, QuadReal) and isinstance(y, QuadReal) and _compatible(x, y):
-        m = x.m or y.m
-        return _quad(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
+    if isinstance(x, QuadReal) and isinstance(y, QuadReal):
+        # a rational factor (b == 0) costs 2 Fraction products, not 4 + m
+        if not y.b:
+            return _quad(x.a * y.a, x.b * y.a, x.m)
+        if not x.b:
+            return _quad(x.a * y.a, x.a * y.b, y.m)
+        if x.m == y.m:
+            m = x.m
+            return _quad(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
     return _binop_ball(x, y, lambda a, b: a * b)
 
 

@@ -9,13 +9,14 @@ run sees the same examples.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import bounds, lattice, linalg
+from latheights import bounds, lattice, linalg, reals
 from latheights.bounds import _fast_count_totally_real, as_rooted
 from latheights.errors import ValidationError
 from latheights.heights import height_h
@@ -432,3 +433,64 @@ def test_fast_count_declines_fractional_modules(root):
     module = OkModule.from_pseudo_basis(field, 1, [([field.one()], half)])
     assert _fast_count_totally_real(module, Fraction(9)) is None
     assert _fast_count_totally_real(OkModule.free_module(field, 1), Fraction(9)) is not None
+
+
+def _leibniz_det(g):
+    """det g over Q by the permutation expansion, written out here."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(g))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(g)), 2))
+        total += (-1) ** inversions * math.prod(g[i][perm[i]] for i in range(len(g)))
+    return total
+
+
+def _walk_rational_lattice(lat, dtypes):
+    """Run supnorm_min and det_value on a rational lattice with RealLattice.point
+    and cmp_real made to fail, recording the dtype of each kernel walk."""
+    saved = RealLattice.point, reals.cmp_real, lattice.cmp_real, lattice._box_slabs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational supnorm_min or det_value left the integers")
+
+    def spy(caps, mats, dtype):
+        dtypes.append(dtype)
+        return saved[3](caps, mats, dtype)
+
+    RealLattice.point, reals.cmp_real, lattice.cmp_real = refuse, refuse, refuse
+    lattice._box_slabs = spy
+    try:
+        return lattice.supnorm_min(lat), lat.det_value()
+    finally:
+        RealLattice.point, reals.cmp_real, lattice.cmp_real, lattice._box_slabs = saved
+
+
+@PROPERTY
+@given(rational_cases(), st.sampled_from([1, 2**62]), st.integers(0, 2**70))
+def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
+    """Square and L < n lattices with integer, half and third entries, also
+    scaled past the int64 guard: the minimum equals a Fraction walk of the
+    box of radius r0 (the smallest column sup-norm, caps from a plain
+    Fraction inverse), the witness is the first minimal vector in slab order,
+    and det_value squares to the Gram determinant."""
+    cols, _ = case
+    scale += shift if scale > 1 else 0
+    cols = [[a * scale for a, _ in col] for col in cols]
+    lat = _lattice([[(a, 0) for a in col] for col in cols], 0)
+    gram = [[sum(map(operator.mul, u, v)) for v in cols] for u in cols]
+    r0 = min(max(map(abs, col)) for col in cols)
+    try:
+        caps = _reference_caps(lat.columns, r0)
+    except StopIteration:  # singular Gram: dependent columns
+        with pytest.raises(ValidationError):
+            lattice.supnorm_min(lat)
+        return
+    assume(_box_size(caps) <= BOX_LIMIT)
+    dtypes = []
+    (value, witness), det_val = _walk_rational_lattice(lat, dtypes)
+    norm = {m: max(abs(sum(c * col[i] for c, col in zip(m, cols))) for i in range(len(cols[0])))
+            for m in _slab_order(caps) if any(m)}
+    best = min(norm.values())
+    assert repr(value) == repr(QuadReal(best))
+    assert witness == next(m for m in norm if norm[m] == best)
+    assert dtypes == [object if scale > 1 else "int64"]
+    assert det_val * det_val == _leibniz_det(gram)

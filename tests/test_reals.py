@@ -1,16 +1,21 @@
 from fractions import Fraction
 
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latheights import reals
 from latheights.errors import PrecisionExhausted
 from latheights.reals import (
     PRECISION,
     BallReal,
     QuadReal,
     Rooted,
+    _add,
     _exact_iroot,
+    _mul,
     _squarefree_split,
     abs_real,
     cmp_real,
@@ -186,3 +191,87 @@ def test_squarefree_split_large_prime_square():
     assert _squarefree_split(3 * c * c) == (c, 3)
     assert _squarefree_split(0) == (1, 0)
     assert _squarefree_split(1) == (1, 1)
+
+
+def test_squarefree_split_two_large_primes():
+    # two prime factors past the cube-root trial division: Pollard-Brent rho
+    # splits them; before it, (2^61 - 1)(2^31 - 1) ran for minutes
+    p, q, c = 2**61 - 1, 2**31 - 1, 4 * 10**9 + 7
+    cases = [(p * q, (1, p * q)), (3 * c * c, (c, 3)),
+             (12 * p * p * q, (2 * p, 3 * q)), (q**3 * c * p, (q, q * c * p))]
+    for m, want in cases:
+        start = time.perf_counter()
+        assert _squarefree_split(m) == want
+        assert time.perf_counter() - start < 0.5
+
+
+# primes from 1031 up, so that products of them reach the rho stage
+LARGE_PRIMES = [1031, 7919, 65537, 10**6 + 3, 10**9 + 7, 4 * 10**9 + 7, 2**31 - 1, 2**61 - 1]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(PRIMES + LARGE_PRIMES), st.integers(1, 4)),
+                min_size=1, max_size=4))
+def test_squarefree_split_of_known_factorizations(factors):
+    exps = {}
+    for p, e in factors:
+        exps[p] = exps.get(p, 0) + e
+    m, s, m0 = 1, 1, 1
+    for p, e in exps.items():
+        m, s, m0 = m * p**e, s * p ** (e // 2), m0 * p ** (e % 2)
+    assert _squarefree_split(m) == (s, m0)
+
+
+def test_squarefree_split_falls_back_past_the_proven_bound(monkeypatch):
+    # a factor that passes Miller-Rabin at or past the proven bound is not
+    # taken for a prime: the split goes on by trial division, still exact
+    monkeypatch.setattr(reals, "_MR_PROVEN", 10**4)
+    assert reals._prime_factors(10007 * 10009) is None
+    for m in (10007 * 10009 * 10037, 10007**2 * 10009 * 1031, 2 * 10007**3):
+        assert _squarefree_split(m) == _squarefree_split_trial(m)
+
+
+# values a + b sqrt(m): rationals (b = 0, negative Fractions included) and
+# elements of Q(sqrt 2), Q(sqrt 3), Q(sqrt 5)
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+rationals = st.builds(QuadReal, fractions)
+irrationals = st.builds(QuadReal, fractions, fractions.filter(bool), st.sampled_from([2, 3, 5]))
+
+
+def _triple(x):
+    return x.a, x.b, x.m
+
+
+def _general_mul(x, y):
+    m = x.m or y.m
+    return QuadReal(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
+
+
+@settings(max_examples=200)
+@given(st.one_of(
+    st.tuples(rationals, rationals),
+    st.tuples(rationals, irrationals),
+    st.tuples(irrationals, rationals),
+    st.tuples(irrationals, irrationals).filter(lambda p: p[0].m == p[1].m),
+))
+def test_rational_fast_paths_match_general_formula(pair):
+    """_mul skips the zero terms of a rational factor: its result, like
+    _add's, is the (a, b, m) triple, with Fraction parts, and hash of the
+    general formula normalised by QuadReal."""
+    x, y = pair
+    want_mul = _general_mul(x, y)
+    want_add = QuadReal(x.a + y.a, x.b + y.b, x.m or y.m)
+    for got, want in ((_mul(x, y), want_mul), (_add(x, y), want_add)):
+        assert _triple(got) == _triple(want)
+        assert all(type(v) is Fraction for v in (got.a, got.b))
+        assert hash(got) == hash(want) and got == want
+
+
+@given(st.one_of(st.integers(-(2**70), 2**70), fractions, st.booleans()))
+@example(True)
+@example(Fraction(-3, 4))
+def test_to_real_of_rationals_matches_constructor(x):
+    got, want = to_real(x), QuadReal(x)
+    assert _triple(got) == _triple(want) == (Fraction(x), 0, 0)
+    assert all(type(v) is Fraction for v in (got.a, got.b))
+    assert hash(got) == hash(want) == hash(x)
