@@ -26,6 +26,7 @@ from .quat import (
     QuatOrder,
     _arch_sq_prod,
     bracket_inv,
+    d_row_reduce,
     height_Hinf,
     height_h,
     height_h_order,
@@ -34,7 +35,6 @@ from .quat import (
     module_gram,
     order_constants,
     s_t_constants,
-    split_rho_matrix,
     subspace_height_HO,
 )
 from .reals import (
@@ -519,8 +519,10 @@ def const_A(order: QuatOrder, n: int, big_l: int, big_m: int, big_j: int):
 # constructive searches
 
 
-def _d_rank(rows: Sequence[Sequence[QuatElement]]) -> int:
-    return linalg.rank(split_rho_matrix(rows)) // 2
+def _d_rank(vectors: Sequence[Sequence[QuatElement]]) -> int:
+    """Right rank of vectors in D^N: the pivots of the matrix with the
+    vectors as columns, so v and v*mu are dependent."""
+    return len(d_row_reduce(linalg.transpose(vectors))[1])
 
 
 def _subspace_form(u: DSubspace) -> List[List[QuatElement]]:
@@ -615,7 +617,7 @@ def search_basis(z: DSubspace, order: QuatOrder,
 
     Filter order: on each shell the avoided subspaces and form zero sets
     are removed first, on integer coordinates; heights are computed only
-    for the survivors, and the D-rank test runs on them in search order.
+    for the survivors, and the right D-rank test runs on them in search order.
     QuatElements are built only for rank-test candidates and the basis.
     """
     alg = z.algebra

@@ -1,10 +1,12 @@
 """Positive-definite quaternion algebras over totally real number fields.
 
 D = (alpha, beta / K) with alpha, beta integral and totally negative.
-Provides exact element arithmetic, the splitting representation over
-E = K(sqrt(alpha)) (implemented as twisted pairs over K), orders with
-Z-bases, the archimedean and finite heights, right D-subspaces with both
-basis and constraint matrices, and the hermitian-to-quadratic trace form.
+Provides exact element arithmetic, orders with Z-bases, the archimedean
+and finite heights, right D-subspaces with both basis and constraint
+matrices, and the hermitian-to-quadratic trace form.  Reduced norms of
+matrices over D, det rho(A) = Nrd(A) for the splitting map rho, are
+computed by elimination over D (d_row_reduce): the product of the
+pivots' reduced norms.
 
 Heights are carried in 2d-th or 4d-th power form so that threshold
 comparisons stay exact for quadratic base fields.
@@ -154,7 +156,8 @@ class QuatElement:
         n = self.nrm()
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero quaternion")
-        return QuatElement(self.algebra, [x / n for x in self.conj().c])
+        n_inv = n.inv()
+        return QuatElement(self.algebra, [x * n_inv for x in self.conj().c])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.c)
@@ -203,106 +206,6 @@ def s_t_constants(algebra: QuatAlgebra):
     for v in t_sq_list[1:]:
         t_sq = t_sq * v
     return Rooted(s_sq, 2), Rooted(t_sq, 2), s_sq_list, t_sq_list
-
-
-# ---------------------------------------------------------------------------
-# split representation over E = K(sqrt(alpha))
-
-
-class EElem:
-    """u + v*sqrt(alpha) with u, v in K; multiplication twisted by alpha."""
-
-    __slots__ = ("algebra", "u", "v")
-
-    def __init__(self, algebra: QuatAlgebra, u: NfElement, v: NfElement):
-        self.algebra = algebra
-        self.u = u
-        self.v = v
-
-    def _coerce(self, other) -> "EElem":
-        if isinstance(other, EElem):
-            return other
-        if isinstance(other, NfElement):
-            return EElem(self.algebra, other, self.algebra.field.zero())
-        if isinstance(other, (int, Fraction)):
-            return EElem(
-                self.algebra,
-                self.algebra.field.rational(other),
-                self.algebra.field.zero(),
-            )
-        raise TypeError("cannot coerce %r" % (other,))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return EElem(self.algebra, self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return EElem(self.algebra, self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return EElem(self.algebra, -self.u, -self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        al = self.algebra.alpha
-        return EElem(
-            self.algebra,
-            self.u * o.u + al * (self.v * o.v),
-            self.u * o.v + self.v * o.u,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        den = o.u * o.u - self.algebra.alpha * (o.v * o.v)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero in E")
-        inv = EElem(self.algebra, o.u / den, -o.v / den)
-        return self * inv
-
-    def conj(self) -> "EElem":
-        return EElem(self.algebra, self.u, -self.v)
-
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, NfElement, EElem)):
-            o = self._coerce(other)
-            return (self.u - o.u).is_zero() and (self.v - o.v).is_zero()
-        return NotImplemented
-
-    def __repr__(self):
-        return "EElem(%r + %r*sqrt(a))" % (list(self.u.coeffs), list(self.v.coeffs))
-
-
-def split_rho(x: QuatElement) -> List[List[EElem]]:
-    """2x2 matrix over E = K(sqrt(alpha)) representing x."""
-    alg = x.algebra
-    zero = alg.field.zero()
-    x0, x1, x2, x3 = x.c
-    be = alg.beta
-    return [
-        [EElem(alg, x0, x1), EElem(alg, x2, x3)],
-        [EElem(alg, be * x2, -(be * x3)), EElem(alg, x0, -x1)],
-    ]
-
-
-def split_rho_matrix(rows: Sequence[Sequence[QuatElement]]) -> List[List[EElem]]:
-    """Blockwise extension of the splitting map to matrices over D."""
-    out: List[List[EElem]] = []
-    for row in rows:
-        blocks = [split_rho(x) for x in row]
-        out.append([b[0][t] for b in blocks for t in range(2)])
-        out.append([b[1][t] for b in blocks for t in range(2)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +410,23 @@ def height_h_order(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
 # right D-subspaces
 
 
-def _e_det(rows: List[List[EElem]]) -> EElem:
-    return linalg.det(rows)
+def d_row_reduce(rows: Sequence[Sequence[QuatElement]]):
+    """Gauss-Jordan elimination over D by left row operations.
 
-
-def d_right_kernel(rows: Sequence[Sequence[QuatElement]]) -> List[List[QuatElement]]:
-    """Basis of {y : A y = 0} with unknowns multiplied from the right.
-
-    Row operations multiply from the left, which is compatible with
-    right-sided unknowns over the division ring.
+    Returns (reduced rows, pivot columns, product of the pivots' N()), each
+    pivot's reduced norm taken before its row is scaled to 1.  Row swaps and
+    adding a left multiple of one row to another have reduced norm 1, so a
+    square matrix has Nrd = det rho = that product when every column has a
+    pivot, and 0 otherwise (Aslaksen, Math. Intelligencer 18 (1996); Voight,
+    Quaternion Algebras, GTM 288, ch. 7).  D is definite, hence a division
+    algebra: every nonzero pivot is invertible.  Left row operations keep
+    the right-linear relations among the columns, so the number of pivots
+    is the right rank of the columns.
     """
     a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    nrows, ncols = len(a), len(a[0])
     alg = a[0][0].algebra
+    one, norm = alg.one(), alg.field.one()
     pivots = []
     r = 0
     for c in range(ncols):
@@ -532,14 +438,35 @@ def d_right_kernel(rows: Sequence[Sequence[QuatElement]]) -> List[List[QuatEleme
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        norm = norm * a[r][c].nrm()
         inv = a[r][c].inv()
-        a[r] = [inv * x for x in a[r]]
+        # row r is zero left of c: pivot columns are cleared in every other
+        # row, and a column without a pivot is zero from row r down
+        a[r][c:] = [one] + [inv * x for x in a[r][c + 1:]]
         for i in range(nrows):
             if i != r and not a[i][c].is_zero():
                 q = a[i][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], a[r][c:])]
         pivots.append(c)
         r += 1
+    return a, pivots, norm
+
+
+def nrd(rows: Sequence[Sequence[QuatElement]]) -> NfElement:
+    """Reduced norm Nrd(A) = det rho(A) of a square matrix A over D, in K."""
+    _, pivots, norm = d_row_reduce(rows)
+    return norm if len(pivots) == len(rows) else norm.field.zero()
+
+
+def d_right_kernel(rows: Sequence[Sequence[QuatElement]]) -> List[List[QuatElement]]:
+    """Basis of {y : A y = 0} with unknowns multiplied from the right.
+
+    Row operations multiply from the left, which is compatible with
+    right-sided unknowns over the division ring.
+    """
+    a, pivots, _ = d_row_reduce(rows)
+    alg = a[0][0].algebra
+    ncols = len(a[0])
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
@@ -640,10 +567,10 @@ def _image_index(order: QuatOrder, rows: Sequence[Sequence[QuatElement]]) -> int
 def _hermitian_square_det_channels(rows: Sequence[Sequence[QuatElement]]):
     """Channel values of det rho(A A*) for an M x N matrix A over D.
 
-    The determinant lies in K; returns the list of exact channel values.
+    det rho(A A*) = Nrd(A A*) is computed by elimination over D
+    (d_row_reduce), so it lies in K by construction.
     """
     alg = rows[0][0].algebra
-    field = alg.field
     big_m = len(rows)
     n = len(rows[0])
     prod = [
@@ -653,11 +580,16 @@ def _hermitian_square_det_channels(rows: Sequence[Sequence[QuatElement]]):
         ]
         for i in range(big_m)
     ]
-    e_mat = split_rho_matrix(prod)
-    det = _e_det(e_mat)
-    if not det.v.is_zero():
-        raise ValidationError("hermitian square determinant escaped K")
-    return field.channel_values(det.u)
+    return alg.field.channel_values(nrd(prod))
+
+
+def _hermitian_square_det_abs(rows: Sequence[Sequence[QuatElement]]) -> Real:
+    """prod over channels of |det rho(A A*)|, from _hermitian_square_det_channels."""
+    arch = None
+    for ch in _hermitian_square_det_channels(rows):
+        a = abs_real(ch)
+        arch = a if arch is None else arch * a
+    return arch
 
 
 def _sum_quat(xs, alg):
@@ -668,77 +600,51 @@ def _sum_quat(xs, alg):
 
 
 def subspace_height_HO(z: DSubspace, order: QuatOrder) -> Rooted:
-    """H^O(Z) in 4d-th power form, via the constraint matrix when proper.
+    """H^O(Z) in 4d-th power form, via the constraint matrix when proper:
+    ([O^M : C(O^N)]^{-1} prod |det rho(CC*)|)^{1/4d}, with det rho(CC*) =
+    Nrd(CC*) computed by elimination over D.
 
     For L = N the basis form is used (the constraint matrix is empty).
     """
-    d = order.algebra.field.degree
-    if z.dim < z.ambient:
-        rows = _matrix_scaled_integral(order, z.constraint_rows())
-        fin = Fraction(1, _image_index(order, rows))
-        channels = _hermitian_square_det_channels(rows)
-    else:
+    if z.dim == z.ambient:
         return subspace_height_HO_basis(z, order)
-    arch = None
-    for ch in channels:
-        a = abs_real(ch)
-        arch = a if arch is None else arch * a
-    return Rooted(arch * fin, 4 * d)
+    rows = _matrix_scaled_integral(order, z.constraint_rows())
+    fin = Fraction(1, _image_index(order, rows))
+    return Rooted(_hermitian_square_det_abs(rows) * fin, 4 * order.algebra.field.degree)
 
 
 def subspace_height_HO_basis(z: DSubspace, order: QuatOrder) -> Rooted:
-    """H^O(X) from a basis matrix X: ([O^L : X^t(O^N)]^{-1} prod |det rho(X*X)|)^{1/4d}."""
-    d = order.algebra.field.degree
-    cols = z.basis_cols()
-    xt_rows = [list(col) for col in cols]  # X^t is L x N
-    xt_rows = _matrix_scaled_integral(order, xt_rows)
+    """H^O(X) from a basis matrix X: ([O^L : X^t(O^N)]^{-1} prod |det rho(X*X)|)^{1/4d},
+    with det rho(X*X) = Nrd(X*X) computed by elimination over D."""
+    xt_rows = _matrix_scaled_integral(order, z.basis_cols())  # X^t is L x N
     fin = Fraction(1, _image_index(order, xt_rows))
     # X*X = (X^t conj) (X^t)^t: rows of X^t are the basis vectors
     star_rows = [[x.conj() for x in col] for col in xt_rows]
-    channels = _hermitian_square_det_channels(star_rows)
-    arch = None
-    for ch in channels:
-        a = abs_real(ch)
-        arch = a if arch is None else arch * a
-    return Rooted(arch * fin, 4 * d)
+    return Rooted(_hermitian_square_det_abs(star_rows) * fin, 4 * order.algebra.field.degree)
 
 
 def hinf_constraint_minors(z: DSubspace) -> Rooted:
-    """H_inf(C) by the Cauchy-Binet style minor sum, in 2d-th power form."""
+    """H_inf(C) by the Cauchy-Binet style minor sum, in 2d-th power form.
+
+    Each M x M minor's det rho = Nrd is computed by elimination over D; it
+    lies in K and is nonnegative at every channel.
+    """
     rows = z.constraint_rows()
-    alg = z.algebra
-    field = alg.field
-    d = field.degree
-    big_m = len(rows)
-    n = len(rows[0])
-    channel_sums = [None] * d
-    for cols in itertools.combinations(range(n), big_m):
-        sub = [[rows[i][c] for c in cols] for i in range(big_m)]
-        det = _e_det(split_rho_matrix(sub))
-        # the split determinant of a square quaternionic matrix lies in K
-        # and is nonnegative at every channel
-        if not det.v.is_zero():
-            raise ValidationError("split minor determinant escaped K")
-        vals = field.channel_values(det.u)
-        for t in range(d):
-            channel_sums[t] = (
-                vals[t] if channel_sums[t] is None else channel_sums[t] + vals[t]
-            )
+    field = z.algebra.field
+    minors = [field.channel_values(nrd([[row[c] for c in cols] for row in rows]))
+              for cols in itertools.combinations(range(len(rows[0])), len(rows))]
     acc = None
-    for v in channel_sums:
-        acc = v if acc is None else acc * v
-    return Rooted(acc, 2 * d)
+    for vals in zip(*minors):  # one channel, every minor
+        total = sum(vals[1:], vals[0])
+        acc = total if acc is None else acc * total
+    return Rooted(acc, 2 * field.degree)
 
 
 def hinf_constraint_gram(z: DSubspace) -> Rooted:
-    """H_inf(C) via det rho(CC*), in 4d-th power form."""
+    """H_inf(C) via det rho(CC*) = Nrd(CC*), computed by elimination over D,
+    in 4d-th power form."""
     rows = z.constraint_rows()
-    channels = _hermitian_square_det_channels(rows)
-    arch = None
-    for ch in channels:
-        a = abs_real(ch)
-        arch = a if arch is None else arch * a
-    return Rooted(arch, 4 * z.algebra.field.degree)
+    return Rooted(_hermitian_square_det_abs(rows), 4 * z.algebra.field.degree)
 
 
 # ---------------------------------------------------------------------------

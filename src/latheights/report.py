@@ -45,18 +45,17 @@ def frac_decimal(f: Fraction, digits: int = _DIGITS) -> str:
     return sign + whole + ("." + frac if frac else "")
 
 
-def _value_fields(prefix: str, x, prec: Optional[int] = None) -> Dict[str, object]:
+def _value_fields(prefix: str, x) -> Dict[str, object]:
     if x is None:
         return {prefix + "_mid": None, prefix + "_rad": None}
     if isinstance(x, (int, Fraction)):
         return {prefix + "_mid": frac_decimal(Fraction(x)), prefix + "_rad": "0"}
-    mid, rad = ball_mid_rad(x, prec)
+    mid, rad = ball_mid_rad(x)
     return {prefix + "_mid": frac_decimal(mid), prefix + "_rad": frac_decimal(rad)}
 
 
-def report_record(rep: BoundReport, inputs: Optional[Dict[str, object]] = None,
-                  prec: Optional[int] = None) -> Dict[str, object]:
-    prec = prec or PRECISION.start
+def report_record(rep: BoundReport,
+                  inputs: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     rec: Dict[str, object] = {
         "instance": rep.instance,
         "kind": rep.kind,
@@ -65,10 +64,10 @@ def report_record(rep: BoundReport, inputs: Optional[Dict[str, object]] = None,
         "verdict": rep.verdict,
         "applicable": rep.applicable,
         "note": rep.note,
-        "bits": prec,
+        "bits": PRECISION.start,
     }
-    rec.update(_value_fields("R", rep.radius, prec))
-    rec.update(_value_fields("bound", rep.bound_value, prec))
+    rec.update(_value_fields("R", rep.radius))
+    rec.update(_value_fields("bound", rep.bound_value))
     return rec
 
 

@@ -274,14 +274,13 @@ class LogLattice:
         self.classical_regulator = self.regulator / sqrt_real(ctx.n_places)
         self.hsk, _ = supnorm_min(self.lattice)
 
-    def row_sums_contain_zero(self, prec: Optional[int] = None) -> bool:
+    def row_sums_contain_zero(self) -> bool:
         """Product formula over S: each basis vector's coordinates sum to 0."""
-        prec = prec or PRECISION.start
         for vec in self.basis:
             s = vec[0]
             for c in vec[1:]:
                 s = s + c
-            iv = to_real(s).interval(prec)
+            iv = to_real(s).interval(PRECISION.start)
             if not (iv.a <= 0 <= iv.b):
                 return False
         return True
@@ -381,11 +380,10 @@ def lemma_sunit_bounds(ctx: SUnitContext, b: Fraction,
     return lower, upper
 
 
-def _ball_le(x, y, prec: Optional[int] = None) -> bool:
+def _ball_le(x, y) -> bool:
     """x <= y up to the interval widths at the working precision."""
-    prec = prec or PRECISION.start
-    ix = to_real(x).interval(prec)
-    iy = to_real(y).interval(prec)
+    ix = to_real(x).interval(PRECISION.start)
+    iy = to_real(y).interval(PRECISION.start)
     return float(ix.a) <= float(iy.b)
 
 

@@ -10,6 +10,7 @@ from latheights.bounds import (
     LOWER,
     UPPER,
     BoundReport,
+    _d_rank,
     const_A,
     const_E1_E2,
     const_E3_E4,
@@ -320,6 +321,50 @@ def test_search_basis_avoiding_subspace():
     # no basis vector lies in the avoided axis
     for v in res["basis"]:
         assert not v[1].is_zero()
+
+
+def _right_multiple(u, v):
+    """mu with v = u mu, or None (u nonzero)."""
+    t = next(t for t, x in enumerate(u) if not x.is_zero())
+    mu = u[t].inv() * v[t]
+    return mu if all(x * mu == y for x, y in zip(u, v)) else None
+
+
+def test_search_basis_right_rank():
+    # Z is a right subspace: v and v*j span the same line, so a basis must
+    # not hold both (a left rank on the rows took (1, i, 0)*j as new)
+    a = alg_hamilton()
+    od = QuatOrder.special(a)
+    z = DSubspace(a, 3, basis_cols=[[a.one(), a.i(), a.zero()],
+                                   [a.one(), a.zero(), a.element(2)]])
+    res = search_basis(z, od, max_radius=Fraction(8))
+    assert res["status"] == "PASS"
+    b0, b1 = res["basis"]
+    assert _right_multiple(b0, b1) is None and _right_multiple(b1, b0) is None
+
+
+def _rand_quat(a, rng):
+    d = a.field.degree
+    return a.element(*[a.field.element([rng.randint(-2, 2) for _ in range(d)])
+                       for _ in range(4)])
+
+
+def test_d_rank_is_right_rank():
+    rng = random.Random(53)
+    k5 = field_sqrt5()
+    for a in (alg_hamilton(), QuatAlgebra(k5, k5.rational(-2), k5.rational(-5))):
+        for _ in range(8):
+            v = [a.one(), _rand_quat(a, rng), _rand_quat(a, rng)]
+            mu = _rand_quat(a, rng)
+            if mu.is_zero():
+                continue
+            assert _d_rank([v, [x * mu for x in v]]) == 1
+            # mu v = v lam forces lam = mu (v_0 = 1), so mu v is a right
+            # multiple of v exactly when mu commutes with v_1 and v_2
+            central = all(mu * x == x * mu for x in v)
+            assert _d_rank([v, [mu * x for x in v]]) == (1 if central else 2)
+        assert _d_rank([[a.one(), a.i()], [a.j(), a.i() * a.j()]]) == 1  # (1, i) j
+        assert _d_rank([[a.one(), a.i()], [a.j(), a.j() * a.i()]]) == 2  # j (1, i)
 
 
 def test_search_isotropic_hyperbolic():

@@ -1,18 +1,24 @@
-"""Source hygiene: every module-level import of the package is used, and
-no function re-imports a module that its file already imports at the top.
+"""Source hygiene: every module-level import of the package is used, no
+function re-imports a module that its file already imports at the top, and
+every top-level function and class is named somewhere outside its own
+definition line.
 
 The repository has no lint step; this test is its guard against imports
-that outlive the code that needed them.  Lazy imports of modules the file
-does not import at the top (numpy) stay allowed: they keep start-up cheap.
+and definitions that outlive the code that needed them.  Lazy imports of
+modules the file does not import at the top (numpy) stay allowed: they keep
+start-up cheap.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "latheights"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "latheights"
 MODULES = sorted(SRC.glob("*.py"))
+CORPUS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(path):
@@ -55,6 +61,23 @@ def _redundant_local_imports(path):
     return sorted({(n.lineno, key) for n in nested for key in _import_keys(n) & top})
 
 
+def _unreferenced_definitions(path, corpus):
+    """Top-level functions and classes of path whose name occurs in no file of
+    corpus except on their own definition line.  A plain text match, so names
+    used only in strings (the perfbench tracer's targets) count as used."""
+    lines = path.read_text().splitlines()
+    others = [p.read_text() for p in corpus if p != path]
+    out = []
+    for node in ast.parse("\n".join(lines)).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        pattern = re.compile(r"\b%s\b" % re.escape(node.name))
+        own = "\n".join(lines[: node.lineno - 1] + lines[node.lineno:])
+        if not any(pattern.search(text) for text in [own] + others):
+            out.append((node.lineno, node.name))
+    return out
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -77,3 +100,20 @@ def test_redundant_local_import_detected(tmp_path):
         "    from . import linalg\n    from .reals import c\n"
     )
     assert _redundant_local_imports(src) == [(6, "math"), (8, ".quat"), (9, ".linalg")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_definition_is_referenced(path):
+    assert _unreferenced_definitions(path, CORPUS) == []
+
+
+def test_unreferenced_definition_detected(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "class Used:\n    pass\n\n\nclass Orphan:\n    pass\n\n\n"
+        "def helper():\n    return Used()\n\n\ndef stale(rows):\n    return rows\n\n\n"
+        "def traced():\n    pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from m import helper\nTARGETS = ['m.traced']\n")
+    assert _unreferenced_definitions(mod, [mod, user]) == [(5, "Orphan"), (13, "stale")]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from latheights import linalg
 from latheights.errors import ValidationError
 from latheights.nf import nf_new
 from latheights.quat import (
@@ -23,9 +24,9 @@ from latheights.quat import (
     hinf_constraint_minors,
     intersection_module,
     minima_cz_order,
+    nrd,
     order_constants,
     s_t_constants,
-    split_rho,
     trace_form,
     trace_form_block,
 )
@@ -123,33 +124,60 @@ def test_s_t_constants():
     assert t3.cmp(1) == 0
 
 
-def test_split_rho():
-    a = alg_m13()
-    r1 = split_rho(a.one())
-    assert r1[0][0] == 1 and r1[1][1] == 1
-    assert r1[0][1].is_zero() and r1[1][0].is_zero()
+def _rand_quat(alg, rng):
+    d = alg.field.degree
+    return alg.element(*[alg.field.element([rng.randint(-2, 2) for _ in range(d)])
+                         for _ in range(4)])
 
-    ri = split_rho(a.i())
-    # diag(sqrt a, -sqrt a); det = -alpha = N(i)
-    assert ri[0][0].u.is_zero() and ri[0][0].v == a.field.one()
-    rj = split_rho(a.j())
-    assert rj[0][1] == 1
-    assert rj[1][0] == a.beta
 
-    from latheights import linalg
+def _left_regular(s):
+    """4n x 4n matrix over K of x -> S x on D^n in bracket coordinates."""
+    alg = s[0][0].algebra
+    units = [alg.one(), alg.i(), alg.j(), alg.k()]
+    n = len(s)
+    return [[(s[m][l] * units[b]).c[r] for l in range(n) for b in range(4)]
+            for m in range(n) for r in range(4)]
 
-    rng = random.Random(11)
-    for _ in range(15):
-        x = a.element(*[rng.randint(-3, 3) for _ in range(4)])
-        y = a.element(*[rng.randint(-3, 3) for _ in range(4)])
-        rx, ry = split_rho(x), split_rho(y)
-        rxy = split_rho(x * y)
-        prod = linalg.mat_mul(rx, ry)
-        for p_row, q_row in zip(prod, rxy):
-            for p, q in zip(p_row, q_row):
-                assert p == q
-        det = linalg.det(rx)
-        assert det.v.is_zero() and det.u == x.nrm()
+
+def _rand_square(alg, rng, n):
+    """Random n x n matrix over D; about one in three has a row that is a
+    left multiple of another, so it is singular."""
+    s = [[_rand_quat(alg, rng) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 1 / 3:
+        mu = _rand_quat(alg, rng)
+        s[-1] = [mu * x for x in s[0]]
+    return s
+
+
+def test_nrd_against_left_regular_representation():
+    rng = random.Random(47)
+    singular = nonsingular = 0
+    k5 = field_sqrt5()
+    # (-1,-1/Q), (-1,-3/Q), (-1,-1/Q(sqrt5)), (-2,-5/Q(sqrt5))
+    for alg in (alg_hamilton(), alg_m13(), alg_hamilton(k5),
+                QuatAlgebra(k5, k5.rational(-2), k5.rational(-5))):
+        field = alg.field
+        for n in (1, 2, 3):
+            for _ in range(4):
+                s = _rand_square(alg, rng, n)
+                t = _rand_square(alg, rng, n)
+                v = nrd(s)
+                # det lambda(S) = Nrd(S)^2
+                lam = linalg.det(_left_regular(s))
+                assert lam == v * v
+                if lam == 0:
+                    singular += 1
+                    assert v.is_zero()
+                else:
+                    nonsingular += 1
+                    assert all(cmp_real(ch, 0) > 0 for ch in field.channel_values(v))
+                st = [[sum((s[i][m] * t[m][j] for m in range(n)), alg.zero())
+                       for j in range(n)] for i in range(n)]
+                assert nrd(st) == v * nrd(t)
+        for _ in range(10):
+            x = _rand_quat(alg, rng)
+            assert nrd([[x]]) == x.nrm()
+    assert singular >= 5 and nonsingular >= 20
 
 
 def test_bracket_roundtrip():
