@@ -9,6 +9,7 @@ two sides, and INCONCLUSIVE when the precision cap is hit first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,7 +18,7 @@ from . import lattice, linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .heights import height_h as height_h_nf
 from .lattice import _box_slabs, _coefficient_box, _rat_upper, enumerate_cube
-from .modules import OkModule, minima_ck_zk
+from .modules import OkModule, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .quat import (
     DSubspace,
@@ -193,12 +194,7 @@ def exact_count_module(module: OkModule, radius) -> int:
 
 
 def _module_point(module: OkModule, coeffs: Sequence[int]) -> List[NfElement]:
-    acc = None
-    for c, v in zip(coeffs, module.z_basis):
-        if c:
-            term = [vi * c for vi in v]
-            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-    return acc
+    return z_combination(module.z_basis, coeffs)
 
 
 def thm1_lower(module: OkModule, radius, instance: str = "module", minima=None) -> BoundReport:
@@ -309,31 +305,24 @@ def weighted_module_det_sq(alg: QuatAlgebra, module: OkModule):
     """Squared covolume of a bracket module under the norm-weighted embedding.
 
     Channel weights (1, |alpha|^{1/2}, |beta|^{1/2}, |alpha beta|^{1/2}) per
-    quaternionic coordinate make the quaternion norm the Euclidean norm.
+    quaternionic coordinate make the quaternion norm the Euclidean norm.  On
+    the module lattice's channel-major columns B, row r belongs to channel
+    r // 4N and quaternion component r mod 4, so the squared covolume is
+    det(B^T W B) with W the diagonal of squared weights.
     """
     field = alg.field
-    d = field.degree
-    basis_q = [bracket_inv(alg, v) for v in module.z_basis]
-    a_ch = [abs_real(c) for c in field.channel_values(alg.alpha)]
-    b_ch = [abs_real(c) for c in field.channel_values(alg.beta)]
-
-    def pairing(x, y):
-        acc = None
-        for ch in range(d):
-            for xl, yl in zip(x, y):
-                xs = [field.channel_values(c)[ch] for c in xl.c]
-                ys = [field.channel_values(c)[ch] for c in yl.c]
-                t = (
-                    xs[0] * ys[0]
-                    + a_ch[ch] * (xs[1] * ys[1])
-                    + b_ch[ch] * (xs[2] * ys[2])
-                    + a_ch[ch] * b_ch[ch] * (xs[3] * ys[3])
-                )
-                acc = t if acc is None else acc + t
-        return acc
-
-    n = len(basis_q)
-    gram = [[pairing(basis_q[i], basis_q[j]) for j in range(n)] for i in range(n)]
+    cols = module.module_lattice().columns
+    weights = []
+    for a, b in zip(field.channel_values(alg.alpha), field.channel_values(alg.beta)):
+        a, b = abs_real(a), abs_real(b)
+        weights += [to_real(1), a, b, a * b] * (module.ambient // 4)
+    wcols = [[w * x for w, x in zip(weights, col)] for col in cols]
+    n = len(cols)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, wcols[i][1:], cols[j][1:]),
+                                          wcols[i][0] * cols[j][0])
     return linalg.det(gram)
 
 

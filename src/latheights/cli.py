@@ -42,7 +42,7 @@ from .lattice import (
     max_grassmann_sublattice,
     supnorm_min,
 )
-from .modules import OkModule, minima_ck_zk
+from .modules import OkModule, minima_ck_zk, z_combination
 from .nf import FracIdeal, nf_new
 from .quat import (
     DSubspace,
@@ -221,11 +221,7 @@ def suite_main2(seed: int) -> List[Dict[str, object]]:
         for m in enumerate_cube(free4.module_lattice(), cube):
             if all(c == 0 for c in m):
                 continue
-            vec = None
-            for cc, v in zip(m, free4.z_basis):
-                if cc:
-                    term = [vi * cc for vi in v]
-                    vec = term if vec is None else [a + b for a, b in zip(vec, term)]
+            vec = z_combination(free4.z_basis, m)
             h_k = height_h(field, vec).as_rooted()
             if (h_k ** d).cmp(inner, context="containment filter") > 0:
                 continue

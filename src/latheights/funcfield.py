@@ -135,11 +135,11 @@ class DivisorLattice:
         else:
             self.jxp_order, self.basis = self._genus1_kernel()
         self.rank = n - 1
-        # the HNF of the fixed basis, once: contains() reduces against it
-        self._hnf_rows, _, self._hnf_pivots = intmat._row_hnf(self.basis, n)
+        # the span of the fixed basis, once: contains() reduces against it
+        self._span = intmat.ZSpan(self.basis, n)
         # det(L_P)^2 = n |J|^2, verified on construction
         g = [[sum(x * y for x, y in zip(u, v)) for v in self.basis] for u in self.basis]
-        self._det_sq = intmat.det(intmat.IntMat.from_rows(g))
+        self._det_sq = intmat.det(g)
         if self._det_sq != n * self.jxp_order ** 2:
             raise ValidationError("divisor lattice determinant identity failed")
 
@@ -180,12 +180,11 @@ class DivisorLattice:
                 acc = ctx.ec_add(acc, ctx.ec_mul(e, c))
             if acc == INF and any(es):
                 gens.append(list(es))
-        rows_h, _, _ = intmat._row_hnf(gens, n - 1)
-        rows = [r for r in rows_h if any(r)]
-        if len(rows) != n - 1:
+        kernel = intmat.ZSpan(gens, n - 1)
+        if kernel.rank != n - 1:
             raise ValidationError("kernel lattice is rank deficient")
         # lift to sum-zero vectors in Z^n: e_1 = -(e_2 + ... + e_n)
-        basis = [[-sum(r)] + list(r) for r in rows]
+        basis = [[-sum(r)] + r for r in kernel.hnf]
         return j, basis
 
     def det_sq(self) -> int:
@@ -194,7 +193,7 @@ class DivisorLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ctx.n or sum(vec) != 0:
             return False
-        return intmat.hnf_contains(self._hnf_rows, self._hnf_pivots, vec)
+        return self._span.contains(vec)
 
     def p_height(self, vec: Sequence[int]) -> int:
         """H_P(f) = max |a_m(f)| for f given by its exponent vector."""

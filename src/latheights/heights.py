@@ -86,10 +86,10 @@ def content_ideal(field: NumberField, x: Sequence[NfElement]) -> FracIdeal:
 
 def _mult_rows(field: NumberField, xi: NfElement, what="coordinate") -> List[List[int]]:
     """Integral-basis coordinates of omega_i * xi, i < d, for integral xi."""
-    c = field.int_coords(xi)
-    if any(t.denominator != 1 for t in c):
+    c, m = field.scaled_coords(xi)
+    if m != 1:
         raise ValidationError("%s is not integral" % what)
-    return table_rows(field.mult_table(), [int(t) for t in c])
+    return table_rows(field.mult_table(), c)
 
 
 def _arch_abs_table(field: NumberField, x: Sequence[NfElement]):

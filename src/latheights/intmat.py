@@ -1,89 +1,39 @@
-"""Exact integer matrices: HNF, SNF, determinants, indices, kernels.
+"""Exact integer matrices: HNF, SNF, determinants, indices, kernels, and the
+Z-span of rational vectors.
 
-Everything here uses fraction-free integer pivoting; matrices are tiny at
-desk scale, so simplicity wins over asymptotics.  The column-style Hermite
-Normal Form preserves the integer column span, which is the only property
-the index computations rely on.
+A matrix is a list of integer rows.  Everything here uses fraction-free
+integer pivoting; matrices are tiny at desk scale, so simplicity wins over
+asymptotics.
+
+``ZSpan`` holds the Z-span of a list of rational vectors once, in integers:
+the vectors scaled by one common denominator and the row Hermite Normal
+Form of the result.  Membership reduces the scaled vector against the HNF
+pivots (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+2.4).  A basis of the whole space also keeps its inverse, formed on first
+use as an integer matrix over one denominator, so the coordinates of a
+vector in that basis are one integer matrix product and one division.  Number fields, ideals, O_K-modules,
+quaternion orders and divisor lattices all answer membership and
+coordinates through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-
-class IntMat:
-    """Dense integer matrix, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data):
-        data = [int(x) for x in data]
-        if len(data) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self.rows, self.cols, self.data = rows, cols, data
-
-    @classmethod
-    def from_rows(cls, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def from_cols(cls, cols):
-        return cls.from_rows(cols).transpose() if cols else cls(0, 0, [])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i * self.cols + j]
-
-    def row(self, i):
-        return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j):
-        return self.data[j :: self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntMat(
-            self.cols,
-            self.rows,
-            [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMat)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
-
-    def __repr__(self):
-        return "IntMat(%r)" % (self.to_rows(),)
+from . import linalg
 
 
-def det(m):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+def det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of non-square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = [row[:] for row in m.to_rows()]
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -104,8 +54,9 @@ def det(m):
 
 
 def _row_hnf(rows, ncols, transform=False):
-    """Row-style HNF (row span preserved).  Returns (hnf_rows, U or None)."""
-    a = [row[:] for row in rows]
+    """Row-style HNF (row span preserved).  Returns (hnf_rows, U or None,
+    pivot columns); the rows past the pivots are zero."""
+    a = [list(row) for row in rows]
     nrows = len(a)
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transform else None
     pivot_row = 0
@@ -146,15 +97,18 @@ def _row_hnf(rows, ncols, transform=False):
     return a, u, pivots
 
 
-def hnf(m):
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def hnf(rows):
     """Column-style Hermite Normal Form; integer column span is preserved."""
-    rows_h, _, _ = _row_hnf(m.transpose().to_rows(), m.rows)
-    return IntMat.from_rows(rows_h).transpose()
+    rows_h, _, _ = _row_hnf(_transpose(rows), len(rows))
+    return _transpose(rows_h)
 
 
-def rank(m):
-    _, _, pivots = _row_hnf(m.to_rows(), m.cols)
-    return len(pivots)
+def rank(rows):
+    return len(_row_hnf(rows, len(rows[0]))[2]) if rows else 0
 
 
 def lattice_index(generators, k=None):
@@ -165,7 +119,7 @@ def lattice_index(generators, k=None):
     if not generators:
         return None
     k = k if k is not None else len(generators[0])
-    rows_h, _, pivots = _row_hnf([list(g) for g in generators], k)
+    rows_h, _, pivots = _row_hnf(generators, k)
     if len(pivots) < k:
         return None
     idx = 1
@@ -185,25 +139,22 @@ def table_rows(table, c):
     return out
 
 
-def kernel(m):
-    """Z-basis of the integer kernel {x : m @ x = 0}, as a list of vectors."""
+def kernel(rows):
+    """Z-basis of the integer kernel {x : m @ x = 0} of the matrix m with
+    the given rows, as a list of vectors."""
     # row-reduce the transpose while tracking the transform: U * (m^T) = H.
-    rows_h, u, pivots = _row_hnf(m.transpose().to_rows(), m.rows, transform=True)
-    nker = m.cols - len(pivots)
-    return [u[len(pivots) + i] for i in range(nker)]
+    _, u, pivots = _row_hnf(_transpose(rows), len(rows), transform=True)
+    return u[len(pivots):]
 
 
-def matmul_vec(m, v):
-    return [
-        sum(m.data[i * m.cols + j] * v[j] for j in range(m.cols))
-        for i in range(m.rows)
-    ]
+def matmul_vec(rows, v):
+    return [sum(map(operator.mul, row, v)) for row in rows]
 
 
-def snf_diagonal(m):
+def snf_diagonal(rows):
     """Diagonal of the Smith Normal Form (nonnegative invariant factors)."""
-    a = [row[:] for row in m.to_rows()]
-    r, c = m.rows, m.cols
+    a = [list(row) for row in rows]
+    r, c = len(a), len(a[0]) if a else 0
     diag = []
     s = 0
     while s < min(r, c):
@@ -263,45 +214,105 @@ def rational_to_scaled(vectors):
     return ints, den
 
 
+def _scale_to_ints(v):
+    """(w, e): e the least positive integer with e v integral, w = e v."""
+    e = math.lcm(*[x.denominator for x in v])
+    return [x.numerator * (e // x.denominator) for x in v], e
+
+
+class ZSpan:
+    """The Z-span of rational vectors in Q^ncols, held once in integers.
+
+    ``den`` is the least positive integer that makes every vector integral;
+    ``hnf`` holds the nonzero rows of the row HNF of the scaled vectors, with
+    pivot columns ``pivots``; ``rank`` is their number.  When the vectors
+    form a basis of Q^ncols, the inverse B^{-1} = M / q is formed in
+    integers the first time coordinates are asked for.
+    """
+
+    __slots__ = ("den", "hnf", "pivots", "rank", "_basis", "_inv")
+
+    def __init__(self, vectors, ncols):
+        ints, self.den = rational_to_scaled(vectors)
+        rows_h, _, self.pivots = _row_hnf(ints, ncols)
+        self.rank = len(self.pivots)
+        self.hnf = rows_h[: self.rank]
+        self._basis = ints if self.rank == ncols == len(ints) else None
+        self._inv = None
+
+    def _inverse(self):
+        """(cols, q): B^{-1} = M / q for the integer columns cols of M, with
+        cols None for the identity basis."""
+        if self._inv is None:
+            if self._basis is None:
+                raise ValueError("coordinates need a basis of the whole space")
+            # B = A / den, so B^{-1} = den A^{-1}
+            inv = linalg.inverse([[Fraction(x) for x in row] for row in self._basis])
+            q = math.lcm(*[x.denominator for row in inv for x in row])
+            g = math.gcd(self.den, q)
+            cols = [[int(x * q) * (self.den // g) for x in col] for col in zip(*inv)]
+            identity = q == g and all(
+                x == (i == j) for i, col in enumerate(cols) for j, x in enumerate(col))
+            self._inv = (None if identity else cols, q // g)
+        return self._inv
+
+    def contains(self, v) -> bool:
+        """Does the span contain the rational vector v?"""
+        w = []
+        for x in v:
+            y = x * self.den
+            if y.denominator != 1:
+                return False
+            w.append(y.numerator)
+        for row, c in zip(self.hnf, self.pivots):
+            q = w[c] // row[c]  # leaves 0 <= w[c] < row[c], nonzero unless divisible
+            if q:
+                for j in range(c, len(w)):
+                    w[j] -= q * row[j]
+        return not any(w)
+
+    def scaled_coords(self, v):
+        """(c, m): m the least positive integer with m times the coordinates
+        of v in the basis integral, and c those integer coordinates."""
+        cols, q = self._inverse()
+        w, e = _scale_to_ints(v)
+        if cols is None:
+            return w, e
+        c = [sum(map(operator.mul, w, col)) for col in cols]
+        m = e * q
+        g = math.gcd(m, *c)
+        return [x // g for x in c], m // g
+
+    def coords(self, v):
+        """Coordinates of v in the basis (rational in general)."""
+        c, m = self.scaled_coords(v)
+        return [Fraction(x, m) for x in c]
+
+    def basis(self):
+        """A Z-basis of the span: the HNF rows over the denominator."""
+        return [[Fraction(x, self.den) for x in row] for row in self.hnf]
+
+
 def lattice_intersection(gens_a, gens_b):
     """Z-basis of (Z-span of gens_a) intersect (Z-span of gens_b).
 
     Vectors may have Fraction entries; all live in the same Q^n.
     """
-    (ia, den) = rational_to_scaled(list(gens_a) + list(gens_b))
+    ia, den = rational_to_scaled(list(gens_a) + list(gens_b))
     na = len(gens_a)
     n = len(ia[0])
     # solve A x = B y  <=>  [A | -B] (x, y)^T = 0
-    stacked = IntMat.from_cols(ia[:na] + [[-t for t in v] for v in ia[na:]])
-    ker = kernel(stacked)
-    out = []
-    for kv in ker:
-        vec = [
-            Fraction(sum(kv[i] * ia[i][j] for i in range(na)), den) for j in range(n)
-        ]
-        out.append(vec)
-    # reduce to a basis (drop dependent rows) via scaled HNF
-    if not out:
+    stacked = ia[:na] + [[-t for t in v] for v in ia[na:]]
+    combos = [
+        [sum(kv[i] * ia[i][j] for i in range(na)) for j in range(n)]
+        for kv in kernel(_transpose(stacked))
+    ]
+    if not combos:
         return []
-    ints, d2 = rational_to_scaled(out)
-    rows_h, _, pivots = _row_hnf(ints, n)
-    return [[Fraction(x, d2) for x in rows_h[i]] for i in range(len(pivots))]
+    # the combinations are den times the intersection: reduce to a basis
+    return [[Fraction(x, den) for x in row] for row in ZSpan(combos, n).hnf]
 
 
 def lattice_contains(gens, vec):
     """Does the Z-span of gens contain vec?  All entries rational."""
-    ints, den = rational_to_scaled(list(gens) + [vec])
-    rows_h, _, pivots = _row_hnf(ints[:-1], len(vec))
-    return hnf_contains(rows_h, pivots, ints[-1])
-
-
-def hnf_contains(rows_h, pivots, vec):
-    """Does the row span of a row HNF (``_row_hnf``'s rows and pivots)
-    contain the integer vector vec?"""
-    v = list(vec)
-    for r, c in enumerate(pivots):
-        if v[c] % rows_h[r][c] != 0:
-            return False
-        q = v[c] // rows_h[r][c]
-        v = [x - q * y for x, y in zip(v, rows_h[r])]
-    return all(x == 0 for x in v)
+    return ZSpan(gens, len(vec)).contains(vec)

@@ -132,7 +132,7 @@ class RealLattice:
         if int_gram is None:
             return sqrt_real(linalg.det(self.gram()))
         g, den = int_gram
-        return sqrt_real(Fraction(intmat.det(intmat.IntMat.from_rows(g)), den ** (2 * self.rank)))
+        return sqrt_real(Fraction(intmat.det(g), den ** (2 * self.rank)))
 
     def point(self, coeffs: Sequence[int]) -> List[Real]:
         return [

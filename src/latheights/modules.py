@@ -5,6 +5,8 @@ fractional ideal) or by a list of Z-generators already closed under
 multiplication by the integral basis.  Everything downstream consumes the
 Z-basis: the embedded lattice, the module discriminant, the scaling ideal
 of admissible denominators, and the two height minima taken over it.
+Membership is decided on the power-basis coordinates by the Z-basis's
+``intmat.ZSpan``, built once with the module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import ValidationError
 from .heights import height_h
-from .intmat import _row_hnf, lattice_contains, rational_to_scaled
+from .intmat import ZSpan
 from .lattice import RealLattice, _rat_upper, enumerate_cube, supnorm_min
 from .nf import FracIdeal, NfElement, NumberField
 from .reals import QuadReal, Real, Rooted, _exact_iroot, cmp_real
@@ -38,6 +40,17 @@ def _flatten_power_coords(field: NumberField, x: Sequence[NfElement]) -> List[Fr
     return flat
 
 
+def z_combination(vectors: Sequence[Sequence[NfElement]], coeffs: Sequence[int]):
+    """sum_i coeffs[i] * vectors[i] for K-vectors, over the nonzero
+    coefficients; None when every coefficient is 0."""
+    acc = None
+    for c, v in zip(coeffs, vectors):
+        if c:
+            term = [vi * c for vi in v]
+            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+    return acc
+
+
 class OkModule:
     """O_K-module in K^N held by a Z-basis of L*d vectors."""
 
@@ -47,6 +60,7 @@ class OkModule:
         ambient: int,
         z_basis: Sequence[Sequence[NfElement]],
         pseudo_basis: Optional[Sequence[Tuple[Sequence[NfElement], FracIdeal]]] = None,
+        _span: Optional[ZSpan] = None,
     ):
         self.field = field
         self.ambient = ambient
@@ -56,8 +70,9 @@ class OkModule:
         self.rank = len(z_basis) // d
         self.z_basis = [list(v) for v in z_basis]
         self.pseudo_basis = list(pseudo_basis) if pseudo_basis is not None else None
-        self._coords = [_flatten_power_coords(field, v) for v in self.z_basis]
-        if linalg.rank(self._coords) != len(self.z_basis):
+        self._span = _span or ZSpan([_flatten_power_coords(field, v) for v in self.z_basis],
+                                    ambient * d)
+        if self._span.rank != len(self.z_basis):
             raise ValidationError("Z-basis vectors are dependent")
         self._lattice = None
         self._scaling = None
@@ -78,21 +93,12 @@ class OkModule:
     @classmethod
     def from_z_generators(cls, field, ambient, gens) -> "OkModule":
         """Reduce a Z-generating set (closed under O_K) to a Z-basis."""
-        gens = [list(g) for g in gens]
-        coords = [_flatten_power_coords(field, g) for g in gens]
-        ints, den = rational_to_scaled(coords)
-        rows_h, _, pivots = _row_hnf(ints, ambient * field.degree)
-        basis_coords = [
-            [Fraction(x, den) for x in rows_h[i]] for i in range(len(pivots))
-        ]
-        z_basis = [
-            [
-                field.element(vc[i * field.degree : (i + 1) * field.degree])
-                for i in range(ambient)
-            ]
-            for vc in basis_coords
-        ]
-        mod = cls(field, ambient, z_basis)
+        d = field.degree
+        span = ZSpan([_flatten_power_coords(field, g) for g in gens], ambient * d)
+        z_basis = [[field.element(vc[i * d : (i + 1) * d]) for i in range(ambient)]
+                   for vc in span.basis()]
+        # the HNF rows are the new Z-basis: their span is the same ZSpan
+        mod = cls(field, ambient, z_basis, _span=span)
         # closure under the integral basis must hold for a genuine module
         for w in field.basis_elements():
             for v in mod.z_basis:
@@ -116,7 +122,7 @@ class OkModule:
     # -- membership -------------------------------------------------------
 
     def contains(self, x: Sequence[NfElement]) -> bool:
-        return lattice_contains(self._coords, _flatten_power_coords(self.field, x))
+        return self._span.contains(_flatten_power_coords(self.field, x))
 
     # -- embedded lattice and discriminant --------------------------------
 

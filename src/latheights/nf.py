@@ -2,9 +2,11 @@
 
 A field is specified by a monic irreducible integer minimal polynomial and a
 caller-supplied integral basis (validated for ring closure, not computed).
-Elements live in the power basis with rational coefficients; all ideal data
-reduces to Hermite Normal Form on integral-basis coordinates, so no prime
-ideal factorization is ever required.
+Elements live in the power basis with rational coefficients.  The integral
+basis and every ideal are held as an ``intmat.ZSpan``: integral-basis
+coordinates are one integer matrix product with the basis inverse, and
+ideal membership and equality reduce to Hermite Normal Form on those
+coordinates, so no prime ideal factorization is ever required.
 
 Archimedean embeddings are exposed as real coordinate channels: one channel
 per real embedding, a (Re, Im) pair per complex-conjugate pair.  Fields of
@@ -26,7 +28,7 @@ from mpmath import iv
 from . import linalg
 from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
-from .intmat import _row_hnf, lattice_contains, lattice_intersection, rational_to_scaled
+from .intmat import ZSpan, lattice_intersection
 from .reals import BallReal, QuadReal, Real, _quad, abs_real, sqrt_real, to_real
 
 
@@ -108,10 +110,10 @@ class NumberField:
         basis = [[Fraction(x) for x in row] for row in integral_basis]
         if len(basis) != d or any(len(row) != d for row in basis):
             raise ValidationError("integral basis must be a %dx%d rational matrix" % (d, d))
-        if linalg.det(basis) == 0:
+        self._span = ZSpan(basis, d)
+        if self._span.rank != d:
             raise ValidationError("integral basis rows are linearly dependent")
         self.basis = basis
-        self._basis_inv_t = linalg.transpose(linalg.inverse(basis))
 
         # reduction table: power coordinates of theta^k for k = 0 .. 2d-2
         pw = [[Fraction(1 if i == k else 0) for i in range(d)] for k in range(d)]
@@ -141,9 +143,7 @@ class NumberField:
             raise ValidationError("integral basis does not contain 1 in its Z-span")
         for i in range(d):
             for j in range(i, d):
-                prod = self._elements[i] * self._elements[j]
-                coords = self.int_coords(prod)
-                if any(c.denominator != 1 for c in coords):
+                if not self._in_basis_zspan(self._elements[i] * self._elements[j]):
                     raise ValidationError(
                         "integral basis is not multiplicatively closed "
                         "(omega_%d * omega_%d escapes the Z-span)" % (i, j)
@@ -191,17 +191,22 @@ class NumberField:
 
     def int_coords(self, a: "NfElement") -> List[Fraction]:
         """Coordinates of a in the integral basis (rational in general)."""
-        return linalg.mat_vec(self._basis_inv_t, list(a.coeffs))
+        return self._span.coords(a.coeffs)
+
+    def scaled_coords(self, a: "NfElement") -> Tuple[List[int], int]:
+        """(c, m): m the least positive integer with m * a integral, and c
+        the integral-basis coordinates of m * a."""
+        return self._span.scaled_coords(a.coeffs)
 
     def _in_basis_zspan(self, a: "NfElement") -> bool:
-        return all(c.denominator == 1 for c in self.int_coords(a))
+        return self._span.contains(a.coeffs)
 
     def mult_table(self) -> List[List[List[int]]]:
         """table[k][i]: integral-basis coordinates of omega_k * omega_i (cached)."""
         if self._mult_table is None:
             els = self._elements
             self._mult_table = [
-                [[int(c) for c in self.int_coords(wk * wi)] for wi in els] for wk in els
+                [self.scaled_coords(wk * wi)[0] for wi in els] for wk in els
             ]
         return self._mult_table
 
@@ -405,8 +410,7 @@ class NfElement:
 
     def denominator(self) -> int:
         """Least positive integer m with m * a integral."""
-        coords = self.field.int_coords(self)
-        return math.lcm(*[c.denominator for c in coords]) if coords else 1
+        return self.field.scaled_coords(self)[1]
 
     def is_integral(self) -> bool:
         return self.field._in_basis_zspan(self)
@@ -442,13 +446,8 @@ class NfElement:
 
 def zspan_basis(field: NumberField, elements: Sequence[NfElement]) -> List[NfElement]:
     """Reduce a Z-generating set of field elements to an independent basis."""
-    coords = [field.int_coords(e) for e in elements]
-    ints, den = rational_to_scaled(coords)
-    rows_h, _, pivots = _row_hnf(ints, field.degree)
-    return [
-        field.from_int_coords([Fraction(x, den) for x in rows_h[i]])
-        for i in range(len(pivots))
-    ]
+    span = ZSpan([field.int_coords(e) for e in elements], field.degree)
+    return [field.from_int_coords(v) for v in span.basis()]
 
 
 class FracIdeal:
@@ -462,11 +461,12 @@ class FracIdeal:
                 "ideal Z-basis must have %d elements" % (field.degree,)
             )
         self.z_basis = basis
-        self._coords = [field.int_coords(b) for b in basis]
-        n = linalg.det(self._coords)
-        if n == 0:
+        span = self._span = ZSpan([field.int_coords(b) for b in basis], field.degree)
+        if span.rank != field.degree:
             raise ValidationError("ideal Z-basis is rank deficient")
-        self._norm = abs(n)
+        # |det| of the basis: the HNF diagonal over den^d
+        self._norm = Fraction(math.prod(row[c] for row, c in zip(span.hnf, span.pivots)),
+                              span.den ** field.degree)
         if not _validated:
             for w in field.basis_elements():
                 for b in basis:
@@ -499,7 +499,7 @@ class FracIdeal:
         return self._norm
 
     def contains(self, a: NfElement) -> bool:
-        return lattice_contains(self._coords, self.field.int_coords(a))
+        return self._span.contains(self.field.int_coords(a))
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
         products = [b * c for b in self.z_basis for c in other.z_basis]
@@ -507,7 +507,7 @@ class FracIdeal:
         return FracIdeal(self.field, basis, _validated=True)
 
     def intersect(self, other: "FracIdeal") -> "FracIdeal":
-        inter = lattice_intersection(self._coords, other._coords)
+        inter = lattice_intersection(self._span.basis(), other._span.basis())
         basis = [self.field.from_int_coords(v) for v in inter]
         return FracIdeal(self.field, basis, _validated=True)
 
@@ -515,11 +515,7 @@ class FracIdeal:
         return FracIdeal(self.field, [a * b for b in self.z_basis], _validated=True)
 
     def _canonical(self):
-        ints, den = rational_to_scaled(self._coords)
-        rows_h, _, pivots = _row_hnf(ints, self.field.degree)
-        return tuple(
-            tuple(Fraction(x, den) for x in rows_h[i]) for i in range(len(pivots))
-        )
+        return self._span.den, tuple(map(tuple, self._span.hnf))
 
     def __eq__(self, other):
         return (

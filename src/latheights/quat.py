@@ -8,6 +8,13 @@ matrices over D, det rho(A) = Nrd(A) for the splitting map rho, are
 computed by elimination over D (d_row_reduce): the product of the
 pivots' reduced norms.
 
+An order holds its Z-basis as an ``intmat.ZSpan`` of the elements'
+flattened power-basis coordinates: membership reduces against its HNF, and
+coordinates are one integer product with the basis inverse.  The finite
+heights read each element's integer coordinates once (``scaled_coords``)
+and form every product with a basis element from the order's integer
+multiplication tables.
+
 Heights are carried in 2d-th or 4d-th power form so that threshold
 comparisons stay exact for quadratic base fields.
 """
@@ -21,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import IntMat, kernel, lattice_contains, lattice_index, rational_to_scaled, table_rows
-from .modules import OkModule, _flatten_power_coords, minima_ck_zk
+from .intmat import ZSpan, kernel, lattice_index, rational_to_scaled, table_rows
+from .modules import OkModule, _flatten_power_coords, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
 
@@ -232,14 +239,18 @@ def bracket_inv(algebra: QuatAlgebra, coords: Sequence[NfElement]) -> List[QuatE
 
 
 class QuatOrder:
-    """Order in D given by a Z-basis of 4d elements."""
+    """Order in D given by a Z-basis e_0, ..., e_{4d-1}.
+
+    ``left_table[k][i]`` and ``right_table[k][i]`` hold the integer
+    coordinates of e_i e_k and e_k e_i: for x with coordinates c, the rows
+    of sum_k c_k table[k] are those of e_i x and of x e_i.
+    """
 
     def __init__(
         self,
         algebra: QuatAlgebra,
         z_basis: Sequence[QuatElement],
         ok_basis: Optional[Sequence[QuatElement]] = None,
-        is_special: bool = False,
     ):
         self.algebra = algebra
         field = algebra.field
@@ -249,43 +260,34 @@ class QuatOrder:
             raise ValidationError("order Z-basis must have 4d elements")
         self.z_basis = basis
         self.ok_basis = list(ok_basis) if ok_basis is not None else None
-        self.is_special = is_special
-        self._coords = [self._flatten(x) for x in basis]
-        if linalg.det(self._coords) == 0:
+        self._span = ZSpan([self._flatten(x) for x in basis], 4 * d)
+        if self._span.rank != 4 * d:
             raise ValidationError("order Z-basis is rank deficient")
-        self._coords_inv_t = linalg.transpose(linalg.inverse(self._coords))
-        self._left_table = None  # lazy
-        if not self.contains(algebra.one()):
+        m, (self.one_coords,) = self.scaled_coords([algebra.one()])
+        if m != 1:
             raise ValidationError("order does not contain 1")
-        for a in basis:
-            for b in basis:
-                if not self.contains(a * b):
-                    raise ValidationError("order Z-basis is not closed under products")
+        products = [self.scaled_coords([ei * ek for ei in basis]) for ek in basis]
+        if any(m != 1 for m, _ in products):
+            raise ValidationError("order Z-basis is not closed under products")
+        self.left_table = [rows for _, rows in products]
+        self.right_table = [list(rows) for rows in zip(*self.left_table)]
 
     def _flatten(self, x: QuatElement) -> List[Fraction]:
-        flat: List[Fraction] = []
-        for comp in x.c:
-            flat.extend(comp.coeffs)
-        return flat
+        return _flatten_power_coords(self.algebra.field, x.c)
 
     def contains(self, x: QuatElement) -> bool:
-        return lattice_contains(self._coords, self._flatten(x))
+        return self._span.contains(self._flatten(x))
 
     def coords_of(self, x: QuatElement) -> List[Fraction]:
         """Coordinates of x in the order's Z-basis (rational in general)."""
-        return linalg.mat_vec(self._coords_inv_t, self._flatten(x))
+        return self._span.coords(self._flatten(x))
 
-    def left_table(self) -> List[List[List[int]]]:
-        """table[k][i]: coordinates of e_i * e_k, so sum_k c_k table[k] has rows e_i * x."""
-        if self._left_table is None:
-            self._left_table = [
-                [[int(c) for c in self.coords_of(ei * ek)] for ei in self.z_basis]
-                for ek in self.z_basis
-            ]
-        return self._left_table
-
-    def denominator(self, x: QuatElement) -> int:
-        return math.lcm(*[c.denominator for c in self.coords_of(x)])
+    def scaled_coords(self, xs: Sequence[QuatElement]) -> Tuple[int, List[List[int]]]:
+        """(m, rows): m the least positive integer with every m x in the
+        order, and the integer coordinates of each m x."""
+        scaled = [self._span.scaled_coords(self._flatten(x)) for x in xs]
+        m = math.lcm(*[e for _, e in scaled])
+        return m, [cs if e == m else [c * (m // e) for c in cs] for cs, e in scaled]
 
     @classmethod
     def special(cls, algebra: QuatAlgebra) -> "QuatOrder":
@@ -293,7 +295,7 @@ class QuatOrder:
         field = algebra.field
         units = [algebra.one(), algebra.i(), algebra.j(), algebra.k()]
         z_basis = [q * w for q in units for w in field.basis_elements()]
-        return cls(algebra, z_basis, ok_basis=units, is_special=True)
+        return cls(algebra, z_basis, ok_basis=units)
 
     def discriminant_norm(self) -> Fraction:
         """N(Delta_O): norm of the discriminant ideal of the order."""
@@ -315,7 +317,7 @@ class QuatOrder:
         )
 
     def __repr__(self):
-        return "QuatOrder(4d=%d, special=%r)" % (len(self.z_basis), self.is_special)
+        return "QuatOrder(4d=%d)" % (len(self.z_basis),)
 
 
 def order_constants(order: QuatOrder):
@@ -353,36 +355,34 @@ def height_hinf(xs: Sequence[QuatElement]) -> Rooted:
     return height_Hinf([alg.one()] + list(xs))
 
 
-def height_HfinO(order: QuatOrder, xs: Sequence[QuatElement]) -> Fraction:
-    """Exact 4d-th power of the finite height: 1 / [O : O x_1 + ... + O x_N]."""
-    coords = [order.coords_of(x) for x in xs]
-    if any(c.denominator != 1 for cs in coords for c in cs):
-        raise ValidationError("coordinate outside the order")
-    if all(x.is_zero() for x in xs):
-        raise ValidationError("finite height of the zero vector")
-    table = order.left_table()
-    gens = []
-    for cs in coords:
-        gens.extend(table_rows(table, [int(c) for c in cs]))
+def _hfin(order: QuatOrder, rows: Sequence[Sequence[int]]) -> Fraction:
+    """1 / [O : sum_l O x_l] from the integer coordinates of the x_l."""
+    gens = [g for cs in rows for g in table_rows(order.left_table, cs)]
     idx = lattice_index(gens, len(order.z_basis))
     if idx is None:
         raise ValidationError("left module has infinite index in the order")
     return Fraction(1, idx)
 
 
-def clear_order_denominators(order: QuatOrder, xs: Sequence[QuatElement]) -> Tuple[int, List[QuatElement]]:
-    m = math.lcm(*[order.denominator(x) for x in xs])
-    return m, [x * m for x in xs]
+def height_HfinO(order: QuatOrder, xs: Sequence[QuatElement]) -> Fraction:
+    """Exact 4d-th power of the finite height: 1 / [O : O x_1 + ... + O x_N]."""
+    m, rows = order.scaled_coords(xs)
+    if m != 1:
+        raise ValidationError("coordinate outside the order")
+    if all(x.is_zero() for x in xs):
+        raise ValidationError("finite height of the zero vector")
+    return _hfin(order, rows)
 
 
 def height_HO(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
-    """Global homogeneous height H^O in 4d-th power form."""
+    """Global homogeneous height H^O in 4d-th power form, on y = m x for the
+    least positive integer m with every m x_l in the order."""
     if all(x.is_zero() for x in xs):
         raise ValidationError("height of the zero vector")
-    _, ys = clear_order_denominators(order, xs)
+    m, rows = order.scaled_coords(xs)
     d = order.algebra.field.degree
-    arch = _arch_sq_prod(order.algebra.field, [y.nrm() for y in ys])
-    return Rooted(arch ** 2 * height_HfinO(order, ys), 4 * d)
+    arch = _arch_sq_prod(order.algebra.field, [(x * m).nrm() for x in xs])
+    return Rooted(arch ** 2 * _hfin(order, rows), 4 * d)
 
 
 def height_h(xs: Sequence[QuatElement]) -> Rooted:
@@ -398,10 +398,9 @@ def height_h_order(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
     the choice of m.  For x with coordinates in the order this reduces to
     h_inf(x).
     """
-    alg = xs[0].algebra
-    d = alg.field.degree
-    m, ys = clear_order_denominators(order, xs)
-    fin = height_HfinO(order, [alg.element(m)] + ys) * Fraction(m) ** (4 * d)
+    d = xs[0].algebra.field.degree
+    m, rows = order.scaled_coords(xs)
+    fin = _hfin(order, [[m * c for c in order.one_coords]] + rows) * Fraction(m) ** (4 * d)
     inf = height_hinf(xs)  # value h_inf
     return inf * Rooted(fin, 4 * d)
 
@@ -538,27 +537,24 @@ class DSubspace:
         return DSubspace(self.algebra, self.ambient, basis_cols=self.perp_basis())
 
 
-def _matrix_scaled_integral(order: QuatOrder, rows):
-    m = 1
-    for row in rows:
-        for x in row:
-            m = math.lcm(m, order.denominator(x))
-    return [[x * m for x in row] for row in rows]
-
-
-def _image_index(order: QuatOrder, rows: Sequence[Sequence[QuatElement]]) -> int:
-    """[O^M : A(O^N)] for an integral M x N matrix A over the order."""
-    big_m = len(rows)
+def _scaled_matrix(order: QuatOrder, rows):
+    """(m A, coordinates) for the least positive integer m with m A over the
+    order: the M x N matrix m A and the integer coordinates of its entries."""
     n = len(rows[0])
-    dim = len(order.z_basis)
+    m, coords = order.scaled_coords([x for row in rows for x in row])
+    return ([[x * m for x in row] for row in rows],
+            [coords[i:i + n] for i in range(0, len(coords), n)])
+
+
+def _image_index(order: QuatOrder, coords) -> int:
+    """[O^M : A(O^N)] for an M x N matrix A over the order, from the integer
+    coordinates of its entries: column j sends e_w to the column of A_ij e_w."""
+    big_m = len(coords)
     gens = []
-    for jcol in range(n):
-        for w in order.z_basis:
-            flat: List[int] = []
-            for i in range(big_m):
-                flat.extend(int(c) for c in order.coords_of(rows[i][jcol] * w))
-            gens.append(flat)
-    idx = lattice_index(gens, big_m * dim)
+    for jcol in range(len(coords[0])):
+        blocks = [table_rows(order.right_table, coords[i][jcol]) for i in range(big_m)]
+        gens.extend(sum(rs, []) for rs in zip(*blocks))
+    idx = lattice_index(gens, big_m * len(order.z_basis))
     if idx is None:
         raise ValidationError("matrix map is rank deficient")
     return idx
@@ -608,16 +604,16 @@ def subspace_height_HO(z: DSubspace, order: QuatOrder) -> Rooted:
     """
     if z.dim == z.ambient:
         return subspace_height_HO_basis(z, order)
-    rows = _matrix_scaled_integral(order, z.constraint_rows())
-    fin = Fraction(1, _image_index(order, rows))
+    rows, coords = _scaled_matrix(order, z.constraint_rows())
+    fin = Fraction(1, _image_index(order, coords))
     return Rooted(_hermitian_square_det_abs(rows) * fin, 4 * order.algebra.field.degree)
 
 
 def subspace_height_HO_basis(z: DSubspace, order: QuatOrder) -> Rooted:
     """H^O(X) from a basis matrix X: ([O^L : X^t(O^N)]^{-1} prod |det rho(X*X)|)^{1/4d},
     with det rho(X*X) = Nrd(X*X) computed by elimination over D."""
-    xt_rows = _matrix_scaled_integral(order, z.basis_cols())  # X^t is L x N
-    fin = Fraction(1, _image_index(order, xt_rows))
+    xt_rows, coords = _scaled_matrix(order, z.basis_cols())  # X^t is L x N
+    fin = Fraction(1, _image_index(order, coords))
     # X*X = (X^t conj) (X^t)^t: rows of X^t are the basis vectors
     star_rows = [[x.conj() for x in col] for col in xt_rows]
     return Rooted(_hermitian_square_det_abs(star_rows) * fin, 4 * order.algebra.field.degree)
@@ -776,14 +772,10 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
         # integer kernel of (forms . lat_coords^T) z = 0
         ints, _ = rational_to_scaled(linalg.mat_mul(forms, linalg.transpose(lat_coords)))
         gens = []
-        for m in kernel(IntMat.from_rows(ints)):
-            acc = None
-            for c, v in zip(m, lat_vecs):
-                if c:
-                    term = [vi * c for vi in v]
-                    acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            if acc is not None:
-                gens.append(acc)
+        for m in kernel(ints):
+            vec = z_combination(lat_vecs, m)
+            if vec is not None:
+                gens.append(vec)
     module = z._modules[order] = OkModule.from_z_generators(field, 4 * n, gens)
     return module
 

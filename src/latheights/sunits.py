@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import HOLDS, INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
 from .errors import PrecisionExhausted, UnresolvedTie, ValidationError
-from .intmat import table_rows
+from .intmat import matmul_vec, table_rows
 from .lattice import RealLattice, _coefficient_box, enumerate_cube, supnorm_min
 from .nf import NfElement, NumberField
 from .reals import (
@@ -27,14 +27,10 @@ from .reals import (
 )
 
 
-def _mat_vec(m: List[List[int]], c: List[int]) -> List[int]:
-    return [sum(a * b for a, b in zip(row, c)) for row in m]
-
-
 def _divide(n: int, t: List[List[int]], c: List[int]) -> Optional[List[int]]:
     """Coordinates of y/gen when gen divides y (coordinates c), else None;
     (n, t) is the divider of gen (``SUnitContext._place``)."""
-    c = _mat_vec(t, c)
+    c = matmul_vec(t, c)
     return None if any(e % n for e in c) else [e // n for e in c]
 
 
@@ -111,8 +107,7 @@ class SUnitContext:
     def __init__(self, field: NumberField,
                  s1: Sequence[Tuple[NfElement, int]] = (),
                  unit_gens: Optional[Sequence[NfElement]] = None,
-                 omega: int = 2,
-                 weighted: bool = False):
+                 omega: int = 2):
         self.field = field
         self.s1 = list(s1)
         for gen, np in self.s1:
@@ -136,7 +131,6 @@ class SUnitContext:
         if omega < 2 or omega % 2:
             raise ValidationError("the root-of-unity count is even and >= 2")
         self.omega = omega
-        self.weighted = weighted
         r1, r2 = field.signature
         self.n_places = r1 + r2 + len(self.s1)
         self.all_gens = self.unit_gens + [g for g, _ in self.s1]
@@ -147,14 +141,14 @@ class SUnitContext:
             )
         self._lattice = None
         self._places = {}
-        self._one = [int(c) for c in field.int_coords(field.one())]
+        self._one = field.scaled_coords(field.one())[0]
 
     # -- valuations ---------------------------------------------------------
 
     def _mult_matrix(self, y: NfElement) -> List[List[int]]:
         """Integer matrix M of multiplication by an integral y: coordinates of
         y * z are M c for integral-basis coordinates c of z."""
-        rows = table_rows(self.field.mult_table(), [int(c) for c in self.field.int_coords(y)])
+        rows = table_rows(self.field.mult_table(), self.field.scaled_coords(y)[0])
         return [list(col) for col in zip(*rows)]
 
     def _place(self, gen: NfElement) -> Tuple[int, List[List[int]], List[List[int]]]:
@@ -174,20 +168,13 @@ class SUnitContext:
         k = _ord(n, t, c)
         return k - _ord(n, t, [den * e for e in self._one]) if den != 1 else k
 
-    def _scaled_coords(self, x: NfElement) -> Tuple[List[int], int]:
-        """(c, den): den the least integer with x * den integral, c the
-        integer coordinates of x * den."""
-        coords = self.field.int_coords(x)
-        den = math.lcm(*[q.denominator for q in coords])
-        return [int(q * den) for q in coords], den
-
     def ord_at(self, gen: NfElement, x: NfElement) -> int:
         """ord of x != 0 at an integral gen: the largest k with x / gen^k in
         O_K for integral x, else ord(x * den) - ord(den) with den the least
         integer that makes x * den integral."""
         if x.is_zero():
             raise ValidationError("valuation of zero")
-        return self._ord_scaled(self._place(gen), *self._scaled_coords(x))
+        return self._ord_scaled(self._place(gen), *self.field.scaled_coords(x))
 
     def _s_valuations(self, x: NfElement) -> Optional[List[int]]:
         """[ord_p(x)] over the finite places of S if x is an S-unit, else None.
@@ -200,11 +187,11 @@ class SUnitContext:
         if x.is_zero():
             return None
         places = [self._place(g) for g, _ in self.s1]
-        c, den = self._scaled_coords(x)
+        c, den = self.field.scaled_coords(x)
         vals = [self._ord_scaled(place, c, den) for place in places]
         for v, (_, _, m) in zip(vals, places):
             for _ in range(-v):
-                c = _mat_vec(m, c)
+                c = matmul_vec(m, c)
         for v, (n, t, _) in zip(vals, places):
             for _ in range(v):
                 c = _divide(n, t, c)
@@ -227,12 +214,7 @@ class SUnitContext:
         vals = self._s_valuations(a)
         if vals is None:
             raise ValidationError("element is not an S-unit")
-        out: List[Real] = []
-        for av, dv in self.field.arch_places(a):
-            coord = log_real(av)
-            if self.weighted:
-                coord = coord * dv
-            out.append(coord)
+        out: List[Real] = [log_real(av) for av, _ in self.field.arch_places(a)]
         for (_, np), v in zip(self.s1, vals):
             out.append(log_real(Fraction(np)) * (-v))
         return out

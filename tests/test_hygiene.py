@@ -10,6 +10,8 @@ start-up cheap.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -117,3 +119,32 @@ def test_unreferenced_definition_detected(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from m import helper\nTARGETS = ['m.traced']\n")
     assert _unreferenced_definitions(mod, [mod, user]) == [(5, "Orphan"), (13, "stale")]
+
+
+def _tracer_groups():
+    """GROUPS of perfbench/tracer.py, loaded from its file (the benchmark
+    directory is not a package on the test path)."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GROUPS
+
+
+def test_every_tracer_target_resolves():
+    """The benchmark's tracer rebinds these names; a renamed or removed one
+    would otherwise show only when the traced benchmark runs."""
+    missing = []
+    for group, targets in _tracer_groups().items():
+        for modname, attr in targets:
+            owner = importlib.import_module("latheights." + modname)
+            if "." in attr:  # a method, rebound on its class
+                clsname, meth = attr.split(".")
+                owner = getattr(owner, clsname, None)
+                attr = meth
+                found = owner is not None and attr in vars(owner)
+            else:
+                found = callable(getattr(owner, attr, None))
+            if not found:
+                missing.append((group, modname, attr))
+    assert missing == []

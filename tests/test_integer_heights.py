@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latheights import cli
+from latheights import cli, intmat, linalg, quat
 from latheights.errors import ValidationError
 from latheights.heights import (
     clear_denominators,
@@ -27,7 +27,8 @@ from latheights.heights import (
     hfin_matrix,
 )
 from latheights.intmat import lattice_index
-from latheights.nf import _eval_at, nf_new
+from latheights.modules import OkModule
+from latheights.nf import FracIdeal, _eval_at, nf_new
 from latheights.quat import QuatOrder, height_HfinO
 from latheights.reals import QuadReal, _quad
 
@@ -143,9 +144,21 @@ def _orders():
 ORDERS = dict(_orders())
 
 
+def _flat(x):
+    return [c for comp in x.c for c in comp.coeffs]
+
+
+def _fraction_coords(order, x):
+    """Coordinates of x in the order's Z-basis from a Fraction inverse of the
+    basis matrix: flat(x) = c B, so c = flat(x) B^{-1}."""
+    inv = linalg.inverse([_flat(e) for e in order.z_basis])
+    v = _flat(x)
+    return [sum((v[i] * inv[i][j] for i in range(len(v))), Fraction(0)) for j in range(len(v))]
+
+
 def _hfin_reference(order, xs):
     """1 / [O : sum O x] from the products w * x, formed in the algebra."""
-    gens = [[int(c) for c in order.coords_of(w * x)] for x in xs for w in order.z_basis]
+    gens = [[int(c) for c in _fraction_coords(order, w * x)] for x in xs for w in order.z_basis]
     return Fraction(1, lattice_index(gens, len(order.z_basis)))
 
 
@@ -167,6 +180,61 @@ def test_height_HfinO_matches_products(name, cx, cy, third):
     # O x + O xy differs from x O + xy O, so the side of the product shows
     xs = [x, x * y] + ([y] if third else [])
     assert height_HfinO(order, xs) == _hfin_reference(order, xs)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ORDERS)), st.lists(fractions, min_size=8, max_size=8))
+def test_order_coordinates_match_fraction_inverse(name, coords):
+    order = ORDERS[name]
+    x = _order_element(order, coords)
+    ref = _fraction_coords(order, x)
+    assert ref == coords  # the reference recovers the coordinates it was built from
+    assert order.coords_of(x) == ref
+    assert order.contains(x) == all(c.denominator == 1 for c in ref)
+    m, (c,) = order.scaled_coords([x])
+    assert [Fraction(t, m) for t in c] == ref
+
+
+def test_contains_builds_no_hnf(monkeypatch):
+    """Ideals, modules and orders reduce against the HNF built with them."""
+    field = FIELDS["Q(sqrt5)"]
+    ideal = FracIdeal.principal(field, field.element([3, 1]))
+    module = OkModule.from_z_generators(
+        field, 2, [[w * a, w * b] for w in field.basis_elements()
+                   for a, b in ((field.one(), field.rational(2)), (field.zero(), field.gen()))])
+    order = ORDERS["Q(sqrt5)-hurwitz"]
+    calls = []
+    real = intmat._row_hnf
+    monkeypatch.setattr(intmat, "_row_hnf", lambda *a, **k: calls.append(1) or real(*a, **k))
+    alg = order.algebra
+    for t in range(-3, 4):
+        x = field.element([t, Fraction(t, 2)])
+        ideal.contains(x)
+        module.contains([x, x * 2])
+        order.contains(alg.element(x, x, 1, Fraction(1, 2)))
+    assert calls == []
+    intmat.lattice_contains([[1, 0]], [1, 0])  # the spy sees a fresh HNF
+    assert calls == [1]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ORDERS)), st.lists(quat_coords, min_size=2, max_size=2),
+       st.booleans())
+def test_image_index_matches_products(name, entries, two_rows):
+    """[O^M : A(O^N)] against the products A_ij * w formed in the algebra, w
+    on the right: A O and O A differ for non-central entries."""
+    order = ORDERS[name]
+    x, y = (_order_element(order, c) for c in entries)
+    rows = [[x, y]] + ([[y, x * y]] if two_rows else [])
+    gens = [[int(c) for row in rows for c in _fraction_coords(order, row[j] * w)]
+            for j in range(2) for w in order.z_basis]
+    idx = lattice_index(gens, len(rows) * len(order.z_basis))
+    _, coords = quat._scaled_matrix(order, rows)
+    if idx is None:
+        with pytest.raises(ValidationError, match="rank deficient"):
+            quat._image_index(order, coords)
+    else:
+        assert quat._image_index(order, coords) == idx
 
 
 def test_height_HfinO_membership():

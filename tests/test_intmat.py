@@ -1,8 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from latheights import linalg
 from latheights.intmat import (
-    IntMat,
+    ZSpan,
     det,
     hnf,
     kernel,
@@ -13,30 +19,34 @@ from latheights.intmat import (
     snf_diagonal,
 )
 
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
 
 def test_hnf_identity():
-    m = IntMat.identity(2)
-    assert hnf(m) == m
+    assert hnf(IDENTITY2) == IDENTITY2
 
 
 def test_hnf_diagonal():
-    m = IntMat.from_rows([[2, 0], [0, 3]])
+    m = [[2, 0], [0, 3]]
     assert hnf(m) == m
-    assert lattice_index(m.transpose().to_rows()) == 6
+    assert lattice_index(_transpose(m)) == 6
 
 
 def test_hnf_diagonal_product_matches_det():
     rng = random.Random(7)
     for _ in range(25):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        m = IntMat.from_rows(rows)
-        d = det(m)
+        d = det(rows)
         if d == 0:
             continue
-        h = hnf(m)
+        h = hnf(rows)
         prod = 1
         for i in range(3):
-            prod *= h[i, i]
+            prod *= h[i][i]
         assert abs(prod) == abs(d)
 
 
@@ -44,8 +54,7 @@ def test_hnf_idempotent():
     rng = random.Random(11)
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        m = IntMat.from_rows(rows)
-        assert hnf(hnf(m)) == hnf(m)
+        assert hnf(hnf(rows)) == hnf(rows)
 
 
 def test_lattice_index_cases():
@@ -63,19 +72,16 @@ def test_index_multiplicative_diagonal():
 
 
 def test_kernel():
-    m = IntMat.from_rows([[1, 2, 3]])
-    ker = kernel(m)
+    ker = kernel([[1, 2, 3]])
     assert len(ker) == 2
     for v in ker:
         assert sum(a * b for a, b in zip([1, 2, 3], v)) == 0
-    assert rank(IntMat.from_cols(ker)) == 2
+    assert rank(_transpose(ker)) == 2
 
 
 def test_snf():
-    m = IntMat.from_rows([[2, 0], [0, 4]])
-    assert snf_diagonal(m) == [2, 4]
-    m2 = IntMat.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    d = snf_diagonal(m2)
+    assert snf_diagonal([[2, 0], [0, 4]]) == [2, 4]
+    d = snf_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert d[0] and all(d[i] % d[i - 1] == 0 for i in range(1, len(d)) if d[i])
 
 
@@ -103,3 +109,99 @@ def test_lattice_contains_rank_deficient():
     assert lattice_contains(gens, [1, 5, 0])
     assert not lattice_contains(gens, [1, 5, 1])
     assert not lattice_contains([[2, 4]], [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# ZSpan against Fraction references: linalg.solve and linalg.rank
+
+PROPERTY = settings(max_examples=60)
+BIG = 2 ** 70  # entries beyond 2^63
+
+entries = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2 ** 40)),
+)
+small_ints = st.integers(-3, 3)
+
+
+def _vectors(n, count):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=count, max_size=count)
+
+
+def _combination(coeffs, vectors):
+    return [sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0))
+            for j in range(len(vectors[0]))]
+
+
+def _ref_coords(vectors, v):
+    """Coordinates of v in independent vectors, or None outside their Q-span:
+    the normal equations (B B^t) c = B v, solved over Q."""
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in vectors] for a in vectors]
+    c = linalg.solve(gram, [sum(x * y for x, y in zip(a, v)) for a in vectors])
+    return c if _combination(c, vectors) == list(v) else None
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_vectors(n, n), _vectors(n, 1))))
+def test_zspan_square_basis_against_solve(data):
+    vectors, (v,) = data
+    n = len(vectors)
+    span = ZSpan(vectors, n)
+    assert span.rank == linalg.rank(vectors)
+    assume(span.rank == n)
+    for query in (v, vectors[0], _combination([1] + [2] * (n - 1), vectors)):
+        ref = linalg.solve(_transpose(vectors), query)
+        assert span.coords(query) == ref
+        c, m = span.scaled_coords(query)
+        assert [Fraction(x, m) for x in c] == ref
+        assert m > 0 and math.gcd(m, *c) == 1  # the least denominator
+        assert span.contains(query) == all(x.denominator == 1 for x in ref)
+
+
+@PROPERTY
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.integers(1, n - 1).flatmap(lambda k: _vectors(n, k)), _vectors(n, 1))),
+    st.lists(small_ints, min_size=4, max_size=4),
+)
+def test_zspan_rank_deficient_against_solve(data, coeffs):
+    vectors, (v,) = data
+    n = len(v)
+    span = ZSpan(vectors, n)
+    assert span.rank == linalg.rank(vectors)
+    assume(span.rank == len(vectors))  # independent, fewer than n
+    inside = _combination(coeffs, vectors)
+    half = [x / 2 for x in inside]
+    for query in (v, inside, half, [x + 1 for x in inside]):
+        ref = _ref_coords(vectors, query)
+        expected = ref is not None and all(x.denominator == 1 for x in ref)
+        assert span.contains(query) == expected
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(lambda n: _vectors(n, n + 1)),
+    st.lists(small_ints, min_size=5, max_size=5),
+)
+def test_zspan_dependent_generators(vectors, coeffs):
+    n = len(vectors[0])
+    # the last generator repeats an integer combination of the others
+    vectors = vectors[:-1] + [_combination(coeffs, vectors[:-1])]
+    span = ZSpan(vectors, n)
+    assert span.rank == linalg.rank(vectors)
+    assert span.contains(_combination(coeffs, vectors))
+    basis = span.basis()
+    assert all(span.contains(b) for b in basis)
+    assert all(ZSpan(basis, n).contains(v) for v in vectors)
+
+
+def test_zspan_identity_and_errors():
+    span = ZSpan([[1, 0], [0, 1]], 2)
+    assert span.scaled_coords([Fraction(1, 2), Fraction(3, 4)]) == ([2, 3], 4)
+    assert ZSpan([[2, 0], [0, 1]], 2).coords([1, 1]) == [Fraction(1, 2), 1]
+    assert ZSpan([[BIG, 1], [0, 1]], 2).contains([BIG, 1 - BIG])
+    assert not ZSpan([[BIG, 1], [0, 1]], 2).contains([BIG + 1, 0])
+    # coordinates need a basis of the whole space
+    for span in (ZSpan([[1, 0]], 2), ZSpan([[1, 0], [0, 1], [1, 1]], 2)):
+        with pytest.raises(ValueError):
+            span.coords([1, 0])
