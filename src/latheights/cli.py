@@ -454,16 +454,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _apply_settings(args) -> None:
+    """Set the working precision and the enumeration budget of the run from
+    the options (the cap falls back to LATHEIGHTS_PRECISION_CAP); raises
+    ValidationError on a value that is not a positive integer or on a start
+    precision above the cap, before anything is set."""
+    cap, env = args.precision_cap, os.environ.get("LATHEIGHTS_PRECISION_CAP", "")
+    if cap is None and env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValidationError("LATHEIGHTS_PRECISION_CAP must be an integer, got %r" % env)
+    named = (("precision start", args.precision_start), ("precision cap", cap),
+             ("budget", args.budget))
+    for name, value in named:
+        if value is not None and value <= 0:
+            raise ValidationError("the %s must be positive, got %d" % (name, value))
+    start = PRECISION.start if args.precision_start is None else args.precision_start
+    cap = PRECISION.cap if cap is None else cap
+    if start > cap:
+        raise ValidationError("precision start %d exceeds the cap %d" % (start, cap))
+    PRECISION.start, PRECISION.cap = start, cap
+    if args.budget is not None:
+        lattice_mod.ENUM_BUDGET = args.budget
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision_start:
-        PRECISION.start = args.precision_start
-    cap = args.precision_cap or os.environ.get("LATHEIGHTS_PRECISION_CAP")
-    if cap:
-        PRECISION.cap = int(cap)
-    if args.budget:
-        lattice_mod.ENUM_BUDGET = args.budget
     try:
+        _apply_settings(args)
         return args.fn(args)
     except SpecFileError as e:
         print("specification error: %s" % e, file=sys.stderr)

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import intmat
 from .bounds import INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
 from .errors import ValidationError
+from .lattice import RealLattice, enumerate_cube
 from .reals import cmp_real, max_real, sqrt_real, to_real
 
 GENUS0 = "genus0"
@@ -137,6 +138,8 @@ class DivisorLattice:
         self.rank = n - 1
         # the span of the fixed basis, once: contains() reduces against it
         self._span = intmat.ZSpan(self.basis, n)
+        self._real = RealLattice(self.basis)
+        self._rows = [list(row) for row in zip(*self.basis)]
         # det(L_P)^2 = n |J|^2, verified on construction
         g = [[sum(x * y for x, y in zip(u, v)) for v in self.basis] for u in self.basis]
         self._det_sq = intmat.det(g)
@@ -202,17 +205,10 @@ class DivisorLattice:
         return max(abs(x) for x in vec)
 
     def points_in_cube(self, b: int) -> List[Tuple[int, ...]]:
-        """All lattice vectors with sup-norm <= b, by exact enumeration."""
-        out = []
-        n = self.ctx.n
-        for es in itertools.product(range(-b, b + 1), repeat=n - 1):
-            head = -sum(es)
-            if abs(head) > b:
-                continue
-            vec = [head] + list(es)
-            if self.contains(vec):
-                out.append(tuple(vec))
-        return out
+        """All lattice vectors with sup-norm <= b: B m for every coefficient
+        vector m of the exact cube enumeration of L_P."""
+        return [tuple(intmat.matmul_vec(self._rows, m))
+                for m in enumerate_cube(self._real, b)]
 
 
 def count_supported(ctx: CurveContext, b: int) -> int:

@@ -33,16 +33,14 @@ import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from mpmath import mpf
-
 from . import intmat, linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .reals import (
-    PRECISION,
     QuadReal,
     Real,
     abs_real,
     cmp_real,
+    endpoints,
     min_real,
     max_real,
     quad_sign,
@@ -54,26 +52,12 @@ from .reals import (
 ENUM_BUDGET = 30_000_000  # max candidate coefficient vectors per enumeration
 
 
-def _frac_from_mpf(x) -> Fraction:
-    """Exact rational value of a finite mpmath float or interval endpoint."""
-    if hasattr(x, "_mpi_"):
-        # interval endpoint: take the exact upper bound, not a rounded midpoint
-        data = x._mpi_[1]
-    else:
-        data = mpf(x)._mpf_
-    sign, man, exp, _ = data
-    if not isinstance(exp, int):
-        raise ValidationError("non-finite value in rational conversion")
-    val = Fraction(int(man)) * Fraction(2) ** exp
-    return -val if sign else val
-
-
 def _rat_upper(x: Real) -> Fraction:
     """An exact rational upper bound for a Real."""
     x = to_real(x)
     if isinstance(x, QuadReal) and x.is_rational:
         return x.as_fraction()
-    return _frac_from_mpf(x.interval(PRECISION.start).b)
+    return endpoints(x)[1]
 
 
 class RealLattice:
@@ -389,8 +373,11 @@ def _supnorm_min_real(lat):
     pts = enumerate_cube(lat, radius)
     best = None
     best_m = None
+    seen = set()
     for m in pts:
-        if all(x == 0 for x in m):
+        seen.add(m)
+        # |B(-m)| = |Bm|: skip m = 0 and every -m of a visited m
+        if tuple(-x for x in m) in seen:
             continue
         s = max_real(*[abs_real(v) for v in lat.point(m)])
         if best is None:
@@ -399,7 +386,7 @@ def _supnorm_min_real(lat):
         try:
             smaller = cmp_real(s, best, context="supnorm min") < 0
         except PrecisionExhausted:
-            # undecidable means equal to within the cap: keep the incumbent
+            # a tie between distinct vectors: keep the incumbent
             smaller = False
         if smaller:
             best, best_m = s, m

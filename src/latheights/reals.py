@@ -6,11 +6,12 @@ Two carriers cover every real quantity in the library:
   squarefree integer m >= 0.  All sign decisions are exact, which is what
   makes closed-cube boundary membership decidable at desk scale.
 * ``BallReal`` -- a value known only through an interval enclosure, backed by
-  a recompute callback so the enclosure can be refined on demand.  Refinement
-  always intersects with the previous enclosure, so intervals shrink
-  monotonically.
+  a recompute callback.  ``interval(p)`` depends only on p: it is the
+  callback's enclosure at p bits, never narrowed by an earlier evaluation at
+  another precision, so a value printed at ``PRECISION.start`` bits is the
+  same whatever comparisons ran before.
 
-Comparisons between balls refine from ``PRECISION.start`` bits, doubling up
+Comparisons between balls evaluate from ``PRECISION.start`` bits, doubling up
 to ``PRECISION.cap``; an undecided comparison at the cap raises
 ``PrecisionExhausted`` instead of guessing.
 """
@@ -22,8 +23,9 @@ import math
 from fractions import Fraction
 
 from mpmath import iv, mp
+from mpmath.libmp import finf, fnan, fninf
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, ValidationError
 
 
 class _Precision:
@@ -291,7 +293,8 @@ def _quad(a, b, m):
 
 
 class BallReal(Real):
-    """A real known through a refinable interval enclosure."""
+    """A real known through an interval enclosure that is a function of the
+    working precision; the enclosure at the last precision asked is cached."""
 
     __slots__ = ("_fn", "_prec", "_ival")
 
@@ -301,41 +304,18 @@ class BallReal(Real):
         self._ival = None
 
     def interval(self, prec):
-        if self._ival is not None and self._prec >= prec:
-            return self._ival
-        old = iv.prec
-        try:
-            iv.prec = prec
-            val = self._fn(prec)
-        finally:
-            iv.prec = old
-        if self._ival is not None:
-            val = _intersect(val, self._ival, prec)
-        self._prec, self._ival = prec, val
-        return val
-
-    def refine(self):
-        """Return self after doubling the cached working precision."""
-        prec = max(self._prec, PRECISION.start)
-        self.interval(min(2 * prec, PRECISION.cap))
-        return self
+        if self._prec != prec:
+            old = iv.prec
+            try:
+                iv.prec = prec
+                self._ival = self._fn(prec)
+            finally:
+                iv.prec = old
+            self._prec = prec
+        return self._ival
 
     def __repr__(self):
-        ival = self.interval(max(self._prec, PRECISION.start))
-        return "BallReal(%s)" % (ival,)
-
-
-def _intersect(x, y, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        lo = max(x.a, y.a)
-        hi = min(x.b, y.b)
-        if lo > hi:
-            raise PrecisionExhausted("interval refinement produced empty set")
-        return iv.mpf([lo, hi])
-    finally:
-        iv.prec = old
+        return "BallReal(%s)" % (self.interval(PRECISION.start),)
 
 
 def to_real(x):
@@ -590,6 +570,21 @@ def _iv_log(a, prec):
 
 def pi_real():
     return BallReal(lambda p: iv.pi)
+
+
+def endpoints(x, prec=None):
+    """(lo, hi): the exact endpoints of the enclosure of x at ``prec`` bits
+    (default ``PRECISION.start``) as Fractions.  Raises ValidationError when
+    an endpoint is infinite, so an unbounded enclosure never reads as 0."""
+    ival = to_real(x).interval(prec or PRECISION.start)
+    out = []
+    for data in ival._mpi_:
+        if data in (finf, fninf, fnan):
+            raise ValidationError("unbounded enclosure %s" % (ival,))
+        sign, man, exp, _ = data
+        man = -int(man) if sign else int(man)
+        out.append(Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
+    return tuple(out)
 
 
 def real_to_float(x):

@@ -12,25 +12,17 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .bounds import BoundReport
-from .reals import PRECISION, Rooted, to_real
+from .reals import PRECISION, Rooted, endpoints
 
 _DIGITS = 25
 
 
-def _endpoint_fraction(data) -> Fraction:
-    sign, man, exp, _ = data
-    val = Fraction(int(man)) * Fraction(2) ** exp
-    return -val if sign else val
-
-
 def ball_mid_rad(x, prec: Optional[int] = None):
-    """(midpoint, radius) of a certified value as exact Fractions."""
-    prec = prec or PRECISION.start
+    """(midpoint, radius) of a certified value as exact Fractions, from its
+    enclosure at ``prec`` bits (default ``PRECISION.start``)."""
     if isinstance(x, Rooted):
         x = x.as_real()
-    iv = to_real(x).interval(prec)
-    lo = _endpoint_fraction(iv._mpi_[0] if hasattr(iv, "_mpi_") else iv.a._mpi_[0])
-    hi = _endpoint_fraction(iv._mpi_[1] if hasattr(iv, "_mpi_") else iv.b._mpi_[1])
+    lo, hi = endpoints(x, prec)
     return (lo + hi) / 2, (hi - lo) / 2
 
 

@@ -44,26 +44,15 @@ def _ord(n: int, t: List[List[int]], c: List[int]) -> int:
         k += 1
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _is_prime_power(n: int) -> bool:
+    """n = p^k for a prime p and k >= 1: strip the least prime factor of n,
+    found by trial division up to sqrt(n), and check that 1 remains."""
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if _is_prime(p) and n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    p = next((k for k in range(2, math.isqrt(n) + 1) if n % k == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def fundamental_unit_real_quadratic(field: NumberField) -> NfElement:

@@ -475,5 +475,5 @@ def test_verify_all_deterministic():
     assert first.stdout  # nonempty report
     # the report bytes are pinned: 1,123 records, 1,095 HOLDS, 28 INCONCLUSIVE
     digest = hashlib.sha256(first.stdout).hexdigest()
-    assert digest == "ec5455bb67fdd6b80f89b42fa46aa60dda264f8f23565abc447060eda85ed6cb"
+    assert digest == "80728b5639f7fd57675352539386175e2276e9aa73ad7c0f94df5083655778b8"
     assert b"VIOLATED" not in first.stdout

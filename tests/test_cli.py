@@ -6,7 +6,7 @@ import pytest
 from latheights import cli
 from latheights.bounds import BoundReport
 from latheights.errors import SpecFileError
-from latheights.reals import PRECISION, sqrt_real
+from latheights.reals import PRECISION, log_real, sqrt_real
 from latheights.report import (
     ball_mid_rad,
     check_record,
@@ -105,6 +105,19 @@ def test_render_jsonl_sorted_and_no_floats():
         for key in ("R_mid", "R_rad", "bound_mid", "bound_rad"):
             assert rec[key] is None or isinstance(rec[key], str)
         assert {"instance", "kind", "inputs", "exact", "verdict"} <= set(rec)
+
+
+def test_report_bytes_independent_of_earlier_evaluations():
+    # the printed enclosure is the one at the record's bits, however precise
+    # an earlier evaluation of the same value was
+    leaf = log_real(3)
+    bound = 2 * leaf * sqrt_real(5) + 1
+    rep = BoundReport("a", Fraction(2), 5, bound, "UPPER", True, "HOLDS")
+    before = render_jsonl([report_record(rep)])
+    leaf.interval(1024)
+    bound.interval(1024)
+    assert render_jsonl([report_record(rep)]) == before
+    assert json.loads(before)["bits"] == PRECISION.start
 
 
 def test_render_csv_header():
@@ -246,3 +259,38 @@ def test_precision_cap_env(tmp_path, capsys, monkeypatch):
     finally:
         PRECISION.cap = old
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--precision-start", "-5"], None),
+    (["--precision-start", "0"], None),
+    (["--precision-cap", "0"], None),
+    (["--budget", "0"], None),
+    (["--budget", "-3"], None),
+    (["--precision-start", "512", "--precision-cap", "256"], None),
+    (["--precision-start", "16384"], None),  # above the default cap
+    ([], "abc"),
+    ([], "-64"),
+    (["--precision-start", "256"], "128"),
+])
+def test_run_settings_rejected(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("LATHEIGHTS_PRECISION_CAP", env)
+    before = (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET)
+    assert cli.main(["verify", "ffield"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    # nothing was set
+    assert (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET) == before
+
+
+def test_run_settings_applied(capsys, monkeypatch):
+    monkeypatch.setattr(cli.lattice_mod, "ENUM_BUDGET", cli.lattice_mod.ENUM_BUDGET)
+    monkeypatch.setattr(PRECISION, "start", PRECISION.start)
+    monkeypatch.setattr(PRECISION, "cap", PRECISION.cap)
+    # an option wins over the environment, and a start equal to the cap is valid
+    monkeypatch.setenv("LATHEIGHTS_PRECISION_CAP", "abc")
+    argv = ["--precision-start", "128", "--precision-cap", "128", "--budget", "1000"]
+    assert cli.main(["verify", "ffield"] + argv) == 0
+    assert (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET) == (128, 128, 1000)
+    assert '"bits":128' in capsys.readouterr().out

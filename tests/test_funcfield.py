@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -192,3 +193,24 @@ def test_one_divisor_lattice_per_curve(monkeypatch):
         assert got == expected[name]
         assert builds.count(ctx) == 1
     assert len(builds) == 2
+
+
+def _points_in_cube_walk(lat, b):
+    """The ambient walk: every sum-zero vector of sup-norm <= b, kept when
+    the lattice contains it.  A reference for the lattice enumeration."""
+    out = []
+    for es in itertools.product(range(-b, b + 1), repeat=lat.ctx.n - 1):
+        vec = [-sum(es)] + list(es)
+        if abs(vec[0]) <= b and lat.contains(vec):
+            out.append(tuple(vec))
+    return out
+
+
+def test_points_in_cube_matches_ambient_walk():
+    # the three curves of the ffield suite
+    for ctx in (p1_two_points(), p1_three_points(), e5_three_points()):
+        lat = ctx.divisor_lattice()
+        for b in range(13):
+            got = lat.points_in_cube(b)
+            assert len(got) == len(set(got))
+            assert set(got) == set(_points_in_cube_walk(lat, b)), (ctx.points, b)

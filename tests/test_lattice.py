@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from latheights.errors import ValidationError
+from latheights import cli
+from latheights.errors import PrecisionExhausted, ValidationError
 from latheights.lattice import (
     RealLattice,
     _coefficient_box,
@@ -17,7 +18,9 @@ from latheights.lattice import (
     max_grassmann_sublattice,
     supnorm_min,
 )
-from latheights.reals import QuadReal, cmp_real, sqrt_real
+from latheights.modules import _ideal_lattice
+from latheights.reals import QuadReal, abs_real, cmp_real, endpoints, max_real, min_real, sqrt_real
+from latheights.sunits import SUnitContext
 
 
 def test_enumerate_z2():
@@ -209,3 +212,45 @@ def test_count_monotone_in_radius():
         cur = len(enumerate_cube(lat, r))
         assert cur >= prev
         prev = cur
+
+
+def _supnorm_min_no_skip(lat):
+    """The sup-norm minimum search that compares every nonzero vector of the
+    cube, -m after m included; an exhausted comparison keeps the incumbent."""
+    r0 = min_real(*[max_real(*map(abs_real, col)) for col in lat.columns])
+    best = best_m = None
+    for m in enumerate_cube(lat, _rat_upper(r0)):
+        if not any(m):
+            continue
+        s = max_real(*map(abs_real, lat.point(m)))
+        try:
+            if best is None or cmp_real(s, best) < 0:
+                best, best_m = s, m
+        except PrecisionExhausted:
+            pass
+    return best, best_m
+
+
+def _nonrational_lattices():
+    """The S-unit log lattices of the sunits suite (and of Q(sqrt2) with the
+    place above 2), and the scaling-ideal lattices of the thm1 modules over
+    Q(sqrt2) and Q(sqrt5)."""
+    kq, k2 = cli._field_q(), cli._field_sqrt2()
+    contexts = [SUnitContext(cli._field_sqrt5()), SUnitContext(k2),
+                SUnitContext(kq, s1=[(kq.rational(2), 2), (kq.rational(3), 3)]),
+                SUnitContext(k2, s1=[(k2.gen(), 2)])]
+    out = [RealLattice(ctx.log_lattice().basis) for ctx in contexts]
+    for _, module in cli._thm1_instances():
+        if module.field.degree == 2:
+            out.append(_ideal_lattice(module.field, module.scaling_ideal()))
+    return out
+
+
+def test_supnorm_min_skip_matches_no_skip_search():
+    # |B(-m)| = |Bm|: skipping -m changes neither the minimum nor its witness
+    for lat in _nonrational_lattices():
+        assert lat.scaled_columns() is None or lat.scaled_columns()[0] != 0
+        want, want_m = _supnorm_min_no_skip(lat)
+        got, got_m = supnorm_min(lat)
+        assert got_m == want_m
+        assert endpoints(got, 256) == endpoints(want, 256)

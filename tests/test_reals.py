@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import time
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from latheights import reals
-from latheights.errors import PrecisionExhausted
+from latheights.errors import PrecisionExhausted, ValidationError
+from latheights.lattice import _rat_upper
 from latheights.reals import (
     PRECISION,
     BallReal,
@@ -19,13 +22,17 @@ from latheights.reals import (
     _squarefree_split,
     abs_real,
     cmp_real,
+    endpoints,
     log_real,
     max_real,
+    min_real,
     nthroot_real,
+    pi_real,
     pow_real,
     sqrt_real,
     to_real,
 )
+from latheights.report import ball_mid_rad
 
 
 def test_quad_normalization():
@@ -145,6 +152,33 @@ def test_refinement_monotone():
     i1 = b.interval(64)
     i2 = b.interval(256)
     assert i1.a <= i2.a and i2.b <= i1.b
+
+
+def test_enclosure_depends_only_on_precision():
+    # a composite ball: its 64-bit enclosure is the same before and after a
+    # 1024-bit evaluation and an escalated comparison
+    x = log_real(3) * sqrt_real(5) + pi_real() / log_real(QuadReal(1, 1, 2))
+    before = endpoints(x, 64)
+    x.interval(1024)
+    assert cmp_real(x, 2 * endpoints(x, 1024)[1]) < 0  # a 64-bit decision
+    assert endpoints(x, 64) == before
+    y = log_real(7)
+    low = endpoints(y, 64)
+    with pytest.raises(PrecisionExhausted):
+        cmp_real(y, y)  # runs to the cap
+    assert endpoints(y, 64) == low
+    assert endpoints(y, PRECISION.cap) != low
+
+
+def test_unbounded_enclosure_raises():
+    # [1, 2] / [-1, 1] is [-inf, +inf]: no endpoint may read as 0
+    ball = BallReal(lambda p: iv.mpf([1, 2]) / iv.mpf([-1, 1]))
+    for read in (endpoints, _rat_upper, ball_mid_rad):
+        with pytest.raises(ValidationError):
+            read(ball)
+    half_open = log_real(BallReal(lambda p: iv.mpf([0, 1])))  # [-inf, 0]
+    with pytest.raises(ValidationError):
+        endpoints(half_open)
 
 
 def test_log_of_tiny_quad_refines():
@@ -275,3 +309,88 @@ def test_to_real_of_rationals_matches_constructor(x):
     assert _triple(got) == _triple(want) == (Fraction(x), 0, 0)
     assert all(type(v) is Fraction for v in (got.a, got.b))
     assert hash(got) == hash(want) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# every BallReal op encloses the value that mpmath computes at high precision
+
+_REF_BITS = 1024
+
+
+def _mpq(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+
+
+def _quad_leaf(a, b, m, ball):
+    """(value, reference): a + b sqrt(m), exact or wrapped as a ball."""
+    x = QuadReal(a, b, m)
+    with mpmath.workprec(_REF_BITS):
+        ref = _mpq(a) + _mpq(b) * mpmath.sqrt(m)
+    return (BallReal(x.interval) if ball else x), ref
+
+
+def _log_leaf(q):
+    with mpmath.workprec(_REF_BITS):
+        return log_real(q), mpmath.log(_mpq(q))
+
+
+def _pi_leaf():
+    with mpmath.workprec(_REF_BITS):
+        return pi_real(), +mpmath.pi
+
+
+_leaves = st.one_of(
+    st.builds(_quad_leaf, fractions, fractions, st.sampled_from([2, 3, 5, 7]), st.booleans()),
+    st.builds(_log_leaf, st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))),
+    st.builds(_pi_leaf),
+)
+
+_BINARY = {
+    "+": (lambda x, y: x + y, lambda u, v: u + v),
+    "-": (lambda x, y: x - y, lambda u, v: u - v),
+    "*": (lambda x, y: x * y, lambda u, v: u * v),
+    "/": (lambda x, y: x / y, lambda u, v: u / v),
+    "max": (max_real, max),
+    "min": (min_real, min),
+}
+_UNARY = {
+    "sqrt": (sqrt_real, mpmath.sqrt),
+    "cbrt": (lambda x: nthroot_real(x, 3), lambda u: mpmath.root(u, 3)),
+    "root5": (lambda x: nthroot_real(x, 5), lambda u: mpmath.root(u, 5)),
+    "log": (log_real, mpmath.log),
+}
+
+
+def _assert_encloses(x, ref):
+    want = _fraction(ref)
+    for prec in (64, 128, 256):
+        lo, hi = endpoints(x, prec)
+        assert lo <= want <= hi, (prec, lo, want, hi)
+
+
+@settings(max_examples=300)
+@given(_leaves, _leaves, st.sampled_from(sorted(_BINARY)))
+def test_binary_ops_enclose_mpmath(left, right, op):
+    (x, u), (y, v) = left, right
+    if op == "/":
+        assume(abs(v) > 1e-6)
+    ours, theirs = _BINARY[op]
+    with mpmath.workprec(_REF_BITS):
+        ref = theirs(u, v)
+    _assert_encloses(ours(x, y), ref)
+
+
+@settings(max_examples=200)
+@given(_leaves, st.sampled_from(sorted(_UNARY)))
+def test_unary_ops_enclose_mpmath(leaf, op):
+    x, u = leaf
+    assume(abs(u) > 1e-6)
+    ours, theirs = _UNARY[op]
+    with mpmath.workprec(_REF_BITS):
+        ref = theirs(abs(u))
+    _assert_encloses(ours(abs_real(x)), ref)

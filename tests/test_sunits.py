@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from latheights.nf import nf_new
 from latheights.reals import cmp_real, real_to_float
 from latheights.sunits import (
     SUnitContext,
+    _is_prime_power,
     count_sunits,
     fundamental_unit_real_quadratic,
     lemma_sunit_bounds,
@@ -214,3 +216,14 @@ def test_count_sunits_skewed_generators():
     ]
     for b, expected in ((1, 10), (2, 34), (3, 94)):
         assert [count_sunits(ctx, b) for ctx in contexts] == [expected] * 3, b
+
+
+def test_is_prime_power_large_norms():
+    cases = {1_000_003: True, 10**9 + 7: True, 2**40: True, 6 * (10**9 + 7): False,
+             3**20: True, 2 * 3**20: False, 1: False, 0: False, 2: True, 12: False}
+    start = time.perf_counter()
+    assert {n: _is_prime_power(n) for n in cases} == cases
+    assert time.perf_counter() - start < 0.5
+    # a finite place of norm 1,000,003 (a prime) is accepted at once
+    kq = field_q()
+    SUnitContext(kq, s1=[(kq.rational(1_000_003), 1_000_003)])
