@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from .heights import height_h as height_h_nf
 from .lattice import _box_slabs, _coefficient_box, _rat_upper, enumerate_cube
 from .modules import OkModule, minima_ck_zk, z_combination
-from .nf import NfElement, NumberField
+from .nf import NumberField
 from .quat import (
     DSubspace,
     QuatAlgebra,
@@ -92,6 +92,44 @@ def _verdict(kind: str, exact: int, bound_real, context: str) -> str:
     return HOLDS if c >= 0 else VIOLATED
 
 
+def lemma_reports(instance: str, radius, exact: int, n: int, big_l: int, det_val, c,
+                  scale=1, integral: bool = False) -> Tuple[BoundReport, BoundReport]:
+    """(LOWER, UPPER) reports of the counting lemma for an exact count: scale
+    times ``lattice.bound_lower``/``bound_upper`` of a rank-L lattice in R^n
+    with determinant det_val and sup-norm minimum c at the cube radius."""
+    radius = Fraction(radius)
+    up = scale * lattice.bound_upper(n, big_l, det_val, c, radius, integral)
+    upper = BoundReport(instance, radius, exact, up, UPPER, True,
+                        _verdict(UPPER, exact, up, "lemma upper"))
+    try:
+        low = scale * lattice.bound_lower(big_l, det_val, c, radius)
+    except (ValidationError, PrecisionExhausted):  # R misses the threshold
+        return BoundReport(instance, radius, exact, None, LOWER, False, INCONCLUSIVE,
+                           note="below threshold"), upper
+    return BoundReport(instance, radius, exact, low, LOWER, True,
+                       _verdict(LOWER, exact, low, "lemma lower")), upper
+
+
+def _lower_report(instance: str, r: Rooted, thresh: Rooted, growth: Rooted, power: int,
+                  count, context: str) -> BoundReport:
+    """LOWER report of (R/thresh - 1)(growth R - 1)^power against count(),
+    the exact count, applicable from R >= thresh."""
+    applicable = r.cmp(thresh, context=context + " threshold") >= 0
+    try:
+        exact = count()
+    except BudgetExceeded:
+        return BoundReport(instance, r, None, None, LOWER, applicable, INCONCLUSIVE,
+                           note="enumeration budget exceeded")
+    if not applicable:
+        return BoundReport(instance, r, exact, None, LOWER, False, INCONCLUSIVE,
+                           note="below threshold")
+    main = (r * thresh.inverse()).as_real() - to_real(1)
+    factor = (growth * r).as_real() - to_real(1)
+    bound = main * factor ** power
+    return BoundReport(instance, r, exact, bound, LOWER, True,
+                       _verdict(LOWER, exact, bound, context + " verdict"))
+
+
 # ---------------------------------------------------------------------------
 # module counting: constants, oracle, lower bound
 
@@ -156,7 +194,7 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
             if not any(coeffs):
                 count += 1  # h(0) = 1 <= R
                 continue
-            x = _module_point(module, coeffs)
+            x = z_combination(module.z_basis, coeffs)
             h_pow = height_h_nf(field, x).as_rooted()
             if (h_pow ** d).cmp(rd_rooted, context="module height band") <= 0:
                 count += 1
@@ -186,40 +224,26 @@ def exact_count_module(module: OkModule, radius) -> int:
     for m in enumerate_cube(module.module_lattice(), cube):
         if all(c == 0 for c in m):
             continue
-        x = _module_point(module, m)
+        x = z_combination(module.z_basis, m)
         h_pow = height_h_nf(field, x).as_rooted()  # value h(x)
         if (h_pow ** d).cmp(rd, context="module height filter") <= 0:
             count += 1
     return count
 
 
-def _module_point(module: OkModule, coeffs: Sequence[int]) -> List[NfElement]:
-    return z_combination(module.z_basis, coeffs)
+def thm1_threshold(module: OkModule, minima=None) -> Tuple[Rooted, Rooted]:
+    """(E1 |D|^{L/2}, E2): the threshold and growth constant of thm1_lower."""
+    e1, e2 = const_E1_E2(module, minima=minima)
+    disc = abs(module.module_discriminant())
+    return e1 * Rooted(disc ** module.rank, 2), e2
 
 
 def thm1_lower(module: OkModule, radius, instance: str = "module", minima=None) -> BoundReport:
     """Lower bound on |{x in M : h(x) <= R}| versus the enumeration oracle."""
     r = as_rooted(radius)
-    field = module.field
-    d = field.degree
-    big_l = module.rank
-    e1, e2 = const_E1_E2(module, minima=minima)
-    disc = abs(module.module_discriminant())
-    thresh = e1 * Rooted(disc ** big_l, 2)  # E1 |D|^{L/2}
-    applicable = r.cmp(thresh, context="thm1 threshold") >= 0
-    try:
-        exact = exact_count_module(module, r)
-    except BudgetExceeded:
-        return BoundReport(instance, r, None, None, LOWER, applicable, INCONCLUSIVE,
-                           note="enumeration budget exceeded")
-    if not applicable:
-        return BoundReport(instance, r, exact, None, LOWER, False, INCONCLUSIVE,
-                           note="below threshold")
-    main = (r * thresh.inverse()).as_real() - to_real(1)
-    factor = (e2 * r).as_real() - to_real(1)
-    bound = main * factor ** (big_l * d - 1)
-    verdict = _verdict(LOWER, exact, bound, "thm1 verdict")
-    return BoundReport(instance, r, exact, bound, LOWER, True, verdict)
+    thresh, e2 = thm1_threshold(module, minima)
+    return _lower_report(instance, r, thresh, e2, module.rank * module.field.degree - 1,
+                         lambda: exact_count_module(module, r), "thm1")
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +293,25 @@ def exact_count_zo(z: DSubspace, order: QuatOrder, radius) -> int:
     for m in enumerate_cube(module.module_lattice(), cube):
         if all(c == 0 for c in m):
             continue
-        xs = bracket_inv(alg, _module_point(module, m))
+        xs = bracket_inv(alg, z_combination(module.z_basis, m))
         if height_h(xs).cmp(r, context="zo height filter") <= 0:
             count += 1
     return count
+
+
+def main1_threshold(z: DSubspace, order: QuatOrder, minima=None) -> Tuple[Rooted, Rooted]:
+    """(E3 H^O(Z)^{4d}, E4): the threshold and growth constant of thm_main1_lower."""
+    e3, e4, _ = const_E3_E4(order, z, minima=minima)
+    return e3 * subspace_height_HO(z, order) ** (4 * z.algebra.field.degree), e4
 
 
 def thm_main1_lower(z: DSubspace, order: QuatOrder, radius,
                     instance: str = "subspace", minima=None) -> BoundReport:
     """Lower bound on |{x in Z cap O^N : h(x) <= R}| versus enumeration."""
     r = as_rooted(radius)
-    alg = order.algebra
-    d = alg.field.degree
-    big_l = z.dim
-    e3, e4, _ = const_E3_E4(order, z, minima=minima)
-    ho = subspace_height_HO(z, order)
-    thresh = e3 * ho ** (4 * d)
-    applicable = r.cmp(thresh, context="main1 threshold") >= 0
-    try:
-        exact = exact_count_zo(z, order, r)
-    except BudgetExceeded:
-        return BoundReport(instance, r, None, None, LOWER, applicable, INCONCLUSIVE,
-                           note="enumeration budget exceeded")
-    if not applicable:
-        return BoundReport(instance, r, exact, None, LOWER, False, INCONCLUSIVE,
-                           note="below threshold")
-    main = (r * thresh.inverse()).as_real() - to_real(1)
-    factor = (e4 * r).as_real() - to_real(1)
-    bound = main * factor ** (4 * big_l * d - 1)
-    verdict = _verdict(LOWER, exact, bound, "main1 verdict")
-    return BoundReport(instance, r, exact, bound, LOWER, True, verdict)
+    thresh, e4 = main1_threshold(z, order, minima)
+    return _lower_report(instance, r, thresh, e4, 4 * z.dim * order.algebra.field.degree - 1,
+                         lambda: exact_count_zo(z, order, r), "main1")
 
 
 def weighted_module_det_sq(alg: QuatAlgebra, module: OkModule):
@@ -399,7 +412,7 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
                 if m == 1 and r.cmp(1, context="zero height") >= 0:
                     count += 1
                 continue
-            vec = _module_point(free, coeffs)
+            vec = z_combination(free.z_basis, coeffs)
             key = tuple(
                 tuple(ci / m for ci in e.coeffs) for e in vec
             )
@@ -622,7 +635,7 @@ def search_basis(z: DSubspace, order: QuatOrder,
         for h, m in batch:
             if len(basis) == big_l:
                 break
-            xs = bracket_inv(alg, _module_point(module, m))
+            xs = bracket_inv(alg, z_combination(module.z_basis, m))
             if basis and _d_rank(basis + [xs]) != len(basis) + 1:
                 continue
             basis.append(xs)
@@ -684,7 +697,7 @@ def search_isotropic(form, z: DSubspace, order: QuatOrder,
     for batch in _search_shells(module, alg, [form], avoid_subspaces, avoid_forms, max_radius):
         if batch:
             h, m = batch[0]
-            found = (h, bracket_inv(alg, _module_point(module, m)))
+            found = (h, bracket_inv(alg, z_combination(module.z_basis, m)))
             break
     if found is None:
         raise BudgetExceeded("isotropic search exhausted its radius budget")

@@ -19,12 +19,11 @@ from . import lattice as lattice_mod
 from .bounds import (
     INCONCLUSIVE,
     VIOLATED,
-    BoundReport,
-    _verdict,
-    const_E1_E2,
-    const_E3_E4,
     det_mz_check,
+    lemma_reports,
+    main1_threshold,
     thm1_lower,
+    thm1_threshold,
     thm_main1_lower,
     thm_main2_upper,
 )
@@ -35,8 +34,6 @@ from .lattice import (
     RealLattice,
     _coefficient_box,
     _rat_upper,
-    bound_lower,
-    bound_upper,
     enumerate_cube,
     lower_bound_threshold,
     max_grassmann_sublattice,
@@ -52,14 +49,11 @@ from .quat import (
     height_h_order,
     minima_cz_order,
     s_t_constants,
-    subspace_height_HO,
 )
-from .reals import PRECISION, Rooted, cmp_real, sqrt_real, to_real
+from .reals import PRECISION, cmp_real, sqrt_real, to_real
 from .report import ball_mid_rad, check_record, frac_decimal, render, report_record
 from .specfile import Block, parse_file, read_algebra, read_field, read_nf_vector, read_order
 from .sunits import SUnitContext, lemma_sunit_bounds, regulator_bound_checks
-
-SUITES = ["cnt-lem", "thm1", "main1", "main2", "sunits", "ffield", "all"]
 
 
 def _field_q():
@@ -109,14 +103,8 @@ def suite_cnt_lem(seed: int) -> List[Dict[str, object]]:
         try:
             for radius in radii:
                 exact = len(enumerate_cube(lat, radius))
-                up = bound_upper(n, big_l, det_val, c, radius, integral=True)
-                low = bound_lower(big_l, det_val, c, radius)
-                batch.append(report_record(BoundReport(
-                    name, radius, exact, low, "LOWER", True,
-                    _verdict("LOWER", exact, low, "cnt-lem low"))))
-                batch.append(report_record(BoundReport(
-                    name, radius, exact, up, "UPPER", True,
-                    _verdict("UPPER", exact, up, "cnt-lem up"))))
+                batch += map(report_record, lemma_reports(
+                    name, radius, exact, n, big_l, det_val, c, integral=True))
             omega, det_omega = max_grassmann_sublattice(lat)
             binom_root = sqrt_real(math.comb(n, big_l))
             det_ok = (
@@ -160,9 +148,7 @@ def suite_thm1(seed: int) -> List[Dict[str, object]]:
     records = []
     for name, module in _thm1_instances():
         minima = minima_ck_zk(module)
-        e1, _ = const_E1_E2(module, minima)
-        disc = abs(module.module_discriminant())
-        thresh = e1 * Rooted(disc ** module.rank, 2)
+        thresh, _ = thm1_threshold(module, minima)
         base = Fraction(max(1, math.ceil(_rat_upper(thresh.as_real()))))
         for mult in (1, 2, 4):
             rep = thm1_lower(module, base * mult, instance=name, minima=minima)
@@ -187,10 +173,7 @@ def suite_main1(seed: int) -> List[Dict[str, object]]:
         for zname, z in subspaces:
             name = "%s-%s" % (fname, zname)
             minima = minima_cz_order(z, order)
-            e3, _, _ = const_E3_E4(order, z, minima)
-            d = alg.field.degree
-            ho = subspace_height_HO(z, order)
-            thresh = e3 * ho ** (4 * d)
+            thresh, _ = main1_threshold(z, order, minima)
             base = Fraction(max(1, math.ceil(_rat_upper(thresh.as_real()))))
             for mult in (1, 2):
                 rep = thm_main1_lower(z, order, base * mult, instance=name,
@@ -281,6 +264,7 @@ _SUITE_FN = {
     "sunits": suite_sunits,
     "ffield": suite_ffield,
 }
+SUITES = list(_SUITE_FN) + ["all"]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +330,10 @@ def cmd_count(args) -> int:
     kind = args.kind
     root = parse_file(args.file)
     radius = Fraction(args.radius)
+    instance = os.path.basename(args.file)
     if kind == "module":
-        module = _read_module(root)
-        rep = thm1_lower(module, radius, instance=os.path.basename(args.file))
-        print(render([report_record(rep)], args.format))
-        return 0 if rep.verdict != VIOLATED else 1
-    if kind == "sunits":
+        reps = [thm1_lower(_read_module(root), radius, instance=instance)]
+    elif kind == "sunits":
         fb = root.require("field")
         field = read_field(fb)
         s1 = []
@@ -361,13 +343,8 @@ def cmd_count(args) -> int:
         omega_g = root.get("omega")
         omega = int(omega_g[0][0]) if omega_g else 2
         ctx = SUnitContext(field, s1=s1, omega=omega)
-        lower, upper = lemma_sunit_bounds(ctx, radius,
-                                          instance=os.path.basename(args.file))
-        recs = [report_record(lower), report_record(upper)]
-        print(render(recs, args.format))
-        bad = any(r["verdict"] == VIOLATED for r in recs)
-        return 1 if bad else 0
-    if kind == "ffield":
+        reps = lemma_sunit_bounds(ctx, radius, instance=instance)
+    elif kind == "ffield":
         q = int(root.require("q")[0][0])
         model = root.require("model")[0][0]
         a = int(root.get("a", [["0"]])[0][0])
@@ -386,19 +363,15 @@ def cmd_count(args) -> int:
                 else:
                     points.append((int(g[0]), int(g[1])))
         ctx = CurveContext(q, model, a=a, b=b, points=points)
-        lower, upper = lemma_pcount_bounds(ctx, int(radius),
-                                           instance=os.path.basename(args.file))
-        recs = [report_record(lower), report_record(upper)]
-        print(render(recs, args.format))
-        bad = any(r["verdict"] == VIOLATED for r in recs)
-        return 1 if bad else 0
-    raise SpecFileError("unknown count kind %r" % kind)
+        reps = lemma_pcount_bounds(ctx, int(radius), instance=instance)
+    else:
+        raise SpecFileError("unknown count kind %r" % kind)
+    print(render([report_record(rep) for rep in reps], args.format))
+    return 1 if any(rep.verdict == VIOLATED for rep in reps) else 0
 
 
 def cmd_verify(args) -> int:
-    names = [args.suite] if args.suite != "all" else [
-        "cnt-lem", "thm1", "main1", "main2", "sunits", "ffield"
-    ]
+    names = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     records: List[Dict[str, object]] = []
     for name in names:
         for rec in _SUITE_FN[name](args.seed):
@@ -481,6 +454,7 @@ def _apply_settings(args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    saved = PRECISION.start, PRECISION.cap, lattice_mod.ENUM_BUDGET
     try:
         _apply_settings(args)
         return args.fn(args)
@@ -490,6 +464,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LatHeightsError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    finally:  # the settings hold for this run only
+        PRECISION.start, PRECISION.cap, lattice_mod.ENUM_BUDGET = saved
 
 
 if __name__ == "__main__":

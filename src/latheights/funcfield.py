@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import intmat
-from .bounds import INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
+from .bounds import BoundReport, lemma_reports
 from .errors import ValidationError
 from .lattice import RealLattice, enumerate_cube
 from .reals import cmp_real, max_real, sqrt_real, to_real
@@ -251,27 +251,9 @@ def lemma_pcount_bounds(ctx: CurveContext, b: int,
     """Sandwich |O_P^*(B)| between the explicit lower and upper bounds."""
     lat = ctx.divisor_lattice()
     exact = count_supported(ctx, b)
-    n = ctx.n
-    j = lat.jxp_order
-    q = ctx.q
-    root_n = sqrt_real(n)
-    upper_val = to_real(q - 1) * (Fraction(2 * b, j) + 1) * (2 * b + 1) ** (n - 2)
-    upper = BoundReport(instance, Fraction(b), exact, upper_val, UPPER, True,
-                        _verdict(UPPER, exact, upper_val, "pcount upper"))
-    thresh = Fraction(n - 1, 2) * root_n * j
-    applicable = cmp_real(b, thresh, context="pcount threshold") >= 0
-    if not applicable:
-        lower = BoundReport(instance, Fraction(b), exact, None, LOWER, False,
-                            INCONCLUSIVE, note="below threshold")
-        return lower, upper
-    lower_val = (
-        (q - 1)
-        * (to_real(2 * b) / ((n - 1) * root_n * j) - 1)
-        * (Fraction(2 * b, n - 1) - 1) ** (n - 2)
-    )
-    lower = BoundReport(instance, Fraction(b), exact, lower_val, LOWER, True,
-                        _verdict(LOWER, exact, lower_val, "pcount lower"))
-    return lower, upper
+    # L_P: rank n - 1 in Z^n, determinant sqrt(n) |J|, sup-norm minimum 1
+    return lemma_reports(instance, b, exact, ctx.n, ctx.n - 1, sqrt_real(ctx.n) * lat.jxp_order,
+                         1, ctx.q - 1, integral=True)
 
 
 def det_bound_checks(ctx: CurveContext) -> dict:

@@ -146,7 +146,7 @@ def _rho_factor(n):
             return g
 
 
-def _iv_from_fraction(q, ):
+def _iv_from_fraction(q):
     return iv.mpf(q.numerator) / q.denominator
 
 
@@ -442,7 +442,7 @@ def max_real(*xs):
         else:
             bb, bx = _ball_of(best), _ball_of(x)
             best = BallReal(
-                lambda p, u=bb, v=bx: _iv_max(u.interval(p), v.interval(p), p)
+                lambda p, u=bb, v=bx: _iv_max(u.interval(p), v.interval(p))
             )
     return best
 
@@ -451,13 +451,9 @@ def min_real(*xs):
     return _neg(max_real(*[_neg(to_real(x)) for x in xs]))
 
 
-def _iv_max(a, b, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return iv.mpf([max(a.a, b.a), max(a.b, b.b)])
-    finally:
-        iv.prec = old
+def _iv_max(a, b):
+    # like every _iv_* helper, runs in a BallReal callback: iv.prec is set
+    return iv.mpf([max(a.a, b.a), max(a.b, b.b)])
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +470,13 @@ def sqrt_real(x):
             return ZERO
         # sqrt(p/q) = sqrt(p*q)/q, exact as a QuadReal
         return QuadReal(0, Fraction(1, q.denominator), q.numerator * q.denominator)
-    return BallReal(lambda p: _iv_sqrt_clamped(x.interval(p), p))
+    return BallReal(lambda p: _iv_sqrt_clamped(x.interval(p)))
 
 
-def _iv_sqrt_clamped(a, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        lo = a.a
-        if lo < 0:
-            a = iv.mpf([0, a.b])
-        return iv.sqrt(a)
-    finally:
-        iv.prec = old
+def _iv_sqrt_clamped(a):
+    if a.a < 0:
+        a = iv.mpf([0, a.b])
+    return iv.sqrt(a)
 
 
 def nthroot_real(x, n):
@@ -504,7 +494,7 @@ def nthroot_real(x, n):
         rd = _exact_iroot(q.denominator, n)
         if rn is not None and rd is not None:
             return QuadReal(Fraction(rn, rd))
-    return BallReal(lambda p: _iv_root(x.interval(p), n, p))
+    return BallReal(lambda p: _iv_root(x.interval(p), n))
 
 
 def _exact_iroot(k, n):
@@ -524,21 +514,16 @@ def _exact_iroot(k, n):
     return r if r**n == k else None
 
 
-def _iv_root(a, n, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        if a.a < 0:
-            a = iv.mpf([0, a.b])
-        if a.a == 0 and a.b == 0:
-            return iv.mpf(0)
-        if a.a <= 0:
-            # interval touches zero; bracket by endpoint roots
-            hi = iv.exp(iv.log(iv.mpf([a.b, a.b])) / n)
-            return iv.mpf([0, hi.b])
-        return iv.exp(iv.log(a) / n)
-    finally:
-        iv.prec = old
+def _iv_root(a, n):
+    if a.a < 0:
+        a = iv.mpf([0, a.b])
+    if a.a == 0 and a.b == 0:
+        return iv.mpf(0)
+    if a.a <= 0:
+        # interval touches zero; bracket by endpoint roots
+        hi = iv.exp(iv.log(iv.mpf([a.b, a.b])) / n)
+        return iv.mpf([0, hi.b])
+    return iv.exp(iv.log(a) / n)
 
 
 def pow_real(x, e):
@@ -551,21 +536,16 @@ def pow_real(x, e):
 
 def log_real(x):
     x = to_real(x)
-    return BallReal(lambda p: _iv_log(x.interval(p), p))
+    return BallReal(lambda p: _iv_log(x.interval(p)))
 
 
-def _iv_log(a, prec):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        if a.a < 0 <= a.b:
-            # the enclosure of a positive value dips below 0 at this
-            # precision: clamp it, so the log is unbounded below and a
-            # comparison refines instead of failing
-            a = iv.mpf([0, a.b])
-        return iv.log(a)
-    finally:
-        iv.prec = old
+def _iv_log(a):
+    if a.a < 0 <= a.b:
+        # the enclosure of a positive value dips below 0 at this
+        # precision: clamp it, so the log is unbounded below and a
+        # comparison refines instead of failing
+        a = iv.mpf([0, a.b])
+    return iv.log(a)
 
 
 def pi_real():

@@ -10,14 +10,16 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .bounds import HOLDS, INCONCLUSIVE, LOWER, UPPER, BoundReport, _verdict
+from .bounds import HOLDS, LOWER, UPPER, BoundReport, lemma_reports
 from .errors import PrecisionExhausted, UnresolvedTie, ValidationError
 from .intmat import matmul_vec, table_rows
 from .lattice import RealLattice, _coefficient_box, enumerate_cube, supnorm_min
 from .nf import NfElement, NumberField
 from .reals import (
+    _RHO_FROM,
     PRECISION,
     Real,
+    _prime_factors,
     abs_real,
     cmp_real,
     log_real,
@@ -45,14 +47,22 @@ def _ord(n: int, t: List[List[int]], c: List[int]) -> int:
 
 
 def _is_prime_power(n: int) -> bool:
-    """n = p^k for a prime p and k >= 1: strip the least prime factor of n,
-    found by trial division up to sqrt(n), and check that 1 remains."""
+    """n = p^k for a prime p and k >= 1.  A prime p below _RHO_FROM is found
+    by trial division and stripped, and 1 must remain; otherwise n is prime
+    (no divisor up to sqrt(n)) or is factored by ``reals._prime_factors``."""
     if n < 2:
         return False
-    p = next((k for k in range(2, math.isqrt(n) + 1) if n % k == 0), n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    for p in range(2, _RHO_FROM):
+        if p * p > n:
+            return True
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    primes = _prime_factors(n)
+    if primes is None:
+        raise ValidationError("cannot factor %d within the proven primality range" % n)
+    return len(set(primes)) == 1
 
 
 def fundamental_unit_real_quadratic(field: NumberField) -> NfElement:
@@ -325,30 +335,8 @@ def lemma_sunit_bounds(ctx: SUnitContext, b: Fraction,
         upper = BoundReport(instance, b, exact, to_real(ctx.omega), UPPER, True,
                             HOLDS, note="rank zero: exact count")
         return lower, upper
-    h = ll.hsk
-    reg = ll.regulator
-    w = ctx.omega
-    bb = to_real(b)
-    upper_val = w * (2 * bb / h + 1) ** (n - 1)
-    upper = BoundReport(instance, b, exact, upper_val, UPPER, True,
-                        _verdict(UPPER, exact, upper_val, "sunit upper"))
-    thresh = Fraction(n - 1, 2) * max_real(reg / h ** (n - 2), h)
-    try:
-        applicable = cmp_real(bb, thresh, context="sunit threshold") >= 0
-    except PrecisionExhausted:
-        applicable = False
-    if not applicable:
-        lower = BoundReport(instance, b, exact, None, LOWER, False, INCONCLUSIVE,
-                            note="below threshold")
-        return lower, upper
-    lower_val = (
-        w
-        * (2 * bb * h ** (n - 2) / ((n - 1) * reg) - 1)
-        * (2 * bb / ((n - 1) * h) - 1) ** (n - 2)
-    )
-    lower = BoundReport(instance, b, exact, lower_val, LOWER, True,
-                        _verdict(LOWER, exact, lower_val, "sunit lower"))
-    return lower, upper
+    # L_S: rank |S| - 1 in R^|S|, covolume R_S, sup-norm minimum H_SK
+    return lemma_reports(instance, b, exact, n, n - 1, ll.regulator, ll.hsk, ctx.omega)
 
 
 def _ball_le(x, y) -> bool:

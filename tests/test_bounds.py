@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from latheights import bounds
 from latheights.bounds import (
     HOLDS,
     INCONCLUSIVE,
@@ -29,7 +30,7 @@ from latheights.bounds import (
 )
 from latheights.errors import BudgetExceeded, ValidationError
 from latheights.heights import height_h as height_h_nf
-from latheights.modules import OkModule
+from latheights.modules import OkModule, minima_ck_zk
 from latheights.nf import FracIdeal, nf_new
 from latheights.quat import DSubspace, QuatAlgebra, QuatOrder, bracket_inv, height_h
 from latheights.reals import QuadReal, cmp_real, real_to_float
@@ -99,6 +100,20 @@ def test_thm1_lower_holds():
     assert cmp_real(rep.bound_value, 5) == 0  # R/E1 - 1 with E1 = 1/2
     assert rep.verdict == HOLDS
     assert rep.exact_count == 7 and rep.verdict == HOLDS and rep.kind == LOWER
+
+
+def test_thm1_lower_computes_minima_once(monkeypatch):
+    # the threshold and the growth constant come from one minima_ck_zk call
+    calls = []
+
+    def spy(module):
+        calls.append(module)
+        return minima_ck_zk(module)
+
+    monkeypatch.setattr(bounds, "minima_ck_zk", spy)
+    module = OkModule.free_module(field_sqrt5(), 1)
+    assert thm1_lower(module, Fraction(4)).verdict == HOLDS
+    assert calls == [module]
 
 
 def test_thm1_below_threshold():

@@ -253,11 +253,16 @@ def test_precision_cap_env(tmp_path, capsys, monkeypatch):
         "m.lh",
         "field {\n minpoly = -1 1\n basis = 1\n}\nrank = 1\n",
     )
-    try:
-        assert cli.main(["count", "module", path, "2"]) == 0
-        assert PRECISION.cap == 4096
-    finally:
-        PRECISION.cap = old
+    caps, thm1_lower = [], cli.thm1_lower
+
+    def spy(*args, **kwargs):
+        caps.append(PRECISION.cap)
+        return thm1_lower(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "thm1_lower", spy)
+    assert cli.main(["count", "module", path, "2"]) == 0
+    assert caps == [4096]  # the cap held during the run
+    assert PRECISION.cap == old  # and is restored after it
     capsys.readouterr()
 
 
@@ -285,12 +290,11 @@ def test_run_settings_rejected(argv, env, capsys, monkeypatch):
 
 
 def test_run_settings_applied(capsys, monkeypatch):
-    monkeypatch.setattr(cli.lattice_mod, "ENUM_BUDGET", cli.lattice_mod.ENUM_BUDGET)
-    monkeypatch.setattr(PRECISION, "start", PRECISION.start)
-    monkeypatch.setattr(PRECISION, "cap", PRECISION.cap)
+    before = (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET)
     # an option wins over the environment, and a start equal to the cap is valid
     monkeypatch.setenv("LATHEIGHTS_PRECISION_CAP", "abc")
     argv = ["--precision-start", "128", "--precision-cap", "128", "--budget", "1000"]
     assert cli.main(["verify", "ffield"] + argv) == 0
-    assert (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET) == (128, 128, 1000)
+    # the settings applied during the run and are restored after it
     assert '"bits":128' in capsys.readouterr().out
+    assert (PRECISION.start, PRECISION.cap, cli.lattice_mod.ENUM_BUDGET) == before

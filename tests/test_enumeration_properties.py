@@ -16,12 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import bounds, lattice, linalg, reals
+from latheights import lattice, linalg, reals
 from latheights.bounds import _fast_count_totally_real, as_rooted
 from latheights.errors import ValidationError
 from latheights.heights import height_h
 from latheights.lattice import RealLattice, _coefficient_box, _quad_abs_le, enumerate_cube
-from latheights.modules import OkModule
+from latheights.modules import OkModule, z_combination
 from latheights.nf import FracIdeal, nf_new
 from latheights.reals import QuadReal, abs_real, log_real
 
@@ -420,7 +420,7 @@ def test_fast_count_matches_height_recount(case):
         if not any(m):
             count += 1
             continue
-        x = bounds._module_point(module, m)
+        x = z_combination(module.z_basis, m)
         if (height_h(field, x).as_rooted() ** 2).cmp(as_rooted(rd)) <= 0:
             count += 1
     assert fast == count

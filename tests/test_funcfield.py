@@ -17,7 +17,7 @@ from latheights.funcfield import (
     det_bound_checks,
     lemma_pcount_bounds,
 )
-from latheights.reals import real_to_float
+from latheights.reals import cmp_real, real_to_float, sqrt_real, to_real
 
 
 def p1_two_points():
@@ -214,3 +214,27 @@ def test_points_in_cube_matches_ambient_walk():
             got = lat.points_in_cube(b)
             assert len(got) == len(set(got))
             assert set(got) == set(_points_in_cube_walk(lat, b)), (ctx.points, b)
+
+
+def test_lemma_pcount_bounds_match_inline_formulas():
+    # the counting lemma on L_P = (n, n - 1, sqrt(n) |J|, 1) scaled by q - 1 equals
+    # the exact formulas it replaced, with the same applicability
+    contexts = [
+        p1_two_points(),
+        p1_three_points(),
+        CurveContext(5, GENUS1, a=1, b=1, points=[INF, (0, 1), (0, 4)]),
+        CurveContext(7, GENUS0, points=[0, 1, INF]),
+    ]
+    for ctx in contexts:
+        n, q, j = ctx.n, ctx.q, ctx.divisor_lattice().jxp_order
+        root_n = sqrt_real(n)
+        for b in range(0, 13):
+            lower, upper = lemma_pcount_bounds(ctx, b)
+            up = to_real(q - 1) * (Fraction(2 * b, j) + 1) * (2 * b + 1) ** (n - 2)
+            assert upper.bound_value == up, (ctx.model, n, b)
+            applicable = cmp_real(b, Fraction(n - 1, 2) * root_n * j) >= 0
+            assert lower.applicable == applicable, (ctx.model, n, b)
+            if applicable:
+                low = (q - 1) * (to_real(2 * b) / ((n - 1) * root_n * j) - 1) * (
+                    Fraction(2 * b, n - 1) - 1) ** (n - 2)
+                assert lower.bound_value == low, (ctx.model, n, b)

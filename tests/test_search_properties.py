@@ -22,7 +22,6 @@ from latheights import bounds, cli
 from latheights.bounds import (
     _form_values,
     _height_key,
-    _module_point,
     _search_shells,
     _shell_heights,
     _subspace_form,
@@ -30,6 +29,7 @@ from latheights.bounds import (
 )
 from latheights.errors import BudgetExceeded
 from latheights.lattice import enumerate_cube
+from latheights.modules import z_combination
 from latheights.nf import nf_new
 from latheights.quat import (
     DSubspace,
@@ -134,7 +134,7 @@ def case_points(draw):
 
 def _points(name, rows):
     alg, _, module = _case(name)
-    return [bracket_inv(alg, _module_point(module, m)) if any(m) else None for m in rows]
+    return [bracket_inv(alg, z_combination(module.z_basis, m)) if any(m) else None for m in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def _reference_shells(alg, module, zeros, avoid_u, avoid_f, max_radius):
         for m in enumerate_cube(lat, radius):
             if any(m) and m not in emitted:
                 emitted.add(m)
-                xs = bracket_inv(alg, _module_point(module, m))
+                xs = bracket_inv(alg, z_combination(module.z_basis, m))
                 batch.append((height_h(xs), m, xs))
         batch.sort(key=lambda p: _height_key(p[0]))
         yield [
@@ -287,7 +287,7 @@ def test_heights_only_for_survivors(monkeypatch):
     res = search_isotropic(hyper, z, order, check_bound=False)
     assert eval_hermitian(hyper, res["point"]).is_zero()
     module = intersection_module(z, order)
-    shell = [bracket_inv(alg, _module_point(module, m))
+    shell = [bracket_inv(alg, z_combination(module.z_basis, m))
              for m in enumerate_cube(module.module_lattice(), 1) if any(m)]
     assert rows == [sum(eval_hermitian(hyper, xs).is_zero() for xs in shell)]
     assert 0 < rows[0] < len(shell)

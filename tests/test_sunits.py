@@ -7,7 +7,7 @@ import pytest
 from latheights.bounds import HOLDS, INCONCLUSIVE
 from latheights.errors import ValidationError
 from latheights.nf import nf_new
-from latheights.reals import cmp_real, real_to_float
+from latheights.reals import cmp_real, endpoints, max_real, real_to_float, to_real
 from latheights.sunits import (
     SUnitContext,
     _is_prime_power,
@@ -220,10 +220,45 @@ def test_count_sunits_skewed_generators():
 
 def test_is_prime_power_large_norms():
     cases = {1_000_003: True, 10**9 + 7: True, 2**40: True, 6 * (10**9 + 7): False,
-             3**20: True, 2 * 3**20: False, 1: False, 0: False, 2: True, 12: False}
+             3**20: True, 2 * 3**20: False, 1: False, 0: False, 2: True, 12: False,
+             (10**9 + 7)**2: True, 2 * (10**9 + 7)**2: False,
+             (10**9 + 7) * (10**9 + 9): False}
     start = time.perf_counter()
     assert {n: _is_prime_power(n) for n in cases} == cases
     assert time.perf_counter() - start < 0.5
     # a finite place of norm 1,000,003 (a prime) is accepted at once
     kq = field_q()
     SUnitContext(kq, s1=[(kq.rational(1_000_003), 1_000_003)])
+
+
+def _inline_sunit_bounds(ctx, b):
+    """The sandwich as lemma_sunit_bounds once wrote it on L_S: (lower value or
+    None below the threshold, upper value)."""
+    ll, n, w, bb = ctx.log_lattice(), ctx.n_places, ctx.omega, to_real(Fraction(b))
+    h, reg = ll.hsk, ll.regulator
+    upper = w * (2 * bb / h + 1) ** (n - 1)
+    thresh = Fraction(n - 1, 2) * max_real(reg / h ** (n - 2), h)
+    if cmp_real(bb, thresh) < 0:
+        return None, upper
+    lower = w * (2 * bb * h ** (n - 2) / ((n - 1) * reg) - 1) * (2 * bb / ((n - 1) * h) - 1) ** (n - 2)
+    return lower, upper
+
+
+def test_lemma_sunit_bounds_match_inline_formulas():
+    # the counting lemma on L_S = (|S|, |S| - 1, R_S, H_SK) scaled by omega_K gives
+    # the 64-bit enclosures of the formulas it replaced, with the same applicability
+    kq, k2 = field_q(), field_sqrt2()
+    contexts = [
+        SUnitContext(field_sqrt5()),
+        SUnitContext(k2),
+        SUnitContext(kq, s1=[(kq.rational(2), 2), (kq.rational(3), 3)]),
+        SUnitContext(k2, s1=[(k2.gen(), 2)]),
+    ]
+    for ctx in contexts:
+        for b in (Fraction(1, 2), 1, 2, 3, 5):
+            lower, upper = lemma_sunit_bounds(ctx, b)
+            low, up = _inline_sunit_bounds(ctx, b)
+            assert endpoints(upper.bound_value) == endpoints(up), (ctx.n_places, b)
+            assert lower.applicable == (low is not None), (ctx.n_places, b)
+            if low is not None:
+                assert endpoints(lower.bound_value) == endpoints(low), (ctx.n_places, b)
