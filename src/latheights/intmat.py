@@ -1,5 +1,5 @@
-"""Exact integer matrices: HNF, SNF, determinants, indices, kernels, and the
-Z-span of rational vectors.
+"""Exact integer matrices: HNF, SNF, determinants, linear solves, indices,
+kernels, and the Z-span of rational vectors.
 
 A matrix is a list of integer rows.  Everything here uses fraction-free
 integer pivoting; matrices are tiny at desk scale, so simplicity wins over
@@ -10,8 +10,9 @@ the vectors scaled by one common denominator and the row Hermite Normal
 Form of the result.  Membership reduces the scaled vector against the HNF
 pivots (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 2.4).  A basis of the whole space also keeps its inverse, formed on first
-use as an integer matrix over one denominator, so the coordinates of a
-vector in that basis are one integer matrix product and one division.  Number fields, ideals, O_K-modules,
+use by the fraction-free ``solve`` as an integer matrix over one
+denominator, so the coordinates of a vector in that basis are one integer
+matrix product and one division.  Number fields, ideals, O_K-modules,
 quaternion orders and divisor lattices all answer membership and
 coordinates through it.
 """
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-
-from . import linalg
 
 
 def det(rows):
@@ -51,6 +50,37 @@ def det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve(a, b):
+    """Fraction-free Gauss-Jordan solve of a X = b for a square integer a
+    and an integer matrix b given as rows (Bareiss, Math. Comp. 22 (1968)).
+
+    Returns (X, d) with integer X, d > 0 and a X = d b, so X / d is the
+    solution, or None when a is singular.  Each step k replaces every other
+    row by (p_k row - a_ik row_k) / p_{k-1}, an exact division, and leaves
+    every diagonal entry equal to the last pivot, det a up to sign.
+    """
+    n = len(a)
+    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        rk, p = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                row, f = m[i], m[i][k]
+                # columns left of k are zero off the diagonal; column i < k of
+                # row i is the pivot p_{k-1}, and becomes p_k
+                if i < k:
+                    row[i] = p
+                row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], rk[k:])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
 
 
 def _row_hnf(rows, ncols, transform=False):
@@ -246,13 +276,14 @@ class ZSpan:
         if self._inv is None:
             if self._basis is None:
                 raise ValueError("coordinates need a basis of the whole space")
-            # B = A / den, so B^{-1} = den A^{-1}
-            inv = linalg.inverse([[Fraction(x) for x in row] for row in self._basis])
-            q = math.lcm(*[x.denominator for row in inv for x in row])
-            g = math.gcd(self.den, q)
-            cols = [[int(x * q) * (self.den // g) for x in col] for col in zip(*inv)]
+            # B = A / den, so B^{-1} = den A^{-1} = den X / q with A X = q I
+            n = len(self._basis)
+            x, q = solve(self._basis, [[int(i == j) for j in range(n)] for i in range(n)])
+            t = math.gcd(q, *(v for row in x for v in row))  # q / t: least denominator
+            q, g = q // t, math.gcd(self.den, q // t)
+            cols = [[v // t * (self.den // g) for v in col] for col in zip(*x)]
             identity = q == g and all(
-                x == (i == j) for i, col in enumerate(cols) for j, x in enumerate(col))
+                v == (i == j) for i, col in enumerate(cols) for j, v in enumerate(col))
             self._inv = (None if identity else cols, q // g)
         return self._inv
 

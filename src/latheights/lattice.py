@@ -20,9 +20,9 @@ entries lie in one Q(sqrt m), and by the certified re-check
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant is Bareiss
 elimination on it, and the box caps -- the radius times the l1 row norms of
-G^{-1} B^T -- come from one Gauss-Jordan solve over Q on it per lattice
-(cached).  Other lattices (balls, irrational Gram matrices) solve in the
-entries' own type.
+G^{-1} B^T -- come from one fraction-free integer solve on it per lattice
+(``intmat.solve``, cached).  Other lattices (balls, irrational Gram
+matrices) solve in the entries' own type.
 """
 
 from __future__ import annotations
@@ -161,27 +161,28 @@ def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
 def _pinv_row_norms(lat: RealLattice) -> List[Real]:
     """l1 norms of the rows of the pseudo-inverse G^{-1} B^T (m = pinv @ x).
 
-    One Gauss-Jordan solve G X = B^T.  When the Gram matrix is rational
-    (always for rational entries), B is (A + A' sqrt r) / den with integers
-    A, A' and G = G_int / den^2 (``int_gram``), so the solve runs over Q on
-    G_int with right-hand side [A^T | A'^T] and the pseudo-inverse is den X.
+    One solve G X = B^T.  When the Gram matrix is rational (always for
+    rational entries), B is (A + A' sqrt r) / den with integers A, A' and
+    G = G_int / den^2 (``int_gram``), so the solve is fraction-free on G_int
+    with right-hand side [A^T | A'^T]: G_int X = d [A^T | A'^T] with d > 0,
+    and the pseudo-inverse is den X / d.
     """
     int_gram = lat.int_gram()
     if int_gram is None:
         rows = linalg.solve(lat.gram(), lat.columns)
     else:
         root, den, a_cols, b_cols = lat.scaled_columns()
-        gram = [[Fraction(x) for x in row] for row in int_gram[0]]
-        rows = linalg.solve(gram, [a + b for a, b in zip(a_cols, b_cols)])
+        rows = intmat.solve(int_gram[0], [a + b for a, b in zip(a_cols, b_cols)])
     if rows is None:
         raise ValidationError("basis columns are linearly dependent")
     if int_gram is None:
         return [sum(map(abs_real, row[1:]), abs_real(row[0])) for row in rows]
+    rows, d = rows
     out, n = [], lat.ambient_dim
     for xs, ys in ((row[:n], row[n:]) for row in rows):
         signs = [quad_sign(x, y, root) for x, y in zip(xs, ys)]
-        out.append(QuadReal(den * sum(map(operator.mul, signs, xs)),
-                            den * sum(map(operator.mul, signs, ys)), root))
+        out.append(QuadReal(Fraction(den * sum(map(operator.mul, signs, xs)), d),
+                            Fraction(den * sum(map(operator.mul, signs, ys)), d), root))
     return out
 
 
@@ -427,12 +428,13 @@ def bound_lower(big_l: int, det_val, c, radius) -> Real:
     """Lower bound for |Lambda cap C_N(R)|; errors if R misses the threshold."""
     det_val, c = to_real(det_val), to_real(c)
     radius = to_real(Fraction(radius))
-    thresh = lower_bound_threshold(big_l, det_val, c)
-    if cmp_real(radius, thresh, context="lower bound threshold") < 0:
-        raise ValidationError("lower bound not applicable: R below threshold")
-    return (2 * radius * c ** (big_l - 1) / (big_l * det_val) - 1) * (
-        2 * radius / (big_l * c) - 1
-    ) ** (big_l - 1)
+    # R >= (L/2) max{det/c^{L-1}, c} exactly when neither factor is negative
+    main = 2 * radius * c ** (big_l - 1) / (big_l * det_val) - 1
+    growth = 2 * radius / (big_l * c) - 1
+    for factor in (main, growth):
+        if cmp_real(factor, 0, context="lower bound threshold") < 0:
+            raise ValidationError("lower bound not applicable: R below threshold")
+    return main * growth ** (big_l - 1)
 
 
 def max_grassmann_sublattice(lat: RealLattice):
@@ -440,9 +442,17 @@ def max_grassmann_sublattice(lat: RealLattice):
     big_l = lat.rank
     best = None
     best_rows = None
+    scaled = lat.scaled_columns()
+
+    def minor(rows):
+        if scaled is not None and scaled[0] == 0:  # integer minors of A = den B
+            _, den, cols, _ = scaled
+            d = intmat.det([[col[i] for col in cols] for i in rows])
+            return to_real(Fraction(abs(d), den ** big_l))
+        return abs_real(linalg.det([[col[i] for col in lat.columns] for i in rows]))
+
     for rows in itertools.combinations(range(lat.ambient_dim), big_l):
-        sub = [[lat.columns[j][i] for j in range(big_l)] for i in rows]
-        d = abs_real(linalg.det(sub))
+        d = minor(rows)
         if best is None or cmp_real(d, best, context="grassmann max") > 0:
             best, best_rows = d, rows
     if best is None or cmp_real(best, 0) == 0:

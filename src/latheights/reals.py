@@ -11,6 +11,14 @@ Two carriers cover every real quantity in the library:
   another precision, so a value printed at ``PRECISION.start`` bits is the
   same whatever comparisons ran before.
 
+Balls come only from logarithms, pi, roots other than square roots and
+exact n-th roots of rationals, and operations with a ball operand.  Two
+``QuadReal``s with different radicands stay exact where they can: their
+comparison takes two exact squarings (``quad2_sign``), ``max_real``/
+``min_real`` return the exact winner, and a product of pure radicals
+b*sqrt(p) * c*sqrt(q) is one pure radical.  Only their sums and other
+products become balls.
+
 Comparisons between balls evaluate from ``PRECISION.start`` bits, doubling up
 to ``PRECISION.cap``; an undecided comparison at the cap raises
 ``PrecisionExhausted`` instead of guessing.
@@ -165,6 +173,19 @@ def quad_sign(a, b, m):
     if a > 0:  # b < 0
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
     return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+def quad2_sign(a, b, p, c, q):
+    """Exact sign of a + b*sqrt(p) + c*sqrt(q) for rational a, b, c and
+    p, q >= 0 (Burnikel, Fleischer, Mehlhorn and Schirra, Algorithmica 27
+    (2000)): when x = a + b*sqrt(p) and c*sqrt(q) have opposite signs, the
+    sum has the sign of x times that of x**2 - c**2 q."""
+    sx, sy = quad_sign(a, b, p), quad_sign(0, c, q)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    return sx * quad_sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
 
 
 class Real:
@@ -372,6 +393,11 @@ def _mul(x, y):
         if x.m == y.m:
             m = x.m
             return _quad(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
+        if not x.a and not y.a:
+            # b sqrt(p) b' sqrt(q) = b b' g sqrt(pq / g^2), g = gcd(p, q): p/g
+            # and q/g are coprime and squarefree, so their product is too
+            g = math.gcd(x.m, y.m)
+            return _quad(_FZERO, x.b * y.b * g, (x.m // g) * (y.m // g))
     return _binop_ball(x, y, lambda a, b: a * b)
 
 
@@ -408,8 +434,10 @@ def _ipow(x, n):
 def cmp_real(x, y, context=""):
     """Three-way comparison; raises PrecisionExhausted if undecidable."""
     x, y = to_real(x), to_real(y)
-    if isinstance(x, QuadReal) and isinstance(y, QuadReal) and _compatible(x, y):
-        return _add(x, _neg(y)).sign()
+    if isinstance(x, QuadReal) and isinstance(y, QuadReal):
+        if _compatible(x, y):
+            return _add(x, _neg(y)).sign()
+        return quad2_sign(x.a - y.a, x.b, x.m, -y.b, y.m)
     prec = PRECISION.start
     while True:
         ix, iy = x.interval(prec), y.interval(prec)
@@ -436,7 +464,7 @@ def max_real(*xs):
     xs = [to_real(x) for x in xs]
     best = xs[0]
     for x in xs[1:]:
-        if all(isinstance(v, QuadReal) for v in (best, x)) and _compatible(best, x):
+        if isinstance(best, QuadReal) and isinstance(x, QuadReal):
             if cmp_real(x, best) > 0:
                 best = x
         else:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import lattice, linalg, reals
+from latheights import intmat, lattice, linalg, reals
 from latheights.bounds import _fast_count_totally_real, as_rooted
 from latheights.errors import ValidationError
 from latheights.heights import height_h
@@ -255,23 +255,32 @@ def test_quad_abs_le_matches_quadreal_sign(m, q):
 
 
 def test_coefficient_box_caches_row_norms(monkeypatch):
-    solve, calls = linalg.solve, []
+    """One solve per lattice: the integer solve on an integer Gram matrix,
+    linalg.solve on an irrational or ball Gram matrix."""
+    calls = []
 
-    def spy(a, b):
-        calls.append(a)
-        return solve(a, b)
+    def spy(module):
+        solve = module.solve
 
-    monkeypatch.setattr(linalg, "solve", spy)
+        def run(a, b):
+            calls.append(module.__name__)
+            return solve(a, b)
+
+        monkeypatch.setattr(module, "solve", run)
+
+    spy(linalg)
+    spy(intmat)
     makers = [
-        lambda: _lattice([[(1, 1), (Fraction(1, 2), 0)], [(0, -1), (3, 2)]], 2),
-        lambda: _lattice([[(3, 0), (Fraction(1, 2), 0)], [(0, 0), (5, 0)]], 0),
-        lambda: RealLattice([[log_real(3), 1], [1, log_real(5)]]),
+        (lambda: _lattice([[(1, 1), (Fraction(1, 2), 0)], [(0, -1), (3, 2)]], 2), linalg),
+        (lambda: _lattice([[(3, 0), (Fraction(1, 2), 0)], [(0, 0), (5, 0)]], 0), intmat),
+        (lambda: _lattice([[(0, 1), (1, 0)], [(2, 1), (1, -2)]], 2), intmat),
+        (lambda: RealLattice([[log_real(3), 1], [1, log_real(5)]]), linalg),
     ]
     radii = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10**6 + 1, 7)]
-    for make in makers:
+    for make, solver in makers:
         lat, calls[:] = make(), []
         caps = [_coefficient_box(lat, r) for r in radii]
-        assert len(calls) == 1
+        assert calls == [solver.__name__]
         assert caps == [_coefficient_box(make(), r) for r in radii]
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latheights import linalg
@@ -17,6 +17,7 @@ from latheights.intmat import (
     lattice_intersection,
     rank,
     snf_diagonal,
+    solve,
 )
 
 IDENTITY2 = [[1, 0], [0, 1]]
@@ -205,3 +206,45 @@ def test_zspan_identity_and_errors():
     for span in (ZSpan([[1, 0]], 2), ZSpan([[1, 0], [0, 1], [1, 1]], 2)):
         with pytest.raises(ValueError):
             span.coords([1, 0])
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free solve against linalg.solve over Fraction
+
+int_entries = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+@st.composite
+def solve_cases(draw):
+    """(a, b): a square integer matrix, possibly made singular (a row
+    replaced by an integer combination of the others) or with its first two
+    rows swapped (the sign of det a flips), and an integer right-hand side."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(int_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(small_ints, min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(n)]
+    if n > 1 and draw(st.booleans()):
+        a[0], a[1] = a[1], a[0]
+    k = draw(st.integers(1, 3))
+    b = draw(st.lists(st.lists(int_entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    return a, b
+
+
+@PROPERTY
+@given(solve_cases())
+@example(([[0, 1], [1, 0]], [[1], [2]]))  # det -1 after one swap
+@example(([[-3]], [[6, -5]]))  # det -3
+@example(([[2, 4], [1, 2]], [[1], [1]]))  # singular
+def test_solve_against_fraction_solve(case):
+    a, b = case
+    ref = linalg.solve([list(map(Fraction, r)) for r in a], [list(map(Fraction, r)) for r in b])
+    got = solve(a, b)
+    if ref is None:
+        assert got is None and det(a) == 0
+        return
+    x, d = got
+    # d > 0, so the signs of X are those of the solution (the box caps read them)
+    assert d > 0 and d == abs(det(a))
+    assert all(type(v) is int for row in x for v in row)
+    assert [[Fraction(v, d) for v in row] for row in x] == ref

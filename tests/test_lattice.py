@@ -1,11 +1,14 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latheights import cli
+from latheights import cli, reals
 from latheights.errors import PrecisionExhausted, ValidationError
 from latheights.lattice import (
     RealLattice,
@@ -19,7 +22,8 @@ from latheights.lattice import (
     supnorm_min,
 )
 from latheights.modules import _ideal_lattice
-from latheights.reals import QuadReal, abs_real, cmp_real, endpoints, max_real, min_real, sqrt_real
+from latheights.reals import (
+    QuadReal, abs_real, cmp_real, endpoints, max_real, min_real, sqrt_real, to_real)
 from latheights.sunits import SUnitContext
 
 
@@ -254,3 +258,49 @@ def test_supnorm_min_skip_matches_no_skip_search():
         got, got_m = supnorm_min(lat)
         assert got_m == want_m
         assert endpoints(got, 256) == endpoints(want, 256)
+
+
+@st.composite
+def lower_cases(draw):
+    """(L, det, c, R): det rational or a square root, c rational, and R
+    within 3/4 of the threshold, often on it."""
+    big_l = draw(st.integers(1, 4))
+    c = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 6)))
+    g = draw(st.integers(1, 400))
+    det_val = sqrt_real(g) if draw(st.booleans()) else to_real(Fraction(g, draw(st.integers(1, 5))))
+    thresh = lower_bound_threshold(big_l, det_val, c)
+    base = thresh.as_fraction() if thresh.is_rational else _rat_upper(thresh)
+    radius = max(Fraction(0), base + Fraction(draw(st.integers(-3, 3)), 4))
+    return big_l, det_val, c, radius
+
+
+@settings(max_examples=300)
+@given(lower_cases())
+def test_bound_lower_raises_exactly_below_threshold(case):
+    big_l, det_val, c, radius = case
+    below = cmp_real(radius, lower_bound_threshold(big_l, det_val, c)) < 0
+    try:
+        value = bound_lower(big_l, det_val, c, radius)
+    except ValidationError:
+        assert below
+    else:
+        assert not below and isinstance(value, QuadReal)
+        assert cmp_real(value, 0) >= 0
+
+
+def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
+    # every cnt-lem bound lives in Q(sqrt g) or Q(sqrt(C(n, L) g)): no BallReal
+    built, init = [], reals.BallReal.__init__
+
+    def spy(self, fn):
+        built.append(fn)
+        init(self, fn)
+
+    monkeypatch.setattr(reals.BallReal, "__init__", spy)
+    assert cli.main(["verify", "cnt-lem", "--seed", "42"]) == 0
+    assert built == []
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (tie,) = [r for r in records if r["instance"] == "lat-045-N2-L1"
+              and r["kind"] == "UPPER" and r["R_mid"] == "3"]
+    # bound and count are both exactly 3: an exact comparison decides it
+    assert (tie["exact"], tie["bound_mid"], tie["verdict"]) == (3, "3", "HOLDS")

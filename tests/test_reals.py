@@ -18,6 +18,7 @@ from latheights.reals import (
     Rooted,
     _add,
     _exact_iroot,
+    _binop_ball,
     _mul,
     _squarefree_split,
     abs_real,
@@ -29,6 +30,7 @@ from latheights.reals import (
     nthroot_real,
     pi_real,
     pow_real,
+    quad2_sign,
     sqrt_real,
     to_real,
 )
@@ -394,3 +396,74 @@ def test_unary_ops_enclose_mpmath(leaf, op):
     with mpmath.workprec(_REF_BITS):
         ref = theirs(abs(u))
     _assert_encloses(ours(abs_real(x)), ref)
+
+
+# ---------------------------------------------------------------------------
+# QuadReals with different radicands: exact signs, winners and products
+
+_SQUAREFREE = [0, 1, 2, 3, 5, 6, 7, 10, 11, 15, 30, 1009, 2 * 3 * 5 * 7 * 11 * 13]
+_wide = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+
+
+def _mp_value(a, b, p, c, q):
+    with mpmath.workprec(_REF_BITS):
+        return _mpq(a) + _mpq(b) * mpmath.sqrt(p) + _mpq(c) * mpmath.sqrt(q)
+
+
+@settings(max_examples=300)
+@given(_wide, _wide, st.sampled_from(_SQUAREFREE), _wide, st.sampled_from(_SQUAREFREE),
+       st.integers(0, 60))
+@example(Fraction(0), Fraction(1), 2, Fraction(-1), 2, 0)  # exact zero, p == q
+@example(Fraction(5), Fraction(1), 2, Fraction(-2), 3, 0)  # opposite signs
+def test_quad2_sign_against_mpmath(a, b, p, c, q, tight):
+    """With tight > 0, a is replaced by minus b sqrt(p) + c sqrt(q) rounded
+    to tight decimals, so the sum is at most 10**-tight: the second squaring
+    has to decide a deep cancellation."""
+    if tight:
+        with mpmath.workprec(_REF_BITS):
+            near = _mp_value(0, b, p, c, q) * 10**tight
+            a = -Fraction(int(mpmath.nint(near)), 10**tight)
+    ref = _mp_value(a, b, p, c, q)
+    got = quad2_sign(a, b, p, c, q)
+    if abs(ref) > mpmath.mpf(2) ** (-_REF_BITS // 2):
+        assert got == (1 if ref > 0 else -1), (a, b, p, c, q)
+    else:  # |sum| < 2**-512 at 1024 bits: a true zero
+        assert got == 0, (a, b, p, c, q)
+    assert cmp_real(QuadReal(a, b, p), QuadReal(0, -c, q)) == got
+
+
+_mixed = st.builds(QuadReal, fractions, fractions, st.sampled_from([0, 2, 3, 5, 6, 7, 10]))
+
+
+@settings(max_examples=200)
+@given(st.lists(_mixed, min_size=1, max_size=5))
+def test_max_min_of_quadreals_are_exact_winners(xs):
+    for pick, choose in ((max_real, max), (min_real, min)):
+        got = pick(*xs)
+        assert isinstance(got, QuadReal)
+        assert any(got == x for x in xs)
+        assert all(cmp_real(x, got) * (1 if pick is max_real else -1) <= 0 for x in xs)
+        with mpmath.workprec(_REF_BITS):
+            refs = [_mpq(x.a) + _mpq(x.b) * mpmath.sqrt(x.m) for x in xs]
+            value = _mpq(got.a) + _mpq(got.b) * mpmath.sqrt(got.m)
+        assert value == choose(refs)
+
+
+@settings(max_examples=200)
+@given(fractions.filter(bool), st.sampled_from(_SQUAREFREE[2:]),
+       fractions.filter(bool), st.sampled_from(_SQUAREFREE[2:]))
+def test_pure_radical_product_is_exact(b, p, c, q):
+    assume(p != q)
+    x, y = QuadReal(0, b, p), QuadReal(0, c, q)
+    got = _mul(x, y)
+    assert isinstance(got, QuadReal) and got.a == 0
+    assert got.m == 0 or _squarefree_split(got.m) == (1, got.m)
+    assert got == QuadReal(0, b * c, p * q)  # the normalising constructor
+    ball = _binop_ball(x, y, lambda u, v: u * v)
+    for prec in (64, 256):
+        lo, hi = endpoints(ball, prec)
+        glo, ghi = endpoints(got, prec)
+        assert lo <= ghi and glo <= hi  # the enclosures meet
+    with mpmath.workprec(_REF_BITS):
+        ref = _mpq(b) * mpmath.sqrt(p) * _mpq(c) * mpmath.sqrt(q)
+    _assert_encloses(got, ref)
