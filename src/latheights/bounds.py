@@ -27,7 +27,6 @@ from .quat import (
     QuatOrder,
     _arch_sq_prod,
     bracket_inv,
-    d_row_reduce,
     height_Hinf,
     height_h,
     height_h_order,
@@ -524,7 +523,7 @@ def const_A(order: QuatOrder, n: int, big_l: int, big_m: int, big_j: int):
 def _d_rank(vectors: Sequence[Sequence[QuatElement]]) -> int:
     """Right rank of vectors in D^N: the pivots of the matrix with the
     vectors as columns, so v and v*mu are dependent."""
-    return len(d_row_reduce(linalg.transpose(vectors))[1])
+    return linalg.rank(linalg.transpose(vectors))
 
 
 def _subspace_form(u: DSubspace) -> List[List[QuatElement]]:
@@ -674,12 +673,12 @@ def search_basis(z: DSubspace, order: QuatOrder,
 def search_isotropic(form, z: DSubspace, order: QuatOrder,
                      avoid_subspaces: Sequence[DSubspace] = (),
                      avoid_forms: Sequence[Sequence[Sequence[QuatElement]]] = (),
-                     max_radius: Fraction = Fraction(64),
-                     check_bound: bool = True) -> Dict[str, object]:
+                     max_radius: Fraction = Fraction(64)) -> Dict[str, object]:
     """Find a small zero of a hermitian form in Z avoiding the given sets.
 
-    With check_bound the found height is compared against the explicit
-    search bound; without it only the point is reported.
+    Returns the point, its height, the explicit search bound and a
+    PASS/FAIL/INCONCLUSIVE status comparing the two; raises BudgetExceeded
+    when max_radius is reached first.
 
     Filter order: on each shell the zeros of the form are taken first, then
     the avoided subspaces and form zero sets are removed, all on integer
@@ -702,20 +701,15 @@ def search_isotropic(form, z: DSubspace, order: QuatOrder,
     if found is None:
         raise BudgetExceeded("isotropic search exhausted its radius budget")
     h, xs = found
-    result: Dict[str, object] = {"point": xs, "height": h}
-    if check_bound:
-        a_const = const_A(order, z.ambient, big_l, big_m, big_j)
-        hinf_f = height_Hinf([e for row in form for e in row])
-        w = hinf_f ** (9 * big_l + 11)
-        hf_pow = Rooted(w.base, w.k * 2)  # H_inf(F)^{(9L+11)/2}
-        ho = subspace_height_HO(z, order)
-        bound = a_const * hf_pow.as_real() * (ho ** (4 * (9 * big_l + 12))).as_real()
-        result["bound"] = bound
-        try:
-            ok = cmp_real(h.as_real(), bound, context="isotropic bound") <= 0
-            result["status"] = "PASS" if ok else "FAIL"
-        except PrecisionExhausted:
-            result["status"] = INCONCLUSIVE
-    else:
-        result["status"] = "FOUND"
-    return result
+    a_const = const_A(order, z.ambient, big_l, big_m, big_j)
+    hinf_f = height_Hinf([e for row in form for e in row])
+    w = hinf_f ** (9 * big_l + 11)
+    hf_pow = Rooted(w.base, w.k * 2)  # H_inf(F)^{(9L+11)/2}
+    ho = subspace_height_HO(z, order)
+    bound = a_const * hf_pow.as_real() * (ho ** (4 * (9 * big_l + 12))).as_real()
+    try:
+        ok = cmp_real(h.as_real(), bound, context="isotropic bound") <= 0
+        status = "PASS" if ok else "FAIL"
+    except PrecisionExhausted:
+        status = INCONCLUSIVE
+    return {"point": xs, "height": h, "bound": bound, "status": status}

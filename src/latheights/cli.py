@@ -218,42 +218,39 @@ def suite_main2(seed: int) -> List[Dict[str, object]]:
     return records
 
 
-def suite_sunits(seed: int) -> List[Dict[str, object]]:
+def _lemma_suite(contexts, radii, lemma, checks) -> List[Dict[str, object]]:
+    """A LOWER/UPPER record pair per context and radius, then the context's
+    checks in key order."""
     records = []
+    for name, ctx in contexts:
+        for b in radii:
+            lower, upper = lemma(ctx, b, instance=name)
+            records.append(report_record(lower))
+            records.append(report_record(upper))
+        for key, ok in sorted(checks(ctx).items()):
+            records.append(check_record(name, key.upper(), ok))
+    return records
+
+
+def suite_sunits(seed: int) -> List[Dict[str, object]]:
     kq = _field_q()
     contexts = [
         ("Q(sqrt5)-Sinf", SUnitContext(_field_sqrt5())),
         ("Q(sqrt2)-Sinf", SUnitContext(_field_sqrt2())),
         ("Q-S23", SUnitContext(kq, s1=[(kq.rational(2), 2), (kq.rational(3), 3)])),
     ]
-    for name, ctx in contexts:
-        for b in (Fraction(1, 2), 1, 2, 3, 5):
-            lower, upper = lemma_sunit_bounds(ctx, b, instance=name)
-            records.append(report_record(lower))
-            records.append(report_record(upper))
-        checks = regulator_bound_checks(ctx, h_k=1)
-        for key, ok in sorted(checks.items()):
-            records.append(check_record(name, key.upper(), ok))
-    return records
+    return _lemma_suite(contexts, (Fraction(1, 2), 1, 2, 3, 5), lemma_sunit_bounds,
+                        lambda ctx: regulator_bound_checks(ctx, h_k=1))
 
 
 def suite_ffield(seed: int) -> List[Dict[str, object]]:
-    records = []
     contexts = [
         ("P1-F5-P2", CurveContext(5, GENUS0, points=[0, INF])),
         ("P1-F5-P3", CurveContext(5, GENUS0, points=[0, 1, INF])),
         ("E-F5-P3", CurveContext(5, GENUS1, a=1, b=1,
                                  points=[INF, (0, 1), (0, 4)])),
     ]
-    for name, ctx in contexts:
-        for b in range(0, 5):
-            lower, upper = lemma_pcount_bounds(ctx, b, instance=name)
-            records.append(report_record(lower))
-            records.append(report_record(upper))
-        checks = det_bound_checks(ctx)
-        for key, ok in sorted(checks.items()):
-            records.append(check_record(name, key.upper(), ok))
-    return records
+    return _lemma_suite(contexts, range(5), lemma_pcount_bounds, det_bound_checks)
 
 
 _SUITE_FN = {

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import lattice_index, table_rows
+from .intmat import image_index
 from .nf import FracIdeal, NfElement, NumberField
 from .reals import (
     ONE,
@@ -84,12 +84,12 @@ def content_ideal(field: NumberField, x: Sequence[NfElement]) -> FracIdeal:
     return FracIdeal.from_generators(field, gens)
 
 
-def _mult_rows(field: NumberField, xi: NfElement, what="coordinate") -> List[List[int]]:
-    """Integral-basis coordinates of omega_i * xi, i < d, for integral xi."""
+def _int_coords(field: NumberField, xi: NfElement, what="coordinate") -> List[int]:
+    """Integral-basis coordinates of an integral xi."""
     c, m = field.scaled_coords(xi)
     if m != 1:
         raise ValidationError("%s is not integral" % what)
-    return table_rows(field.mult_table(), c)
+    return c
 
 
 def _arch_abs_table(field: NumberField, x: Sequence[NfElement]):
@@ -175,12 +175,13 @@ def subspace_height(field: NumberField, cols: Sequence[Sequence[NfElement]]) -> 
 def hfin_integral(field: NumberField, x: Sequence[NfElement]) -> Fraction:
     """Exact d-th power of the finite height of an integral vector.
 
-    That is 1 / N(content ideal) = 1 / [O_K : sum O_K x_l].
+    That is 1 / N(content ideal) = 1 / [O_K : sum O_K x_l], the index of
+    the image of x as a 1 x N matrix.
     """
-    gens = [row for xi in x if not xi.is_zero() for row in _mult_rows(field, xi)]
-    if not gens:
+    coords = [_int_coords(field, xi) for xi in x if not xi.is_zero()]
+    if not coords:
         raise ValidationError("content ideal of the zero vector")
-    return Fraction(1, lattice_index(gens, field.degree))
+    return Fraction(1, image_index(field.mult_table(), [coords]))
 
 
 def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Fraction:
@@ -190,15 +191,8 @@ def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Frac
     surjection O_K^N -> O_K^M; returns the inverse of the index of its
     image.
     """
-    m = len(rows)
-    n = len(rows[0])
-    d = field.degree
-    gens = []
-    for j in range(n):
-        # image of omega_i e_j: the i-th rows of the entries of column j, joined
-        blocks = [_mult_rows(field, rows[i][j], "matrix entry") for i in range(m)]
-        gens.extend(sum(rs, []) for rs in zip(*blocks))
-    idx = lattice_index(gens, m * d)
+    coords = [[_int_coords(field, e, "matrix entry") for e in row] for row in rows]
+    idx = image_index(field.mult_table(), coords)
     if idx is None:
         raise ValidationError("matrix map is rank deficient")
     return Fraction(1, idx)

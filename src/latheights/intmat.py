@@ -169,6 +169,21 @@ def table_rows(table, c):
     return out
 
 
+def image_index(table, coords):
+    """Index in Z^{Mk} of the image of an M x N matrix over a ring with
+    Z-basis e_0, ..., e_{k-1} and integer multiplication table ``table``
+    (as for ``table_rows``); coords[i][j] holds the integer coordinates of
+    entry (i, j).  Column j and e_w give one generator, whose block i is
+    row w of ``table_rows(table, coords[i][j])``.  Returns None if the image
+    has rank < Mk.
+    """
+    gens = []
+    for j in range(len(coords[0])):
+        blocks = [table_rows(table, row[j]) for row in coords]
+        gens.extend(sum(rs, []) for rs in zip(*blocks))
+    return lattice_index(gens, len(coords) * len(table))
+
+
 def kernel(rows):
     """Z-basis of the integer kernel {x : m @ x = 0} of the matrix m with
     the given rows, as a list of vectors."""

@@ -1,18 +1,27 @@
-"""Generic dense linear algebra over an exact field.
+"""Dense linear algebra over fields and the definite quaternion algebra D.
 
-Entries may be Fractions, QuadReals, number field elements, or anything
-supporting +, -, *, / and equality against 0.  Used for multiplication
-matrices, Grassmann minors, pseudo-inverses, and solving over quadratic
-extensions; matrices are small everywhere in this library.
+Entries may be Fractions, QuadReals, BallReals, number field elements or
+quaternions: anything with +, -, *, /, 1/x and equality against 0.
+Matrices are small everywhere in this library.
+
+One elimination loop, ``row_echelon``, serves fields and D alike, by left
+row operations: row i -= (a_ic / p) * row r, the pivot row r unscaled.
+Left operations keep the right-linear relations among the columns, so over
+D the pivots give the right rank and the right kernel, with unknowns
+multiplied from the right (Aslaksen, Math. Intelligencer 18 (1996); Voight,
+GTM 288, ch. 7).  Readers needing 1/p multiply from the left, and only on
+the entries they read.
+
+Ball operation order: a BallReal's enclosure depends on the order of its
+operations, and a BallReal never equals 0.  Each multiplier is the quotient
+a_ic / p, never a_ic * (1/p), and ``det`` multiplies the pivots left to
+right: a 2 x 2 determinant is g00 * (g11 - (g10 / g00) * g01).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-
-def _is_zero(x):
-    return x == 0
 
 
 def mat_mul(a, b):
@@ -31,118 +40,98 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def det(a):
-    """Determinant by Gaussian elimination with exact division."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in a]
-    sign = 1
-    result = None
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not _is_zero(m[i][k]):
-                piv = i
+def row_echelon(a, ncols=None):
+    """Gauss-Jordan elimination: (rows, pivot columns, pivots, swaps).
+
+    Pivots are sought only in the first ``ncols`` columns (all of them by
+    default); each pivot column is cleared in every other row.  Pivot rows
+    are not scaled, so ``pivots[r]`` is ``rows[r][cols[r]]``; ``swaps``
+    counts the row exchanges.
+    """
+    m = [list(row) for row in a]
+    nrows = len(m)
+    if ncols is None:
+        ncols = len(m[0]) if nrows else 0
+    zero = m[0][0] - m[0][0] if nrows and ncols else None
+    cols, pivots, swaps = [], [], 0
+    for c in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if not m[i][c] == 0:
                 break
-        if piv is None:
-            return m[0][0] - m[0][0]  # zero of the right type
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
-        result = m[k][k] if result is None else result * m[k][k]
-    return result if sign == 1 else -result
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            swaps += 1
+        prow = m[r]
+        p, rest = prow[c], prow[c + 1:]
+        # row r is zero left of c: earlier pivot columns are cleared, and
+        # earlier columns without a pivot are zero from row r down.  Column
+        # c is set to zero, not formed: exact entries cancel there, and no
+        # reader looks at what a ball would leave
+        for row in m:
+            if row is not prow and not row[c] == 0:
+                f = row[c] / p
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], rest)]
+                row[c] = zero
+        cols.append(c)
+        pivots.append(p)
+    return m, cols, pivots, swaps
+
+
+def det(a):
+    """Determinant: the signed product of the pivots, left to right; a zero
+    of the entry type when a is singular."""
+    if not a:
+        return Fraction(1)
+    _, _, pivots, swaps = row_echelon(a)
+    if len(pivots) < len(a):
+        return a[0][0] - a[0][0]
+    result = math.prod(pivots[1:], start=pivots[0])
+    return -result if swaps % 2 else result
 
 
 def solve(a, b):
     """Solve a x = b for square a; returns None if singular.
 
     b is a vector, or a matrix given as a list of rows; x has its shape.
-    One Gauss-Jordan pass on [a | b]: each column of b sees exactly the row
-    operations it would see alone.
+    One elimination on [a | b], then each row's right-hand side is
+    multiplied from the left by 1/p.
     """
     n = len(a)
     vec = not isinstance(b[0], list)
-    m = [list(row) + ([bv] if vec else list(bv)) for row, bv in zip(a, b)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not _is_zero(m[i][k]):
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        inv = m[k][k]
-        # columns left of k are eliminated and never read again
-        m[k][k:] = [x / inv for x in m[k][k:]]
-        for i in range(n):
-            if i != k and not _is_zero(m[i][k]):
-                factor = m[i][k]
-                m[i][k:] = [x - factor * y for x, y in zip(m[i][k:], m[k][k:])]
-    return [m[i][n] for i in range(n)] if vec else [m[i][n:] for i in range(n)]
+    m, _, pivots, _ = row_echelon(
+        [list(row) + ([bv] if vec else list(bv)) for row, bv in zip(a, b)], n)
+    if len(pivots) < n:
+        return None
+    x = [[inv * v for v in row[n:]] for row, inv in zip(m, [1 / p for p in pivots])]
+    return [row[0] for row in x] if vec else x
 
 
 def inverse(a):
     """a^{-1} as solve(a, I); None if singular."""
-    n = len(a)
     zero = a[0][0] - a[0][0]
-    # 1 of the right type: x/x for the first nonzero entry
-    one = next((x / x for row in a for x in row if not _is_zero(x)), None)
-    if one is None:
-        return None
-    return solve(a, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def row_echelon(a):
-    """(echelon form, pivot column list); rows are combinations of inputs."""
-    m = [row[:] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not _is_zero(m[i][c]):
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    return solve(a, [[zero + int(i == j) for j in range(len(a))] for i in range(len(a))])
 
 
 def rank(a):
-    return len(row_echelon(a)[1])
+    return len(row_echelon(a)[2])
 
 
 def kernel_basis(a):
-    """Right kernel basis of the matrix a over its field."""
-    m, pivots = row_echelon(a)
-    ncols = len(a[0]) if a else 0
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel {v : a v = 0}, one vector per column
+    without a pivot; over D the unknowns are multiplied from the right."""
     if not a:
         return []
+    m, cols, pivots, _ = row_echelon(a)
     zero = a[0][0] - a[0][0]
-    # 1 of the right type; for the zero matrix (kernel is everything) a Fraction
-    one = next((x / x for row in a for x in row if not _is_zero(x)), Fraction(1))
+    invs = [1 / p for p in pivots]
     out = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - m[r][fc]
+    for fc in (c for c in range(len(a[0])) if c not in cols):
+        v = [zero] * len(a[0])
+        v[fc] = zero + 1
+        for row, pc, inv in zip(m, cols, invs):
+            v[pc] = -(inv * row[fc])
         out.append(v)
     return out

@@ -363,7 +363,7 @@ class NfElement:
         return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self.inv() * other
 
     def __pow__(self, n: int) -> "NfElement":
         if n < 0:

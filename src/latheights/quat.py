@@ -5,8 +5,10 @@ Provides exact element arithmetic, orders with Z-bases, the archimedean
 and finite heights, right D-subspaces with both basis and constraint
 matrices, and the hermitian-to-quadratic trace form.  Reduced norms of
 matrices over D, det rho(A) = Nrd(A) for the splitting map rho, are
-computed by elimination over D (d_row_reduce): the product of the
-pivots' reduced norms.
+computed by the one elimination loop ``linalg.row_echelon``, whose left
+row operations work over D as over a field: the product of the pivots'
+reduced norms (``nrd``).  Right kernels of matrices over D, with unknowns
+multiplied from the right, come from ``linalg.kernel_basis``.
 
 An order holds its Z-basis as an ``intmat.ZSpan`` of the elements'
 flattened power-basis coordinates: membership reduces against its HNF, and
@@ -28,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import ZSpan, kernel, lattice_index, rational_to_scaled, table_rows
+from .intmat import ZSpan, image_index, kernel, rational_to_scaled
 from .modules import OkModule, _flatten_power_coords, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -148,6 +150,10 @@ class QuatElement:
             return QuatElement(self.algebra, [a / other for a in self.c])
         return self * self._coerce(other).inv()
 
+    def __rtruediv__(self, other):
+        # other is a scalar, hence central
+        return self.inv() * other
+
     def conj(self) -> "QuatElement":
         return QuatElement(self.algebra, [self.c[0], -self.c[1], -self.c[2], -self.c[3]])
 
@@ -171,7 +177,7 @@ class QuatElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, NfElement)):
-            other = self._coerce(other)
+            return self.c[0] == other and all(x.is_zero() for x in self.c[1:])
         if isinstance(other, QuatElement):
             return all((a - b).is_zero() for a, b in zip(self.c, other.c))
         return NotImplemented
@@ -357,8 +363,7 @@ def height_hinf(xs: Sequence[QuatElement]) -> Rooted:
 
 def _hfin(order: QuatOrder, rows: Sequence[Sequence[int]]) -> Fraction:
     """1 / [O : sum_l O x_l] from the integer coordinates of the x_l."""
-    gens = [g for cs in rows for g in table_rows(order.left_table, cs)]
-    idx = lattice_index(gens, len(order.z_basis))
+    idx = image_index(order.left_table, [rows])
     if idx is None:
         raise ValidationError("left module has infinite index in the order")
     return Fraction(1, idx)
@@ -409,72 +414,16 @@ def height_h_order(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
 # right D-subspaces
 
 
-def d_row_reduce(rows: Sequence[Sequence[QuatElement]]):
-    """Gauss-Jordan elimination over D by left row operations.
-
-    Returns (reduced rows, pivot columns, product of the pivots' N()), each
-    pivot's reduced norm taken before its row is scaled to 1.  Row swaps and
-    adding a left multiple of one row to another have reduced norm 1, so a
-    square matrix has Nrd = det rho = that product when every column has a
-    pivot, and 0 otherwise (Aslaksen, Math. Intelligencer 18 (1996); Voight,
-    Quaternion Algebras, GTM 288, ch. 7).  D is definite, hence a division
-    algebra: every nonzero pivot is invertible.  Left row operations keep
-    the right-linear relations among the columns, so the number of pivots
-    is the right rank of the columns.
-    """
-    a = [list(r) for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    alg = a[0][0].algebra
-    one, norm = alg.one(), alg.field.one()
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not a[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        norm = norm * a[r][c].nrm()
-        inv = a[r][c].inv()
-        # row r is zero left of c: pivot columns are cleared in every other
-        # row, and a column without a pivot is zero from row r down
-        a[r][c:] = [one] + [inv * x for x in a[r][c + 1:]]
-        for i in range(nrows):
-            if i != r and not a[i][c].is_zero():
-                q = a[i][c]
-                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], a[r][c:])]
-        pivots.append(c)
-        r += 1
-    return a, pivots, norm
-
-
 def nrd(rows: Sequence[Sequence[QuatElement]]) -> NfElement:
-    """Reduced norm Nrd(A) = det rho(A) of a square matrix A over D, in K."""
-    _, pivots, norm = d_row_reduce(rows)
-    return norm if len(pivots) == len(rows) else norm.field.zero()
-
-
-def d_right_kernel(rows: Sequence[Sequence[QuatElement]]) -> List[List[QuatElement]]:
-    """Basis of {y : A y = 0} with unknowns multiplied from the right.
-
-    Row operations multiply from the left, which is compatible with
-    right-sided unknowns over the division ring.
-    """
-    a, pivots, _ = d_row_reduce(rows)
-    alg = a[0][0].algebra
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [alg.zero() for _ in range(ncols)]
-        v[fc] = alg.one()
-        for rr, pc in enumerate(pivots):
-            v[pc] = -a[rr][fc]
-        out.append(v)
-    return out
+    """Reduced norm Nrd(A) = det rho(A) of a square matrix A over D, in K:
+    row swaps and left row additions have Nrd 1, so it is the product of
+    the pivots' reduced norms (0 when a column has no pivot).  D is definite,
+    hence a division algebra: every nonzero pivot is invertible."""
+    field = rows[0][0].algebra.field
+    _, _, pivots, _ = linalg.row_echelon(rows)
+    if len(pivots) < len(rows):
+        return field.zero()
+    return math.prod((p.nrm() for p in pivots), start=field.one())
 
 
 class DSubspace:
@@ -513,7 +462,7 @@ class DSubspace:
     def basis_cols(self) -> List[List[QuatElement]]:
         if self._basis is None:
             # solve C x = 0
-            self._basis = d_right_kernel(self._constraint)
+            self._basis = linalg.kernel_basis(self._constraint)
             if len(self._basis) != self.dim:
                 raise ValidationError("constraint matrix rank is inconsistent")
         return self._basis
@@ -531,7 +480,7 @@ class DSubspace:
         """Basis of Z-perp = {y : x* y = 0 for all x in Z}."""
         cols = self.basis_cols()
         star_rows = [[x.conj() for x in col] for col in cols]  # X*, L x N
-        return d_right_kernel(star_rows)
+        return linalg.kernel_basis(star_rows)
 
     def perp(self) -> "DSubspace":
         return DSubspace(self.algebra, self.ambient, basis_cols=self.perp_basis())
@@ -549,12 +498,7 @@ def _scaled_matrix(order: QuatOrder, rows):
 def _image_index(order: QuatOrder, coords) -> int:
     """[O^M : A(O^N)] for an M x N matrix A over the order, from the integer
     coordinates of its entries: column j sends e_w to the column of A_ij e_w."""
-    big_m = len(coords)
-    gens = []
-    for jcol in range(len(coords[0])):
-        blocks = [table_rows(order.right_table, coords[i][jcol]) for i in range(big_m)]
-        gens.extend(sum(rs, []) for rs in zip(*blocks))
-    idx = lattice_index(gens, big_m * len(order.z_basis))
+    idx = image_index(order.right_table, coords)
     if idx is None:
         raise ValidationError("matrix map is rank deficient")
     return idx
@@ -563,8 +507,8 @@ def _image_index(order: QuatOrder, coords) -> int:
 def _hermitian_square_det_channels(rows: Sequence[Sequence[QuatElement]]):
     """Channel values of det rho(A A*) for an M x N matrix A over D.
 
-    det rho(A A*) = Nrd(A A*) is computed by elimination over D
-    (d_row_reduce), so it lies in K by construction.
+    det rho(A A*) = Nrd(A A*) is computed by elimination over D (``nrd``),
+    so it lies in K by construction.
     """
     alg = rows[0][0].algebra
     big_m = len(rows)
