@@ -29,5 +29,6 @@ class SpecFileError(LatHeightsError):
         self.line = line
         self.col = col
         if line is not None:
-            message = "line %d, col %d: %s" % (line, col if col else 0, message)
+            where = "line %d, col %d" % (line, col) if col else "line %d" % line
+            message = "%s: %s" % (where, message)
         super().__init__(message)

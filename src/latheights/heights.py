@@ -181,7 +181,7 @@ def hfin_integral(field: NumberField, x: Sequence[NfElement]) -> Fraction:
     coords = [_int_coords(field, xi) for xi in x if not xi.is_zero()]
     if not coords:
         raise ValidationError("content ideal of the zero vector")
-    return Fraction(1, image_index(field.mult_table(), [coords]))
+    return Fraction(1, image_index(field.mult_table, [coords]))
 
 
 def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Fraction:
@@ -192,7 +192,7 @@ def hfin_matrix(field: NumberField, rows: Sequence[Sequence[NfElement]]) -> Frac
     image.
     """
     coords = [[_int_coords(field, e, "matrix entry") for e in row] for row in rows]
-    idx = image_index(field.mult_table(), coords)
+    idx = image_index(field.mult_table, coords)
     if idx is None:
         raise ValidationError("matrix map is rank deficient")
     return Fraction(1, idx)

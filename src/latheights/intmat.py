@@ -169,6 +169,15 @@ def table_rows(table, c):
     return out
 
 
+def trace_det(table):
+    """det [Tr(e_i e_k)] for a ring with Z-basis e_0, ..., e_{n-1} and integer
+    multiplication table ``table`` (as for ``table_rows``), with the regular
+    trace t_l = sum_i table[l][i][i] of e_l: the discriminant of the ring
+    (Cohen, GTM 138, 4.4)."""
+    t = [sum(row[i] for i, row in enumerate(rows)) for rows in table]
+    return det([[sum(map(operator.mul, row, t)) for row in rows] for rows in table])
+
+
 def image_index(table, coords):
     """Index in Z^{Mk} of the image of an M x N matrix over a ring with
     Z-basis e_0, ..., e_{k-1} and integer multiplication table ``table``

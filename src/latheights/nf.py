@@ -13,8 +13,10 @@ per real embedding, a (Re, Im) pair per complex-conjugate pair.  Fields of
 degree <= 2 get exact quadratic-irrational channels in closed form,
 c0 + c1*theta at the root theta; higher-degree totally real fields get
 certified interval channels.  The integer multiplication table of the
-integral basis, built on first use, lets heights read ideal norms off
-integer coordinates.
+integral basis, built at construction, is the regular representation: the
+discriminant (``intmat.trace_det``) and every element's norm, trace and
+inverse (``NfElement.mult_rows``) are read from it, as are the ideal norms
+of heights and the S-unit valuations.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from typing import List, Sequence, Tuple
 
 from mpmath import iv
 
-from . import linalg
 from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
-from .intmat import ZSpan, lattice_intersection
+from .intmat import ZSpan, det, lattice_intersection, solve, table_rows, trace_det
 from .reals import BallReal, QuadReal, Real, _quad, abs_real, sqrt_real, to_real
 
 
@@ -134,28 +135,19 @@ class NumberField:
         self._real_roots = list(reversed(real_roots))
         self._real_channel_vals = None  # lazy
         self._complex_channel = None
-        self._mult_table = None  # lazy
 
-        # ring closure of the basis, then trace-pairing discriminant
-        self._elements = [NfElement(self, row) for row in basis]
-        one = NfElement(self, [1] + [0] * (d - 1))
-        if not self._in_basis_zspan(one):
+        # table[k][i]: integral-basis coordinates of omega_k * omega_i
+        els = self._elements = [NfElement(self, row) for row in basis]
+        self.one_coords, m = self.scaled_coords(self.one())
+        if m != 1:
             raise ValidationError("integral basis does not contain 1 in its Z-span")
-        for i in range(d):
-            for j in range(i, d):
-                if not self._in_basis_zspan(self._elements[i] * self._elements[j]):
-                    raise ValidationError(
-                        "integral basis is not multiplicatively closed "
-                        "(omega_%d * omega_%d escapes the Z-span)" % (i, j)
-                    )
-        gram = [
-            [(self._elements[i] * self._elements[j]).trace() for j in range(d)]
-            for i in range(d)
-        ]
-        disc = linalg.det(gram)
-        if disc.denominator != 1 or disc == 0:
-            raise ValidationError("trace pairing determinant is not a nonzero integer")
-        self.discriminant = int(disc)
+        products = [[self.scaled_coords(wk * wi) for wi in els] for wk in els]
+        if any(m != 1 for row in products for _, m in row):
+            raise ValidationError("integral basis is not multiplicatively closed")
+        self.mult_table = [[c for c, _ in row] for row in products]
+        self.discriminant = trace_det(self.mult_table)
+        if self.discriminant == 0:
+            raise ValidationError("trace pairing determinant is zero")
 
     # -- element constructors ---------------------------------------------
 
@@ -197,18 +189,6 @@ class NumberField:
         """(c, m): m the least positive integer with m * a integral, and c
         the integral-basis coordinates of m * a."""
         return self._span.scaled_coords(a.coeffs)
-
-    def _in_basis_zspan(self, a: "NfElement") -> bool:
-        return self._span.contains(a.coeffs)
-
-    def mult_table(self) -> List[List[List[int]]]:
-        """table[k][i]: integral-basis coordinates of omega_k * omega_i (cached)."""
-        if self._mult_table is None:
-            els = self._elements
-            self._mult_table = [
-                [self.scaled_coords(wk * wi)[0] for wi in els] for wk in els
-            ]
-        return self._mult_table
 
     # -- embeddings -------------------------------------------------------
 
@@ -377,43 +357,35 @@ class NfElement:
             n >>= 1
         return acc
 
+    def mult_rows(self) -> Tuple[List[List[int]], int]:
+        """(R, m) with (c, m) the field's ``scaled_coords`` of a: row i of R
+        holds the integral-basis coordinates of m a omega_i."""
+        c, m = self.field.scaled_coords(self)
+        return table_rows(self.field.mult_table, c), m
+
     def inv(self) -> "NfElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        d = self.field.degree
-        m = self.mult_matrix()
-        sol = linalg.solve(
-            linalg.transpose(m), [Fraction(1)] + [Fraction(0)] * (d - 1)
-        )
-        if sol is None:
-            raise ZeroDivisionError("singular multiplication matrix")
-        return NfElement(self.field, sol)
-
-    def mult_matrix(self) -> List[List[Fraction]]:
-        """Row k holds the power coordinates of a * theta^k."""
-        d = self.field.degree
-        rows = []
-        gen = self.field.gen() if d > 1 else None
-        cur = self
-        for k in range(d):
-            rows.append(list(cur.coeffs))
-            if k + 1 < d:
-                cur = cur * gen
-        return rows
+        rows, m = self.mult_rows()
+        # x = 1 / (m a) has coordinates with sum_i x_i R[i] = coordinates of 1
+        x, q = solve([list(col) for col in zip(*rows)],
+                     [[e] for e in self.field.one_coords])
+        return self.field.from_int_coords([Fraction(m * v, q) for (v,) in x])
 
     def norm(self) -> Fraction:
-        return linalg.det(self.mult_matrix())
+        rows, m = self.mult_rows()
+        return Fraction(det(rows), m ** self.field.degree)
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum((m[i][i] for i in range(1, len(m))), m[0][0])
+        rows, m = self.mult_rows()
+        return Fraction(sum(row[i] for i, row in enumerate(rows)), m)
 
     def denominator(self) -> int:
         """Least positive integer m with m * a integral."""
         return self.field.scaled_coords(self)[1]
 
     def is_integral(self) -> bool:
-        return self.field._in_basis_zspan(self)
+        return self.field._span.contains(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

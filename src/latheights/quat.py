@@ -12,10 +12,11 @@ multiplied from the right, come from ``linalg.kernel_basis``.
 
 An order holds its Z-basis as an ``intmat.ZSpan`` of the elements'
 flattened power-basis coordinates: membership reduces against its HNF, and
-coordinates are one integer product with the basis inverse.  The finite
-heights read each element's integer coordinates once (``scaled_coords``)
-and form every product with a basis element from the order's integer
-multiplication tables.
+coordinates are one integer product with the basis inverse.  Its integer
+multiplication tables are built at construction.  The finite heights read
+each element's integer coordinates once (``scaled_coords``) and form every
+product with a basis element from those tables, and N(Delta_O) is read
+from the determinant of their regular trace pairing (``intmat.trace_det``).
 
 Heights are carried in 2d-th or 4d-th power form so that threshold
 comparisons stay exact for quadratic base fields.
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import ZSpan, image_index, kernel, rational_to_scaled
+from .intmat import ZSpan, image_index, kernel, rational_to_scaled, trace_det
 from .modules import OkModule, _flatten_power_coords, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -245,19 +246,14 @@ def bracket_inv(algebra: QuatAlgebra, coords: Sequence[NfElement]) -> List[QuatE
 
 
 class QuatOrder:
-    """Order in D given by a Z-basis e_0, ..., e_{4d-1}.
+    """Order in D given by a Z-basis e_0, ..., e_{4d-1}, containing O_K.
 
     ``left_table[k][i]`` and ``right_table[k][i]`` hold the integer
     coordinates of e_i e_k and e_k e_i: for x with coordinates c, the rows
     of sum_k c_k table[k] are those of e_i x and of x e_i.
     """
 
-    def __init__(
-        self,
-        algebra: QuatAlgebra,
-        z_basis: Sequence[QuatElement],
-        ok_basis: Optional[Sequence[QuatElement]] = None,
-    ):
+    def __init__(self, algebra: QuatAlgebra, z_basis: Sequence[QuatElement]):
         self.algebra = algebra
         field = algebra.field
         d = field.degree
@@ -265,18 +261,22 @@ class QuatOrder:
         if len(basis) != 4 * d:
             raise ValidationError("order Z-basis must have 4d elements")
         self.z_basis = basis
-        self.ok_basis = list(ok_basis) if ok_basis is not None else None
         self._span = ZSpan([self._flatten(x) for x in basis], 4 * d)
         if self._span.rank != 4 * d:
             raise ValidationError("order Z-basis is rank deficient")
         m, (self.one_coords,) = self.scaled_coords([algebra.one()])
         if m != 1:
             raise ValidationError("order does not contain 1")
+        if not all(self.contains(algebra.element(w)) for w in field.basis_elements()):
+            raise ValidationError("order does not contain O_K")
         products = [self.scaled_coords([ei * ek for ei in basis]) for ek in basis]
         if any(m != 1 for m, _ in products):
             raise ValidationError("order Z-basis is not closed under products")
         self.left_table = [rows for _, rows in products]
         self.right_table = [list(rows) for rows in zip(*self.left_table)]
+        # the regular trace is 2 Tr_{K/Q} trd, and disc_Z(O) = N(Delta_O) D_K^4
+        self._disc_norm = abs(trace_det(self.left_table)) // (
+            2 ** (4 * d) * field.discriminant ** 4)
 
     def _flatten(self, x: QuatElement) -> List[Fraction]:
         return _flatten_power_coords(self.algebra.field, x.c)
@@ -296,31 +296,18 @@ class QuatOrder:
         return m, [cs if e == m else [c * (m // e) for c in cs] for cs, e in scaled]
 
     @classmethod
+    def ok_span(cls, algebra: QuatAlgebra, gens: Sequence[QuatElement]) -> "QuatOrder":
+        """The order O_K q_0 + ... + O_K q_3 spanned over O_K by four quaternions."""
+        return cls(algebra, [q * w for q in gens for w in algebra.field.basis_elements()])
+
+    @classmethod
     def special(cls, algebra: QuatAlgebra) -> "QuatOrder":
         """O_K + O_K i + O_K j + O_K k."""
-        field = algebra.field
-        units = [algebra.one(), algebra.i(), algebra.j(), algebra.k()]
-        z_basis = [q * w for q in units for w in field.basis_elements()]
-        return cls(algebra, z_basis, ok_basis=units)
+        return cls.ok_span(algebra, [algebra.one(), algebra.i(), algebra.j(), algebra.k()])
 
-    def discriminant_norm(self) -> Fraction:
+    def discriminant_norm(self) -> int:
         """N(Delta_O): norm of the discriminant ideal of the order."""
-        field = self.algebra.field
-        if self.ok_basis is not None:
-            gram = [
-                [(a * b).trace() for b in self.ok_basis] for a in self.ok_basis
-            ]
-            det = linalg.det(gram)
-            return abs(det.norm())
-        if field.degree == 1:
-            gram = [
-                [(a * b).trace().as_fraction() for b in self.z_basis]
-                for a in self.z_basis
-            ]
-            return abs(linalg.det(gram))
-        raise ValidationError(
-            "discriminant requires a free O_K-basis for degree > 1 fields"
-        )
+        return self._disc_norm
 
     def __repr__(self):
         return "QuatOrder(4d=%d)" % (len(self.z_basis),)

@@ -184,6 +184,6 @@ def read_order(alg: QuatAlgebra, root: Block) -> QuatOrder:
     if group or len(elems) != 4:
         raise SpecFileError("order basis needs 4 quaternions (16 groups)", ob.line)
     try:
-        return QuatOrder(alg, elems, ok_basis=elems)
+        return QuatOrder.ok_span(alg, elems)
     except Exception as e:
         raise SpecFileError("invalid order: %s" % e, ob.line)

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import HOLDS, LOWER, UPPER, BoundReport, lemma_reports
 from .errors import PrecisionExhausted, UnresolvedTie, ValidationError
-from .intmat import matmul_vec, table_rows
+from .intmat import matmul_vec
 from .lattice import RealLattice, _coefficient_box, enumerate_cube, supnorm_min
 from .nf import NfElement, NumberField
 from .reals import (
@@ -140,32 +140,27 @@ class SUnitContext:
             )
         self._lattice = None
         self._places = {}
-        self._one = field.scaled_coords(field.one())[0]
 
     # -- valuations ---------------------------------------------------------
 
-    def _mult_matrix(self, y: NfElement) -> List[List[int]]:
-        """Integer matrix M of multiplication by an integral y: coordinates of
-        y * z are M c for integral-basis coordinates c of z."""
-        rows = table_rows(self.field.mult_table(), self.field.scaled_coords(y)[0])
-        return [list(col) for col in zip(*rows)]
-
     def _place(self, gen: NfElement) -> Tuple[int, List[List[int]], List[List[int]]]:
         """(N, T, M) for gen, cached: N = |N(gen)|, T multiplies by the
-        integral element N/gen, M multiplies by gen.  y/gen has coordinates
-        T c / N, so gen divides y exactly when N divides every entry."""
+        integral element N/gen, M multiplies by gen, both the transposed
+        ``mult_rows``.  y/gen has coordinates T c / N, so gen divides y
+        exactly when N divides every entry."""
         place = self._places.get(gen)
         if place is None:
             n = int(abs(gen.norm()))
-            place = (n, self._mult_matrix(gen.inv() * n), self._mult_matrix(gen))
-            self._places[gen] = place
+            t, m = ([list(col) for col in zip(*y.mult_rows()[0])]
+                    for y in (gen.inv() * n, gen))
+            place = self._places[gen] = (n, t, m)
         return place
 
     def _ord_scaled(self, place, c: List[int], den: int) -> int:
         """ord of x = y/den at a place, y given by integer coordinates c."""
         n, t, _ = place
         k = _ord(n, t, c)
-        return k - _ord(n, t, [den * e for e in self._one]) if den != 1 else k
+        return k - _ord(n, t, [den * e for e in self.field.one_coords]) if den != 1 else k
 
     def ord_at(self, gen: NfElement, x: NfElement) -> int:
         """ord of x != 0 at an integral gen: the largest k with x / gen^k in

@@ -232,7 +232,7 @@ def test_det_mz_identity():
     assert det_mz_check(z3, od13)
     # Hurwitz order: index-2 overorder changes both sides consistently
     h = a.element(*[Fraction(1, 2)] * 4)
-    hur = QuatOrder(a, [a.one(), a.i(), a.j(), h], ok_basis=[a.one(), a.i(), a.j(), h])
+    hur = QuatOrder.ok_span(a, [a.one(), a.i(), a.j(), h])
     assert det_mz_check(axis_subspace(a), hur)
 
 

@@ -166,6 +166,62 @@ def test_height_command_quat(tmp_path, capsys):
     assert out.startswith("h = 2")
 
 
+def _quat_sqrt2(vector):
+    """A quat-height file over Q(sqrt2) with alpha = beta = -1."""
+    return (
+        "kind = quat-height\n"
+        "field {\n minpoly = -2 0 1\n basis = 1 0 ; 0 1\n}\n"
+        "alpha = -1 0\nbeta = -1 0\n"
+        "vector = %s\n" % vector
+    )
+
+
+_QUAT_SQRT2 = _quat_sqrt2("1/2 0 ; 0 1 ; 1 1 ; 0 0 ; 3 0 ; 0 0 ; 0 -1 ; 1 0")
+
+
+def _order_block(*quats):
+    """An ``order { basis = ... }`` block over Q(sqrt2) from rational quaternions."""
+    groups = ["%s 0" % c for q in quats for c in q]
+    return "order {\n basis = %s\n}\n" % " ; ".join(groups)
+
+
+def _height_line(tmp_path, capsys, name, content):
+    code = cli.main(["height", _write(tmp_path, name, content)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_height_command_quat_explicit_order(tmp_path, capsys):
+    code, default, _ = _height_line(tmp_path, capsys, "d.lh", _QUAT_SQRT2)
+    assert code == 0 and default.startswith("h = ")
+    # the special order's generators, read as an O_K-span over Q(sqrt2)
+    units = ("1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1")
+    special = _order_block(*[q.split() for q in units])
+    code, out, err = _height_line(tmp_path, capsys, "s.lh", _QUAT_SQRT2 + special)
+    assert (code, out, err) == (0, default, "")
+    # a Hurwitz-type basis (1, i, j, (1+i+j+k)/2)
+    hurwitz = _order_block(*[q.split() for q in units[:3]], ["1/2"] * 4)
+    code, out, err = _height_line(tmp_path, capsys, "h.lh", _QUAT_SQRT2 + hurwitz)
+    assert code == 0 and out.startswith("h = ") and err == ""
+    # (1+i+j+k)/2 lies in that order and has reduced norm 1, so h = 1 there
+    half = _quat_sqrt2(" ; ".join(["1/2 0"] * 4))
+    code, out, _ = _height_line(tmp_path, capsys, "v.lh", half + hurwitz)
+    assert (code, out) == (0, "h = 1 (+- 0)\n")
+    code, out, _ = _height_line(tmp_path, capsys, "w.lh", half)
+    assert code == 0 and out.startswith("h = 1.189207115002721")  # 2^(1/4)
+
+
+def test_spec_error_without_column_names_the_line_alone(tmp_path, capsys):
+    # (1, i, j/2, k) is not closed under products: rejected at the block's line
+    block = _order_block(["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                         ["0", "0", "1/2", "0"], ["0", "0", "0", "1"])
+    code, _, err = _height_line(tmp_path, capsys, "bad.lh", _QUAT_SQRT2 + block)
+    assert code == 2
+    assert "line 9: invalid order" in err and "col" not in err
+    assert str(SpecFileError("oops", 3)) == "line 3: oops"
+    assert str(SpecFileError("oops", 3, 5)) == "line 3, col 5: oops"
+
+
 def test_height_zero_vector_rejected(tmp_path, capsys):
     path = _write(
         tmp_path,

@@ -135,9 +135,8 @@ def _orders():
     out = []
     for fname, alg, special, _ in cli._main_quat_instances():
         units = [alg.one(), alg.i(), alg.j(), (alg.one() + alg.i() + alg.j() + alg.k()) / 2]
-        z_basis = [q * w for q in units for w in alg.field.basis_elements()]
         out.append((fname + "-special", special))
-        out.append((fname + "-hurwitz", QuatOrder(alg, z_basis, ok_basis=units)))
+        out.append((fname + "-hurwitz", QuatOrder.ok_span(alg, units)))
     return out
 
 

@@ -297,7 +297,7 @@ def test_order_validation_and_constants():
 def test_hurwitz_order():
     a = alg_hamilton()
     h = a.element(*[Fraction(1, 2)] * 4)  # (1+i+j+k)/2
-    hur = QuatOrder(a, [a.one(), a.i(), a.j(), h], ok_basis=[a.one(), a.i(), a.j(), h])
+    hur = QuatOrder.ok_span(a, [a.one(), a.i(), a.j(), h])
     nd, m = order_constants(hur)
     # index-2 overorder of the standard basis order: 16 / 2^2 = 4
     assert nd == 4
@@ -416,7 +416,7 @@ def test_intersection_module_and_cz():
 
     # order with a half-integer element: minimal clearing scalar is 2
     h = a.element(*[Fraction(1, 2)] * 4)
-    hur = QuatOrder(a, [a.one(), a.i(), a.j(), h], ok_basis=[a.one(), a.i(), a.j(), h])
+    hur = QuatOrder.ok_span(a, [a.one(), a.i(), a.j(), h])
     z2 = DSubspace(a, 1, basis_cols=[[a.one()]])
     c2, wit, z2v, _ = minima_cz_order(z2, hur)
     assert c2.cmp(2) == 0
