@@ -26,13 +26,13 @@ from .quat import (
     QuatElement,
     QuatOrder,
     _arch_sq_prod,
+    _hfin,
     bracket_inv,
     height_Hinf,
-    height_h,
-    height_h_order,
     intersection_module,
     minima_cz_order,
     module_gram,
+    norm_grams,
     order_constants,
     s_t_constants,
     subspace_height_HO,
@@ -278,24 +278,20 @@ def const_E3_E4(order: QuatOrder, z: DSubspace, minima=None):
 
 
 def exact_count_zo(z: DSubspace, order: QuatOrder, radius) -> int:
-    """|{x in Z cap O^N : h(x) <= R}| by enumeration of the bracket module."""
+    """|{x in Z cap O^N : h(x) <= R}| by enumeration of the bracket module,
+    h(x) <= R decided on the integer reduced norms N(x_l) (``_shell_heights``)."""
+    import numpy as np
+
     r = as_rooted(radius)
     alg = z.algebra
-    field = alg.field
-    d = field.degree
     _, t, _, _ = s_t_constants(alg)
     module = intersection_module(z, order)
-    cube = _rat_upper(((r * t.inverse()) ** d).as_real())
-    count = 0
-    if r.cmp(1, context="zo zero") >= 0:
-        count += 1  # zero vector
-    for m in enumerate_cube(module.module_lattice(), cube):
-        if all(c == 0 for c in m):
-            continue
-        xs = bracket_inv(alg, z_combination(module.z_basis, m))
-        if height_h(xs).cmp(r, context="zo height filter") <= 0:
-            count += 1
-    return count
+    cube = _rat_upper(((r * t.inverse()) ** alg.field.degree).as_real())
+    pts = [m for m in enumerate_cube(module.module_lattice(), cube) if any(m)]
+    arr = np.array(pts, dtype=np.int64).reshape(len(pts), len(module.z_basis))
+    inside = _shell_heights(alg.field, norm_grams(module, alg), arr, {},
+                            lambda h: h.cmp(r, context="zo height filter") <= 0)
+    return (r.cmp(1, context="zo zero") >= 0) + sum(inside)  # zero has h = 1
 
 
 def main1_threshold(z: DSubspace, order: QuatOrder, minima=None) -> Tuple[Rooted, Rooted]:
@@ -376,51 +372,52 @@ def loher_masser_upper(d: int, n: int, radius):
 def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int:
     """|{x in D^N : h(x) <= R}| with the order-finite-part height.
 
-    Candidates are generated as w/m with w an integral bracket vector and
-    m a positive integer denominator; m is bounded by the finite part of
-    the height and coordinates by the archimedean part.
+    Candidates are x = w/m with w in O_K^{4N} and m a positive integer bounded
+    by the finite part of the height.  Each x is counted once, at its least
+    denominator: (m, w) is skipped when m and the Z-coordinates of w share a
+    factor.  N(x_l) = N(w_l)/m^2 comes from the integer norm forms of
+    O_K^{4N}, and the finite part from x's integer coordinates in the order.
     """
+    import numpy as np
+
     r = as_rooted(radius)
-    alg = algebra
-    field = alg.field
+    field = algebra.field
     d = field.degree
-    _, t, _, _ = s_t_constants(alg)
-    b = r * t.inverse()  # h_K([x]) <= R/t
-    bd = (b ** d).as_real()
-    m_max = math.floor(_rat_upper(bd))
+    _, t, _, _ = s_t_constants(algebra)
+    cap = _rat_upper(((r * t.inverse()) ** d).as_real())  # h_K([x]) <= R/t
     free = OkModule.free_module(field, 4 * n)
     lat = free.module_lattice()
     # fail fast: the whole denominator sweep must fit the budget
-    grand_total = 0
-    for m in range(1, m_max + 1):
-        total = 1
-        for c in _coefficient_box(lat, _rat_upper(bd) * m):
-            total *= 2 * c + 1
-        grand_total += total
+    grand_total = sum(math.prod(2 * c + 1 for c in _coefficient_box(lat, cap * m))
+                      for m in range(1, math.floor(cap) + 1))
     if grand_total > lattice.ENUM_BUDGET:
-        raise BudgetExceeded(
-            "enumeration sweep has %d candidates (budget %d)"
-            % (grand_total, lattice.ENUM_BUDGET)
-        )
-    seen = set()
-    count = 0
-    for m in range(1, m_max + 1):
-        cube = _rat_upper(bd) * m
-        for coeffs in enumerate_cube(lat, cube):
-            if all(c == 0 for c in coeffs):
-                if m == 1 and r.cmp(1, context="zero height") >= 0:
-                    count += 1
+        raise BudgetExceeded("enumeration sweep has %d candidates (budget %d)"
+                             % (grand_total, lattice.ENUM_BUDGET))
+    # s w has the integer order coordinates (c . col for col in cols), c its Z-coordinates
+    s, rows = order.scaled_coords([q for v in free.z_basis for q in bracket_inv(algebra, v)])
+    cols = list(zip(*[sum(rows[i:i + n], []) for i in range(0, len(rows), n)]))
+    norms = norm_grams(free, algebra)
+    w4 = 4 * d
+    count = int(r.cmp(1, context="zero height") >= 0)  # zero has h = 1
+    for m in range(1, math.floor(cap) + 1):
+        pts = [c for c in enumerate_cube(lat, cap * m) if any(c) and math.gcd(m, *c) == 1]
+        arr = np.array(pts, dtype=np.int64).reshape(len(pts), lat.rank)
+        # h_inf(w/m) where it is at most R; h >= h_inf, as the finite factor is >= 1
+        hinf = _shell_heights(field, [(g, den * m * m) for g, den in norms], arr, {},
+                              lambda h: h if h.cmp(r, context="d height filter") <= 0 else None)
+        for c, h in zip(pts, hinf):
+            if h is None:
                 continue
-            vec = z_combination(free.z_basis, coeffs)
-            key = tuple(
-                tuple(ci / m for ci in e.coeffs) for e in vec
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            xs = [q * Fraction(1, m) for q in bracket_inv(alg, vec)]
-            if height_h_order(order, xs).cmp(r, context="d height filter") <= 0:
-                count += 1
+            y = [sum(map(operator.mul, c, col)) for col in cols]
+            g = math.gcd(s * m, *y)
+            big_m = s * m // g  # least integer with big_m x in O^N; factor 1 when 1
+            if big_m > 1:
+                ideal = [[big_m * e for e in order.one_coords]]
+                ideal += [[e // g for e in y[i:i + w4]] for i in range(0, len(y), w4)]
+                fin = _hfin(order, ideal) * Fraction(big_m) ** w4
+                if (h * Rooted(fin, w4)).cmp(r, context="d height filter") > 0:
+                    continue
+            count += 1
     return count
 
 
@@ -548,9 +545,14 @@ def _form_values(grams, arr):
     return [((arr @ np.array(g, dtype=dtype)) * arr).sum(axis=1) for g in grams]
 
 
-def _shell_heights(field: NumberField, norms, arr, memo) -> List[Tuple[float, Rooted]]:
-    """(float key, h(x)) for each row m of arr, from the integer reduced norms
-    of x's coordinates: the channel path of quat.height_h, memoized on them."""
+def _height_key(h: Rooted) -> float:
+    return real_to_float(h.as_real())
+
+
+def _shell_heights(field: NumberField, norms, arr, memo, value=None) -> list:
+    """value(h(x)), or the searches' (float key, h(x)), for each row m of arr:
+    h(x) from the integer reduced norms of x's coordinates (``quat.norm_grams``)
+    by the channel path of quat.height_h, memoized on them."""
     vals = [(_form_values(grams, arr), den) for grams, den in norms]
     out = []
     for k in range(len(arr)):
@@ -559,7 +561,7 @@ def _shell_heights(field: NumberField, norms, arr, memo) -> List[Tuple[float, Ro
             nrms = [field.element([Fraction(int(v[k]), den) for v in coords])
                     for coords, den in vals]
             h = Rooted(_arch_sq_prod(field, [field.one()] + nrms), 2 * field.degree)
-            memo[key] = (_height_key(h), h)
+            memo[key] = (_height_key(h), h) if value is None else value(h)
         out.append(memo[key])
     return out
 
@@ -581,9 +583,7 @@ def _search_shells(module: OkModule, alg: QuatAlgebra, zeros, avoid_subspaces,
     filters = [(module_gram(module, f)[0], True) for f in zeros]
     avoid = [_subspace_form(u) for u in avoid_subspaces] + list(avoid_forms)
     filters += [(module_gram(module, f)[0], False) for f in avoid]
-    one, zero, n = alg.one(), alg.zero(), module.ambient // 4
-    norms = [module_gram(module, [[one if a == b == l else zero for b in range(n)]
-                                  for a in range(n)]) for l in range(n)]  # N(x_l)
+    norms = norm_grams(module, alg)
     memo = {}
     emitted = set()
     radius = Fraction(1)
@@ -599,10 +599,6 @@ def _search_shells(module: OkModule, alg: QuatAlgebra, zeros, avoid_subspaces,
         radius *= 2
 
 
-def _height_key(h: Rooted) -> float:
-    return real_to_float(h.as_real())
-
-
 def search_basis(z: DSubspace, order: QuatOrder,
                  avoid_subspaces: Sequence[DSubspace] = (),
                  avoid_forms: Sequence[Sequence[Sequence[QuatElement]]] = (),
@@ -614,7 +610,7 @@ def search_basis(z: DSubspace, order: QuatOrder,
     raises BudgetExceeded when max_radius is reached first.  The basis is
     in search order, not in certified height order: shell by shell as the
     cube radius doubles, each shell sorted by a float approximation of the
-    height, and a later shell can hold smaller heights (ROADMAP item 3).
+    height, and a later shell can hold smaller heights (ROADMAP item 4).
 
     Filter order: on each shell the avoided subspaces and form zero sets
     are removed first, on integer coordinates; heights are computed only

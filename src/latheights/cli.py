@@ -52,7 +52,7 @@ from .quat import (
 )
 from .reals import PRECISION, cmp_real, sqrt_real, to_real
 from .report import ball_mid_rad, check_record, frac_decimal, render, report_record
-from .specfile import Block, parse_file, read_algebra, read_field, read_nf_vector, read_order
+from .specfile import Block, parse_file, read_algebra, read_field_entry, read_nf_vector, read_order
 from .sunits import SUnitContext, lemma_sunit_bounds, regulator_bound_checks
 
 
@@ -273,11 +273,8 @@ def cmd_height(args) -> int:
     kind_groups = root.require("kind")
     kind = kind_groups[0][0]
     if kind == "nf-height":
-        fb = root.require("field")
-        if not isinstance(fb, Block):
-            raise SpecFileError("field must be a block", root.line)
-        field = read_field(fb)
-        vec = read_nf_vector(field, root.require("vector"), root.line)
+        field = read_field_entry(root)
+        vec = read_nf_vector(field, *root.entry("vector"))
         if all(e.is_zero() for e in vec):
             raise ValidationError("height of the zero vector is undefined")
         h = height_h(field, vec).as_rooted()
@@ -290,14 +287,11 @@ def cmd_height(args) -> int:
     if kind == "quat-height":
         alg = read_algebra(root)
         order = read_order(alg, root)
-        groups = root.require("vector")
-        comps = read_nf_vector(alg.field, groups, root.line)
+        groups, line = root.entry("vector")
+        comps = read_nf_vector(alg.field, groups, line)
         if len(comps) % 4:
-            raise SpecFileError("quaternion vector needs 4 components each",
-                                root.line)
-        xs = [
-            alg.element(*comps[i:i + 4]) for i in range(0, len(comps), 4)
-        ]
+            raise SpecFileError("quaternion vector needs 4 components each", line)
+        xs = [alg.element(*comps[i:i + 4]) for i in range(0, len(comps), 4)]
         if all(x.is_zero() for x in xs):
             raise ValidationError("height of the zero vector is undefined")
         h = height_h_order(order, xs)
@@ -308,10 +302,7 @@ def cmd_height(args) -> int:
 
 
 def _read_module(root: Block) -> OkModule:
-    fb = root.require("field")
-    if not isinstance(fb, Block):
-        raise SpecFileError("field must be a block", root.line)
-    field = read_field(fb)
+    field = read_field_entry(root)
     rank_g = root.require("rank")
     rank = int(rank_g[0][0])
     gens = root.get_all("generator")
@@ -331,8 +322,7 @@ def cmd_count(args) -> int:
     if kind == "module":
         reps = [thm1_lower(_read_module(root), radius, instance=instance)]
     elif kind == "sunits":
-        fb = root.require("field")
-        field = read_field(fb)
+        field = read_field_entry(root)
         s1 = []
         for groups, line in root.get_all("prime"):
             gen = read_nf_vector(field, groups[:1], line)[0]

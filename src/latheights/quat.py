@@ -637,8 +637,7 @@ def module_gram(module: OkModule, f) -> Tuple[List[List[List[int]]], int]:
 
     For x = sum_i m_i z_i over the module's Z-basis, trace_form B gives
     F(x) = (1/2) m^t (Z^t B Z) m; power-basis coordinate l of F(x) is
-    m^t grams[l] m / den.  The reduced norm of coordinate l is F for the
-    form with a single 1 at (l, l).
+    m^t grams[l] m / den.
     """
     zero = module.field.zero()
 
@@ -652,6 +651,13 @@ def module_gram(module: OkModule, f) -> Tuple[List[List[List[int]]], int]:
     grams = [[[ints[i * n + j][l] for j in range(n)] for i in range(n)]
              for l in range(module.field.degree)]
     return grams, 2 * den
+
+
+def norm_grams(module: OkModule, algebra: QuatAlgebra):
+    """[module_gram of N(x_l)] for each quaternionic coordinate l of x."""
+    one, zero, n = algebra.one(), algebra.zero(), module.ambient // 4
+    return [module_gram(module, [[one if a == b == l else zero for b in range(n)]
+                                 for a in range(n)]) for l in range(n)]
 
 
 def eval_quadratic(b: Sequence[Sequence[NfElement]], z: Sequence[NfElement]) -> NfElement:

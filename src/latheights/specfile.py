@@ -39,19 +39,20 @@ class Block:
     def get_all(self, key):
         return [(v, ln) for k, v, ln in self.entries if k == key]
 
-    def get(self, key, default=None):
+    def entry(self, key):
+        """(value, line) of the single entry key, which must be present."""
         hits = self.get_all(key)
         if not hits:
-            return default
+            raise SpecFileError("missing required key %r" % key, self.line)
         if len(hits) > 1:
             raise SpecFileError("duplicate key %r" % key, hits[1][1])
-        return hits[0][0]
+        return hits[0]
+
+    def get(self, key, default=None):
+        return self.entry(key)[0] if self.get_all(key) else default
 
     def require(self, key):
-        v = self.get(key)
-        if v is None:
-            raise SpecFileError("missing required key %r" % key, self.line)
-        return v
+        return self.entry(key)[0]
 
 
 def parse_text(text: str) -> Block:
@@ -118,14 +119,22 @@ def _int(tok: str, line: int) -> int:
 
 
 def read_field(block: Block) -> NumberField:
-    mp_groups = block.require("minpoly")
-    mp = [_int(t, block.line) for t in mp_groups[0]]
-    basis_groups = block.require("basis")
-    basis = [[_frac(t, block.line) for t in row] for row in basis_groups if row]
+    mp_groups, mp_line = block.entry("minpoly")
+    mp = [_int(t, mp_line) for t in mp_groups[0]]
+    basis_groups, basis_line = block.entry("basis")
+    basis = [[_frac(t, basis_line) for t in row] for row in basis_groups if row]
     try:
         return nf_new(mp, basis)
     except Exception as e:
         raise SpecFileError("invalid field: %s" % e, block.line)
+
+
+def read_field_entry(root: Block) -> NumberField:
+    """The field of root's ``field { ... }`` block."""
+    fb, line = root.entry("field")
+    if not isinstance(fb, Block):
+        raise SpecFileError("field must be a block", line)
+    return read_field(fb)
 
 
 def read_nf_vector(field: NumberField, groups: Sequence[Sequence[str]],
@@ -154,12 +163,9 @@ def read_quat_element(alg: QuatAlgebra, groups, line) -> QuatElement:
 
 
 def read_algebra(root: Block) -> QuatAlgebra:
-    fb = root.require("field")
-    if not isinstance(fb, Block):
-        raise SpecFileError("field must be a block", root.line)
-    field = read_field(fb)
-    alpha = read_nf_vector(field, root.require("alpha"), root.line)[0]
-    beta = read_nf_vector(field, root.require("beta"), root.line)[0]
+    field = read_field_entry(root)
+    alpha = read_nf_vector(field, *root.entry("alpha"))[0]
+    beta = read_nf_vector(field, *root.entry("beta"))[0]
     try:
         return QuatAlgebra(field, alpha, beta)
     except Exception as e:
@@ -172,17 +178,17 @@ def read_order(alg: QuatAlgebra, root: Block) -> QuatOrder:
         return QuatOrder.special(alg)
     if not isinstance(ob, Block):
         raise SpecFileError("order must be a block", root.line)
-    rows = ob.require("basis")
+    rows, line = ob.entry("basis")
     elems = []
     group: List[List[str]] = []
     for g in rows:
         if g:
             group.append(g)
         if len(group) == 4:
-            elems.append(read_quat_element(alg, group, ob.line))
+            elems.append(read_quat_element(alg, group, line))
             group = []
     if group or len(elems) != 4:
-        raise SpecFileError("order basis needs 4 quaternions (16 groups)", ob.line)
+        raise SpecFileError("order basis needs 4 quaternions (16 groups)", line)
     try:
         return QuatOrder.ok_span(alg, elems)
     except Exception as e:

@@ -222,6 +222,24 @@ def test_spec_error_without_column_names_the_line_alone(tmp_path, capsys):
     assert str(SpecFileError("oops", 3, 5)) == "line 3, col 5: oops"
 
 
+def test_spec_error_names_the_entry_line(tmp_path, capsys):
+    # a malformed value is reported at its own line, not at its block's
+    cases = [
+        (_QUAT_SQRT2.replace("basis = 1 0 ; 0 1", "basis = 1 0 ; 0 x"),
+         "line 4: bad rational 'x'"),
+        (_QUAT_SQRT2.replace("alpha = -1 0", "alpha = -1 0 0"),
+         "line 6: element needs 2 coordinates, got 3"),
+        (_QUAT_SQRT2.replace("beta = -1 0", "beta = -1"),
+         "line 7: element needs 2 coordinates, got 1"),
+        (_quat_sqrt2("1 0 ; 0 0 ; 0 0"), "line 8: quaternion vector needs 4 components each"),
+        (_QUAT_SQRT2 + "order {\n basis = %s\n}\n" % " ; ".join(["1 0 0"] * 16),
+         "line 10: element needs 2 coordinates, got 3"),
+    ]
+    for k, (content, message) in enumerate(cases):
+        code, _, err = _height_line(tmp_path, capsys, "e%d.lh" % k, content)
+        assert code == 2 and message in err, err
+
+
 def test_height_zero_vector_rejected(tmp_path, capsys):
     path = _write(
         tmp_path,

@@ -40,6 +40,7 @@ from latheights.quat import (
     height_h,
     intersection_module,
     module_gram,
+    norm_grams,
 )
 
 PROPERTY = settings(max_examples=40)
@@ -97,14 +98,6 @@ def _hyperbolic(alg, n):
 
 def _vanishes(grams, arr):
     return np.all([v == 0 for v in _form_values(grams, arr)], axis=0)
-
-
-def _norm_grams(module, alg):
-    """module_gram of the reduced norm of each quaternionic coordinate."""
-    n = module.ambient // 4
-    unit = [[[alg.one() if a == b == l else alg.zero() for b in range(n)] for a in range(n)]
-            for l in range(n)]
-    return [module_gram(module, f) for f in unit]
 
 
 def _in_subspace(u, xs):
@@ -165,7 +158,7 @@ def test_shell_heights_match_height_h(cp):
     name, rows = cp
     alg, _, module = _case(name)
     rows = [m for m in rows if any(m)] or [[1] + [0] * (len(module.z_basis) - 1)]
-    got = _shell_heights(alg.field, _norm_grams(module, alg), np.array(rows, dtype=object), {})
+    got = _shell_heights(alg.field, norm_grams(module, alg), np.array(rows, dtype=object), {})
     for (key, h), xs in zip(got, _points(name, rows)):
         want = height_h(xs)
         assert h.cmp(want) == 0
@@ -259,7 +252,7 @@ def test_walk_matches_reference_past_int64_guard():
     c = alg.field.rational(2 ** 32)
     z = DSubspace(alg, 2, basis_cols=[[alg.one(), alg.element(c)]])
     module = intersection_module(z, order)
-    grams = _norm_grams(module, alg)[1][0]
+    grams = norm_grams(module, alg)[1][0]
     arr = np.ones((1, len(module.z_basis)), dtype=np.int64)
     assert _form_values(grams, arr)[0].dtype == object
     got = _assert_same_walk(alg, module, [], [], [_hyperbolic(alg, 2)], Fraction(2 ** 32))
