@@ -6,16 +6,19 @@ closed cube is decided exactly; undecidable boundary ties raise rather than
 mis-count.  The enumeration is the ground-truth oracle that every counting
 bound in this library is checked against.
 
-Every walk of a coefficient box goes through one kernel, ``_box_slabs``: it
-checks the box against ENUM_BUDGET, fixes the first longest axis slab by
-slab, and hands each slab's values B m and coefficient array m to the
-caller's test.  The callers keep only that test: the exact integer test for
-rational lattices, the first strict minimum of the sup-norms in
-``supnorm_min`` for rational lattices, a float screen for all others, and
-the per-channel height product in ``bounds._fast_count_totally_real``.  The
-float screen's safety band is decided on the scaled integer columns when all
-entries lie in one Q(sqrt m), and by the certified re-check
-``_certified_in_cube`` only for balls.
+Every walk of a whole coefficient box goes through one kernel,
+``_box_slabs``: it checks the box against ENUM_BUDGET, fixes the first
+longest axis slab by slab, and hands each slab's values B m and coefficient
+array m to the caller's test.  The callers keep only that test: the exact
+integer test for rational lattices, the first strict minimum of the
+sup-norms in ``supnorm_min`` for rational lattices, and a float screen for
+all others.  The float screen's safety band is decided on the scaled
+integer columns when all entries lie in one Q(sqrt m), and by the certified
+re-check ``_certified_in_cube`` only for balls.  The totally real module
+count ``bounds._fast_count_totally_real`` checks the same budget on its
+box (``_check_budget``) but walks only the integer intervals that the
+dyadic strips of its height region cut from each line of the same prefix
+grid (``_prefix_grid``).
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant is Bareiss
@@ -218,27 +221,43 @@ def _box_slabs(caps: Sequence[int], mats, dtype="int64"):
     checked on the call, before any array is built.  numpy is imported on
     first use, so that importing the package stays cheap.
     """
+    _check_budget(caps)
+    return _slabs(caps, mats, dtype)
+
+
+def _check_budget(caps: Sequence[int]) -> None:
+    """Raise BudgetExceeded when the box |m_j| <= caps[j] has more than
+    ENUM_BUDGET points."""
     total = math.prod(2 * c + 1 for c in caps)
     if total > ENUM_BUDGET:
         raise BudgetExceeded(
             "enumeration box has %d candidates (budget %d)" % (total, ENUM_BUDGET)
         )
-    return _slabs(caps, mats, dtype)
+
+
+def _prefix_grid(caps: Sequence[int], start: int, stop: int, coeff="int64"):
+    """Rows start, ..., stop - 1 of the grid |m_j| <= caps[j] in
+    lexicographic order (the last axis fastest), one point per row.  With
+    ``coeff`` object the entries are Python ints."""
+    import numpy as np
+
+    idx = np.arange(start, stop, dtype=np.int64)
+    grid = np.empty((stop - start, len(caps)), dtype=coeff)
+    for j in reversed(range(len(caps))):
+        idx, digit = np.divmod(idx, 2 * caps[j] + 1)
+        grid[:, j] = digit - caps[j]
+    return grid
 
 
 def _slabs(caps, mats, dtype):
     import numpy as np
 
-    coeff = object if dtype is object else np.int64
     big_l = len(caps)
     axis = max(range(big_l), key=lambda j: caps[j])
     rest_axes = [j for j in range(big_l) if j != axis]
-    ranges = [np.arange(-caps[j], caps[j] + 1, dtype=coeff) for j in rest_axes]
-    if ranges:
-        grids = np.meshgrid(*ranges, indexing="ij")
-        rest = np.stack([g.ravel() for g in grids], axis=1)
-    else:
-        rest = np.zeros((1, 0), dtype=coeff)
+    rest_caps = [caps[j] for j in rest_axes]
+    rest = _prefix_grid(rest_caps, 0, math.prod(2 * c + 1 for c in rest_caps),
+                        object if dtype is object else np.int64)
     arrays = [np.array(m, dtype=dtype).T for m in mats]
     rest_vals = [rest @ a[:, rest_axes].T for a in arrays]  # (#rest, n) each
     axis_cols = [a[:, axis] for a in arrays]

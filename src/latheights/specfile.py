@@ -11,8 +11,10 @@ One documented format shared by every suite: nested key-value blocks,
     generator = 1 0
 
 Lines hold either `key = tokens` or `key {` ... `}`.  Tokens are
-whitespace-separated; `;` splits a value into groups (rows, vectors).
-Parse errors carry the line and column.
+whitespace-separated; `;` splits a value into groups (rows, vectors).  A
+value line that ends in `;` continues on the next non-blank line, and the
+value keeps the line number of its key.  Parse errors carry the line and
+column.
 """
 
 from __future__ import annotations
@@ -55,14 +57,28 @@ class Block:
         return self.entry(key)[0]
 
 
+def _add_tokens(groups: List[List[str]], val: str) -> None:
+    for tok in val.replace(";", " ; ").split():
+        if tok == ";":
+            groups.append([])
+        else:
+            groups[-1].append(tok)
+
+
 def parse_text(text: str) -> Block:
     root = Block(1)
     stack = [root]
+    pending = None  # the groups of a value line that ended in ';'
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
         line = stripped.strip()
+        if pending is not None:
+            _add_tokens(pending, line)
+            if not line.endswith(";"):
+                pending = None
+            continue
         col = len(stripped) - len(stripped.lstrip()) + 1
         if line == "}":
             if len(stack) == 1:
@@ -84,12 +100,10 @@ def parse_text(text: str) -> Block:
         if not key.isidentifier():
             raise SpecFileError("bad key %r" % key, lineno, col)
         groups: List[List[str]] = [[]]
-        for tok in val.replace(";", " ; ").split():
-            if tok == ";":
-                groups.append([])
-            else:
-                groups[-1].append(tok)
+        _add_tokens(groups, val)
         stack[-1].add(key, groups, lineno)
+        if line.endswith(";"):
+            pending = groups
     if len(stack) != 1:
         raise SpecFileError("unclosed block", stack[-1].line)
     return root

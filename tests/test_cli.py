@@ -211,6 +211,28 @@ def test_height_command_quat_explicit_order(tmp_path, capsys):
     assert code == 0 and out.startswith("h = 1.189207115002721")  # 2^(1/4)
 
 
+_QUAT_CUBIC = (
+    "kind = quat-height\n"
+    "field {\n minpoly = -1 -2 1 1\n basis = 1 0 0 ; 0 1 0 ; 0 0 1\n}\n"
+    "alpha = -1 0 0\nbeta = -1 0 0\n"
+    "vector = 1 0 0 ; 0 1 0 ; 1 1 0 ; 0 0 0 ; 2 0 1 ; 0 0 0 ; 0 -1 0 ; 1 0 0\n"
+)
+
+
+def test_order_block_wraps_after_semicolon(tmp_path, capsys):
+    code, default, _ = _height_line(tmp_path, capsys, "c.lh", _QUAT_CUBIC)
+    assert code == 0 and default.startswith("h = ")
+    # the special order's generators over x^3 + x^2 - 2x - 1, one per line
+    rows = [" ; ".join("1 0 0" if c == q else "0 0 0" for c in range(4)) for q in range(4)]
+    wrapped = "order {\n basis = %s ;\n\n   # i, j, k\n   %s ;\n   %s ;\n   %s\n}\n" % tuple(rows)
+    code, out, err = _height_line(tmp_path, capsys, "w.lh", _QUAT_CUBIC + wrapped)
+    assert (code, out, err) == (0, default, "")
+    # an error on a continuation line names the entry's first line
+    bad = wrapped.replace("   0 0 0 ; 1 0 0 ;", "   0 0 0 ; 1 0 ;", 1)
+    code, _, err = _height_line(tmp_path, capsys, "b.lh", _QUAT_CUBIC + bad)
+    assert code == 2 and "line 10: element needs 3 coordinates, got 2" in err, err
+
+
 def test_spec_error_without_column_names_the_line_alone(tmp_path, capsys):
     # (1, i, j/2, k) is not closed under products: rejected at the block's line
     block = _order_block(["1", "0", "0", "0"], ["0", "1", "0", "0"],
