@@ -26,14 +26,15 @@ from .quat import (
     QuatElement,
     QuatOrder,
     _arch_sq_prod,
-    _hfin,
     bracket_inv,
+    finite_factor,
     height_Hinf,
     intersection_module,
     minima_cz_order,
     module_gram,
     norm_grams,
     order_constants,
+    order_module,
     s_t_constants,
     subspace_height_HO,
 )
@@ -148,100 +149,6 @@ def const_E1_E2(module: OkModule, minima=None) -> Tuple[Rooted, Rooted]:
     return e1, e2
 
 
-PREFIX_CHUNK = 256  # prefix lines per interval pass of _strip_candidates
-SCREEN_BATCH = 2048  # candidates per screened batch
-
-
-def _strip_candidates(caps, a_int, b_int, sq, strips):
-    """Batches (va, vb, coeffs) of the points m of the box |m_j| <= caps[j]
-    that can lie in one of ``strips``.
-
-    The L columns ``a_int``, ``b_int`` of n integers give the coordinates
-    va + vb sqrt(r) of m, with va = A m and vb = B m; ``sq`` is fl(sqrt r).
-    A strip is a float vector U, and m lies in it when |va_c + vb_c sqrt r|
-    <= U_c for every coordinate c.  All of A m and B m on the box must be
-    below 2**52 in size, so their floats are exact.
-
-    Every axis but the first longest is fixed, on the prefix grid of
-    ``lattice._slabs``.  Along one prefix line each coordinate is r_c + t s_c,
-    affine in the free coefficient t, so each strip cuts one integer
-    interval from the line.  The walk merges the intervals of all strips
-    and yields their union PREFIX_CHUNK lines at a time, in batches of at
-    most SCREEN_BATCH points; ``coeffs(i)`` is the coefficient tuple of
-    row i of a batch.
-
-    The intervals enclose every lattice point of every strip.  With
-    u = 2**-53, fl(va + vb sq) is within 4u (|va| + |vb| sqrt r) of
-    va + vb sqrt r.  So on a line the float offset and slope carry an error
-    of at most 2**-51 mag_c for |t| <= cap, where mag_c = sum_j (|A_cj| +
-    |B_cj| sqrt r)(caps_j + 1), and every t of the strip meets
-    |fl(r_c) + t fl(s_c)| <= U'_c = U_c + 2**-49 (mag_c + U_c), which leaves
-    room for the rounding of mag_c and U'_c.  The float ends
-    (+-U'_c - fl(r_c)) / fl(s_c) lie within 2**-51.9 of their size of the
-    exact quotients; each end is clipped to the box widened by one, moved
-    outwards by 2**-50 of its size and rounded outwards to an integer.  A
-    zero float slope keeps the whole line when |fl(r_c)| <= U'_c, and none
-    of it otherwise.
-    """
-    import numpy as np
-
-    a_mat, b_mat = np.array(a_int, dtype=np.int64).T, np.array(b_int, dtype=np.int64).T
-    big_l = len(caps)
-    axis = max(range(big_l), key=lambda j: caps[j])
-    rest_axes = [j for j in range(big_l) if j != axis]
-    rest_caps = [caps[j] for j in rest_axes]
-    cap = caps[axis]
-    a_rest, b_rest = a_mat[:, rest_axes], b_mat[:, rest_axes]
-    a_axis, b_axis = a_mat[:, axis], b_mat[:, axis]
-    slope = a_axis.astype(np.float64) + b_axis.astype(np.float64) * sq
-    flat = slope == 0
-    box = np.array([c + 1 for c in caps], dtype=np.float64)
-    mags = np.abs(a_mat).astype(np.float64) @ box + np.abs(b_mat).astype(np.float64) @ box * sq
-    limits = np.array([u + 2.0 ** -49 * (mags + u) for u in strips])  # strip x coordinate
-    n_lines = math.prod(2 * c + 1 for c in rest_caps)
-    for first in range(0, n_lines, PREFIX_CHUNK):
-        rest = lattice._prefix_grid(rest_caps, first, min(first + PREFIX_CHUNK, n_lines))
-        ra, rb = rest @ a_rest.T, rest @ b_rest.T
-        offset = (ra.astype(np.float64) + rb.astype(np.float64) * sq)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e1, e2 = (-limits - offset) / slope, (limits - offset) / slope
-        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)  # line x strip x coordinate
-        if flat.any():
-            keep = np.abs(offset[:, :, flat]) <= limits[:, flat]
-            lo[:, :, flat] = np.where(keep, -np.inf, np.inf)
-            hi[:, :, flat] = np.where(keep, np.inf, -np.inf)
-        lo = np.clip(lo.max(axis=2), -cap - 1, cap + 1)
-        hi = np.clip(hi.min(axis=2), -cap - 1, cap + 1)
-        lo = np.clip(np.ceil(lo - np.abs(lo) * 2.0 ** -50), -cap, cap + 1).astype(np.int64)
-        hi = np.clip(np.floor(hi + np.abs(hi) * 2.0 ** -50), -cap - 1, cap).astype(np.int64)
-        # union per line: sort by start, then take what reaches past the
-        # running end of the earlier intervals
-        order = np.argsort(lo, axis=1)
-        lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
-        reach = np.maximum.accumulate(hi, axis=1)
-        lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1] + 1)
-        sizes = np.maximum(hi - lo + 1, 0).ravel()
-        runs = np.flatnonzero(sizes)
-        starts, sizes = lo.ravel()[runs], sizes[runs]
-        lines = runs // len(strips)
-        ends = np.cumsum(sizes)
-        total = int(ends[-1]) if ends.size else 0
-        for b0 in range(0, total, SCREEN_BATCH):
-            k = np.arange(b0, min(b0 + SCREEN_BATCH, total), dtype=np.int64)
-            run = np.searchsorted(ends, k, side="right")
-            t = starts[run] + k - (ends[run] - sizes[run])
-            line = lines[run]
-            va = ra[line] + t[:, None] * a_axis
-            vb = rb[line] + t[:, None] * b_axis
-
-            def coeffs(i, line=line, t=t, rest=rest):
-                m = rest[line[i]].tolist()
-                m.insert(axis, int(t[i]))
-                return tuple(m)
-
-            yield va, vb, coeffs
-
-
 def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[int]:
     """Vectorized count of {x in M : h(x)^d <= T}, T = rd, for integral
     modules over totally real fields of degree <= 2.
@@ -249,10 +156,11 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     For integral x, h(x)^d = a b with a = max(1, max_i |s1(x_i)|) and
     b = max(1, max_i |s2(x_i)|) over the two embeddings (b = 1 when d = 1).
     Only the dyadic strips of that hyperbolic region are walked
-    (``_strip_candidates``): S_0 = {max_i |s1(x_i)| <= 1, max_i |s2(x_i)| <=
-    T} and S_k = {max_i |s1(x_i)| <= 2^k, max_i |s2(x_i)| <= T/2^(k-1)} for
-    k = 1, ..., ceil(log2 T) cover it, since 2^(k-1) < a <= 2^k gives
-    b <= T/a < T/2^(k-1); for d = 1 the one strip is the cube of radius T.
+    (``lattice.strip_candidates``): S_0 = {max_i |s1(x_i)| <= 1,
+    max_i |s2(x_i)| <= T} and S_k = {max_i |s1(x_i)| <= 2^k,
+    max_i |s2(x_i)| <= T/2^(k-1)} for k = 1, ..., ceil(log2 T) cover it,
+    since 2^(k-1) < a <= 2^k gives b <= T/a < T/2^(k-1); for d = 1 the one
+    strip is the cube of radius T.
     The budget is still checked on the whole coefficient box of that cube.
 
     A float product screens the candidates, and the points in a band
@@ -283,10 +191,6 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     den = math.lcm(den0, rd_frac.denominator)
     a_int, b_int = ([[den // den0 * x for x in col] for col in c] for c in (a0, b0))
     caps = _coefficient_box(lat, _rat_upper(to_real(rd_frac)))
-    lattice._check_budget(caps)  # over budget raises, not declines
-    maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
-    if maxentry * (max(caps) + 1) * lat.rank >= 2 ** 52:
-        return None
     big_n = lat.ambient_dim // d  # module coordinates per channel block
     sq = math.sqrt(m_val) if m_val else 0.0
     t_float = float(rd_frac)
@@ -298,13 +202,18 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
             strips.append((2.0 ** k, t_float / 2 ** (k - 1)))
             k += 1
     strips = [np.repeat(np.array(s) * den, big_n) for s in strips]
+    # over budget raises before the guard can decline
+    batches = lattice.strip_candidates(caps, a_int, b_int, sq, strips)
+    maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
+    if maxentry * (max(caps) + 1) * lat.rank >= 2 ** 52:
+        return None
     target = float(Fraction(rd_frac) * den ** d)
     band = 1e-10 + 2.0 ** -49 * t_float
     lo_gate = target * (1 - band)
     hi_gate = target * (1 + band)
     rd_rooted = as_rooted(rd_frac) if rd_frac >= 0 else None
     count = 0
-    for va, vb, coeffs_of in _strip_candidates(caps, a_int, b_int, sq, strips):
+    for va, vb, coeffs_of in batches:
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
         np.maximum(per_ch, float(den), out=per_ch)
@@ -494,11 +403,15 @@ def loher_masser_upper(d: int, n: int, radius):
 def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int:
     """|{x in D^N : h(x) <= R}| with the order-finite-part height.
 
-    Candidates are x = w/m with w in O_K^{4N} and m a positive integer bounded
-    by the finite part of the height.  Each x is counted once, at its least
-    denominator: (m, w) is skipped when m and the Z-coordinates of w share a
-    factor.  N(x_l) = N(w_l)/m^2 comes from the integer norm forms of
-    O_K^{4N}, and the finite part from x's integer coordinates in the order.
+    Every x is y/M for one y in O^N and the least positive integer M with
+    M x in O^N.  The sweep runs over y on the lattice of O^N's own Z-basis
+    (``quat.order_module``) and skips (M, y) when M shares a factor with
+    every order coordinate of y, so each x is counted once.  The finite
+    factor M^{4d}/[O : OM + sum O y_l] (``quat.finite_factor``) is at least
+    M and h_inf >= 1, so M <= R^{4d}; it is also at least 1, so h_inf(x) <= R
+    bounds every embedded coordinate of x by (R/t)^d.  N(x_l) = N(y_l)/M^2
+    comes from the integer norm forms of O^N, and the finite factor is
+    computed only when h_inf(x)^{4d} M <= R^{4d}.
     """
     import numpy as np
 
@@ -507,36 +420,32 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
     d = field.degree
     _, t, _, _ = s_t_constants(algebra)
     cap = _rat_upper(((r * t.inverse()) ** d).as_real())  # h_K([x]) <= R/t
-    free = OkModule.free_module(field, 4 * n)
-    lat = free.module_lattice()
+    m_max = math.floor(_rat_upper((r ** (4 * d)).as_real()))
+    module = order_module(order, n)
+    lat = module.module_lattice()
     # fail fast: the whole denominator sweep must fit the budget
-    grand_total = sum(math.prod(2 * c + 1 for c in _coefficient_box(lat, cap * m))
-                      for m in range(1, math.floor(cap) + 1))
-    if grand_total > lattice.ENUM_BUDGET:
-        raise BudgetExceeded("enumeration sweep has %d candidates (budget %d)"
-                             % (grand_total, lattice.ENUM_BUDGET))
-    # s w has the integer order coordinates (c . col for col in cols), c its Z-coordinates
-    s, rows = order.scaled_coords([q for v in free.z_basis for q in bracket_inv(algebra, v)])
-    cols = list(zip(*[sum(rows[i:i + n], []) for i in range(0, len(rows), n)]))
-    norms = norm_grams(free, algebra)
+    total = 0
+    for m in range(1, m_max + 1):
+        total += math.prod(2 * c + 1 for c in _coefficient_box(lat, cap * m))
+        if total > lattice.ENUM_BUDGET:
+            raise BudgetExceeded("denominator sweep passes %d candidates at M = %d "
+                                 "(budget %d)" % (total, m, lattice.ENUM_BUDGET))
+    norms = norm_grams(module, algebra)
     w4 = 4 * d
     count = int(r.cmp(1, context="zero height") >= 0)  # zero has h = 1
-    for m in range(1, math.floor(cap) + 1):
+    for m in range(1, m_max + 1):
         pts = [c for c in enumerate_cube(lat, cap * m) if any(c) and math.gcd(m, *c) == 1]
         arr = np.array(pts, dtype=np.int64).reshape(len(pts), lat.rank)
-        # h_inf(w/m) where it is at most R; h >= h_inf, as the finite factor is >= 1
+        # h_inf(y/m) where h_inf^{4d} m <= R^{4d}, as h^{4d} >= h_inf^{4d} m
+        m_root = Rooted(m, w4)
         hinf = _shell_heights(field, [(g, den * m * m) for g, den in norms], arr, {},
-                              lambda h: h if h.cmp(r, context="d height filter") <= 0 else None)
+                              lambda h: h if (h * m_root).cmp(r, context="d height filter") <= 0
+                              else None)
         for c, h in zip(pts, hinf):
             if h is None:
                 continue
-            y = [sum(map(operator.mul, c, col)) for col in cols]
-            g = math.gcd(s * m, *y)
-            big_m = s * m // g  # least integer with big_m x in O^N; factor 1 when 1
-            if big_m > 1:
-                ideal = [[big_m * e for e in order.one_coords]]
-                ideal += [[e // g for e in y[i:i + w4]] for i in range(0, len(y), w4)]
-                fin = _hfin(order, ideal) * Fraction(big_m) ** w4
+            if m > 1:
+                fin = finite_factor(order, m, [c[i:i + w4] for i in range(0, len(c), w4)])
                 if (h * Rooted(fin, w4)).cmp(r, context="d height filter") > 0:
                     continue
             count += 1

@@ -314,10 +314,22 @@ def _read_module(root: Block) -> OkModule:
     return OkModule.from_z_generators(field, rank, vecs)
 
 
+def _count_radius(text: str, integral: bool) -> Fraction:
+    """The radius argument of ``count``: a rational number, an integer when
+    ``integral``; ValidationError otherwise."""
+    try:
+        radius = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("the count radius must be a rational number, got %r" % text)
+    if integral and radius.denominator != 1:
+        raise ValidationError("the ffield count radius B must be an integer, got %r" % text)
+    return radius
+
+
 def cmd_count(args) -> int:
     kind = args.kind
+    radius = _count_radius(args.radius, kind == "ffield")
     root = parse_file(args.file)
-    radius = Fraction(args.radius)
     instance = os.path.basename(args.file)
     if kind == "module":
         reps = [thm1_lower(_read_module(root), radius, instance=instance)]

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import intmat
 from .bounds import BoundReport, lemma_reports
 from .errors import ValidationError
-from .lattice import RealLattice, enumerate_cube
+from .lattice import RealLattice, enumerate_cube, supnorm_min
 from .reals import cmp_real, max_real, sqrt_real, to_real
 
 GENUS0 = "genus0"
@@ -268,17 +268,7 @@ def det_bound_checks(ctx: CurveContext) -> dict:
     else:
         out["det_range"] = lat.det_sq() == n
     # minimal sup-norm over nonzero vectors
-    best = None
-    for vec in lat.points_in_cube(max(1, lat.jxp_order)):
-        if any(vec):
-            s = max(abs(x) for x in vec)
-            best = s if best is None else min(best, s)
-    if best is None:
-        out["supnorm_low"] = False
-    else:
-        floor_bound = max_real(
-            to_real(1),
-            sqrt_real(Fraction(2 * ctx.num_points, ctx.q + 1)) / n,
-        )
-        out["supnorm_low"] = cmp_real(best, floor_bound, context="ff supnorm") >= 0
+    best, _ = supnorm_min(lat._real)
+    floor_bound = max_real(to_real(1), sqrt_real(Fraction(2 * ctx.num_points, ctx.q + 1)) / n)
+    out["supnorm_low"] = cmp_real(best, floor_bound, context="ff supnorm") >= 0
     return out

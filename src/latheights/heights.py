@@ -10,6 +10,9 @@ Finite parts are lattice indices on integers: the norm of the content ideal
 of an integral vector is the index in Z^d of the rows omega_i * x_l, read
 off the field's cached multiplication table (Cohen, GTM 138, 4.7), so no
 ideal or field product is formed per point.
+
+A ``HeightValue`` compares exactly against a rational (``cmp``); two
+heights compare as ``Rooted`` values (``as_rooted``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from . import linalg
 from .errors import ValidationError
@@ -55,9 +58,6 @@ class HeightValue:
         if t < 0:
             return 1
         return cmp_real(self.value_pow(), t**self.power, context)
-
-    def cmp_height(self, other: "HeightValue", context="height compare") -> int:
-        return self.as_rooted().cmp(other.as_rooted(), context)
 
     def __float__(self):
         return float(self.as_rooted())
@@ -209,103 +209,3 @@ def form_height(field: NumberField, b: Sequence[Sequence[NfElement]]) -> HeightV
                 raise ValidationError("matrix is not symmetric")
     flat = [b[i][j] for i in range(n) for j in range(n)]
     return height_H(field, flat)
-
-
-# ---------------------------------------------------------------------------
-# integral scaling realizing H(x) = h(ax)
-
-
-def principal_generator(ideal: FracIdeal, box: int = 8) -> Optional[NfElement]:
-    """Search for a generator of a fractional ideal; None if not found.
-
-    Tries integral-basis coordinate combinations of the Z-basis with
-    coefficients in [-box, box] and accepts the first g in the ideal with
-    |N(g)| equal to the ideal norm.
-    """
-    field = ideal.field
-    d = field.degree
-    target = ideal.norm()
-    for coords in itertools.product(range(-box, box + 1), repeat=d):
-        if all(c == 0 for c in coords):
-            continue
-        g = None
-        for c, b in zip(coords, ideal.z_basis):
-            if c:
-                term = b * c
-                g = term if g is None else g + term
-        if abs(g.norm()) == target:
-            for c in field.int_coords(g):
-                if c:
-                    return g if c > 0 else -g
-    return None
-
-
-def find_unit(field: NumberField, box: int = 200) -> Optional[NfElement]:
-    """A unit u > 1 (both real channels nontrivial) of a real quadratic field.
-
-    Minimal-coefficient search; returns None for fields with no such unit
-    (Q, imaginary quadratic) or when the search box is exhausted.
-    """
-    if field.degree != 2 or field.signature != (2, 0):
-        return None
-    for t in range(1, box + 1):
-        hits = []
-        for a in range(-t, t + 1):
-            for b in range(-t, t + 1):
-                if max(abs(a), abs(b)) != t:
-                    continue
-                u = field.from_int_coords([a, b])
-                if abs(u.norm()) == 1 and not u.is_rational():
-                    hits.append(u)
-        best = None
-        for u in hits:
-            v0 = field.channel_values(u)[0]
-            if cmp_real(v0, 1) > 0:
-                if best is None or cmp_real(v0, field.channel_values(best)[0]) < 0:
-                    best = u
-        if best is not None:
-            return best
-    return None
-
-
-def find_integral_scaling(field: NumberField, x: Sequence[NfElement]):
-    """Scalar a with ax integral, trivial content, and H(x) = h(ax).
-
-    Returns (a, ax).  Requires the content ideal to be principal; searches
-    unit adjustments u^e for e in [-16, 16] so that every archimedean
-    sup-norm of ax is at least 1.
-    """
-    if all(xi.is_zero() for xi in x):
-        raise ValidationError("cannot scale the zero vector")
-    ideal = content_ideal(field, x)
-    g = principal_generator(ideal)
-    if g is None:
-        raise ValidationError(
-            "content ideal has no principal generator in the search box "
-            "(unsupported ideal class)"
-        )
-    a0 = g.inv()
-    unit = find_unit(field)
-    candidates = [field.one()]
-    if unit is not None:
-        pw = field.one()
-        pows = []
-        for _ in range(16):
-            pw = pw * unit
-            pows.append(pw)
-        candidates = pows[::-1] + [field.one()] + [p.inv() for p in pows]
-    for u in candidates:
-        a = a0 * u
-        y = [a * xi for xi in x]
-        ok = True
-        for vals, _dv in _arch_abs_table(field, y):
-            if cmp_real(max_real(*vals), 1) < 0:
-                ok = False
-                break
-        if ok:
-            hx = height_H(field, x)
-            hy = height_h(field, y)
-            if hx.cmp_height(hy) != 0:
-                raise ValidationError("scaling verification failed")
-            return a, y
-    raise ValidationError("unit-adjustment search exhausted without success")

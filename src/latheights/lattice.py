@@ -14,11 +14,12 @@ integer test for rational lattices, the first strict minimum of the
 sup-norms in ``supnorm_min`` for rational lattices, and a float screen for
 all others.  The float screen's safety band is decided on the scaled
 integer columns when all entries lie in one Q(sqrt m), and by the certified
-re-check ``_certified_in_cube`` only for balls.  The totally real module
-count ``bounds._fast_count_totally_real`` checks the same budget on its
-box (``_check_budget``) but walks only the integer intervals that the
-dyadic strips of its height region cut from each line of the same prefix
-grid (``_prefix_grid``).
+re-check ``_certified_in_cube`` only for balls.  The one other walk,
+``strip_candidates``, serves the totally real module count
+``bounds._fast_count_totally_real``: it keeps only the integer intervals
+that the dyadic strips of the height region cut from each line, and it
+shares the budget check (``_check_budget``), the free axis (``_free_axis``)
+and the prefix grid (``_prefix_grid``) with ``_box_slabs``.
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant is Bareiss
@@ -53,6 +54,8 @@ from .reals import (
 )
 
 ENUM_BUDGET = 30_000_000  # max candidate coefficient vectors per enumeration
+PREFIX_CHUNK = 256  # prefix lines per interval pass of strip_candidates
+SCREEN_BATCH = 2048  # candidates per screened batch of strip_candidates
 
 
 def _rat_upper(x: Real) -> Fraction:
@@ -249,15 +252,21 @@ def _prefix_grid(caps: Sequence[int], start: int, stop: int, coeff="int64"):
     return grid
 
 
+def _free_axis(caps: Sequence[int]):
+    """(axis, rest_axes, rest_caps, lines): the first longest axis, which a
+    walk leaves free, and the other axes, fixed on the prefix grid of its
+    ``lines`` points."""
+    axis = max(range(len(caps)), key=lambda j: caps[j])
+    rest_axes = [j for j in range(len(caps)) if j != axis]
+    rest_caps = [caps[j] for j in rest_axes]
+    return axis, rest_axes, rest_caps, math.prod(2 * c + 1 for c in rest_caps)
+
+
 def _slabs(caps, mats, dtype):
     import numpy as np
 
-    big_l = len(caps)
-    axis = max(range(big_l), key=lambda j: caps[j])
-    rest_axes = [j for j in range(big_l) if j != axis]
-    rest_caps = [caps[j] for j in rest_axes]
-    rest = _prefix_grid(rest_caps, 0, math.prod(2 * c + 1 for c in rest_caps),
-                        object if dtype is object else np.int64)
+    axis, rest_axes, rest_caps, lines = _free_axis(caps)
+    rest = _prefix_grid(rest_caps, 0, lines, object if dtype is object else np.int64)
     arrays = [np.array(m, dtype=dtype).T for m in mats]
     rest_vals = [rest @ a[:, rest_axes].T for a in arrays]  # (#rest, n) each
     axis_cols = [a[:, axis] for a in arrays]
@@ -265,6 +274,100 @@ def _slabs(caps, mats, dtype):
     for m0 in range(-caps[axis], caps[axis] + 1):
         coeffs[:, axis] = m0
         yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], coeffs
+
+
+def strip_candidates(caps, a_int, b_int, sq, strips):
+    """Batches (va, vb, coeffs) of the points m of the box |m_j| <= caps[j]
+    that can lie in one of ``strips``.
+
+    The L columns ``a_int``, ``b_int`` of n integers give the coordinates
+    va + vb sqrt(r) of m, with va = A m and vb = B m; ``sq`` is fl(sqrt r).
+    A strip is a float vector U, and m lies in it when |va_c + vb_c sqrt r|
+    <= U_c for every coordinate c.  All of A m and B m on the box must be
+    below 2**52 in size, so their floats are exact.
+
+    Every axis but the first longest is fixed, on the prefix grid of
+    ``_slabs``.  Along one prefix line each coordinate is r_c + t s_c,
+    affine in the free coefficient t, so each strip cuts one integer
+    interval from the line.  The walk merges the intervals of all strips
+    and yields their union PREFIX_CHUNK lines at a time, in batches of at
+    most SCREEN_BATCH points; ``coeffs(i)`` is the coefficient tuple of
+    row i of a batch.
+
+    The intervals enclose every lattice point of every strip.  With
+    u = 2**-53, fl(va + vb sq) is within 4u (|va| + |vb| sqrt r) of
+    va + vb sqrt r.  So on a line the float offset and slope carry an error
+    of at most 2**-51 mag_c for |t| <= cap, where mag_c = sum_j (|A_cj| +
+    |B_cj| sqrt r)(caps_j + 1), and every t of the strip meets
+    |fl(r_c) + t fl(s_c)| <= U'_c = U_c + 2**-49 (mag_c + U_c), which leaves
+    room for the rounding of mag_c and U'_c.  The float ends
+    (+-U'_c - fl(r_c)) / fl(s_c) lie within 2**-51.9 of their size of the
+    exact quotients; each end is clipped to the box widened by one, moved
+    outwards by 2**-50 of its size and rounded outwards to an integer.  A
+    zero float slope keeps the whole line when |fl(r_c)| <= U'_c, and none
+    of it otherwise.
+
+    The budget is checked on the whole box on the call, before any array
+    is built, as in ``_box_slabs``.
+    """
+    _check_budget(caps)
+    return _strip_walk(caps, a_int, b_int, sq, strips)
+
+
+def _strip_walk(caps, a_int, b_int, sq, strips):
+    import numpy as np
+
+    a_mat, b_mat = np.array(a_int, dtype=np.int64).T, np.array(b_int, dtype=np.int64).T
+    axis, rest_axes, rest_caps, n_lines = _free_axis(caps)
+    cap = caps[axis]
+    a_rest, b_rest = a_mat[:, rest_axes], b_mat[:, rest_axes]
+    a_axis, b_axis = a_mat[:, axis], b_mat[:, axis]
+    slope = a_axis.astype(np.float64) + b_axis.astype(np.float64) * sq
+    flat = slope == 0
+    box = np.array([c + 1 for c in caps], dtype=np.float64)
+    mags = np.abs(a_mat).astype(np.float64) @ box + np.abs(b_mat).astype(np.float64) @ box * sq
+    limits = np.array([u + 2.0 ** -49 * (mags + u) for u in strips])  # strip x coordinate
+    for first in range(0, n_lines, PREFIX_CHUNK):
+        rest = _prefix_grid(rest_caps, first, min(first + PREFIX_CHUNK, n_lines))
+        ra, rb = rest @ a_rest.T, rest @ b_rest.T
+        offset = (ra.astype(np.float64) + rb.astype(np.float64) * sq)[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e1, e2 = (-limits - offset) / slope, (limits - offset) / slope
+        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)  # line x strip x coordinate
+        if flat.any():
+            keep = np.abs(offset[:, :, flat]) <= limits[:, flat]
+            lo[:, :, flat] = np.where(keep, -np.inf, np.inf)
+            hi[:, :, flat] = np.where(keep, np.inf, -np.inf)
+        lo = np.clip(lo.max(axis=2), -cap - 1, cap + 1)
+        hi = np.clip(hi.min(axis=2), -cap - 1, cap + 1)
+        lo = np.clip(np.ceil(lo - np.abs(lo) * 2.0 ** -50), -cap, cap + 1).astype(np.int64)
+        hi = np.clip(np.floor(hi + np.abs(hi) * 2.0 ** -50), -cap - 1, cap).astype(np.int64)
+        # union per line: sort by start, then take what reaches past the
+        # running end of the earlier intervals
+        order = np.argsort(lo, axis=1)
+        lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+        reach = np.maximum.accumulate(hi, axis=1)
+        lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1] + 1)
+        sizes = np.maximum(hi - lo + 1, 0).ravel()
+        runs = np.flatnonzero(sizes)
+        starts, sizes = lo.ravel()[runs], sizes[runs]
+        lines = runs // len(strips)
+        ends = np.cumsum(sizes)
+        total = int(ends[-1]) if ends.size else 0
+        for b0 in range(0, total, SCREEN_BATCH):
+            k = np.arange(b0, min(b0 + SCREEN_BATCH, total), dtype=np.int64)
+            run = np.searchsorted(ends, k, side="right")
+            t = starts[run] + k - (ends[run] - sizes[run])
+            line = lines[run]
+            va = ra[line] + t[:, None] * a_axis
+            vb = rb[line] + t[:, None] * b_axis
+
+            def coeffs(i, line=line, t=t, rest=rest):
+                m = rest[line[i]].tolist()
+                m.insert(axis, int(t[i]))
+                return tuple(m)
+
+            yield va, vb, coeffs
 
 
 def _int_dtype(cols, caps, scale=1):

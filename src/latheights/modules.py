@@ -182,15 +182,6 @@ def _ideal_lattice(field: NumberField, ideal: FracIdeal) -> RealLattice:
     return RealLattice([sigma_embed(field, [g]) for g in ideal.z_basis])
 
 
-def _elem_from_coeffs(ideal: FracIdeal, m: Sequence[int]) -> NfElement:
-    acc = None
-    for c, g in zip(m, ideal.z_basis):
-        if c:
-            term = g * c
-            acc = term if acc is None else acc + term
-    return acc
-
-
 def minima_ck_zk(module: OkModule):
     """Certified minima over the scaling ideal.
 
@@ -207,8 +198,9 @@ def minima_ck_zk(module: OkModule):
     d = field.degree
     ideal = module.scaling_ideal()
     lat = _ideal_lattice(field, ideal)
+    gens = [[g] for g in ideal.z_basis]
     _, m0 = supnorm_min(lat)
-    alpha0 = _elem_from_coeffs(ideal, m0)
+    (alpha0,) = z_combination(gens, m0)
 
     def h_pow(a: NfElement):
         return height_h(field, [a]).value_pow()
@@ -216,7 +208,7 @@ def minima_ck_zk(module: OkModule):
     best_pow, best = h_pow(alpha0), alpha0
     for m in enumerate_cube(lat, _rat_upper(best_pow)):
         if any(m):
-            a = _elem_from_coeffs(ideal, m)
+            (a,) = z_combination(gens, m)
             hp = h_pow(a)
             if cmp_real(hp, best_pow, context="c_K search") < 0:
                 best_pow, best = hp, a

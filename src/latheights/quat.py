@@ -17,6 +17,10 @@ multiplication tables are built at construction.  The finite heights read
 each element's integer coordinates once (``scaled_coords``) and form every
 product with a basis element from those tables, and N(Delta_O) is read
 from the determinant of their regular trace pairing (``intmat.trace_det``).
+One helper, ``finite_factor``, gives the finite factor of h(y/m) from the
+order coordinates of y, for ``height_h_order`` and for the count oracle
+``bounds.exact_count_d``, which sweeps y on O^N's own Z-basis
+(``order_module``).
 
 Heights are carried in 2d-th or 4d-th power form so that threshold
 comparisons stay exact for quadratic base fields.
@@ -24,7 +28,6 @@ comparisons stay exact for quadratic base fields.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -194,11 +197,6 @@ class QuatElement:
 # archimedean absolute values and the s/t constants
 
 
-def arch_abs_sq(x: QuatElement, channel: int) -> Real:
-    """|x|_{v_n}^2 = N^{(n)}(x), exact channel value."""
-    return x.algebra.field.channel_values(x.nrm())[channel]
-
-
 def s_t_constants(algebra: QuatAlgebra):
     """(s, t, per-channel s_v^2 list, per-channel t_v^2 list).
 
@@ -283,10 +281,6 @@ class QuatOrder:
 
     def contains(self, x: QuatElement) -> bool:
         return self._span.contains(self._flatten(x))
-
-    def coords_of(self, x: QuatElement) -> List[Fraction]:
-        """Coordinates of x in the order's Z-basis (rational in general)."""
-        return self._span.coords(self._flatten(x))
 
     def scaled_coords(self, xs: Sequence[QuatElement]) -> Tuple[int, List[List[int]]]:
         """(m, rows): m the least positive integer with every m x in the
@@ -382,19 +376,28 @@ def height_h(xs: Sequence[QuatElement]) -> Rooted:
     return height_hinf(xs)
 
 
+def finite_factor(order: QuatOrder, m: int, rows: Sequence[Sequence[int]]) -> Fraction:
+    """m^{4d} / [O : Om + sum_l O y_l], the 4d-th power of the finite factor
+    of h(x) for x = y/m, from the integer order coordinates of the y_l in O.
+
+    It is at least m / gcd(m, coordinates of y): the y_l have that joint
+    additive order in O/mO."""
+    d = order.algebra.field.degree
+    ideal = [[m * c for c in order.one_coords]] + list(rows)
+    return _hfin(order, ideal) * Fraction(m) ** (4 * d)
+
+
 def height_h_order(order: QuatOrder, xs: Sequence[QuatElement]) -> Rooted:
     """Inhomogeneous height on all of D^N, finite part included.
 
-    In 4d-th power form: h^{4d} = h_inf^{4d} * N(m)^4 / [O : Om + sum O(m x_l)]
-    for any integer m clearing the denominators; the value is independent of
-    the choice of m.  For x with coordinates in the order this reduces to
-    h_inf(x).
+    In 4d-th power form: h^{4d} = h_inf^{4d} * ``finite_factor`` of y = m x
+    for any integer m with every m x_l in the order; the value is
+    independent of the choice of m.  For x with coordinates in the order
+    this reduces to h_inf(x).
     """
     d = xs[0].algebra.field.degree
     m, rows = order.scaled_coords(xs)
-    fin = _hfin(order, [[m * c for c in order.one_coords]] + rows) * Fraction(m) ** (4 * d)
-    inf = height_hinf(xs)  # value h_inf
-    return inf * Rooted(fin, 4 * d)
+    return height_hinf(xs) * Rooted(finite_factor(order, m, rows), 4 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +505,7 @@ def _hermitian_square_det_channels(rows: Sequence[Sequence[QuatElement]]):
     n = len(rows[0])
     prod = [
         [
-            _sum_quat([rows[i][t] * rows[j][t].conj() for t in range(n)], alg)
+            sum((rows[i][t] * rows[j][t].conj() for t in range(n)), alg.zero())
             for j in range(big_m)
         ]
         for i in range(big_m)
@@ -517,13 +520,6 @@ def _hermitian_square_det_abs(rows: Sequence[Sequence[QuatElement]]) -> Real:
         a = abs_real(ch)
         arch = a if arch is None else arch * a
     return arch
-
-
-def _sum_quat(xs, alg):
-    acc = None
-    for x in xs:
-        acc = x if acc is None else acc + x
-    return acc if acc is not None else alg.zero()
 
 
 def subspace_height_HO(z: DSubspace, order: QuatOrder) -> Rooted:
@@ -548,30 +544,6 @@ def subspace_height_HO_basis(z: DSubspace, order: QuatOrder) -> Rooted:
     # X*X = (X^t conj) (X^t)^t: rows of X^t are the basis vectors
     star_rows = [[x.conj() for x in col] for col in xt_rows]
     return Rooted(_hermitian_square_det_abs(star_rows) * fin, 4 * order.algebra.field.degree)
-
-
-def hinf_constraint_minors(z: DSubspace) -> Rooted:
-    """H_inf(C) by the Cauchy-Binet style minor sum, in 2d-th power form.
-
-    Each M x M minor's det rho = Nrd is computed by elimination over D; it
-    lies in K and is nonnegative at every channel.
-    """
-    rows = z.constraint_rows()
-    field = z.algebra.field
-    minors = [field.channel_values(nrd([[row[c] for c in cols] for row in rows]))
-              for cols in itertools.combinations(range(len(rows[0])), len(rows))]
-    acc = None
-    for vals in zip(*minors):  # one channel, every minor
-        total = sum(vals[1:], vals[0])
-        acc = total if acc is None else acc * total
-    return Rooted(acc, 2 * field.degree)
-
-
-def hinf_constraint_gram(z: DSubspace) -> Rooted:
-    """H_inf(C) via det rho(CC*) = Nrd(CC*), computed by elimination over D,
-    in 4d-th power form."""
-    rows = z.constraint_rows()
-    return Rooted(_hermitian_square_det_abs(rows), 4 * z.algebra.field.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +632,18 @@ def norm_grams(module: OkModule, algebra: QuatAlgebra):
                                  for a in range(n)]) for l in range(n)]
 
 
-def eval_quadratic(b: Sequence[Sequence[NfElement]], z: Sequence[NfElement]) -> NfElement:
-    acc = None
-    for i, row in enumerate(b):
-        for j, e in enumerate(row):
-            term = z[i] * e * z[j]
-            acc = term if acc is None else acc + term
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Z cap O^N as an O_K-module; c_O and z_O
+
+
+def order_module(order: QuatOrder, n: int) -> OkModule:
+    """[O^N] as an O_K-module on the order's own Z-basis, the bracket
+    coordinates of w e_l for l < n and w in the order's Z-basis: Z-coordinate
+    4d l + i of y is coordinate i of y_l in the order."""
+    zero = order.algebra.zero()
+    return OkModule(order.algebra.field, 4 * n, [
+        bracket([w if k == l else zero for k in range(n)])
+        for l in range(n) for w in order.z_basis])
 
 
 def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
@@ -682,13 +655,7 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
     field = alg.field
     d = field.degree
     n = z.ambient
-    # lattice generators: bracket coordinates of {w e_m} for w in the Z-basis
-    lat_vecs = []
-    for m in range(n):
-        for w in order.z_basis:
-            vec = [alg.zero()] * n
-            vec[m] = w
-            lat_vecs.append(bracket(vec))
+    lat_vecs = order_module(order, n).z_basis
     lat_coords = [_flatten_power_coords(field, v) for v in lat_vecs]
     # Q-basis of [Z]: x_col * theta^s * q for q in {1,i,j,k}
     span_vecs = []

@@ -250,17 +250,6 @@ class LogLattice:
         self.classical_regulator = self.regulator / sqrt_real(ctx.n_places)
         self.hsk, _ = supnorm_min(self.lattice)
 
-    def row_sums_contain_zero(self) -> bool:
-        """Product formula over S: each basis vector's coordinates sum to 0."""
-        for vec in self.basis:
-            s = vec[0]
-            for c in vec[1:]:
-                s = s + c
-            iv = to_real(s).interval(PRECISION.start)
-            if not (iv.a <= 0 <= iv.b):
-                return False
-        return True
-
 
 def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
     """|{a in O_S^* : H_S(a) <= B}| by two independent pipelines.
@@ -341,8 +330,7 @@ def _ball_le(x, y) -> bool:
     return float(ix.a) <= float(iy.b)
 
 
-def regulator_bound_checks(ctx: SUnitContext, h_k: int,
-                           r_k=None) -> dict:
+def regulator_bound_checks(ctx: SUnitContext, h_k: int) -> dict:
     """Classical sandwich for the S-regulator and its absolute lower bound.
 
     R_K prod log N(p) <= R_{S,K} <= R_K h_K prod log N(p), and
@@ -351,14 +339,12 @@ def regulator_bound_checks(ctx: SUnitContext, h_k: int,
     """
     ll = ctx.log_lattice()
     reg = ll.classical_regulator
-    if r_k is None:
-        if ctx.unit_gens:
-            arch = ctx.field.signature[0] + ctx.field.signature[1]
-            cols = [ctx.log_embed(g)[:arch] for g in ctx.unit_gens]
-            sub = RealLattice(cols)
-            r_k = sub.det_value() / sqrt_real(arch)
-        else:
-            r_k = to_real(1)
+    if ctx.unit_gens:
+        arch = ctx.field.signature[0] + ctx.field.signature[1]
+        cols = [ctx.log_embed(g)[:arch] for g in ctx.unit_gens]
+        r_k = RealLattice(cols).det_value() / sqrt_real(arch)
+    else:
+        r_k = to_real(1)
     prod = to_real(1)
     pmax = 0
     for _, np in ctx.s1:

@@ -306,6 +306,25 @@ def test_count_ffield_command(tmp_path, capsys):
     assert all(r["verdict"] == "HOLDS" for r in recs)
 
 
+COUNT_FILES = {
+    "module": "field {\n minpoly = -1 1\n basis = 1\n}\nrank = 1\n",
+    "ffield": "q = 5\nmodel = genus0\npoints = 0 ; inf\n",
+}
+
+
+@pytest.mark.parametrize("kind, radius", [
+    ("ffield", "abc"), ("ffield", "1/0"), ("ffield", "5/2"),
+    ("module", "abc"), ("module", "1/0"),
+])
+def test_count_rejects_malformed_radius(tmp_path, capsys, kind, radius):
+    # exit 1 means VIOLATED; a radius that is no number, or a fractional B,
+    # is bad input (exit 2), not a traceback or a silently truncated B
+    path = _write(tmp_path, "c.lh", COUNT_FILES[kind])
+    assert cli.main(["count", kind, path, radius]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and repr(radius) in err
+
+
 def test_count_sunits_command(tmp_path, capsys):
     path = _write(
         tmp_path,

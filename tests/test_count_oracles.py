@@ -3,12 +3,13 @@ they replaced.
 
 ``bounds.exact_count_zo`` and ``bounds.exact_count_d`` decide h(x) <= R on
 integer reduced norms (``quat.norm_grams``), and ``exact_count_d`` counts
-each x = w/m once, at its least denominator.  The references below are the
-per-point oracles they replaced: every candidate is built as QuatElements,
-its height comes from ``quat.height_h`` or ``quat.height_h_order``, and the
-quotients w/m are deduplicated with a set of keys.  Each radius is the
-height of a drawn point, so points lie on h = R.  Hypothesis runs
-derandomized.
+each x = y/M once, y in O^N, at its least order denominator M <= R^{4d}.
+The references below are per-point oracles: every candidate is built as
+QuatElements, its height comes from ``quat.height_h`` or
+``quat.height_h_order``, and ``reference_count_d`` sweeps x = w/m over
+w in O_K^{4N} and deduplicates the quotients with a set of keys.  Each
+``exact_count_zo`` radius is the height of a drawn point, so points lie on
+h = R.  Hypothesis runs derandomized.
 """
 
 import math
@@ -54,22 +55,28 @@ def reference_count_zo(z, order, radius):
 
 
 def reference_count_d(alg, order, n, radius):
-    """|{x in D^N : h(x) <= R}| over x = w/m, deduplicated by a set of keys."""
+    """|{x in D^N : h(x) <= R}| over x = w/m, deduplicated by a set of keys.
+
+    x has least order denominator M <= R^{4d}, as its finite factor is at
+    least M and h_inf(x) >= 1.  With s the least integer such that s O lies
+    in O_K^4, s M x lies in O_K^{4N}, so m <= s R^{4d} covers every x."""
     r = as_rooted(radius)
     field = alg.field
+    d = field.degree
     _, t, _, _ = s_t_constants(alg)
-    bd = ((r * t.inverse()) ** field.degree).as_real()
-    m_max = math.floor(_rat_upper(bd))
+    bd = _rat_upper(((r * t.inverse()) ** d).as_real())
+    s = math.lcm(*(e.denominator() for w in order.z_basis for e in w.c))
+    m_max = s * math.floor(_rat_upper((r ** (4 * d)).as_real()))
     free = OkModule.free_module(field, 4 * n)
     lat = free.module_lattice()
-    grand_total = sum(math.prod(2 * c + 1 for c in _coefficient_box(lat, _rat_upper(bd) * m))
+    grand_total = sum(math.prod(2 * c + 1 for c in _coefficient_box(lat, bd * m))
                       for m in range(1, m_max + 1))
     if grand_total > lattice.ENUM_BUDGET:
         raise BudgetExceeded("sweep over budget")
     seen = set()
     count = 0
     for m in range(1, m_max + 1):
-        for coeffs in enumerate_cube(lat, _rat_upper(bd) * m):
+        for coeffs in enumerate_cube(lat, bd * m):
             if not any(coeffs):
                 count += m == 1 and r.cmp(1) >= 0
                 continue
@@ -124,16 +131,16 @@ def _same_count(oracle, reference, *args):
     assert got == reference(*args)
 
 
-def _point(order, picks, den=1):
-    """The sum of the picked Z-basis elements of the order, over den."""
+def _point(order, picks):
+    """The sum of the picked Z-basis elements of the order."""
     basis = order.z_basis
-    return sum((basis[k % len(basis)] for k in picks), order.algebra.zero()) / den
+    return sum((basis[k % len(basis)] for k in picks), order.algebra.zero())
 
 
-def _radius_cap(order, cap_over_q):
-    """cap_over_q over Q; 2^{1/4} over the quadratic fields, whose lattices
-    hold too many candidates at R = 2 for the per-point reference."""
-    return cap_over_q if order.algebra.field.degree == 1 else Rooted(2, 4)
+def _radius_cap(order):
+    """2 over Q; 2^{1/4} over the quadratic fields, whose lattices hold too
+    many candidates at R = 2 for the per-point reference."""
+    return 2 if order.algebra.field.degree == 1 else Rooted(2, 4)
 
 
 picks = st.lists(st.integers(0, 7), min_size=1, max_size=2)
@@ -147,34 +154,33 @@ def test_exact_count_zo_matches_per_point_reference(oname, zname, chosen):
     alg = order.algebra
     q = _point(order, chosen)
     radius = height_h([q, alg.zero()] if zname == "axis" else [q, q])  # a point on h = R
-    assume(radius.cmp(_radius_cap(order, 2)) <= 0)
+    assume(radius.cmp(_radius_cap(order)) <= 0)
     _same_count(exact_count_zo, reference_count_zo, _subspace(alg, zname), order, radius)
 
 
 @pytest.mark.parametrize("oname", sorted(ORDERS))
-@settings(max_examples=2)
-@given(chosen=picks, den=st.sampled_from([1, 2]))
-def test_exact_count_d_matches_per_point_reference(oname, chosen, den):
-    # below R = 2 only the denominator m = 1 runs; R = 2 is pinned below
+def test_exact_count_d_matches_per_point_reference(oname):
+    # at R = 1 the oracle sweeps M = 1 and the reference m <= s: the Hurwitz
+    # units (1 + i + j + k)/2 have O_K-denominator 2; larger radii are
+    # pinned below
     order = ORDERS[oname]
-    q = _point(order, chosen, den)
-    assume(not q.is_zero())
-    radius = height_h_order(order, [q])  # a point on h = R
-    assume(radius.cmp(_radius_cap(order, Rooted(3, 2))) <= 0)
-    _same_count(exact_count_d, reference_count_d, order.algebra, order, 1, radius)
+    _same_count(exact_count_d, reference_count_d, order.algebra, order, 1, 1)
 
 
 def test_oracle_counts_pinned():
-    # counts of the per-point references: at R = 2, exact_count_d sweeps the
-    # denominators m = 1, 2, which takes the reference seconds per order
+    # counts of the per-point references: at R = sqrt2 over Q the reference
+    # sweeps m <= 4 s, which takes it seconds to minutes per order
     zo = {"hamilton-hurwitz": [25, 169], "m13-special": [5, 33], "hamilton-2i": [5, 17]}
     for oname, want in zo.items():
         order = ORDERS[oname]
         assert [exact_count_zo(_subspace(order.algebra, "axis"), order, r) for r in (1, 2)] == want
-    d = {"hamilton-special": 265, "hamilton-hurwitz": 329, "hamilton-2i": 137,
-         "m13-special": 113, "m13-hurwitz": 145, "m13-2i": 79}
+    d = {"hamilton-special": 73, "hamilton-hurwitz": 73, "hamilton-2i": 17,
+         "m13-special": 29, "m13-hurwitz": 93, "m13-2i": 13}
     for oname, want in d.items():
-        assert exact_count_d(ORDERS[oname].algebra, ORDERS[oname], 1, 2) == want
+        assert exact_count_d(ORDERS[oname].algebra, ORDERS[oname], 1, Rooted(2, 2)) == want
+    # R = 2 sweeps M <= 16 over Q, past the budget
+    with pytest.raises(BudgetExceeded):
+        exact_count_d(ORDERS["hamilton-special"].algebra, ORDERS["hamilton-special"], 1, 2)
 
 
 def _spied(fn, *args):
@@ -201,8 +207,9 @@ def test_oracles_build_no_quaternion_per_candidate(oname):
     alg = order.algebra
     z = _subspace(alg, "axis")
     exact_count_zo(z, order, 1)  # builds and caches the bracket module
-    for oracle, args in ((exact_count_zo, (z, order)), (exact_count_d, (alg, order, 1))):
-        (small, at1), (large, at2) = (_spied(oracle, *args, r) for r in (1, 2))
+    for oracle, args, big in ((exact_count_zo, (z, order), 2),
+                              (exact_count_d, (alg, order, 1), Rooted(2, 2))):
+        (small, at1), (large, at2) = (_spied(oracle, *args, r) for r in (1, big))
         assert large > small
         assert at2["QuatElement"] <= at1["QuatElement"]
         assert at1["height_h_order"] == at2["height_h_order"] == 0

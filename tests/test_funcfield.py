@@ -17,6 +17,7 @@ from latheights.funcfield import (
     det_bound_checks,
     lemma_pcount_bounds,
 )
+from latheights.lattice import supnorm_min
 from latheights.reals import cmp_real, real_to_float, sqrt_real, to_real
 
 
@@ -161,6 +162,11 @@ def test_det_bound_checks():
     ):
         checks = det_bound_checks(ctx)
         assert all(checks.values()), (ctx.model, checks)
+        # the certified sup-norm minimum against a walk of a cube that holds
+        # a nonzero vector: ord(c_i) e_i lifts to sup-norm ord(c_i) <= |J|
+        lat = ctx.divisor_lattice()
+        walk = min(max(map(abs, v)) for v in lat.points_in_cube(max(1, lat.jxp_order)) if any(v))
+        assert supnorm_min(lat._real)[0] == walk
 
 
 def e5_three_points():

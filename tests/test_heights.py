@@ -6,8 +6,6 @@ import pytest
 from latheights.errors import ValidationError
 from latheights.heights import (
     clear_denominators,
-    find_integral_scaling,
-    find_unit,
     form_height,
     grassmann,
     height_H,
@@ -88,7 +86,7 @@ def test_h_dominates_H():
             continue
         hh = height_h(kq, x)
         hH = height_H(kq, x)
-        assert hh.cmp_height(hH) >= 0
+        assert hh.as_rooted().cmp(hH.as_rooted()) >= 0
 
 
 def test_grassmann():
@@ -149,7 +147,7 @@ def test_subspace_height_basis_independent():
             [base[0][i] * b + base[1][i] * d for i in range(3)],
         ]
         h1 = subspace_height(kq, new_cols)
-        assert h0.cmp_height(h1) == 0
+        assert h0.as_rooted().cmp(h1.as_rooted()) == 0
 
 
 def test_scaling_invariance():
@@ -166,7 +164,7 @@ def test_scaling_invariance():
             continue
         h1 = height_H(k2, x)
         h2 = height_H(k2, [a * xi for xi in x])
-        assert h1.cmp_height(h2) == 0
+        assert h1.as_rooted().cmp(h2.as_rooted()) == 0
 
 
 def test_hfin_integral():
@@ -201,37 +199,11 @@ def test_form_height():
         form_height(kq, [[kq.zero(), kq.one()], [kq.rational(2), kq.zero()]])
 
 
-def test_find_unit():
-    k5 = field_sqrt5()
-    u = find_unit(k5)
-    assert u is not None and abs(u.norm()) == 1
-    assert cmp_real(k5.channel_values(u)[0], 1) > 0
-    # fundamental unit of Q(sqrt5) is the golden ratio
-    assert u.coeffs == (Fraction(1, 2), Fraction(1, 2)) or (-u).coeffs == (
-        Fraction(1, 2),
-        Fraction(1, 2),
-    )
-
-
-def test_find_integral_scaling():
+def test_integral_scaling_heights():
     kq = field_q()
-    a, y = find_integral_scaling(kq, [kq.rational(Fraction(1, 2)), kq.one()])
-    assert a.as_fraction() == 2
-    assert [e.as_fraction() for e in y] == [1, 2]
-    h = height_H(kq, [kq.rational(Fraction(1, 2)), kq.one()])
-    assert h.cmp(2) == 0
-
-    a2, y2 = find_integral_scaling(
-        kq, [kq.rational(Fraction(1, 3)), kq.rational(Fraction(2, 3))]
-    )
-    assert abs(a2.as_fraction()) == 3
-    assert height_h(kq, y2).cmp(2) == 0
-
-    # integral vector with trivial content and sups >= 1: scaling is trivial
-    k2 = field_sqrt2()
-    x = [k2.one(), k2.gen()]
-    a3, y3 = find_integral_scaling(k2, x)
-    assert abs(a3.norm()) == 1
+    # H(1/2, 1) = 2 = h(1, 2), the height of the integral scaling by 2
+    assert height_H(kq, [kq.rational(Fraction(1, 2)), kq.one()]).cmp(2) == 0
+    assert height_h(kq, [kq.one(), kq.rational(2)]).cmp(2) == 0
 
 
 def test_clear_denominators():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import bounds, cli
+from latheights import bounds, cli, lattice
 from latheights.bounds import _fast_count_totally_real, as_rooted, thm1_lower
 from latheights.errors import ValidationError
 from latheights.heights import height_h
@@ -126,18 +126,18 @@ def test_strip_count_pinned(name, radius, count):
 def test_strip_walk_screens_few_candidates():
     module = dict(cli._thm1_instances())["Q(sqrt5)-ideal-L1"]
     assert _box_size(module, Fraction(64**2)) == 12_003_651
-    walk, screened = bounds._strip_candidates, []
+    walk, screened = lattice.strip_candidates, []
 
     def spy(*args):
         for va, vb, coeffs in walk(*args):
             screened.append(len(va))
             yield va, vb, coeffs
 
-    bounds._strip_candidates = spy
+    lattice.strip_candidates = spy
     try:
         assert _fast_count_totally_real(module, Fraction(64**2)) == 13565
     finally:
-        bounds._strip_candidates = walk
+        lattice.strip_candidates = walk
     assert sum(screened) <= 40_000
 
 
