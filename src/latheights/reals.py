@@ -21,11 +21,14 @@ products become balls.
 
 Comparisons between balls evaluate from ``PRECISION.start`` bits, doubling up
 to ``PRECISION.cap``; an undecided comparison at the cap raises
-``PrecisionExhausted`` instead of guessing.
+``PrecisionExhausted`` instead of guessing.  ``cmp_exp`` compares a value
+with e^b for rational b on the same schedule, against the exact endpoints
+of e^b's enclosure, so an exact x needs no ball of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -451,6 +454,46 @@ def cmp_real(x, y, context=""):
                 % (prec, (" (%s)" % context) if context else "", ix, iy)
             )
         prec = min(2 * prec, PRECISION.cap)
+
+
+def cmp_exp(x, b, context=""):
+    """Sign of x - e^b for a nonzero rational b: -1 or 1, never 0 when x is
+    algebraic, since e^b is then transcendental (Hermite-Lindemann).
+
+    x is decided against the exact dyadic endpoints of e^b's enclosure,
+    exactly for a ``QuadReal`` and by its own enclosure for a ball, from
+    ``PRECISION.start`` bits doubling up to ``PRECISION.cap``; undecided at
+    the cap it raises ``PrecisionExhausted``."""
+    x, b = to_real(x), Fraction(b)
+    if not b:
+        raise ValidationError("cmp_exp needs a nonzero exponent")
+    prec = PRECISION.start
+    while True:
+        lo, hi = _exp_endpoints(b, prec)
+        if isinstance(x, QuadReal):
+            if quad_sign(x.a - hi, x.b, x.m) >= 0:
+                return 1
+            if quad_sign(x.a - lo, x.b, x.m) <= 0:
+                return -1
+        else:
+            xlo, xhi = endpoints(x, prec)
+            if xlo >= hi:
+                return 1
+            if xhi <= lo:
+                return -1
+        if prec >= PRECISION.cap:
+            raise PrecisionExhausted(
+                "comparison with exp(%s) undecided at %d bits%s"
+                % (b, prec, (" (%s)" % context) if context else "")
+            )
+        prec = min(2 * prec, PRECISION.cap)
+
+
+@functools.lru_cache(maxsize=1024)
+def _exp_endpoints(b, prec):
+    """The endpoints of e^b's enclosure at prec bits; they depend only on
+    (b, prec), so one per pair serves every comparison."""
+    return endpoints(BallReal(lambda p: iv.exp(_iv_from_fraction(b))), prec)
 
 
 def abs_real(x):

@@ -1,6 +1,12 @@
 """S-unit groups over number fields: the logarithmic lattice, the S-height,
 its minimal value, the S-regulator with classical bounds, and counting of
 S-units of bounded height verified by two independent pipelines.
+
+Logarithms are taken only for L_S and the regulators.  The height filter
+of the count, H_S(a) <= B, compares absolute values instead: every |a|_v
+must lie in [e^-B, e^B].  |a|_v is algebraic (exact in degree <= 2) and
+e^(+-B) is transcendental for rational B != 0 (Hermite-Lindemann), so the
+two never tie, and a few enclosures of e^(+-B) serve every candidate.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .reals import (
     Real,
     _prime_factors,
     abs_real,
+    cmp_exp,
     cmp_real,
     log_real,
     max_real,
@@ -162,14 +169,6 @@ class SUnitContext:
         k = _ord(n, t, c)
         return k - _ord(n, t, [den * e for e in self.field.one_coords]) if den != 1 else k
 
-    def ord_at(self, gen: NfElement, x: NfElement) -> int:
-        """ord of x != 0 at an integral gen: the largest k with x / gen^k in
-        O_K for integral x, else ord(x * den) - ord(den) with den the least
-        integer that makes x * den integral."""
-        if x.is_zero():
-            raise ValidationError("valuation of zero")
-        return self._ord_scaled(self._place(gen), *self.field.scaled_coords(x))
-
     def _s_valuations(self, x: NfElement) -> Optional[List[int]]:
         """[ord_p(x)] over the finite places of S if x is an S-unit, else None.
 
@@ -198,9 +197,6 @@ class SUnitContext:
             norm *= Fraction(np) ** v
         return vals if abs(x.norm()) == norm else None
 
-    def is_s_unit(self, x: NfElement) -> bool:
-        return self._s_valuations(x) is not None
-
     # -- the logarithmic embedding ------------------------------------------
 
     def log_embed(self, a: NfElement) -> List[Real]:
@@ -216,6 +212,22 @@ class SUnitContext:
     def s_height(self, a: NfElement) -> Real:
         """H_S(a) = max_{v in S} |log|a|_v| (the sup-norm of phi_S(a))."""
         return max_real(*[abs_real(c) for c in self.log_embed(a)])
+
+    def s_height_le(self, a: NfElement, b: Fraction) -> bool:
+        """H_S(a) <= b for a rational b > 0, decided without logarithms on
+        the absolute values that ``log_embed`` takes logarithms of: every
+        |a|_v must lie in [e^-b, e^b].  A finite place passes when
+        N(p)^|ord_p(a)| <= e^b; the finite places go first and the first
+        failure ends the test.  No |a|_v is e^(+-b) (``cmp_exp``), so no
+        value ties the bound."""
+        vals = self._s_valuations(a)
+        if vals is None:
+            raise ValidationError("element is not an S-unit")
+        for (_, np), v in zip(self.s1, vals):
+            if v and cmp_exp(np ** abs(v), b) > 0:
+                return False
+        return all(cmp_exp(av, b) < 0 and cmp_exp(av, -b) > 0
+                   for av, _ in self.field.arch_places(a))
 
     # -- the logarithmic lattice --------------------------------------------
 
@@ -256,9 +268,9 @@ def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
 
     Pipeline 1 counts lattice points of L_S in the closed sup-norm cube of
     radius B.  Pipeline 2 walks exponent vectors e with |e_i| <= M_i, forms
-    a = prod g_i^e_i in field arithmetic and keeps it when its S-height,
-    computed from a itself (valuations and archimedean absolute values),
-    is at most B.  The caps M_i are the proven coefficient caps of the cube
+    a = prod g_i^e_i in field arithmetic and keeps it when H_S(a) <= B,
+    decided from a itself (valuations and exact archimedean absolute
+    values against e^(+-B), ``SUnitContext.s_height_le``).  The caps M_i are the proven coefficient caps of the cube
     (``lattice._coefficient_box``: B times the l1 row norms of the basis
     pseudo-inverse), so every S-unit of height <= B lies in the walked box
     however skewed the generators are; only the box comes from L_S, never
@@ -294,7 +306,7 @@ def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
             if e:
                 a = a * pw[e]
         try:
-            if cmp_real(ctx.s_height(a), b, context="s-height filter") <= 0:
+            if ctx.s_height_le(a, b):
                 count2 += ctx.omega
         except PrecisionExhausted as e:
             raise UnresolvedTie("boundary tie on an S-height: %s" % e)

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import of the package is used, no
 function re-imports a module that its file already imports at the top, and
-every top-level function and class of the package is named in the package
-or the benchmark (``perfbench/``) outside its own definition: code that
-only tests call is dead.
+every top-level function and class of the package, and every public method
+of its classes, is named in the package or the benchmark (``perfbench/``)
+outside its own definition: code that only tests call is dead.
 
 The repository has no lint step; this test is its guard against imports
 and definitions that outlive the code that needed them.  Lazy imports of
@@ -22,8 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "latheights"
 MODULES = sorted(SRC.glob("*.py"))
 CORPUS = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
-# kept with no caller for the exact channel signs in any degree (ROADMAP item 3)
-UNCALLED = {("algreal", "compare_exact")}
+UNCALLED = {
+    # kept with no caller for the exact channel signs in any degree (ROADMAP item 3)
+    ("algreal", "compare_exact"),
+    # the paper's heights H_P and H_S, stated as library API: the counts
+    # decide them without forming them (integer sums, ``s_height_le``)
+    ("funcfield", "DivisorLattice.p_height"),
+    ("sunits", "SUnitContext.s_height"),
+}
 
 
 def _unused_imports(path):
@@ -66,20 +72,33 @@ def _redundant_local_imports(path):
     return sorted({(n.lineno, key) for n in nested for key in _import_keys(n) & top})
 
 
+def _definitions(tree):
+    """(label, node) for each top-level function and class, and for each
+    public method of a top-level class, labelled "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
 def _unreferenced_definitions(path, corpus):
-    """Top-level functions and classes of path whose name occurs in no file of
-    corpus except in their own definition.  A plain text match, so names
-    used only in strings (the perfbench tracer's targets) count as used."""
+    """Top-level functions and classes of path, and public methods of its
+    classes, whose name occurs in no file of corpus except in their own
+    definition.  A plain text match, so names used only in strings (the
+    perfbench tracer's targets) count as used, and a method counts as used
+    wherever any attribute or function of its name is."""
     lines = path.read_text().splitlines()
     others = [p.read_text() for p in corpus if p != path]
     out = []
-    for node in ast.parse("\n".join(lines)).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
+    for label, node in _definitions(ast.parse("\n".join(lines))):
         pattern = re.compile(r"\b%s\b" % re.escape(node.name))
         own = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno:])
         if not any(pattern.search(text) for text in [own] + others):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, label))
     return out
 
 
@@ -118,12 +137,16 @@ def test_unreferenced_definition_detected(tmp_path):
     mod.write_text(
         "class Used:\n    pass\n\n\nclass Orphan:\n    pass\n\n\n"
         "def helper():\n    return Used()\n\n\ndef stale(rows):\n    return rows\n\n\n"
-        "def traced():\n    pass\n\n\ndef recursive(n):\n    return recursive(n - 1)\n"
+        "def traced():\n    pass\n\n\ndef recursive(n):\n    return recursive(n - 1)\n\n\n"
+        "class Box:\n    def __init__(self):\n        self.v = 0\n\n"
+        "    def get(self):\n        return self.v\n\n"
+        "    def dead(self):\n        return self.dead()\n\n"
+        "    def _private(self):\n        pass\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("from m import helper\nTARGETS = ['m.traced']\n")
+    user.write_text("from m import helper\nTARGETS = ['m.traced']\nBox().get()\n")
     assert _unreferenced_definitions(mod, [mod, user]) == [
-        (5, "Orphan"), (13, "stale"), (21, "recursive")]
+        (5, "Orphan"), (13, "stale"), (21, "recursive"), (32, "Box.dead")]
 
 
 def _tracer_groups():

@@ -22,6 +22,7 @@ from latheights.reals import (
     _mul,
     _squarefree_split,
     abs_real,
+    cmp_exp,
     cmp_real,
     endpoints,
     log_real,
@@ -467,3 +468,68 @@ def test_pure_radical_product_is_exact(b, p, c, q):
     with mpmath.workprec(_REF_BITS):
         ref = _mpq(b) * mpmath.sqrt(p) * _mpq(c) * mpmath.sqrt(q)
     _assert_encloses(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# comparisons with e^b
+
+
+_exponents = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+
+
+@settings(max_examples=50)
+@given(_exponents)
+def test_exp_endpoints_enclose_and_nest(b):
+    with mpmath.workprec(_REF_BITS):
+        ref = _fraction(mpmath.exp(_mpq(b)))
+    outer = None
+    for prec in (64, 128, 256, 512):
+        lo, hi = reals._exp_endpoints(b, prec)
+        assert lo < ref < hi, (prec, lo, ref, hi)
+        if outer is not None:
+            assert outer[0] <= lo and hi <= outer[1]
+        outer = lo, hi
+
+
+@settings(max_examples=200)
+@given(st.one_of(rationals, irrationals), _exponents)
+def test_cmp_exp_against_mpmath(x, b):
+    assume(x.sign() > 0)
+    with mpmath.workprec(_REF_BITS):
+        diff = _mpq(x.a) + _mpq(x.b) * mpmath.sqrt(x.m) - mpmath.exp(_mpq(b))
+    assert cmp_exp(x, b) == (1 if diff > 0 else -1)
+    # the same value as a ball is decided by its enclosure
+    assert cmp_exp(BallReal(x.interval), b) == cmp_exp(x, b)
+
+
+def _near_log2():
+    """(b-, b+): dyadic exponents 2^-90 either side of log 2."""
+    with mpmath.workprec(_REF_BITS):
+        log2 = Fraction(int(mpmath.floor(mpmath.log(2) * 2 ** 120)), 2 ** 120)
+    gap = Fraction(1, 2 ** 90)
+    return log2 - gap, log2 + gap
+
+
+def test_cmp_exp_near_tie_decides_at_128_bits(monkeypatch):
+    below, above = _near_log2()
+    # 64 bits cannot separate 2 from e^b: the enclosures meet
+    lo, hi = reals._exp_endpoints(above, 64)
+    assert lo < 2 < hi
+    monkeypatch.setattr(PRECISION, "cap", 128)
+    assert cmp_exp(2, below) == 1 and cmp_exp(2, above) == -1
+    assert cmp_exp(QuadReal(0, 1, 2), below / 2) == 1  # sqrt2 against e^(b/2)
+    assert cmp_exp(Fraction(1, 2), -above) == 1 and cmp_exp(Fraction(1, 2), -below) == -1
+
+
+def test_cmp_exp_exhausts_at_the_cap(monkeypatch):
+    below, _ = _near_log2()
+    monkeypatch.setattr(PRECISION, "cap", 64)
+    with pytest.raises(PrecisionExhausted, match="64 bits .near tie."):
+        cmp_exp(2, below, context="near tie")
+    # a ball that is e^b itself never separates
+    monkeypatch.setattr(PRECISION, "cap", 256)
+    ball = BallReal(lambda p: iv.exp(iv.mpf(1)))
+    with pytest.raises(PrecisionExhausted):
+        cmp_exp(ball, 1)
+    with pytest.raises(ValidationError):
+        cmp_exp(2, 0)

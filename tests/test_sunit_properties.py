@@ -1,14 +1,16 @@
-"""Property tests: S-unit valuations and counts, and divisor-lattice counts,
-against independent recounts.
+"""Property tests: S-unit valuations, heights and counts, and divisor-lattice
+counts, against independent recounts.
 
-``SUnitContext.ord_at`` and ``is_s_unit`` work on integer coordinates with a
-cached divider per place.  They are compared here with the Fraction
-algorithm they replaced: divide by the generator until the quotient leaves
-O_K, and call x an S-unit when x prod p^(-ord_p(x)) and its inverse are both
-integral.  ``count_sunits`` is compared with a walk of exponent vectors over
-a box derived here in floating point, with each S-height taken from mpmath
-logarithms of the exact embeddings; ``count_supported`` with a walk of the
-whole cube that sums the points by repeated addition on the curve.
+``SUnitContext._s_valuations`` works on integer coordinates with a cached
+divider per place.  It is compared here with the Fraction algorithm it
+replaced: divide by the generator until the quotient leaves O_K, and call x
+an S-unit when x prod p^(-ord_p(x)) and its inverse are both integral.
+``SUnitContext.s_height_le`` is compared with the interval S-height
+``s_height`` on every element the count walks.  ``count_sunits`` is compared
+with a walk of exponent vectors over a box derived here in floating point,
+with each S-height taken from mpmath logarithms of the exact embeddings;
+``count_supported`` with a walk of the whole cube that sums the points by
+repeated addition on the curve.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from latheights import intmat
 from latheights.funcfield import GENUS0, GENUS1, INF, CurveContext, DivisorLattice, count_supported
 from latheights.lattice import _coefficient_box
 from latheights.nf import nf_new
-from latheights.reals import real_to_float
+from latheights.reals import cmp_real, endpoints, log_real, real_to_float
 from latheights.sunits import SUnitContext, count_sunits
 
 PROPERTY = settings(max_examples=100)
@@ -112,36 +114,135 @@ def _cases(draw):
     return name, x
 
 
-@PROPERTY
-@given(_cases())
-def test_ord_at_matches_repeated_division(case):
-    name, x = case
-    ctx = CONTEXTS[name]
-    for gen, _ in ctx.s1:
-        assert ctx.ord_at(gen, x) == _ref_ord(ctx.field, gen, x), (name, x, gen)
+def _ord(ctx, gen, x):
+    """ord_gen(x) by the library's integer dividers, for any x != 0."""
+    return ctx._ord_scaled(ctx._place(gen), *ctx.field.scaled_coords(x))
 
 
 @PROPERTY
 @given(_cases())
-def test_is_s_unit_matches_reference(case):
+def test_s_valuations_match_repeated_division(case):
     name, x = case
     ctx = CONTEXTS[name]
-    assert ctx.is_s_unit(x) == _ref_is_s_unit(ctx, x), (name, x)
+    ref = [_ref_ord(ctx.field, gen, x) for gen, _ in ctx.s1]
+    assert [_ord(ctx, gen, x) for gen, _ in ctx.s1] == ref, (name, x)
+    vals = ctx._s_valuations(x)
+    assert vals is None or vals == ref, (name, x)
+
+
+@PROPERTY
+@given(_cases())
+def test_s_valuations_none_exactly_off_s_units(case):
+    name, x = case
+    ctx = CONTEXTS[name]
+    assert (ctx._s_valuations(x) is not None) == _ref_is_s_unit(ctx, x), (name, x)
 
 
 def test_s_unit_test_edge_cases():
     ctx = CONTEXTS["Q(i)-S(1+i)"]
     # (2 + i)/(2 - i) has norm 1 and no valuation at 1 + i, but it is not a unit
     x = KI.element([2, 1]) / KI.element([2, -1])
-    assert not ctx.is_s_unit(x) and not _ref_is_s_unit(ctx, x)
-    assert ctx.is_s_unit(KI.element([0, 1]))  # i, a root of unity
-    assert ctx.is_s_unit(KI.rational(Fraction(1, 2)))  # 2 = -i (1 + i)^2
-    assert not ctx.is_s_unit(KI.zero())
+    assert ctx._s_valuations(x) is None and not _ref_is_s_unit(ctx, x)
+    assert ctx._s_valuations(KI.element([0, 1])) == [0]  # i, a root of unity
+    assert ctx._s_valuations(KI.rational(Fraction(1, 2))) == [-2]  # 2 = -i (1 + i)^2
+    assert ctx._s_valuations(KI.zero()) is None
     ctx5 = CONTEXTS["Q(sqrt5)-S2,5"]
-    assert ctx5.ord_at(K5.rational(2), K5.rational(Fraction(3, 8))) == -3
+    assert _ord(ctx5, K5.rational(2), K5.rational(Fraction(3, 8))) == -3
+    assert ctx5._s_valuations(K5.rational(Fraction(3, 8))) is None
+    assert ctx5._s_valuations(K5.rational(Fraction(1, 8))) == [-3, 0]
     # sqrt5 and (5 + sqrt5)/2 differ by a unit; 5 is ramified
-    assert ctx5.ord_at(ctx5.s1[1][0], K5.element([0, 1])) == 1
-    assert ctx5.ord_at(ctx5.s1[1][0], K5.rational(5)) == 2
+    assert ctx5._s_valuations(K5.element([0, 1])) == [0, 1]
+    assert ctx5._s_valuations(K5.rational(5)) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the exact S-height filter against the interval S-height
+
+
+def _bench_contexts():
+    """The S-unit contexts of the sunit-ffield benchmark workload, and Q(i)
+    with S = {1 + i}."""
+    return {
+        "Q(sqrt5)-Sinf": SUnitContext(K5),
+        "Q(sqrt2)-Sinf": SUnitContext(K2),
+        "Q-S23": SUnitContext(Q, s1=[(Q.rational(2), 2), (Q.rational(3), 3)]),
+        "Q(sqrt2)-S2": SUnitContext(K2, s1=[(K2.gen(), 2)]),
+        "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)], omega=4),
+    }
+
+
+BENCH_CONTEXTS = _bench_contexts()
+TIE_GAP = Fraction(1, 2 ** 90)
+
+
+def _dyadic(x, bits=120):
+    """A dyadic rational within 2^-bits of the real x."""
+    lo, hi = endpoints(x, 2 * bits)
+    return Fraction(round((lo + hi) / 2 * 2 ** bits), 2 ** bits)
+
+
+def _near_ties(ctx):
+    """B = k H_S(g) +- 2^-90 for each generator g and k = 1, 2: the height
+    of g^k lies 2^-90 from B, which 64 bits cannot separate.  For the finite
+    generators (2, 3, sqrt2, 1 + i) H_S(g) is log N(p)."""
+    out = []
+    for g in ctx.all_gens:
+        h = _dyadic(ctx.s_height(g))
+        out += [k * h + sign * TIE_GAP for k in (1, 2) for sign in (-1, 1)]
+    return out
+
+
+def _walk(ctx, b):
+    """Every element a = prod g_i^e_i that ``count_sunits(ctx, b)`` walks."""
+    caps = _coefficient_box(ctx.log_lattice().lattice, b)
+    for es in itertools.product(*[range(-c, c + 1) for c in caps]):
+        a = ctx.field.one()
+        for e, g in zip(es, ctx.all_gens):
+            a = a * g ** e
+        yield a
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONTEXTS))
+def test_s_height_le_matches_interval_height(name):
+    ctx = BENCH_CONTEXTS[name]
+    for b in [Fraction(1, 2), 1, 2, 3, 5, 8] + _near_ties(ctx):
+        for a in _walk(ctx, b):
+            expect = cmp_real(ctx.s_height(a), b) <= 0
+            assert ctx.s_height_le(a, b) == expect, (name, b, a)
+
+
+def _recount(ctx, b, caps):
+    """(count, near): the elements over the box ``caps`` whose S-height,
+    from 60-digit mpmath logarithms, is at most b, and those within 1e-40
+    of b."""
+    with mpmath.workdps(60):
+        bound = mpmath.mpf(b.numerator) / b.denominator
+    count, near = 0, 0
+    for es in itertools.product(*[range(-c, c + 1) for c in caps]):
+        a = ctx.field.one()
+        for e, g in zip(es, ctx.all_gens):
+            a = a * g ** e
+        with mpmath.workdps(60):  # abs rounds to the working precision
+            h = max(abs(c) for c in _mp_log_abs(ctx, a))
+            near += abs(h - bound) < mpmath.mpf(10) ** -40
+            count += h <= bound
+    return count, near
+
+
+def test_count_at_log2_near_tie():
+    """Q with S = {2, 3} at B = log 2 -+ 2^-90: both pipelines (which
+    ``count_sunits`` checks against each other) give the reference walk's
+    counts, and the counts differ by the four elements +-2^(+-1) of height
+    exactly log 2."""
+    ctx = BENCH_CONTEXTS["Q-S23"]
+    log2 = _dyadic(log_real(2))
+    counts = []
+    for b in (log2 - TIE_GAP, log2 + TIE_GAP):
+        count, near = _recount(ctx, b, _float_caps(ctx, b))
+        assert near == 0
+        assert count_sunits(ctx, b) == ctx.omega * count
+        counts.append(count_sunits(ctx, b))
+    assert counts[1] - counts[0] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +289,7 @@ def test_count_sunits_matches_recount(name, b):
     ctx = CONTEXTS[name]
     caps = _float_caps(ctx, b)
     assume(math.prod(2 * c + 1 for c in caps) <= 1200)
-    with mpmath.workdps(60):
-        bound = mpmath.mpf(b.numerator) / b.denominator
-    count, near = 0, 0
-    for es in itertools.product(*[range(-c, c + 1) for c in caps]):
-        a = ctx.field.one()
-        for e, g in zip(es, ctx.all_gens):
-            a = a * g ** e
-        h = max(abs(c) for c in _mp_log_abs(ctx, a))
-        with mpmath.workdps(60):
-            near += abs(h - bound) < mpmath.mpf(10) ** -40
-            count += h <= bound
+    count, near = _recount(ctx, b, caps)
     assume(not near)
     assert count_sunits(ctx, b) == ctx.omega * count
     # the walked box holds the library's proven one

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from latheights import reals
 from latheights.bounds import HOLDS, INCONCLUSIVE
 from latheights.errors import ValidationError
+from latheights.lattice import _coefficient_box
 from latheights.nf import nf_new
 from latheights.reals import PRECISION, cmp_real, endpoints, max_real, real_to_float, to_real
 from latheights.sunits import (
@@ -88,7 +90,7 @@ def test_log_embed_and_s_height():
     )
     with pytest.raises(ValidationError):
         ctx2.log_embed(kq.rational(3))  # not an S-unit
-    assert ctx2.is_s_unit(kq.rational(Fraction(1, 4)))
+    assert ctx2._s_valuations(kq.rational(Fraction(1, 4))) == [-2]
 
 
 def test_log_lattice_shapes():
@@ -112,6 +114,34 @@ def test_log_lattice_shapes():
     # imaginary quadratic: rank zero
     ll3 = SUnitContext(field_i(), omega=4).log_lattice()
     assert ll3.rank == 0
+
+
+def test_height_filter_builds_no_ball_per_candidate(monkeypatch):
+    """Once L_S is built, a count builds the same balls whatever the number
+    of elements it walks: the S-height filter compares exact absolute values
+    with the e^(+-B) enclosures, built once per bound and precision."""
+    ctx = ctx_q_23()
+    ctx.log_lattice()
+    built = []
+    init = reals.BallReal.__init__
+
+    def spy(self, fn):
+        built.append(fn)
+        init(self, fn)
+
+    monkeypatch.setattr(reals.BallReal, "__init__", spy)
+    per_bound = {}
+    for b in (1, 8):
+        reals._exp_endpoints.cache_clear()
+        del built[:]
+        count_sunits(ctx, b)
+        # e^b and e^-b at 64 bits: no comparison at these bounds escalates
+        assert reals._exp_endpoints.cache_info().currsize == 2
+        per_bound[b] = len(built)
+    walked = {b: math.prod(2 * c + 1 for c in _coefficient_box(ctx.log_lattice().lattice, b))
+              for b in (1, 8)}
+    assert walked[8] > 50 * walked[1]
+    assert per_bound[8] == per_bound[1] < 20
 
 
 def test_count_sunits():
