@@ -589,7 +589,7 @@ def _shell_heights(field: NumberField, norms, arr, memo, value=None) -> list:
     for k in range(len(arr)):
         key = tuple(int(v[k]) for coords, _ in vals for v in coords)
         if key not in memo:
-            nrms = [field.element([Fraction(int(v[k]), den) for v in coords])
+            nrms = [field.scaled_element([int(v[k]) for v in coords], den)
                     for coords, den in vals]
             h = Rooted(_arch_sq_prod(field, [field.one()] + nrms), 2 * field.degree)
             memo[key] = (_height_key(h), h) if value is None else value(h)

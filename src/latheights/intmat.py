@@ -277,32 +277,47 @@ def _scale_to_ints(v):
 class ZSpan:
     """The Z-span of rational vectors in Q^ncols, held once in integers.
 
-    ``den`` is the least positive integer that makes every vector integral;
-    ``hnf`` holds the nonzero rows of the row HNF of the scaled vectors, with
-    pivot columns ``pivots``; ``rank`` is their number.  When the vectors
-    form a basis of Q^ncols, the inverse B^{-1} = M / q is formed in
-    integers the first time coordinates are asked for.
+    ``den`` is the least positive integer that makes every vector integral,
+    and ``rows`` holds den times the vectors; ``hnf`` holds the nonzero rows
+    of their row HNF, with pivot columns ``pivots``; ``rank`` is their
+    number.  When the vectors form a basis of Q^ncols, the inverse
+    B^{-1} = M / q is formed in integers the first time coordinates are
+    asked for.  A vector can also be given as integers w over a positive
+    denominator e (the ``_int`` methods), as number-field elements hold it.
     """
 
-    __slots__ = ("den", "hnf", "pivots", "rank", "_basis", "_inv")
+    __slots__ = ("den", "rows", "hnf", "pivots", "rank", "_is_basis", "_inv")
 
     def __init__(self, vectors, ncols):
-        ints, self.den = rational_to_scaled(vectors)
+        ints, den = rational_to_scaled(vectors)
+        self._build(ints, den, ncols)
+
+    @classmethod
+    def from_scaled(cls, pairs, ncols):
+        """The span of the vectors w / e for the pairs (w, e), each in lowest
+        terms (gcd(w, e) = 1, e > 0)."""
+        den = math.lcm(*[e for _, e in pairs])
+        span = cls.__new__(cls)
+        span._build([[x * (den // e) for x in w] for w, e in pairs], den, ncols)
+        return span
+
+    def _build(self, ints, den, ncols):
+        self.den, self.rows = den, ints
         rows_h, _, self.pivots = _row_hnf(ints, ncols)
         self.rank = len(self.pivots)
         self.hnf = rows_h[: self.rank]
-        self._basis = ints if self.rank == ncols == len(ints) else None
+        self._is_basis = self.rank == ncols == len(ints)
         self._inv = None
 
     def _inverse(self):
         """(cols, q): B^{-1} = M / q for the integer columns cols of M, with
         cols None for the identity basis."""
         if self._inv is None:
-            if self._basis is None:
+            if not self._is_basis:
                 raise ValueError("coordinates need a basis of the whole space")
             # B = A / den, so B^{-1} = den A^{-1} = den X / q with A X = q I
-            n = len(self._basis)
-            x, q = solve(self._basis, [[int(i == j) for j in range(n)] for i in range(n)])
+            n = len(self.rows)
+            x, q = solve(self.rows, [[int(i == j) for j in range(n)] for i in range(n)])
             t = math.gcd(q, *(v for row in x for v in row))  # q / t: least denominator
             q, g = q // t, math.gcd(self.den, q // t)
             cols = [[v // t * (self.den // g) for v in col] for col in zip(*x)]
@@ -313,12 +328,15 @@ class ZSpan:
 
     def contains(self, v) -> bool:
         """Does the span contain the rational vector v?"""
-        w = []
-        for x in v:
-            y = x * self.den
-            if y.denominator != 1:
+        return self.contains_int(*_scale_to_ints(v))
+
+    def contains_int(self, w, e) -> bool:
+        """Does the span contain w / e, for integers w and e > 0?"""
+        w = [x * self.den for x in w]
+        if e != 1:
+            if any(x % e for x in w):
                 return False
-            w.append(y.numerator)
+            w = [x // e for x in w]
         for row, c in zip(self.hnf, self.pivots):
             q = w[c] // row[c]  # leaves 0 <= w[c] < row[c], nonzero unless divisible
             if q:
@@ -329,19 +347,16 @@ class ZSpan:
     def scaled_coords(self, v):
         """(c, m): m the least positive integer with m times the coordinates
         of v in the basis integral, and c those integer coordinates."""
-        cols, q = self._inverse()
-        w, e = _scale_to_ints(v)
-        if cols is None:
-            return w, e
-        c = [sum(map(operator.mul, w, col)) for col in cols]
-        m = e * q
-        g = math.gcd(m, *c)
-        return [x // g for x in c], m // g
+        return self.scaled_coords_int(*_scale_to_ints(v))
 
-    def coords(self, v):
-        """Coordinates of v in the basis (rational in general)."""
-        c, m = self.scaled_coords(v)
-        return [Fraction(x, m) for x in c]
+    def scaled_coords_int(self, w, e):
+        """``scaled_coords`` of w / e, for integers w and e > 0."""
+        cols, q = self._inverse()
+        if cols is not None:
+            w = [sum(map(operator.mul, w, col)) for col in cols]
+            e *= q
+        g = math.gcd(e, *w)
+        return ([x // g for x in w], e // g) if g != 1 else (list(w), e)
 
     def basis(self):
         """A Z-basis of the span: the HNF rows over the denominator."""

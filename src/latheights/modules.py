@@ -5,12 +5,14 @@ fractional ideal) or by a list of Z-generators already closed under
 multiplication by the integral basis.  Everything downstream consumes the
 Z-basis: the embedded lattice, the module discriminant, the scaling ideal
 of admissible denominators, and the two height minima taken over it.
-Membership is decided on the power-basis coordinates by the Z-basis's
-``intmat.ZSpan``, built once with the module.
+Membership is decided on the power-basis coordinates, as integer
+numerators over one denominator, by the Z-basis's ``intmat.ZSpan``, built
+once with the module.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,11 +35,15 @@ def sigma_embed(field: NumberField, x: Sequence[NfElement]) -> List[Real]:
     return out
 
 
-def _flatten_power_coords(field: NumberField, x: Sequence[NfElement]) -> List[Fraction]:
-    flat: List[Fraction] = []
+def _flatten_power_coords(field: NumberField, x: Sequence[NfElement]) -> Tuple[List[int], int]:
+    """(w, e): the power-basis coordinates of the K-vector x, concatenated,
+    are w / e in lowest terms, e the lcm of the coordinates' denominators."""
+    e = math.lcm(*[xi.den for xi in x])
+    flat: List[int] = []
     for xi in x:
-        flat.extend(xi.coeffs)
-    return flat
+        s = e // xi.den
+        flat.extend(xi.num if s == 1 else [c * s for c in xi.num])
+    return flat, e
 
 
 def z_combination(vectors: Sequence[Sequence[NfElement]], coeffs: Sequence[int]):
@@ -70,8 +76,8 @@ class OkModule:
         self.rank = len(z_basis) // d
         self.z_basis = [list(v) for v in z_basis]
         self.pseudo_basis = list(pseudo_basis) if pseudo_basis is not None else None
-        self._span = _span or ZSpan([_flatten_power_coords(field, v) for v in self.z_basis],
-                                    ambient * d)
+        self._span = _span or ZSpan.from_scaled(
+            [_flatten_power_coords(field, v) for v in self.z_basis], ambient * d)
         if self._span.rank != len(self.z_basis):
             raise ValidationError("Z-basis vectors are dependent")
         self._lattice = None
@@ -94,9 +100,9 @@ class OkModule:
     def from_z_generators(cls, field, ambient, gens) -> "OkModule":
         """Reduce a Z-generating set (closed under O_K) to a Z-basis."""
         d = field.degree
-        span = ZSpan([_flatten_power_coords(field, g) for g in gens], ambient * d)
-        z_basis = [[field.element(vc[i * d : (i + 1) * d]) for i in range(ambient)]
-                   for vc in span.basis()]
+        span = ZSpan.from_scaled([_flatten_power_coords(field, g) for g in gens], ambient * d)
+        z_basis = [[field.scaled_element(row[i * d : (i + 1) * d], span.den)
+                    for i in range(ambient)] for row in span.hnf]
         # the HNF rows are the new Z-basis: their span is the same ZSpan
         mod = cls(field, ambient, z_basis, _span=span)
         # closure under the integral basis must hold for a genuine module
@@ -122,7 +128,7 @@ class OkModule:
     # -- membership -------------------------------------------------------
 
     def contains(self, x: Sequence[NfElement]) -> bool:
-        return self._span.contains(_flatten_power_coords(self.field, x))
+        return self._span.contains_int(*_flatten_power_coords(self.field, x))
 
     # -- embedded lattice and discriminant --------------------------------
 

@@ -2,9 +2,13 @@
 
 A field is specified by a monic irreducible integer minimal polynomial and a
 caller-supplied integral basis (validated for ring closure, not computed).
-Elements live in the power basis with rational coefficients.  The integral
-basis and every ideal are held as an ``intmat.ZSpan``: integral-basis
-coordinates are one integer matrix product with the basis inverse, and
+An element is held in Cohen's standard representation (A Course in
+Computational Algebraic Number Theory, GTM 138, 4.2): integer power-basis
+numerators over one least positive denominator.  The minimal polynomial is
+monic, so a product is an integer convolution reduced by the integer power
+table of theta, and one gcd.  The integral basis and every ideal are held as
+an ``intmat.ZSpan``: integral-basis coordinates are one integer matrix
+product with the basis inverse, read straight from the numerators, and
 ideal membership and equality reduce to Hermite Normal Form on those
 coordinates, so no prime ideal factorization is ever required.
 
@@ -29,7 +33,8 @@ from mpmath import iv
 
 from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
-from .intmat import ZSpan, det, lattice_intersection, solve, table_rows, trace_det
+from .intmat import (ZSpan, _scale_to_ints, det, lattice_intersection, solve, table_rows,
+                     trace_det)
 from .reals import BallReal, QuadReal, Real, _quad, abs_real, sqrt_real, to_real
 
 
@@ -116,13 +121,13 @@ class NumberField:
             raise ValidationError("integral basis rows are linearly dependent")
         self.basis = basis
 
-        # reduction table: power coordinates of theta^k for k = 0 .. 2d-2
-        pw = [[Fraction(1 if i == k else 0) for i in range(d)] for k in range(d)]
-        for k in range(d, 2 * d - 1):
-            prev = pw[-1]
-            shifted = [Fraction(0)] + list(prev)
-            overflow = shifted.pop()
-            row = [shifted[i] - overflow * minpoly[i] for i in range(d)]
+        # reduction table: integer power coordinates of theta^k, k = d .. 2d-2
+        pw = []
+        row = [1 if i == d - 1 else 0 for i in range(d)]  # theta^(d-1)
+        for _ in range(d - 1):
+            overflow = row[-1]
+            row = [-overflow * minpoly[0]] + [
+                row[i - 1] - overflow * minpoly[i] for i in range(1, d)]
             pw.append(row)
         self._powers = pw
 
@@ -154,13 +159,19 @@ class NumberField:
     def element(self, coeffs) -> "NfElement":
         return NfElement(self, coeffs)
 
+    def scaled_element(self, num: Sequence[int], den: int) -> "NfElement":
+        """The element with power-basis coefficients num / den, den > 0."""
+        return _reduced(self, num, den)
+
     def rational(self, q) -> "NfElement":
-        return NfElement(self, [Fraction(q)] + [0] * (self.degree - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _reduced(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def gen(self) -> "NfElement":
         if self.degree == 1:
-            return self.rational(Fraction(-self.minpoly[0]))
-        return NfElement(self, [0, 1] + [0] * (self.degree - 2))
+            return self.rational(-self.minpoly[0])
+        return _reduced(self, [0, 1] + [0] * (self.degree - 2), 1)
 
     def zero(self) -> "NfElement":
         return self.rational(0)
@@ -172,23 +183,26 @@ class NumberField:
         return list(self._elements)
 
     def from_int_coords(self, coords) -> "NfElement":
-        coords = [Fraction(c) for c in coords]
-        power = [
-            sum((coords[j] * self.basis[j][i] for j in range(self.degree)), Fraction(0))
-            for i in range(self.degree)
-        ]
-        return NfElement(self, power)
+        """The element with (rational) integral-basis coordinates coords."""
+        return self.from_scaled_coords(*_scale_to_ints(coords))
+
+    def from_scaled_coords(self, c: Sequence[int], m: int) -> "NfElement":
+        """The element with integral-basis coordinates c / m, m > 0: its
+        numerators are c times the integer basis rows, over m and the
+        basis denominator."""
+        num = [0] * self.degree
+        for cj, row in zip(c, self._span.rows):
+            if cj:
+                for i, v in enumerate(row):
+                    num[i] += cj * v
+        return _reduced(self, num, m * self._span.den)
 
     # -- coordinates ------------------------------------------------------
-
-    def int_coords(self, a: "NfElement") -> List[Fraction]:
-        """Coordinates of a in the integral basis (rational in general)."""
-        return self._span.coords(a.coeffs)
 
     def scaled_coords(self, a: "NfElement") -> Tuple[List[int], int]:
         """(c, m): m the least positive integer with m * a integral, and c
         the integral-basis coordinates of m * a."""
-        return self._span.scaled_coords(a.coeffs)
+        return self._span.scaled_coords_int(a.num, a.den)
 
     # -- embeddings -------------------------------------------------------
 
@@ -220,27 +234,17 @@ class NumberField:
     def channel_values(self, a: "NfElement") -> List[Real]:
         """d real coordinates: real embeddings first, then (Re, Im) pairs."""
         reals, cplx = self._channels()
-        out: List[Real] = []
-        for root_val in reals:
-            out.append(_eval_at(a.coeffs, root_val))
+        out: List[Real] = [_eval_at(a.num, a.den, root_val) for root_val in reals]
         if cplx is not None:
-            re0, im0 = cplx
-            c0, c1 = a.coeffs[0], a.coeffs[1]
-            out.append(to_real(c0 + c1 * re0))
-            out.append(c1 * im0)
+            out.extend(_complex_parts(a, cplx))
         return out
 
     def arch_places(self, a: "NfElement") -> List[Tuple[Real, int]]:
         """[(|a|_v, local degree d_v)] over the archimedean places."""
         reals, cplx = self._channels()
-        out = []
-        for root_val in reals:
-            out.append((abs_real(_eval_at(a.coeffs, root_val)), 1))
+        out = [(abs_real(_eval_at(a.num, a.den, root_val)), 1) for root_val in reals]
         if cplx is not None:
-            re0, im0 = cplx
-            c0, c1 = a.coeffs[0], a.coeffs[1]
-            re = to_real(c0 + c1 * re0)
-            im = c1 * im0
+            re, im = _complex_parts(a, cplx)
             out.append((sqrt_real(re * re + im * im), 2))
         return out
 
@@ -252,20 +256,28 @@ class NumberField:
         )
 
 
-def _eval_at(coeffs, val):
-    """Rational power-basis coefficients at a root: exact (degree <= 2) or a ball."""
+def _eval_at(num: Sequence[int], den: int, val):
+    """Power-basis coefficients num / den at a real root: exact (degree <= 2)
+    or a ball."""
     if isinstance(val, QuadReal):
-        c1 = coeffs[1] if len(coeffs) > 1 else 0
-        return _quad(coeffs[0] + c1 * val.a, c1 * val.b, val.m)
+        # (n0 + n1 (p/q + (r/s) sqrt m)) / den
+        n1 = num[1] if len(num) > 1 else 0
+        va, vb = val.a, val.b
+        return _quad(Fraction(num[0] * va.denominator + n1 * va.numerator, den * va.denominator),
+                     Fraction(n1 * vb.numerator, den * vb.denominator), val.m)
+    # each coefficient in lowest terms, as a Fraction holds it, so each
+    # interval quotient, and with it the enclosure, is unchanged
+    gs = [math.gcd(n, den) for n in num]
+    coeffs = tuple((n // g, den // g) for n, g in zip(num, gs))
 
-    def fn(prec, coeffs=tuple(coeffs), val=val):
+    def fn(prec, coeffs=coeffs, val=val):
         old = iv.prec
         try:
             iv.prec = prec
             x = val.interval(prec)
             acc = iv.mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * x + iv.mpf(c.numerator) / c.denominator
+            for n, d in reversed(coeffs):
+                acc = acc * x + iv.mpf(n) / d
             return acc
         finally:
             iv.prec = old
@@ -273,19 +285,53 @@ def _eval_at(coeffs, val):
     return BallReal(fn)
 
 
-class NfElement:
-    """Element of a number field, coefficients in the power basis."""
+def _complex_parts(a: "NfElement", cplx) -> Tuple[Real, Real]:
+    """(Re, Im) of a quadratic a = c0 + c1 theta at theta = re0 + i im0."""
+    re0, im0 = cplx
+    c0, c1 = a.coeffs
+    return to_real(c0 + c1 * re0), c1 * im0
 
-    __slots__ = ("field", "coeffs")
+
+def _reduced(field: "NumberField", num, den: int) -> "NfElement":
+    """The element num / den (den > 0), reduced to lowest terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return _raw(field, tuple(num), den)
+
+
+def _raw(field: "NumberField", num: Tuple[int, ...], den: int) -> "NfElement":
+    """The element num / den, already in lowest terms."""
+    el = object.__new__(NfElement)
+    el.field, el.num, el.den = field, num, den
+    return el
+
+
+class NfElement:
+    """Element of a number field in the standard representation: integer
+    power-basis numerators ``num`` over the least positive denominator
+    ``den``, so gcd(num, den) = 1 and equal elements hold equal integers.
+
+    Ring operations work on those integers alone.  ``coeffs`` gives the
+    rational power-basis coefficients for readers that want them.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, coeffs):
-        self.field = field
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) != field.degree:
             raise ValidationError(
                 "expected %d coefficients, got %d" % (field.degree, len(cs))
             )
-        self.coeffs = tuple(cs)
+        num, den = _scale_to_ints(cs)
+        self.field, self.num, self.den = field, tuple(num), den
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """Rational power-basis coefficients."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- ring operations --------------------------------------------------
 
@@ -300,46 +346,57 @@ class NfElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NfElement(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        sd, od = self.den, o.den
+        if sd == od:
+            return _reduced(self.field, [a + b for a, b in zip(self.num, o.num)], sd)
+        return _reduced(self.field, [a * od + b * sd for a, b in zip(self.num, o.num)],
+                        sd * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NfElement(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        sd, od = self.den, o.den
+        if sd == od:
+            return _reduced(self.field, [a - b for a, b in zip(self.num, o.num)], sd)
+        return _reduced(self.field, [a * od - b * sd for a, b in zip(self.num, o.num)],
+                        sd * od)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return NfElement(self.field, [-a for a in self.coeffs])
+        return _raw(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return NfElement(self.field, [q * a for a in self.coeffs])
+            return _reduced(self.field, [other.numerator * a for a in self.num],
+                            other.denominator * self.den)
         o = self._coerce(other)
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        field = self.field
+        d = field.degree
+        # integer convolution, then theta^k for k >= d from the power table
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = [Fraction(0)] * d
-        for k, c in enumerate(conv):
+                for j, b in enumerate(o.num):
+                    conv[i + j] += a * b
+        out = conv[:d]
+        for c, row in zip(conv[d:], field._powers):
             if c:
-                row = self.field._powers[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return NfElement(self.field, out)
+                for i, v in enumerate(row):
+                    out[i] += c * v
+        return _reduced(field, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return NfElement(self.field, [a / q for a in self.coeffs])
+            if other == 0:
+                raise ZeroDivisionError("division of a field element by zero")
+            sign = -1 if other < 0 else 1
+            return _reduced(self.field, [sign * other.denominator * a for a in self.num],
+                            sign * other.numerator * self.den)
         return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other):
@@ -370,7 +427,7 @@ class NfElement:
         # x = 1 / (m a) has coordinates with sum_i x_i R[i] = coordinates of 1
         x, q = solve([list(col) for col in zip(*rows)],
                      [[e] for e in self.field.one_coords])
-        return self.field.from_int_coords([Fraction(m * v, q) for (v,) in x])
+        return self.field.from_scaled_coords([m * v for (v,) in x], q)
 
     def norm(self) -> Fraction:
         rows, m = self.mult_rows()
@@ -385,28 +442,30 @@ class NfElement:
         return self.field.scaled_coords(self)[1]
 
     def is_integral(self) -> bool:
-        return self.field._span.contains(self.coeffs)
+        return self.field._span.contains_int(self.num, self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
         if isinstance(other, NfElement):
-            return self.field.minpoly == other.field.minpoly and self.coeffs == other.coeffs
+            return (self.field.minpoly == other.field.minpoly
+                    and self.num == other.num and self.den == other.den)
+        if isinstance(other, (int, Fraction)):
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self.is_rational())
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
+        return hash((self.field.minpoly, self.num, self.den))
 
     def __repr__(self):
         return "NfElement(%s)" % (list(self.coeffs),)
@@ -418,8 +477,8 @@ class NfElement:
 
 def zspan_basis(field: NumberField, elements: Sequence[NfElement]) -> List[NfElement]:
     """Reduce a Z-generating set of field elements to an independent basis."""
-    span = ZSpan([field.int_coords(e) for e in elements], field.degree)
-    return [field.from_int_coords(v) for v in span.basis()]
+    span = ZSpan.from_scaled([field.scaled_coords(e) for e in elements], field.degree)
+    return [field.from_scaled_coords(row, span.den) for row in span.hnf]
 
 
 class FracIdeal:
@@ -433,7 +492,8 @@ class FracIdeal:
                 "ideal Z-basis must have %d elements" % (field.degree,)
             )
         self.z_basis = basis
-        span = self._span = ZSpan([field.int_coords(b) for b in basis], field.degree)
+        span = self._span = ZSpan.from_scaled([field.scaled_coords(b) for b in basis],
+                                              field.degree)
         if span.rank != field.degree:
             raise ValidationError("ideal Z-basis is rank deficient")
         # |det| of the basis: the HNF diagonal over den^d
@@ -471,7 +531,7 @@ class FracIdeal:
         return self._norm
 
     def contains(self, a: NfElement) -> bool:
-        return self._span.contains(self.field.int_coords(a))
+        return self._span.contains_int(*self.field.scaled_coords(a))
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
         products = [b * c for b in self.z_basis for c in other.z_basis]

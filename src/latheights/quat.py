@@ -11,8 +11,11 @@ reduced norms (``nrd``).  Right kernels of matrices over D, with unknowns
 multiplied from the right, come from ``linalg.kernel_basis``.
 
 An order holds its Z-basis as an ``intmat.ZSpan`` of the elements'
-flattened power-basis coordinates: membership reduces against its HNF, and
-coordinates are one integer product with the basis inverse.  Its integer
+flattened power-basis coordinates.  A quaternion reaches it as the integer
+numerators of its four components over their common denominator
+(``modules._flatten_power_coords``), so membership reduces those integers
+against the HNF, and coordinates (``scaled_coords``) are one integer
+product with the basis inverse, with no Fraction formed.  Its integer
 multiplication tables are built at construction.  The finite heights read
 each element's integer coordinates once (``scaled_coords``) and form every
 product with a basis element from those tables, and N(Delta_O) is read
@@ -29,12 +32,13 @@ comparisons stay exact for quadratic base fields.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import ZSpan, image_index, kernel, rational_to_scaled, trace_det
+from .intmat import ZSpan, _scale_to_ints, image_index, kernel, rational_to_scaled, trace_det
 from .modules import OkModule, _flatten_power_coords, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -259,7 +263,7 @@ class QuatOrder:
         if len(basis) != 4 * d:
             raise ValidationError("order Z-basis must have 4d elements")
         self.z_basis = basis
-        self._span = ZSpan([self._flatten(x) for x in basis], 4 * d)
+        self._span = ZSpan.from_scaled([self._flatten(x) for x in basis], 4 * d)
         if self._span.rank != 4 * d:
             raise ValidationError("order Z-basis is rank deficient")
         m, (self.one_coords,) = self.scaled_coords([algebra.one()])
@@ -276,16 +280,16 @@ class QuatOrder:
         self._disc_norm = abs(trace_det(self.left_table)) // (
             2 ** (4 * d) * field.discriminant ** 4)
 
-    def _flatten(self, x: QuatElement) -> List[Fraction]:
+    def _flatten(self, x: QuatElement) -> Tuple[List[int], int]:
         return _flatten_power_coords(self.algebra.field, x.c)
 
     def contains(self, x: QuatElement) -> bool:
-        return self._span.contains(self._flatten(x))
+        return self._span.contains_int(*self._flatten(x))
 
     def scaled_coords(self, xs: Sequence[QuatElement]) -> Tuple[int, List[List[int]]]:
         """(m, rows): m the least positive integer with every m x in the
         order, and the integer coordinates of each m x."""
-        scaled = [self._span.scaled_coords(self._flatten(x)) for x in xs]
+        scaled = [self._span.scaled_coords_int(*self._flatten(x)) for x in xs]
         m = math.lcm(*[e for _, e in scaled])
         return m, [cs if e == m else [c * (m // e) for c in cs] for cs, e in scaled]
 
@@ -618,10 +622,11 @@ def module_gram(module: OkModule, f) -> Tuple[List[List[List[int]]], int]:
 
     zs, b = module.z_basis, trace_form(f)
     bz = [[dot(row, z) for row in b] for z in zs]
-    ints, den = rational_to_scaled([dot(zi, v).coeffs for zi in zs for v in bz])
+    vals = [dot(zi, v) for zi in zs for v in bz]
+    den = math.lcm(*[v.den for v in vals])
     n = len(zs)
-    grams = [[[ints[i * n + j][l] for j in range(n)] for i in range(n)]
-             for l in range(module.field.degree)]
+    grams = [[[vals[i * n + j].num[l] * (den // vals[i * n + j].den) for j in range(n)]
+              for i in range(n)] for l in range(module.field.degree)]
     return grams, 2 * den
 
 
@@ -668,13 +673,16 @@ def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
             for q in units:
                 scaled = [(x * t) * q for x in col]
                 span_vecs.append(bracket(scaled))
-    span_coords = [_flatten_power_coords(field, v) for v in span_vecs]
+    span_coords = [[Fraction(c, e) for c in w]
+                   for w, e in (_flatten_power_coords(field, v) for v in span_vecs)]
     # linear forms vanishing on the span
-    forms = linalg.kernel_basis(span_coords)
+    forms = [_scale_to_ints(f) for f in linalg.kernel_basis(span_coords)]
     gens = lat_vecs  # no forms: [Z] is everything
     if forms:
-        # integer kernel of (forms . lat_coords^T) z = 0
-        ints, _ = rational_to_scaled(linalg.mat_mul(forms, linalg.transpose(lat_coords)))
+        # integer kernel of (forms . lat_coords^T) z = 0, each entry a
+        # product of integer vectors over the two denominators
+        ints, _ = rational_to_scaled([[Fraction(sum(map(operator.mul, a, w)), da * e)
+                                       for w, e in lat_coords] for a, da in forms])
         gens = []
         for m in kernel(ints):
             vec = z_combination(lat_vecs, m)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import HOLDS, LOWER, UPPER, BoundReport, lemma_reports
 from .errors import PrecisionExhausted, UnresolvedTie, ValidationError
@@ -91,7 +91,7 @@ def fundamental_unit_real_quadratic(field: NumberField) -> NfElement:
                 continue
             a = math.isqrt(target)
             if a * a == target:
-                eps = field.element([Fraction(a, 2), Fraction(b, 2)])
+                eps = field.scaled_element([a, b], 2)
                 if not eps.is_integral():
                     continue
                 assert abs(eps.norm()) == 1
@@ -150,24 +150,31 @@ class SUnitContext:
 
     # -- valuations ---------------------------------------------------------
 
-    def _place(self, gen: NfElement) -> Tuple[int, List[List[int]], List[List[int]]]:
-        """(N, T, M) for gen, cached: N = |N(gen)|, T multiplies by the
+    def _place(self, gen: NfElement
+               ) -> Tuple[int, List[List[int]], List[List[int]], Dict[int, int]]:
+        """(N, T, M, D) for gen, cached: N = |N(gen)|, T multiplies by the
         integral element N/gen, M multiplies by gen, both the transposed
-        ``mult_rows``.  y/gen has coordinates T c / N, so gen divides y
+        ``mult_rows``, and D maps each denominator met so far to its ord
+        at the place.  y/gen has coordinates T c / N, so gen divides y
         exactly when N divides every entry."""
         place = self._places.get(gen)
         if place is None:
             n = int(abs(gen.norm()))
             t, m = ([list(col) for col in zip(*y.mult_rows()[0])]
                     for y in (gen.inv() * n, gen))
-            place = self._places[gen] = (n, t, m)
+            place = self._places[gen] = (n, t, m, {})
         return place
 
     def _ord_scaled(self, place, c: List[int], den: int) -> int:
-        """ord of x = y/den at a place, y given by integer coordinates c."""
-        n, t, _ = place
+        """ord of x = y/den at a place, y given by integer coordinates c;
+        ord(den) is computed once per place and den."""
+        n, t, _, den_ords = place
         k = _ord(n, t, c)
-        return k - _ord(n, t, [den * e for e in self.field.one_coords]) if den != 1 else k
+        if den == 1:
+            return k
+        if den not in den_ords:
+            den_ords[den] = _ord(n, t, [den * e for e in self.field.one_coords])
+        return k - den_ords[den]
 
     def _s_valuations(self, x: NfElement) -> Optional[List[int]]:
         """[ord_p(x)] over the finite places of S if x is an S-unit, else None.
@@ -182,10 +189,10 @@ class SUnitContext:
         places = [self._place(g) for g, _ in self.s1]
         c, den = self.field.scaled_coords(x)
         vals = [self._ord_scaled(place, c, den) for place in places]
-        for v, (_, _, m) in zip(vals, places):
+        for v, (_, _, m, _) in zip(vals, places):
             for _ in range(-v):
                 c = matmul_vec(m, c)
-        for v, (n, t, _) in zip(vals, places):
+        for v, (n, t, _, _) in zip(vals, places):
             for _ in range(v):
                 c = _divide(n, t, c)
                 if c is None:
@@ -300,11 +307,13 @@ def count_sunits(ctx: SUnitContext, b: Fraction) -> int:
                 pw[-e] = pw[1 - e] * ginv
         powers.append(pw)
     count2 = 0
+    one = ctx.field.one()
     for es in itertools.product(*[range(-cap, cap + 1) for cap in caps]):
-        a = ctx.field.one()
+        a = None
         for e, pw in zip(es, powers):
             if e:
-                a = a * pw[e]
+                a = pw[e] if a is None else a * pw[e]
+        a = one if a is None else a
         try:
             if ctx.s_height_le(a, b):
                 count2 += ctx.omega

@@ -173,6 +173,20 @@ def e5_three_points():
     return CurveContext(5, GENUS1, a=1, b=1, points=[INF, (0, 1), (0, 4)])
 
 
+def test_det_identity_is_decided_by_its_check_record(monkeypatch):
+    """A wrong |J| reaches the DET_IDENTITY record, which reads false;
+    building the divisor lattice does not raise."""
+    real = funcfield.DivisorLattice._genus1_kernel
+
+    def off_by_one(self):
+        j, basis = real(self)
+        return j + 1, basis
+
+    monkeypatch.setattr(funcfield.DivisorLattice, "_genus1_kernel", off_by_one)
+    checks = det_bound_checks(e5_three_points())
+    assert checks["det_identity"] is False
+
+
 def test_one_divisor_lattice_per_curve(monkeypatch):
     expected = {}
     for name, ctx in (("p1", p1_three_points()), ("e5", e5_three_points())):

@@ -26,7 +26,7 @@ from latheights.heights import (
     hfin_integral,
     hfin_matrix,
 )
-from latheights.intmat import lattice_index
+from latheights.intmat import _scale_to_ints, lattice_index
 from latheights.modules import OkModule
 from latheights.nf import FracIdeal, _eval_at, nf_new
 from latheights.quat import QuatOrder, height_HfinO
@@ -92,7 +92,9 @@ def _matrix_index_reference(field, rows):
         for w in field.basis_elements():
             flat = []
             for row in rows:
-                flat.extend(int(c) for c in field.int_coords(row[j] * w))
+                c, m = field.scaled_coords(row[j] * w)
+                assert m == 1
+                flat.extend(c)
             gens.append(flat)
     return lattice_index(gens, len(rows) * field.degree)
 
@@ -271,7 +273,7 @@ def _same(x, y):
 )
 def test_closed_form_channel_matches_horner(coeffs, ra, rb, m):
     root = QuadReal(ra, rb, m)
-    assert _same(_eval_at(tuple(coeffs), root), _horner(coeffs, root))
+    assert _same(_eval_at(*_scale_to_ints(coeffs), root), _horner(coeffs, root))
 
 
 @PROPERTY
