@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .reals import BallReal, QuadReal, _iv_from_fraction
+from .reals import BallReal, QuadReal, _iv_ratio
 from mpmath import iv
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -130,8 +130,8 @@ class AlgReal:
                 iv.prec = prec
                 return iv.mpf(
                     [
-                        _iv_from_fraction(self.lo).a,
-                        _iv_from_fraction(self.hi).b,
+                        _iv_ratio(self.lo.numerator, self.lo.denominator).a,
+                        _iv_ratio(self.hi.numerator, self.hi.denominator).b,
                     ]
                 )
             finally:

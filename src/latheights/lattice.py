@@ -49,6 +49,7 @@ from .reals import (
     max_real,
     quad_sign,
     real_to_float,
+    scaled_quad,
     sqrt_real,
     to_real,
 )
@@ -98,7 +99,7 @@ class RealLattice:
                               for u in cols]
             else:
                 g, den = int_gram
-                self._gram = [[to_real(Fraction(x, den * den)) for x in row] for row in g]
+                self._gram = [[scaled_quad(x, 0, den * den, 0) for x in row] for row in g]
         return self._gram
 
     def int_gram(self):
@@ -143,10 +144,10 @@ class RealLattice:
             roots = {e.m for e in ents if isinstance(e, QuadReal)} - {0}
             if len(roots) > 1 or not all(isinstance(e, QuadReal) for e in ents):
                 return None
-            den = math.lcm(*(d for e in ents for d in (e.a.denominator, e.b.denominator)))
+            den = math.lcm(*(e.d for e in ents))
             self._scaled = (max(roots, default=0), den,
-                            [[int(e.a * den) for e in col] for col in self.columns],
-                            [[int(e.b * den) for e in col] for col in self.columns])
+                            [[e.p * (den // e.d) for e in col] for col in self.columns],
+                            [[e.q * (den // e.d) for e in col] for col in self.columns])
         return self._scaled
 
     def __repr__(self):
@@ -187,8 +188,8 @@ def _pinv_row_norms(lat: RealLattice) -> List[Real]:
     out, n = [], lat.ambient_dim
     for xs, ys in ((row[:n], row[n:]) for row in rows):
         signs = [quad_sign(x, y, root) for x, y in zip(xs, ys)]
-        out.append(QuadReal(Fraction(den * sum(map(operator.mul, signs, xs)), d),
-                            Fraction(den * sum(map(operator.mul, signs, ys)), d), root))
+        out.append(scaled_quad(den * sum(map(operator.mul, signs, xs)),
+                               den * sum(map(operator.mul, signs, ys)), d, root))
     return out
 
 
@@ -484,7 +485,7 @@ def _supnorm_min_rational(lat, scaled):
                 best, best_m = int(norms[i]), tuple(coeffs[i].tolist())
     if best is None:
         raise ValidationError("no nonzero vector in the initial search cube")
-    return QuadReal(Fraction(best, den)), best_m
+    return scaled_quad(best, 0, den, 0), best_m
 
 
 def _supnorm_min_real(lat):
@@ -570,7 +571,7 @@ def max_grassmann_sublattice(lat: RealLattice):
         if scaled is not None and scaled[0] == 0:  # integer minors of A = den B
             _, den, cols, _ = scaled
             d = intmat.det([[col[i] for col in cols] for i in rows])
-            return to_real(Fraction(abs(d), den ** big_l))
+            return scaled_quad(abs(d), 0, den ** big_l, 0)
         return abs_real(linalg.det([[col[i] for col in lat.columns] for i in rows]))
 
     for rows in itertools.combinations(range(lat.ambient_dim), big_l):

@@ -35,7 +35,7 @@ from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
 from .intmat import (ZSpan, _scale_to_ints, det, lattice_intersection, solve, table_rows,
                      trace_det)
-from .reals import BallReal, QuadReal, Real, _quad, abs_real, sqrt_real, to_real
+from .reals import BallReal, QuadReal, Real, abs_real, scaled_quad, sqrt_real, to_real
 
 
 def _rational_roots(p: Sequence[int]) -> List[Fraction]:
@@ -260,11 +260,9 @@ def _eval_at(num: Sequence[int], den: int, val):
     """Power-basis coefficients num / den at a real root: exact (degree <= 2)
     or a ball."""
     if isinstance(val, QuadReal):
-        # (n0 + n1 (p/q + (r/s) sqrt m)) / den
+        # (n0 + n1 (p + q sqrt m) / d) / den
         n1 = num[1] if len(num) > 1 else 0
-        va, vb = val.a, val.b
-        return _quad(Fraction(num[0] * va.denominator + n1 * va.numerator, den * va.denominator),
-                     Fraction(n1 * vb.numerator, den * vb.denominator), val.m)
+        return scaled_quad(num[0] * val.d + n1 * val.p, n1 * val.q, den * val.d, val.m)
     # each coefficient in lowest terms, as a Fraction holds it, so each
     # interval quotient, and with it the enclosure, is unchanged
     gs = [math.gcd(n, den) for n in num]

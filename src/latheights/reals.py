@@ -3,8 +3,11 @@
 Two carriers cover every real quantity in the library:
 
 * ``QuadReal`` -- numbers of the form a + b*sqrt(m) with rational a, b and a
-  squarefree integer m >= 0.  All sign decisions are exact, which is what
-  makes closed-cube boundary membership decidable at desk scale.
+  squarefree integer m >= 0, carried as integers over one denominator,
+  (p + q*sqrt(m)) / d (Cohen, GTM 138, section 4.2).  Sums, products,
+  quotients and signs work on those integers and build no ``Fraction``.
+  All sign decisions are exact, which is what makes closed-cube boundary
+  membership decidable at desk scale.
 * ``BallReal`` -- a value known only through an interval enclosure, backed by
   a recompute callback.  ``interval(p)`` depends only on p: it is the
   callback's enclosure at p bits, never narrowed by an earlier evaluation at
@@ -157,8 +160,12 @@ def _rho_factor(n):
             return g
 
 
-def _iv_from_fraction(q):
-    return iv.mpf(q.numerator) / q.denominator
+def _iv_ratio(n, d):
+    """Enclosure of n / d, taken from the fraction in lowest terms: iv.mpf
+    rounds a numerator longer than the precision outward, so the enclosure
+    depends on the pair and not only on the value."""
+    g = math.gcd(n, d)
+    return iv.mpf(n // g) / (d // g)
 
 
 def quad_sign(a, b, m):
@@ -234,86 +241,116 @@ class Real:
 
 
 class QuadReal(Real):
-    """a + b*sqrt(m), exact.  m squarefree and >= 0; m == 0 iff rational."""
+    """a + b*sqrt(m), exact, held as (p + q*sqrt(m)) / d: integers p, q and
+    d > 0 with gcd(p, q, d) = 1, and m squarefree and >= 0, with q == 0
+    exactly when m == 0 (Cohen, GTM 138, section 4.2).  ``QuadReal(a, b, m)``
+    takes rationals a, b and any m >= 0; the arithmetic builds its results
+    with ``scaled_quad``.  ``a`` and ``b`` are the parts as Fractions, for
+    display."""
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ("p", "q", "d", "m")
 
     def __new__(cls, a, b=0, m=0):
-        a = Fraction(a)
-        b = Fraction(b)
         if m < 0:
             raise ValueError("QuadReal radicand must be nonnegative")
-        s, m0 = _squarefree_split(m)
-        if m0 <= 1:
-            a = a + b * s * m0  # sqrt(0) = 0, sqrt(1) = 1
-            b, m0 = Fraction(0), 0
-        else:
-            b = b * s
-        if b == 0:
-            m0 = 0
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m0)
-        return self
+        pa, da = _ratio(a)
+        pb, db = _ratio(b)
+        return _surd(pa * db, pb * da, da * db, m)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadReal is immutable")
 
     @property
+    def a(self):
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.q, self.d)
+
+    @property
     def is_rational(self):
-        return self.b == 0
+        return self.q == 0
 
     def as_fraction(self):
-        if not self.is_rational:
+        if self.q:
             raise ValueError("not rational: %s" % (self,))
         return self.a
 
-    def conj(self):
-        return QuadReal(self.a, -self.b, self.m)
-
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        return quad_sign(self.a, self.b, self.m)
+        return quad_sign(self.p, self.q, self.m)
 
     def interval(self, prec):
         old = iv.prec
         try:
             iv.prec = prec
-            x = _iv_from_fraction(self.a)
-            if self.b:
-                x += _iv_from_fraction(self.b) * iv.sqrt(iv.mpf(self.m))
+            x = _iv_ratio(self.p, self.d)
+            if self.q:
+                x += _iv_ratio(self.q, self.d) * iv.sqrt(iv.mpf(self.m))
             return x
         finally:
             iv.prec = old
 
     def __hash__(self):
+        if self.q:
+            return hash((self.p, self.q, self.d, self.m))
         # a rational value hashes as the Fraction it equals
-        return hash((self.a, self.b, self.m)) if self.b else hash(self.a)
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QuadReal(other)
+            other = to_real(other)
         if isinstance(other, QuadReal):
-            return (self.a, self.b, self.m) == (other.a, other.b, other.m)
+            return (self.p, self.q, self.d, self.m) == (other.p, other.q, other.d, other.m)
         return NotImplemented
 
     def __repr__(self):
-        if self.b == 0:
+        if not self.q:
             return "QuadReal(%s)" % (self.a,)
         return "QuadReal(%s + %s*sqrt(%d))" % (self.a, self.b, self.m)
 
 
-_FZERO = Fraction(0)
+_new = object.__new__
+_set_p, _set_q, _set_d, _set_m = (
+    QuadReal.p.__set__, QuadReal.q.__set__, QuadReal.d.__set__, QuadReal.m.__set__)
 
 
-def _quad(a, b, m):
-    """QuadReal from Fractions a, b and a squarefree m, without normalising."""
-    self = object.__new__(QuadReal)
-    object.__setattr__(self, "a", a)
-    object.__setattr__(self, "b", b)
-    object.__setattr__(self, "m", m if b else 0)
+def scaled_quad(p, q, d, m):
+    """(p + q*sqrt(m)) / d for integers p, q and d != 0 and a squarefree
+    m > 1 (any m when q == 0): the one constructor, one gcd to the normal
+    form."""
+    if not q:
+        m = 0
+    g = math.gcd(p, q, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    self = _new(QuadReal)
+    _set_p(self, p)
+    _set_q(self, q)
+    _set_d(self, d)
+    _set_m(self, m)
     return self
+
+
+def _surd(p, q, d, m):
+    """(p + q*sqrt(m)) / d for integers and any m >= 0: the square part of m
+    moves into q."""
+    s, m0 = _squarefree_split(m)
+    if m0 <= 1:  # sqrt(0) = 0, sqrt(1) = 1
+        return scaled_quad(p + q * s * m0, 0, d, 0)
+    return scaled_quad(p, q * s, d, m0)
+
+
+def _ratio(x):
+    """(numerator, denominator) of an int or a rational."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 class BallReal(Real):
@@ -345,8 +382,10 @@ class BallReal(Real):
 def to_real(x):
     if isinstance(x, Real):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _quad(Fraction(x), _FZERO, 0)
+    if isinstance(x, int):
+        return scaled_quad(int(x), 0, 1, 0)
+    if isinstance(x, Fraction):
+        return scaled_quad(x.numerator, 0, x.denominator, 0)
     raise TypeError("cannot interpret %r as a Real" % (x,))
 
 
@@ -375,42 +414,42 @@ def _binop_ball(x, y, op):
 
 def _add(x, y):
     if isinstance(x, QuadReal) and isinstance(y, QuadReal) and _compatible(x, y):
-        m = x.m or y.m
-        return _quad(x.a + y.a, x.b + y.b, m)
+        return scaled_quad(x.p * y.d + y.p * x.d, x.q * y.d + y.q * x.d, x.d * y.d, x.m or y.m)
     return _binop_ball(x, y, lambda a, b: a + b)
 
 
 def _neg(x):
     if isinstance(x, QuadReal):
-        return _quad(-x.a, -x.b, x.m)
+        return scaled_quad(-x.p, -x.q, x.d, x.m)
     return BallReal(lambda p: -x.interval(p))
 
 
 def _mul(x, y):
     if isinstance(x, QuadReal) and isinstance(y, QuadReal):
-        # a rational factor (b == 0) costs 2 Fraction products, not 4 + m
-        if not y.b:
-            return _quad(x.a * y.a, x.b * y.a, x.m)
-        if not x.b:
-            return _quad(x.a * y.a, x.a * y.b, y.m)
+        d = x.d * y.d
+        # a rational factor (q == 0) costs 2 products, not 4 + m
+        if not y.q:
+            return scaled_quad(x.p * y.p, x.q * y.p, d, x.m)
+        if not x.q:
+            return scaled_quad(x.p * y.p, x.p * y.q, d, y.m)
         if x.m == y.m:
             m = x.m
-            return _quad(x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a, m)
-        if not x.a and not y.a:
-            # b sqrt(p) b' sqrt(q) = b b' g sqrt(pq / g^2), g = gcd(p, q): p/g
-            # and q/g are coprime and squarefree, so their product is too
+            return scaled_quad(x.p * y.p + x.q * y.q * m, x.p * y.q + x.q * y.p, d, m)
+        if not x.p and not y.p:
+            # q sqrt(m) q' sqrt(m') = q q' g sqrt(m m' / g^2), g = gcd(m, m'):
+            # m/g and m'/g are coprime and squarefree, so their product is too
             g = math.gcd(x.m, y.m)
-            return _quad(_FZERO, x.b * y.b * g, (x.m // g) * (y.m // g))
+            return scaled_quad(0, x.q * y.q * g, d, (x.m // g) * (y.m // g))
     return _binop_ball(x, y, lambda a, b: a * b)
 
 
 def _div(x, y):
     if isinstance(y, QuadReal):
-        den = y.a * y.a - y.b * y.b * y.m
-        if den == 0:
+        # 1 / y = d (p - q sqrt m) / (p^2 - q^2 m)
+        norm = y.p * y.p - y.q * y.q * y.m
+        if norm == 0:
             raise ZeroDivisionError("division by zero Real")
-        inv = _quad(y.a / den, -y.b / den, y.m)
-        return _mul(x, inv)
+        return _mul(x, scaled_quad(y.d * y.p, -y.d * y.q, norm, y.m))
     return _binop_ball(x, y, lambda a, b: a / b)
 
 
@@ -438,9 +477,11 @@ def cmp_real(x, y, context=""):
     """Three-way comparison; raises PrecisionExhausted if undecidable."""
     x, y = to_real(x), to_real(y)
     if isinstance(x, QuadReal) and isinstance(y, QuadReal):
+        # the sign of (x - y) d d' on the integers
+        p = x.p * y.d - y.p * x.d
         if _compatible(x, y):
-            return _add(x, _neg(y)).sign()
-        return quad2_sign(x.a - y.a, x.b, x.m, -y.b, y.m)
+            return quad_sign(p, x.q * y.d - y.q * x.d, x.m or y.m)
+        return quad2_sign(p, x.q * y.d, x.m, -y.q * x.d, y.m)
     prec = PRECISION.start
     while True:
         ix, iy = x.interval(prec), y.interval(prec)
@@ -464,16 +505,19 @@ def cmp_exp(x, b, context=""):
     exactly for a ``QuadReal`` and by its own enclosure for a ball, from
     ``PRECISION.start`` bits doubling up to ``PRECISION.cap``; undecided at
     the cap it raises ``PrecisionExhausted``."""
-    x, b = to_real(x), Fraction(b)
+    x = to_real(x)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
     if not b:
         raise ValidationError("cmp_exp needs a nonzero exponent")
     prec = PRECISION.start
     while True:
         lo, hi = _exp_endpoints(b, prec)
         if isinstance(x, QuadReal):
-            if quad_sign(x.a - hi, x.b, x.m) >= 0:
+            # the sign of (x - t) d t_den for an endpoint t, on the integers
+            if quad_sign(x.p * hi.denominator - hi.numerator * x.d, x.q * hi.denominator, x.m) >= 0:
                 return 1
-            if quad_sign(x.a - lo, x.b, x.m) <= 0:
+            if quad_sign(x.p * lo.denominator - lo.numerator * x.d, x.q * lo.denominator, x.m) <= 0:
                 return -1
         else:
             xlo, xhi = endpoints(x, prec)
@@ -493,7 +537,7 @@ def cmp_exp(x, b, context=""):
 def _exp_endpoints(b, prec):
     """The endpoints of e^b's enclosure at prec bits; they depend only on
     (b, prec), so one per pair serves every comparison."""
-    return endpoints(BallReal(lambda p: iv.exp(_iv_from_fraction(b))), prec)
+    return endpoints(BallReal(lambda p: iv.exp(_iv_ratio(b.numerator, b.denominator))), prec)
 
 
 def abs_real(x):
@@ -534,13 +578,10 @@ def _iv_max(a, b):
 def sqrt_real(x):
     x = to_real(x)
     if isinstance(x, QuadReal) and x.is_rational:
-        q = x.as_fraction()
-        if q < 0:
+        if x.p < 0:
             raise ValueError("sqrt of negative value")
-        if q == 0:
-            return ZERO
-        # sqrt(p/q) = sqrt(p*q)/q, exact as a QuadReal
-        return QuadReal(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+        # sqrt(p/d) = sqrt(p*d)/d, exact as a QuadReal
+        return _surd(0, 1, x.d, x.p * x.d)
     return BallReal(lambda p: _iv_sqrt_clamped(x.interval(p)))
 
 
@@ -558,13 +599,11 @@ def nthroot_real(x, n):
         return sqrt_real(x)
     x = to_real(x)
     if isinstance(x, QuadReal) and x.is_rational:
-        q = x.as_fraction()
-        if q < 0:
+        if x.p < 0:
             raise ValueError("nth root of negative value")
-        rn = _exact_iroot(q.numerator, n)
-        rd = _exact_iroot(q.denominator, n)
+        rn, rd = _exact_iroot(x.p, n), _exact_iroot(x.d, n)
         if rn is not None and rd is not None:
-            return QuadReal(Fraction(rn, rd))
+            return scaled_quad(rn, 0, rd, 0)
     return BallReal(lambda p: _iv_root(x.interval(p), n))
 
 
@@ -661,14 +700,13 @@ class Rooted:
     def __init__(self, base, k=1):
         base = to_real(base)
         if isinstance(base, QuadReal) and base.is_rational and k > 1:
-            q = base.as_fraction()
             # reduce perfect powers to keep cross-power comparisons small
             for divisor in range(k, 1, -1):
                 if k % divisor == 0:
-                    rn = _exact_iroot(q.numerator, divisor)
-                    rd = _exact_iroot(q.denominator, divisor)
+                    rn = _exact_iroot(base.p, divisor)
+                    rd = _exact_iroot(base.d, divisor)
                     if rn is not None and rd is not None:
-                        base = QuadReal(Fraction(rn, rd))
+                        base = scaled_quad(rn, 0, rd, 0)
                         k //= divisor
                         break
         self.base = base

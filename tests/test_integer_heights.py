@@ -2,7 +2,8 @@
 
 The finite parts read ideal indices off cached integer multiplication
 tables, field channels of degree <= 2 are evaluated in closed form, and
-closed QuadReal arithmetic skips normalisation.  Each of these is compared
+closed QuadReal arithmetic works on integers over one denominator
+(``reals.scaled_quad``).  Each of these is compared
 here with the generic computation it replaced: the content ideal built as a
 FracIdeal, the products w * x formed in quaternion arithmetic, a Horner
 loop, the normalising QuadReal constructor and sympy.  Hypothesis runs
@@ -30,7 +31,7 @@ from latheights.intmat import _scale_to_ints, lattice_index
 from latheights.modules import OkModule
 from latheights.nf import FracIdeal, _eval_at, nf_new
 from latheights.quat import QuatOrder, height_HfinO
-from latheights.reals import QuadReal, _quad
+from latheights.reals import QuadReal, scaled_quad
 
 PROPERTY = settings(max_examples=40)
 
@@ -321,7 +322,7 @@ def test_private_constructor_cancels_to_rational():
         (QuadReal(Fraction(1, 2), Fraction(1, 2), 5) * QuadReal(Fraction(1, 2), Fraction(-1, 2), 5), -1),
     ):
         assert _same(val, QuadReal(want)) and val.m == 0 and hash(val) == hash(want)
-    assert _same(_quad(Fraction(3), Fraction(0), 7), QuadReal(3))
+    assert _same(scaled_quad(3, 0, 1, 7), QuadReal(3))
 
 
 def _sym(x):

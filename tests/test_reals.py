@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import math
 import time
 
 import mpmath
@@ -32,6 +33,8 @@ from latheights.reals import (
     pi_real,
     pow_real,
     quad2_sign,
+    quad_sign,
+    scaled_quad,
     sqrt_real,
     to_real,
 )
@@ -312,6 +315,97 @@ def test_to_real_of_rationals_matches_constructor(x):
     assert _triple(got) == _triple(want) == (Fraction(x), 0, 0)
     assert all(type(v) is Fraction for v in (got.a, got.b))
     assert hash(got) == hash(want) == hash(x)
+
+
+# values over several radicands, squarefree or not (12 = 2^2 * 3, 4 = 2^2)
+_radicals = st.builds(QuadReal, fractions, fractions, st.sampled_from([0, 2, 3, 4, 5, 6, 12]))
+
+
+def _is_normal(x):
+    """(p + q sqrt m) / d with d > 0, gcd(p, q, d) = 1, m squarefree, and
+    q == 0 exactly when m == 0."""
+    p, q, d, m = x.p, x.q, x.d, x.m
+    return (all(type(v) is int for v in (p, q, d, m)) and d > 0 and math.gcd(p, q, d) == 1
+            and (q == 0) == (m == 0) and (m == 0 or _squarefree_split(m) == (1, m)))
+
+
+def _reference_mul(x, y):
+    """x * y from the Fraction parts, or None when it is a ball."""
+    if x.m == 0 or y.m == 0 or x.m == y.m:
+        return _general_mul(x, y)
+    if x.a == 0 and y.a == 0:
+        return QuadReal(0, x.b * y.b, x.m * y.m)
+    return None
+
+
+@settings(max_examples=300)
+@given(_radicals, _radicals)
+def test_integer_form_is_normal_and_matches_fraction_reference(x, y):
+    """Every operation leaves the normal form; a rational hashes as its
+    Fraction; the quotient and the comparison, across two radicands too,
+    agree with the same computation on the Fraction parts."""
+    results = [x, y, x + y, x - y, x * y, -x, abs_real(x), x * 3, Fraction(2, 7) - x]
+    if y != 0:
+        results.append(x / y)
+        den = y.a * y.a - y.b * y.b * y.m
+        want = _reference_mul(x, QuadReal(y.a / den, -y.b / den, y.m))
+        if want is not None:
+            assert _triple(x / y) == _triple(want)
+    for v in results:
+        if isinstance(v, QuadReal):
+            assert _is_normal(v)
+            if v.is_rational:
+                assert hash(v) == hash(Fraction(v.p, v.d)) and v == Fraction(v.p, v.d)
+    assert x.sign() == quad_sign(x.a, x.b, x.m)
+    assert cmp_real(x, y) == quad2_sign(x.a - y.a, x.b, x.m, -y.b, y.m)
+
+
+def test_quadratic_arithmetic_builds_no_fraction(monkeypatch):
+    """Sums, differences, products, quotients, signs and comparisons of
+    QuadReals, over one radicand and over two (quad2_sign), work on the
+    integers p, q, d: with the operands built, no Fraction is made."""
+    x = QuadReal(Fraction(3, 4), Fraction(-5, 6), 5)
+    y = QuadReal(Fraction(-7, 2), Fraction(1, 9), 5)
+    z = QuadReal(Fraction(2, 3), Fraction(1, 7), 3)
+    t = Fraction(5, 8)
+    r = QuadReal(t)
+    built = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    values = [x + y, x - y, x * y, x / y, x * r, r / x, x + 3, 2 - x, -x, x / 4,
+              x.sign(), (x - y).sign(), cmp_real(x, y), cmp_real(x, r), cmp_real(r, 1),
+              cmp_real(x, z), cmp_real(z, y), cmp_real(z, t)]
+    monkeypatch.undo()
+    assert built == []
+    assert values[:3] == [QuadReal(x.a + y.a, x.b + y.b, 5), QuadReal(x.a - y.a, x.b - y.b, 5),
+                          _general_mul(x, y)]
+    assert values[-3:] == [quad2_sign(x.a - z.a, x.b, 5, -z.b, 3),
+                           quad2_sign(z.a - y.a, z.b, 3, -y.b, 5),
+                           quad_sign(z.a - t, z.b, 3)]
+
+
+def test_interval_reads_each_part_in_lowest_terms():
+    """With gcd(p, d) > 1 and p longer than 64 bits, the enclosure comes
+    from p/d and q/d in lowest terms, as from the Fraction pair: iv.mpf of
+    the unreduced numerator rounds outward differently at 64 bits."""
+    p, q, d = 3 * (2**70 + 1), 7, 15
+    x, r = scaled_quad(p, q, d, 2), scaled_quad(p, 0, d, 0)
+    assert (x.p, x.q, x.d) == (p, q, d) and math.gcd(p, d) == 15 and p.bit_length() > 64
+    a, b = Fraction(p, d), Fraction(q, d)
+
+    def pair(n, e):
+        return BallReal(lambda prec: iv.mpf(n.numerator) / n.denominator
+                        + iv.mpf(e.numerator) / e.denominator * iv.sqrt(iv.mpf(2)))
+
+    unreduced = BallReal(lambda prec: iv.mpf(p) / d + iv.mpf(q) / d * iv.sqrt(iv.mpf(2)))
+    assert ball_mid_rad(x) == ball_mid_rad(pair(a, b)) != ball_mid_rad(unreduced)
+    assert ball_mid_rad(r) == ball_mid_rad(pair(a, Fraction(0)))
+    assert ball_mid_rad(r) != ball_mid_rad(BallReal(lambda prec: iv.mpf(p) / d))
 
 
 # ---------------------------------------------------------------------------
