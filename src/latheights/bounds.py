@@ -44,9 +44,11 @@ from .reals import (
     abs_real,
     cmp_real,
     log_real,
+    max_real,
     pi_real,
     pow_real,
     real_to_float,
+    scaled_quad,
     to_real,
 )
 
@@ -164,7 +166,11 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     The budget is still checked on the whole coefficient box of that cube.
 
     A float product screens the candidates, and the points in a band
-    around T are re-decided exactly, so the result is certified.  Its error
+    around T are re-decided exactly on the walk's integers, so the result
+    is certified: with every coordinate (va + vb sqrt r) / den,
+    h(x)^d den^d = prod_channels max(den, max_i |va_i + vb_i sqrt r|), an
+    exact ``QuadReal`` compared with the integer T den^d; no number-field
+    element or height is formed.  The screen's error
     bound: a coordinate x_i has the scaled values y = va + vb sqrt r and
     y' = va - vb sqrt r in the two embeddings, and va, vb are exact floats
     (the 2**52 guard), so fl(y) is within 3.0001 u max(|y|, |y'|) of y,
@@ -207,27 +213,23 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
     if maxentry * (max(caps) + 1) * lat.rank >= 2 ** 52:
         return None
-    target = float(Fraction(rd_frac) * den ** d)
+    target = rd_frac.numerator * (den // rd_frac.denominator) * den ** (d - 1)  # T den^d
     band = 1e-10 + 2.0 ** -49 * t_float
-    lo_gate = target * (1 - band)
-    hi_gate = target * (1 + band)
-    rd_rooted = as_rooted(rd_frac) if rd_frac >= 0 else None
+    lo_gate = float(target) * (1 - band)
+    hi_gate = float(target) * (1 + band)
     count = 0
-    for va, vb, coeffs_of in batches:
+    for va, vb in batches:
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
         np.maximum(per_ch, float(den), out=per_ch)
         hsq = per_ch.prod(axis=1)
         count += int((hsq <= lo_gate).sum())
         for i in np.nonzero((hsq > lo_gate) & (hsq < hi_gate))[0]:
-            coeffs = coeffs_of(i)
-            if not any(coeffs):
-                count += 1  # h(0) = 1 <= R
-                continue
-            x = z_combination(module.z_basis, coeffs)
-            h_pow = height_h_nf(field, x).as_rooted()
-            if (h_pow ** d).cmp(rd_rooted, context="module height band") <= 0:
-                count += 1
+            h_pow = math.prod(
+                max_real(den, *(abs_real(scaled_quad(a, b, 1, m_val)) for a, b in zip(xa, xb)))
+                for xa, xb in zip(va[i].reshape(d, big_n).tolist(),
+                                  vb[i].reshape(d, big_n).tolist()))
+            count += cmp_real(h_pow, target, context="module height band") <= 0
     return count
 
 
@@ -426,7 +428,7 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
     # fail fast: the whole denominator sweep must fit the budget
     total = 0
     for m in range(1, m_max + 1):
-        total += math.prod(2 * c + 1 for c in _coefficient_box(lat, cap * m))
+        total += lattice._box_size(_coefficient_box(lat, cap * m))
         if total > lattice.ENUM_BUDGET:
             raise BudgetExceeded("denominator sweep passes %d candidates at M = %d "
                                  "(budget %d)" % (total, m, lattice.ENUM_BUDGET))

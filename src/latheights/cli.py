@@ -32,6 +32,7 @@ from .funcfield import GENUS0, GENUS1, INF, CurveContext, det_bound_checks, lemm
 from .heights import height_H, height_h
 from .lattice import (
     RealLattice,
+    _box_size,
     _coefficient_box,
     _rat_upper,
     enumerate_cube,
@@ -92,11 +93,7 @@ def suite_cnt_lem(seed: int) -> List[Dict[str, object]]:
         thresh = lower_bound_threshold(big_l, det_val, c)
         base = Fraction(math.ceil(_rat_upper(thresh)))
         radii = [base, base + 1, 2 * base, 4 * base]
-        caps = _coefficient_box(lat, radii[-1])
-        total = 1
-        for cc in caps:
-            total *= 2 * cc + 1
-        if total > 200_000:
+        if _box_size(_coefficient_box(lat, radii[-1])) > 200_000:
             continue
         name = "lat-%03d-N%d-L%d" % (accepted + 1, n, big_l)
         batch = []

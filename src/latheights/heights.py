@@ -11,8 +11,8 @@ of an integral vector is the index in Z^d of the rows omega_i * x_l, read
 off the field's cached multiplication table (Cohen, GTM 138, 4.7), so no
 ideal or field product is formed per point.
 
-A ``HeightValue`` compares exactly against a rational (``cmp``); two
-heights compare as ``Rooted`` values (``as_rooted``).
+A ``HeightValue`` compares only as a ``Rooted`` value (``as_rooted``),
+against a rational or another height.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .reals import (
     ONE,
     Real,
     Rooted,
-    cmp_real,
     max_real,
     to_real,
 )
@@ -51,16 +50,6 @@ class HeightValue:
 
     def as_rooted(self) -> Rooted:
         return Rooted(self.value_pow(), self.power)
-
-    def cmp(self, threshold, context="height threshold") -> int:
-        """Exact-or-certified three-way comparison against a rational."""
-        t = Fraction(threshold)
-        if t < 0:
-            return 1
-        return cmp_real(self.value_pow(), t**self.power, context)
-
-    def __float__(self):
-        return float(self.as_rooted())
 
     def __repr__(self):
         return "HeightValue(%r^(1/%d))" % (self.value_pow(), self.power)

@@ -3,7 +3,8 @@ kernels, and the Z-span of rational vectors.
 
 A matrix is a list of integer rows.  Everything here uses fraction-free
 integer pivoting; matrices are tiny at desk scale, so simplicity wins over
-asymptotics.
+asymptotics.  One elimination loop, ``_bareiss`` (fraction-free
+Gauss-Jordan), serves both ``det`` and ``solve``.
 
 ``ZSpan`` holds the Z-span of a list of rational vectors once, in integers:
 the vectors scaled by one common denominator and the row Hermite Normal
@@ -24,51 +25,23 @@ import operator
 from fractions import Fraction
 
 
-def det(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def solve(a, b):
-    """Fraction-free Gauss-Jordan solve of a X = b for a square integer a
-    and an integer matrix b given as rows (Bareiss, Math. Comp. 22 (1968)).
-
-    Returns (X, d) with integer X, d > 0 and a X = d b, so X / d is the
-    solution, or None when a is singular.  Each step k replaces every other
-    row by (p_k row - a_ik row_k) / p_{k-1}, an exact division, and leaves
-    every diagonal entry equal to the last pivot, det a up to sign.
-    """
+def _bareiss(a, b=()):
+    """Fraction-free Gauss-Jordan elimination on [a | b] for a square integer
+    a and integer rows b (Bareiss, Math. Comp. 22 (1968)): (rows, p, sign),
+    or None when a is singular.  Step k swaps up the first row with a
+    nonzero entry in column k, flipping ``sign``, and replaces every other
+    row by (p_k row - a_ik row_k) / p_{k-1}, an exact division.  Every
+    diagonal entry of the a block ends as the last pivot p, so det a =
+    sign p, and the b block as p a^{-1} b."""
     n = len(a)
-    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
-    prev = 1
+    m = [list(row) + list(rhs) for row, rhs in zip(a, b)] if b else [list(row) for row in a]
+    prev, sign = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return None
-        m[k], m[piv] = m[piv], m[k]
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
         rk, p = m[k], m[k][k]
         for i in range(n):
             if i != k:
@@ -79,8 +52,27 @@ def solve(a, b):
                     row[i] = p
                 row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], rk[k:])]
         prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[n:]] for row in m], sign * prev
+    return m, prev, sign
+
+
+def det(rows):
+    """Determinant of a square integer matrix, from ``_bareiss``."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant of non-square matrix")
+    done = _bareiss(rows)
+    return 0 if done is None else done[2] * done[1]
+
+
+def solve(a, b):
+    """(X, d) with integer X, d = |det a| and a X = d b, for a square
+    integer a and an integer matrix b given as rows, from the b block of
+    ``_bareiss``; None when a is singular."""
+    done = _bareiss(a, b)
+    if done is None:
+        return None
+    m, p, _ = done
+    s = 1 if p > 0 else -1
+    return [[s * x for x in row[len(a):]] for row in m], s * p
 
 
 def _row_hnf(rows, ncols, transform=False):

@@ -17,13 +17,15 @@ integer columns when all entries lie in one Q(sqrt m), and by the certified
 re-check ``_certified_in_cube`` only for balls.  The one other walk,
 ``strip_candidates``, serves the totally real module count
 ``bounds._fast_count_totally_real``: it keeps only the integer intervals
-that the dyadic strips of the height region cut from each line, and it
-shares the budget check (``_check_budget``), the free axis (``_free_axis``)
-and the prefix grid (``_prefix_grid``) with ``_box_slabs``.
+that the dyadic strips of the height region cut from each line, yields the
+integer coordinates of their points only (never the coefficients), and
+shares the budget check (``_check_budget``, on ``_box_size``), the free
+axis (``_free_axis``) and the prefix grid (``_prefix_grid``) with
+``_box_slabs``.
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
-squared denominator (``RealLattice.int_gram``): the determinant is Bareiss
-elimination on it, and the box caps -- the radius times the l1 row norms of
+squared denominator (``RealLattice.int_gram``): the determinant, and the
+module discriminant, are Bareiss elimination on it, and the box caps -- the radius times the l1 row norms of
 G^{-1} B^T -- come from one fraction-free integer solve on it per lattice
 (``intmat.solve``, cached).  Other lattices (balls, irrational Gram
 matrices) solve in the entries' own type.
@@ -91,15 +93,13 @@ class RealLattice:
         return cls(list(map(list, zip(*rows))))
 
     def gram(self):
+        """B^T B in the entries' own type.  Only lattices without a rational
+        Gram matrix need it (balls, irrational Gram matrices); a rational one
+        is read as integers from ``int_gram``."""
         if self._gram is None:
-            int_gram = self.int_gram()
-            if int_gram is None:
-                cols, n = self.columns, self.ambient_dim
-                self._gram = [[sum((u[t] * v[t] for t in range(1, n)), u[0] * v[0]) for v in cols]
-                              for u in cols]
-            else:
-                g, den = int_gram
-                self._gram = [[scaled_quad(x, 0, den * den, 0) for x in row] for row in g]
+            cols, n = self.columns, self.ambient_dim
+            self._gram = [[sum((u[t] * v[t] for t in range(1, n)), u[0] * v[0]) for v in cols]
+                          for u in cols]
         return self._gram
 
     def int_gram(self):
@@ -229,10 +229,15 @@ def _box_slabs(caps: Sequence[int], mats, dtype="int64"):
     return _slabs(caps, mats, dtype)
 
 
+def _box_size(caps: Sequence[int]) -> int:
+    """The number of points of the box |m_j| <= caps[j]."""
+    return math.prod(2 * c + 1 for c in caps)
+
+
 def _check_budget(caps: Sequence[int]) -> None:
     """Raise BudgetExceeded when the box |m_j| <= caps[j] has more than
     ENUM_BUDGET points."""
-    total = math.prod(2 * c + 1 for c in caps)
+    total = _box_size(caps)
     if total > ENUM_BUDGET:
         raise BudgetExceeded(
             "enumeration box has %d candidates (budget %d)" % (total, ENUM_BUDGET)
@@ -260,7 +265,7 @@ def _free_axis(caps: Sequence[int]):
     axis = max(range(len(caps)), key=lambda j: caps[j])
     rest_axes = [j for j in range(len(caps)) if j != axis]
     rest_caps = [caps[j] for j in rest_axes]
-    return axis, rest_axes, rest_caps, math.prod(2 * c + 1 for c in rest_caps)
+    return axis, rest_axes, rest_caps, _box_size(rest_caps)
 
 
 def _slabs(caps, mats, dtype):
@@ -278,8 +283,8 @@ def _slabs(caps, mats, dtype):
 
 
 def strip_candidates(caps, a_int, b_int, sq, strips):
-    """Batches (va, vb, coeffs) of the points m of the box |m_j| <= caps[j]
-    that can lie in one of ``strips``.
+    """Batches (va, vb) of the integer coordinates of the points m of the
+    box |m_j| <= caps[j] that can lie in one of ``strips``.
 
     The L columns ``a_int``, ``b_int`` of n integers give the coordinates
     va + vb sqrt(r) of m, with va = A m and vb = B m; ``sq`` is fl(sqrt r).
@@ -292,8 +297,8 @@ def strip_candidates(caps, a_int, b_int, sq, strips):
     affine in the free coefficient t, so each strip cuts one integer
     interval from the line.  The walk merges the intervals of all strips
     and yields their union PREFIX_CHUNK lines at a time, in batches of at
-    most SCREEN_BATCH points; ``coeffs(i)`` is the coefficient tuple of
-    row i of a batch.
+    most SCREEN_BATCH points.  The walk yields integers only: a caller
+    decides each point on its coordinates va, vb, never on m.
 
     The intervals enclose every lattice point of every strip.  With
     u = 2**-53, fl(va + vb sq) is within 4u (|va| + |vb| sqrt r) of
@@ -360,15 +365,7 @@ def _strip_walk(caps, a_int, b_int, sq, strips):
             run = np.searchsorted(ends, k, side="right")
             t = starts[run] + k - (ends[run] - sizes[run])
             line = lines[run]
-            va = ra[line] + t[:, None] * a_axis
-            vb = rb[line] + t[:, None] * b_axis
-
-            def coeffs(i, line=line, t=t, rest=rest):
-                m = rest[line[i]].tolist()
-                m.insert(axis, int(t[i]))
-                return tuple(m)
-
-            yield va, vb, coeffs
+            yield ra[line] + t[:, None] * a_axis, rb[line] + t[:, None] * b_axis
 
 
 def _int_dtype(cols, caps, scale=1):

@@ -16,13 +16,13 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
+from . import intmat
 from .errors import ValidationError
 from .heights import height_h
 from .intmat import ZSpan
 from .lattice import RealLattice, _rat_upper, enumerate_cube, supnorm_min
 from .nf import FracIdeal, NfElement, NumberField
-from .reals import QuadReal, Real, Rooted, _exact_iroot, cmp_real
+from .reals import Real, Rooted, cmp_real
 
 
 def sigma_embed(field: NumberField, x: Sequence[NfElement]) -> List[Real]:
@@ -147,23 +147,15 @@ class OkModule:
             for _, ideal in self.pseudo_basis:
                 disc *= ideal.norm() ** 2
             return disc
-        # derive |D_K(M)| from the embedded determinant:
-        # det = 2^{-L r2} |D|^{L/2}  =>  |D| = (2^{L r2} det)^{2/L}
-        r2 = field.signature[1]
-        gram = self.module_lattice().gram()
-        gdet = linalg.det(gram)  # = det^2, exact when channels are exact
-        if not (isinstance(gdet, QuadReal) and gdet.is_rational):
-            raise ValidationError(
-                "module discriminant requires exact channels or a pseudo-basis"
-            )
-        val = Fraction(4) ** (big_l * r2) * gdet.as_fraction()  # |D|^L
-        num = _exact_iroot(val.numerator, big_l)
-        den = _exact_iroot(val.denominator, big_l)
-        if num is None or den is None:
-            raise ValidationError("embedded determinant is not an L-th power")
-        mag = Fraction(num, den)
+        # derive |D(M)| from the embedded determinant, det^2 = det(G) / den^(2 Ld)
+        # on the integer Gram matrix G / den^2: det = 2^{-L r2} |D(M)|^{1/2}
+        int_gram = self.module_lattice().int_gram()
+        if int_gram is None:
+            raise ValidationError("module discriminant requires exact channels or a pseudo-basis")
+        g, den = int_gram
         sign = -1 if (field.discriminant < 0 and big_l % 2 == 1) else 1
-        return sign * mag
+        return sign * 4 ** (big_l * field.signature[1]) * Fraction(
+            intmat.det(g), den ** (2 * len(g)))
 
     # -- scaling ideal and height minima ----------------------------------
 

@@ -27,21 +27,19 @@ def ball_mid_rad(x, prec: Optional[int] = None):
 
 
 def frac_decimal(f: Fraction, digits: int = _DIGITS) -> str:
-    """Fixed-point decimal string, exact to `digits` fractional digits."""
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    scaled = (f * 10 ** digits + Fraction(1, 2)).__floor__()
-    s = str(scaled).rjust(digits + 1, "0")
-    whole, frac = s[:-digits], s[-digits:]
-    frac = frac.rstrip("0")
-    return sign + whole + ("." + frac if frac else "")
+    """Fixed-point decimal string, exact to `digits` fractional digits: |f|
+    times 10**digits rounded half up, on its numerator and denominator."""
+    n, d = f.numerator, f.denominator
+    s = str((2 * abs(n) * 10 ** digits + d) // (2 * d)).rjust(digits + 1, "0")
+    whole, frac = s[:-digits], s[-digits:].rstrip("0")
+    return ("-" if n < 0 else "") + whole + ("." + frac if frac else "")
 
 
 def _value_fields(prefix: str, x) -> Dict[str, object]:
     if x is None:
         return {prefix + "_mid": None, prefix + "_rad": None}
     if isinstance(x, (int, Fraction)):
-        return {prefix + "_mid": frac_decimal(Fraction(x)), prefix + "_rad": "0"}
+        return {prefix + "_mid": frac_decimal(x), prefix + "_rad": "0"}
     mid, rad = ball_mid_rad(x)
     return {prefix + "_mid": frac_decimal(mid), prefix + "_rad": frac_decimal(rad)}
 

@@ -43,14 +43,13 @@ def _divide(n: int, t: List[List[int]], c: List[int]) -> Optional[List[int]]:
     return None if any(e % n for e in c) else [e // n for e in c]
 
 
-def _ord(n: int, t: List[List[int]], c: List[int]) -> int:
-    """Largest k with gen^k | y, for integral y != 0 with coordinates c."""
-    k = 0
-    while True:
-        c = _divide(n, t, c)
-        if c is None:
-            return k
-        k += 1
+def _ord(n: int, t: List[List[int]], c: List[int]) -> Tuple[int, List[int]]:
+    """(k, q): the largest k with gen^k | y, for integral y != 0 with
+    coordinates c, and the coordinates q of y / gen^k."""
+    k, q = 0, _divide(n, t, c)
+    while q is not None:
+        c, k, q = q, k + 1, _divide(n, t, q)
+    return k, c
 
 
 def _is_prime_power(n: int) -> bool:
@@ -165,43 +164,33 @@ class SUnitContext:
             place = self._places[gen] = (n, t, m, {})
         return place
 
-    def _ord_scaled(self, place, c: List[int], den: int) -> int:
-        """ord of x = y/den at a place, y given by integer coordinates c;
-        ord(den) is computed once per place and den."""
-        n, t, _, den_ords = place
-        k = _ord(n, t, c)
-        if den == 1:
-            return k
-        if den not in den_ords:
-            den_ords[den] = _ord(n, t, [den * e for e in self.field.one_coords])
-        return k - den_ords[den]
-
     def _s_valuations(self, x: NfElement) -> Optional[List[int]]:
         """[ord_p(x)] over the finite places of S if x is an S-unit, else None.
 
-        u = x prod p^(-ord_p(x)) is a unit iff u is integral and
-        |N(x)| = prod N(p)^ord_p(x).  u * den is formed on integer
-        coordinates: every multiplication first, then every division, so
-        each partial product is integral whenever u is.
+        x = y/den with y integral on integer coordinates c.  One pass per
+        place strips gen from c as often as it divides (ord_p(y) times) and
+        keeps the quotient, then multiplies gen^ord_p(den) back in, with
+        ord_p(den) memoized per place and den.  The generators of distinct
+        places are coprime, so after every place c holds u * den for
+        u = x prod gen^(-ord_p(x)), and u is a unit iff den divides c and
+        |N(x)| = prod N(p)^ord_p(x).
         """
         if x.is_zero():
             return None
-        places = [self._place(g) for g, _ in self.s1]
         c, den = self.field.scaled_coords(x)
-        vals = [self._ord_scaled(place, c, den) for place in places]
-        for v, (_, _, m, _) in zip(vals, places):
-            for _ in range(-v):
+        vals = []
+        for gen, _ in self.s1:
+            n, t, m, den_ords = self._place(gen)
+            k, c = _ord(n, t, c)
+            o = den_ords.get(den)
+            if o is None:
+                o = den_ords[den] = _ord(n, t, [den * e for e in self.field.one_coords])[0]
+            for _ in range(o):
                 c = matmul_vec(m, c)
-        for v, (n, t, _, _) in zip(vals, places):
-            for _ in range(v):
-                c = _divide(n, t, c)
-                if c is None:
-                    return None
+            vals.append(k - o)
         if any(e % den for e in c):
             return None
-        norm = Fraction(1)
-        for v, (_, np) in zip(vals, self.s1):
-            norm *= Fraction(np) ** v
+        norm = math.prod(Fraction(np) ** v for v, (_, np) in zip(vals, self.s1))
         return vals if abs(x.norm()) == norm else None
 
     # -- the logarithmic embedding ------------------------------------------
@@ -345,10 +334,12 @@ def lemma_sunit_bounds(ctx: SUnitContext, b: Fraction,
 
 
 def _ball_le(x, y) -> bool:
-    """x <= y up to the interval widths at the working precision."""
+    """An overlap test, not a certified decision: x's enclosure at the
+    working precision starts at or below the end of y's, the mpmath
+    endpoints compared exactly.  Overlapping enclosures pass even if x > y."""
     ix = to_real(x).interval(PRECISION.start)
     iy = to_real(y).interval(PRECISION.start)
-    return float(ix.a) <= float(iy.b)
+    return ix.a <= iy.b
 
 
 def regulator_bound_checks(ctx: SUnitContext, h_k: int) -> dict:

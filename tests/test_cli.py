@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,42 @@ def test_read_field():
 
 # ---------------------------------------------------------------------------
 # report rendering
+
+
+def _frac_decimal_fraction(f, digits=25):
+    """The earlier rounding on Fractions: floor(|f| 10**digits + 1/2)."""
+    sign = "-" if f < 0 else ""
+    s = str((abs(f) * 10 ** digits + Fraction(1, 2)).__floor__()).rjust(digits + 1, "0")
+    whole, frac = s[:-digits], s[-digits:].rstrip("0")
+    return sign + whole + ("." + frac if frac else "")
+
+
+@pytest.mark.parametrize("f,digits", [
+    (Fraction(1, 2 * 10**25), 25),  # half a unit of digit 25: rounds up
+    (Fraction(-1, 2 * 10**25), 25),
+    (Fraction(3, 2 * 10**25), 25),
+    (7 + Fraction(5, 10**26), 25),
+    (-7 - Fraction(15, 10**26), 25),
+    (Fraction(-1, 10**30), 25),  # rounds to zero, keeps its sign
+    (Fraction(0), 25),
+    (Fraction(2**70 + 1, 3), 25),
+    (Fraction(-(2**100) - 5, 2**67 * 5**3), 25),
+    (Fraction(3**50, 2**90), 25),
+    (Fraction(1, 8), 2),  # 0.125: a tie at digit 3
+    (Fraction(-3, 8), 2),
+    (Fraction(2**65 + 1, 7), 40),
+    (Fraction(5, 2), 1),
+])
+def test_frac_decimal_rounds_as_the_fraction_formula(f, digits):
+    assert frac_decimal(f, digits) == _frac_decimal_fraction(f, digits)
+
+
+def test_frac_decimal_matches_the_fraction_formula_on_random_values():
+    rng = random.Random(5)
+    for _ in range(2000):
+        f = Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 2**70))
+        digits = rng.choice([1, 3, 25])
+        assert frac_decimal(f, digits) == _frac_decimal_fraction(f, digits)
 
 
 def test_frac_decimal():

@@ -34,9 +34,9 @@ def field_sqrt5():
 def test_height_H_basics():
     kq = field_q()
     h = height_H(kq, [kq.one(), kq.zero()])
-    assert h.cmp(1) == 0
+    assert h.as_rooted().cmp(1) == 0
     h2 = height_H(kq, [kq.rational(3), kq.rational(2)])
-    assert h2.cmp(3) == 0
+    assert h2.as_rooted().cmp(3) == 0
 
     k2 = field_sqrt2()
     # (1, theta): finite part 1, both infinite channels give sqrt(2),
@@ -56,8 +56,8 @@ def test_height_H_zero_rejected():
 
 def test_height_h():
     kq = field_q()
-    assert height_h(kq, [kq.zero()]).cmp(1) == 0
-    assert height_h(kq, [kq.rational(Fraction(3, 2))]).cmp(3) == 0
+    assert height_h(kq, [kq.zero()]).as_rooted().cmp(1) == 0
+    assert height_h(kq, [kq.rational(Fraction(3, 2))]).as_rooted().cmp(3) == 0
 
     k5 = field_sqrt5()
     phi = k5.element([Fraction(1, 2), Fraction(1, 2)])
@@ -68,10 +68,10 @@ def test_height_h():
 
 def test_height_H2():
     kq = field_q()
-    assert height_H2(kq, [kq.one(), kq.zero(), kq.zero()]).cmp(1) == 0
+    assert height_H2(kq, [kq.one(), kq.zero(), kq.zero()]).as_rooted().cmp(1) == 0
     hv = height_H2(kq, [kq.one(), kq.one()])
     assert cmp_real(hv.value_pow(), 2) == 0  # sqrt(2)^2
-    assert height_H2(kq, [kq.rational(3), kq.rational(4)]).cmp(5) == 0
+    assert height_H2(kq, [kq.rational(3), kq.rational(4)]).as_rooted().cmp(5) == 0
 
 
 def test_h_dominates_H():
@@ -115,7 +115,7 @@ def test_subspace_height():
         [kq.one(), kq.zero(), kq.zero()],
         [kq.zero(), kq.one(), kq.zero()],
     ]
-    assert subspace_height(kq, coord).cmp(1) == 0
+    assert subspace_height(kq, coord).as_rooted().cmp(1) == 0
 
     line = [[kq.one(), kq.one()]]
     hv = subspace_height(kq, line)
@@ -190,11 +190,11 @@ def test_hfin_matrix():
 def test_form_height():
     kq = field_q()
     eye = [[kq.one(), kq.zero()], [kq.zero(), kq.one()]]
-    assert form_height(kq, eye).cmp(1) == 0
+    assert form_height(kq, eye).as_rooted().cmp(1) == 0
     diag = [[kq.one(), kq.zero()], [kq.zero(), kq.rational(2)]]
-    assert form_height(kq, diag).cmp(2) == 0
+    assert form_height(kq, diag).as_rooted().cmp(2) == 0
     anti = [[kq.zero(), kq.one()], [kq.one(), kq.zero()]]
-    assert form_height(kq, anti).cmp(1) == 0
+    assert form_height(kq, anti).as_rooted().cmp(1) == 0
     with pytest.raises(ValidationError):
         form_height(kq, [[kq.zero(), kq.one()], [kq.rational(2), kq.zero()]])
 
@@ -202,8 +202,8 @@ def test_form_height():
 def test_integral_scaling_heights():
     kq = field_q()
     # H(1/2, 1) = 2 = h(1, 2), the height of the integral scaling by 2
-    assert height_H(kq, [kq.rational(Fraction(1, 2)), kq.one()]).cmp(2) == 0
-    assert height_h(kq, [kq.one(), kq.rational(2)]).cmp(2) == 0
+    assert height_H(kq, [kq.rational(Fraction(1, 2)), kq.one()]).as_rooted().cmp(2) == 0
+    assert height_h(kq, [kq.one(), kq.rational(2)]).as_rooted().cmp(2) == 0
 
 
 def test_clear_denominators():

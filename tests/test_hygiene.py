@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import of the package is used, no
 function re-imports a module that its file already imports at the top, and
-every top-level function and class of the package, and every public method
-of its classes, is named in the package or the benchmark (``perfbench/``)
-outside its own definition: code that only tests call is dead.
+every top-level function and class of the package, and every method of its
+classes but the dunders, is named in the package or the benchmark
+(``perfbench/``) outside its own definition: code that only tests call is
+dead, and so is a private helper that its callers outlived.
 
 The repository has no lint step; this test is its guard against imports
 and definitions that outlive the code that needed them.  Lazy imports of
@@ -74,20 +75,21 @@ def _redundant_local_imports(path):
 
 def _definitions(tree):
     """(label, node) for each top-level function and class, and for each
-    public method of a top-level class, labelled "Class.method"."""
+    method of a top-level class, public or private but not a dunder,
+    labelled "Class.method"."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
                     yield "%s.%s" % (node.name, item.name), item
 
 
 def _unreferenced_definitions(path, corpus):
-    """Top-level functions and classes of path, and public methods of its
-    classes, whose name occurs in no file of corpus except in their own
+    """Top-level functions and classes of path, and non-dunder methods of
+    its classes, whose name occurs in no file of corpus except in their own
     definition.  A plain text match, so names used only in strings (the
     perfbench tracer's targets) count as used, and a method counts as used
     wherever any attribute or function of its name is."""
@@ -139,14 +141,17 @@ def test_unreferenced_definition_detected(tmp_path):
         "def helper():\n    return Used()\n\n\ndef stale(rows):\n    return rows\n\n\n"
         "def traced():\n    pass\n\n\ndef recursive(n):\n    return recursive(n - 1)\n\n\n"
         "class Box:\n    def __init__(self):\n        self.v = 0\n\n"
-        "    def get(self):\n        return self.v\n\n"
+        "    def get(self):\n        return self._private()\n\n"
         "    def dead(self):\n        return self.dead()\n\n"
-        "    def _private(self):\n        pass\n"
+        "    def _private(self):\n        return self.v\n\n"
+        "    def _left_behind(self, c):\n        return c\n\n"
+        "    def __repr__(self):\n        return 'Box'\n"
     )
     user = tmp_path / "user.py"
     user.write_text("from m import helper\nTARGETS = ['m.traced']\nBox().get()\n")
     assert _unreferenced_definitions(mod, [mod, user]) == [
-        (5, "Orphan"), (13, "stale"), (21, "recursive"), (32, "Box.dead")]
+        (5, "Orphan"), (13, "stale"), (21, "recursive"), (32, "Box.dead"),
+        (38, "Box._left_behind")]
 
 
 def _tracer_groups():

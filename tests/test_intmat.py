@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -247,3 +248,70 @@ def test_solve_against_fraction_solve(case):
     assert d > 0 and d == abs(det(a))
     assert all(type(v) is int for row in x for v in row)
     assert [[Fraction(v, d) for v in row] for row in x] == ref
+
+
+# ---------------------------------------------------------------------------
+# det and solve read one Bareiss loop: det against the Leibniz expansion
+
+
+def _leibniz(a):
+    """det a as the signed sum over permutations."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]],  # one swap
+    [[0, 2, 1], [0, 1, 3], [4, 0, 5]],  # the first pivot sits in the last row
+    [[1, 2, 3], [2, 4, 7], [1, 1, 1]],  # a zero pivot after the first step
+    [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    [[0, 3, -1, 2], [0, 0, 5, 1], [0, 7, -2, 0], [BIG, 1, 0, -4]],
+    [[1, 2], [2, 4]],  # singular
+    [[0, 0], [0, 3]],  # a zero column
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # singular: the last pivot is 0
+    [[0, 1, 2], [0, 2, 4], [0, 5, 1]],  # singular: no pivot in the first column
+    [],
+])
+def test_det_against_leibniz(a):
+    assert det(a) == _leibniz(a)
+
+
+@st.composite
+def swap_matrices(draw):
+    """A square integer matrix whose leading entries are partly zeroed, so
+    the elimination has to swap rows, and which may be made singular."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for i in range(n):
+        for j in range(draw(st.integers(0, n - 1))):
+            if draw(st.booleans()):
+                a[i][j] = 0
+    if n > 1 and draw(st.booleans()):
+        a[-1] = [x * draw(st.integers(-2, 2)) for x in a[0]]
+    return a
+
+
+@PROPERTY
+@given(swap_matrices())
+def test_det_against_leibniz_property(a):
+    assert det(a) == _leibniz(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [3, 2]],  # det -3
+    [[0, 2, 1], [1, 0, 0], [0, 1, 5]],  # det -9
+    [[-4]],
+])
+def test_solve_scales_by_positive_d_when_det_is_negative(a):
+    assert det(a) < 0
+    n = len(a)
+    b = [[int(i == j) + j for j in range(n + 1)] for i in range(n)]
+    x, d = solve(a, b)
+    assert d == -det(a) > 0
+    ax = [[sum(a[i][k] * x[k][j] for k in range(n)) for j in range(n + 1)] for i in range(n)]
+    assert ax == [[d * v for v in row] for row in b]

@@ -109,6 +109,23 @@ def test_from_z_generators_matches_pseudo():
     assert m2.contains([k5.gen()]) and not m2.contains([k5.one()])
 
 
+def test_z_generator_discriminant_from_int_gram():
+    """A rank-2 module over Q(sqrt5) given by Z-generators has no
+    pseudo-basis: its discriminant is read from the integer Gram matrix of
+    its lattice (with a denominator, from the ideal 1/3) and equals the
+    pseudo-basis formula D_K^L N(I_1)^2 N(I_2)^2 = 5^2 4^2 / 9^2."""
+    k5 = field_sqrt5()
+    pairs = [([k5.one(), k5.gen()], FracIdeal.principal(k5, k5.rational(2))),
+             ([k5.zero(), k5.one()], FracIdeal.principal(k5, k5.rational(Fraction(1, 3))))]
+    m1 = OkModule.from_pseudo_basis(k5, 2, pairs)
+    m2 = OkModule.from_z_generators(k5, 2, m1.z_basis)
+    assert m2.pseudo_basis is None and m2.module_lattice().int_gram()[1] > 1
+    assert m2.module_discriminant() == m1.module_discriminant() == Fraction(400, 81)
+    # O_K^3 from its Z-basis: D_K^3, with no cube root taken of it
+    free = OkModule.free_module(k5, 3)
+    assert OkModule.from_z_generators(k5, 3, free.z_basis).module_discriminant() == 125
+
+
 def test_scaling_ideal():
     kq = field_q()
     m = OkModule.free_module(kq, 2)

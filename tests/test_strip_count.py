@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import bounds, cli, lattice
+from latheights import bounds, cli, heights, lattice
 from latheights.bounds import _fast_count_totally_real, as_rooted, thm1_lower
 from latheights.errors import ValidationError
 from latheights.heights import height_h
@@ -129,9 +129,9 @@ def test_strip_walk_screens_few_candidates():
     walk, screened = lattice.strip_candidates, []
 
     def spy(*args):
-        for va, vb, coeffs in walk(*args):
+        for va, vb in walk(*args):
             screened.append(len(va))
-            yield va, vb, coeffs
+            yield va, vb
 
     lattice.strip_candidates = spy
     try:
@@ -139,6 +139,33 @@ def test_strip_walk_screens_few_candidates():
     finally:
         lattice.strip_candidates = walk
     assert sum(screened) <= 40_000
+
+
+@pytest.mark.parametrize("root,g", [(1, 7), (2, 6), (5, 6), (2, 10)])
+def test_band_decided_on_the_walk_integers(monkeypatch, root, g):
+    """M = g O_K at T = g^2 puts points on h(x)^d = T, inside the band.  The
+    strip count decides them on the walk's integers, forming no height,
+    and still matches the box walk, which decides its band by height_h."""
+    field = FIELDS[root]
+    module = OkModule.from_pseudo_basis(
+        field, 1, [([field.one()], FracIdeal.principal(field, field.rational(g)))])
+    rd = Fraction(g * g)
+    contexts, cmp = [], bounds.cmp_real
+
+    def no_height(*args):
+        raise AssertionError("the strip count formed a height")
+
+    def spy(x, y, context=""):
+        contexts.append(context)
+        return cmp(x, y, context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heights, "height_h", no_height)
+        patch.setattr(bounds, "height_h_nf", no_height)
+        patch.setattr(bounds, "cmp_real", spy)
+        fast = _fast_count_totally_real(module, rd)
+    assert "module height band" in contexts
+    assert fast == box_walk_count(module, rd)
 
 
 def test_strip_count_keeps_the_budget():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latheights import intmat
+from latheights import intmat, sunits
 from latheights.funcfield import GENUS0, GENUS1, INF, CurveContext, DivisorLattice, count_supported
 from latheights.lattice import _coefficient_box
 from latheights.nf import nf_new
@@ -115,8 +115,34 @@ def _cases(draw):
 
 
 def _ord(ctx, gen, x):
-    """ord_gen(x) by the library's integer dividers, for any x != 0."""
-    return ctx._ord_scaled(ctx._place(gen), *ctx.field.scaled_coords(x))
+    """ord_gen(x) = ord_gen(y) - ord_gen(den) for x = y/den, by the
+    library's integer dividers, for any x != 0."""
+    n, t, _, _ = ctx._place(gen)
+    c, den = ctx.field.scaled_coords(x)
+    return sunits._ord(n, t, c)[0] - sunits._ord(n, t, [den * e for e in ctx.field.one_coords])[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_s_valuations_divide_once_per_unit_of_valuation(monkeypatch, k):
+    """x = 2^k eps / 5 with the unit eps: the pass divides by 2 k + 1 times
+    at its place (k that succeed, one that fails), not once more per unit
+    of valuation to form the unit part.  5 = gen^2 times a unit at the
+    place over 5, so ord(x) = -2 there, and ord(5) is memoized."""
+    ctx = CONTEXTS["Q(sqrt5)-S2,5"]
+    (two, _), (five, _) = ctx.s1
+    x = two ** k * ctx.unit_gens[0] / 5
+    assert ctx._s_valuations(x) == [k, -2]  # memoizes ord(5) at each place
+    calls = []
+    divide = sunits._divide
+
+    def spy(n, t, c):
+        calls.append(n)
+        return divide(n, t, c)
+
+    monkeypatch.setattr(sunits, "_divide", spy)
+    assert ctx._s_valuations(x) == [k, -2]
+    assert calls.count(ctx._place(two)[0]) == k + 1
+    assert calls.count(ctx._place(five)[0]) == 1
 
 
 @PROPERTY
