@@ -12,9 +12,10 @@ longest axis slab by slab, and hands each slab's values B m and coefficient
 array m to the caller's test.  The callers keep only that test: the exact
 integer test for rational lattices, the first strict minimum of the
 sup-norms in ``supnorm_min`` for rational lattices, and a float screen for
-all others.  The float screen's safety band is decided on the scaled
-integer columns when all entries lie in one Q(sqrt m), and by the certified
-re-check ``_certified_in_cube`` only for balls.  The one other walk,
+all others.  When all entries lie in one Q(sqrt m), the float screen's
+safety band is decided as one integer array test per slab on the scaled
+columns (``_quad_within``); only balls take the certified per-point
+re-check ``_certified_in_cube``.  The one other walk,
 ``strip_candidates``, serves the totally real module count
 ``bounds._fast_count_totally_real``: it keeps only the integer intervals
 that the dyadic strips of the height region cut from each line, yields the
@@ -368,12 +369,13 @@ def _strip_walk(caps, a_int, b_int, sq, strips):
             yield ra[line] + t[:, None] * a_axis, rb[line] + t[:, None] * b_axis
 
 
-def _int_dtype(cols, caps, scale=1):
-    """int64 when scale * |A m| stays below 2**62 on the whole box of the
-    integer columns A, so the product and its tests cannot overflow;
-    object (Python ints) otherwise."""
+def _int_dtype(cols, caps, scale=1, offset=0, root=0):
+    """int64 when offset + scale * |A m| on the box of the integer columns
+    A, squared and times root when root > 0, stays below 2**62, so no test
+    on it can overflow; object (Python ints) otherwise."""
     maxentry = max(abs(x) for col in cols for x in col) or 1
-    return "int64" if maxentry * (max(caps) + 1) * len(cols) * scale < 2**62 else object
+    top = offset + scale * maxentry * (max(caps) + 1) * len(cols)
+    return "int64" if (top * top * root if root else top) < 2**62 else object
 
 
 def _enumerate_rational(scaled, radius, caps):
@@ -382,7 +384,7 @@ def _enumerate_rational(scaled, radius, caps):
     _, den, cols, _ = scaled
     bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
     bn, bd = bound.numerator, bound.denominator
-    dtype = _int_dtype(cols, caps, bd) if bn < 2**62 else object
+    dtype = _int_dtype(cols, caps, bd, bn)
     out = []
     for (vals,), coeffs in _box_slabs(caps, [cols], dtype):
         keep = (np.abs(vals) * bd <= bn).all(axis=1)
@@ -404,9 +406,19 @@ def _quad_float(a, b, m) -> float:
     return a + s if (a >= 0) == (b >= 0) else (a * a - b * b * m) / (a - s)
 
 
-def _quad_abs_le(x, y, m, p, q) -> bool:
-    """|x + y sqrt(m)| * q <= p for integers x, y, p, q, decided exactly."""
-    return quad_sign(p - q * x, -q * y, m) >= 0 and quad_sign(p + q * x, q * y, m) >= 0
+def _quad_within(va, vb, root, p, q):
+    """q |va + vb sqrt(root)| <= p, elementwise on integer arrays va, vb,
+    decided on squares: both a = p -+ q va with b = -+q vb give
+    a + b sqrt(root) >= 0, which holds iff a >= 0 and (b >= 0 or
+    a^2 >= b^2 root), or a < 0, b > 0 and b^2 root >= a^2."""
+    import numpy as np
+
+    qa, qb = q * va, q * vb
+    ok = True
+    for a, b in ((p - qa, -qb), (p + qa, qb)):
+        a2, b2r = a * a, b * b * root
+        ok = ok & np.where(a >= 0, (b >= 0) | (a2 >= b2r), (b > 0) & (b2r >= a2))
+    return ok
 
 
 def _enumerate_generic(lat, radius, caps):
@@ -415,19 +427,18 @@ def _enumerate_generic(lat, radius, caps):
     scaled = lat.scaled_columns()
     if scaled is None:
         floats = [[real_to_float(e) for e in col] for col in lat.columns]
-    else:  # one field Q(sqrt r): floats and the exact band test from the integers
+    else:  # one field Q(sqrt r): floats, and the band decided on the integers
         root, den, a_cols, b_cols = scaled
         p, q = (radius * den).numerator, (radius * den).denominator
-        rows = list(zip(zip(*a_cols), zip(*b_cols)))
+        dtype = _int_dtype([a + b for a, b in zip(a_cols, b_cols)], caps, q, p, root)
+        a_mat, b_mat = np.array(a_cols, dtype=dtype), np.array(b_cols, dtype=dtype)
         floats = [[_quad_float(a, b, root) / den for a, b in zip(*c)] for c in zip(a_cols, b_cols)]
 
-    def in_band(m):
+    def band_test(m):  # exact decision of the band's rows m
         if scaled is None:
-            return _certified_in_cube(lat, m, radius)
-        return all(
-            _quad_abs_le(sum(map(operator.mul, m, a)), sum(map(operator.mul, m, b)), root, p, q)
-            for a, b in rows
-        )
+            return [_certified_in_cube(lat, tuple(row), radius) for row in m.tolist()]
+        m = m.astype(dtype)
+        return _quad_within(m @ a_mat, m @ b_mat, root, p, q).all(axis=1)
 
     cols = np.array(floats, dtype=np.float64)
     # float screen: exact decision only inside a safety band around the
@@ -439,10 +450,11 @@ def _enumerate_generic(lat, radius, caps):
     out = []
     for (vals,), coeffs in _box_slabs(caps, [cols], "float64"):
         mx = np.abs(vals).max(axis=1)
-        for i in np.nonzero(mx <= hi)[0]:
-            m = tuple(coeffs[i].tolist())
-            if mx[i] <= lo or in_band(m):
-                out.append(m)
+        keep = mx <= lo
+        band = np.flatnonzero((mx > lo) & (mx <= hi))
+        if band.size:
+            keep[band] = band_test(coeffs[band])
+        out.extend(map(tuple, coeffs[keep].tolist()))
     return out
 
 

@@ -13,10 +13,11 @@ once with the module.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import intmat
+from . import intmat, linalg
 from .errors import ValidationError
 from .heights import height_h
 from .intmat import ZSpan
@@ -139,11 +140,19 @@ class OkModule:
         return self._lattice
 
     def module_discriminant(self) -> Fraction:
-        """D_K^L times the squared ideal norms (exact rational)."""
+        """D(M), exact rational: det(Lambda(M))^2 = 4^{-L r2} |D(M)|.
+
+        For M = V (I_1 + ... + I_L) from a pseudo-basis, D(M) is
+        D_K^L N(I_1)^2 ... N(I_L)^2 N(det V^T V): the K-linear map V scales
+        the covolume of the ideal sum by |N(det V)| when V is square, and by
+        N(det V^T V)^{1/2} when K is totally real.  Otherwise D(M) is read
+        from the integer Gram matrix of the lattice."""
         field = self.field
         big_l = self.rank
-        if self.pseudo_basis is not None:
-            disc = Fraction(field.discriminant) ** big_l
+        if self.pseudo_basis is not None and (big_l == self.ambient or not field.signature[1]):
+            vecs = [y for y, _ in self.pseudo_basis]
+            gram = [[sum(map(operator.mul, u, v), field.zero()) for v in vecs] for u in vecs]
+            disc = Fraction(field.discriminant) ** big_l * linalg.det(gram).norm()
             for _, ideal in self.pseudo_basis:
                 disc *= ideal.norm() ** 2
             return disc
@@ -151,7 +160,8 @@ class OkModule:
         # on the integer Gram matrix G / den^2: det = 2^{-L r2} |D(M)|^{1/2}
         int_gram = self.module_lattice().int_gram()
         if int_gram is None:
-            raise ValidationError("module discriminant requires exact channels or a pseudo-basis")
+            raise ValidationError("module discriminant requires exact channels, a square "
+                                  "pseudo-basis or a totally real field")
         g, den = int_gram
         sign = -1 if (field.discriminant < 0 and big_l % 2 == 1) else 1
         return sign * 4 ** (big_l * field.signature[1]) * Fraction(

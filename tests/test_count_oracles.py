@@ -158,6 +158,15 @@ def test_exact_count_zo_matches_per_point_reference(oname, zname, chosen):
     _same_count(exact_count_zo, reference_count_zo, _subspace(alg, zname), order, radius)
 
 
+@pytest.mark.parametrize("zname", ["axis", "diag"])
+def test_exact_count_zo_band_heavy_sqrt2(zname):
+    # R = sqrt2 is past the hypothesis radius cap; each subspace's bracket
+    # lattice sends 1,776 candidates through the float screen's band
+    order = ORDERS["Q(sqrt2)-special"]
+    z = _subspace(order.algebra, zname)
+    assert exact_count_zo(z, order, Rooted(2, 2)) == reference_count_zo(z, order, Rooted(2, 2)) == 41
+
+
 @pytest.mark.parametrize("oname", sorted(ORDERS))
 def test_exact_count_d_matches_per_point_reference(oname):
     # at R = 1 the oracle sweeps M = 1 and the reference m <= s: the Hurwitz

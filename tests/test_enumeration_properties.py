@@ -12,6 +12,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from latheights import intmat, lattice, linalg, reals
 from latheights.bounds import _fast_count_totally_real, as_rooted
 from latheights.errors import ValidationError
 from latheights.heights import height_h
-from latheights.lattice import RealLattice, _coefficient_box, _quad_abs_le, enumerate_cube
+from latheights.lattice import RealLattice, _coefficient_box, enumerate_cube
 from latheights.modules import OkModule, z_combination
 from latheights.nf import FracIdeal, nf_new
 from latheights.reals import QuadReal, abs_real, log_real
@@ -219,12 +220,22 @@ def _spy_recheck(monkeypatch):
 
 
 def test_band_of_quadratic_lattice_skips_certified_recheck(monkeypatch):
-    calls = _spy_recheck(monkeypatch)
     cols = [[GOLDEN[0], GOLDEN[1], (0, 0)], [GOLDEN[1], (1, 0), (0, 0)], [(1, 0), (0, 0), (1, 0)]]
-    pts = enumerate_cube(_lattice(cols, 5), 1)
-    assert pts == _brute(cols, 1, 5, _coefficient_box(_lattice(cols, 5), 1))
+    lat = _lattice(cols, 5)
+    caps = _coefficient_box(lat, 1)  # caches the box norms, which use quad_sign
+    calls = _spy_recheck(monkeypatch)
+    signs, real = [], reals.quad_sign
+
+    def spy_sign(*args):
+        signs.append(args)
+        return real(*args)
+
+    for module in (reals, lattice):
+        monkeypatch.setattr(module, "quad_sign", spy_sign)
+    pts = enumerate_cube(lat, 1)
+    assert pts == _brute(cols, 1, 5, caps)
     assert (1, 1, 0) in pts  # phi + conj(phi) = 1: on the face, in the band
-    assert calls == []
+    assert calls == [] and signs == []
 
 
 def test_band_of_ball_lattice_uses_certified_recheck(monkeypatch):
@@ -235,23 +246,62 @@ def test_band_of_ball_lattice_uses_certified_recheck(monkeypatch):
     assert sorted(calls) == [(-1,), (1,)]
 
 
-@pytest.mark.parametrize("m", [2, 5])
-@pytest.mark.parametrize("q", [1, 3])
-def test_quad_abs_le_matches_quadreal_sign(m, q):
-    big = _sqrt2_unit(70)
-    xs = [0, 1, 7, 2**64 + 1, big[0], big[0] + 1]
-    ys = [0, 1, 5, 2**65, big[1], big[1] - 1]
+def _within_table(xs, ys, top, m, q):
+    """Rows (x, y, p) and whether q |x + y sqrt(m)| <= p, by QuadReal, for
+    p at and next to q |x|, and p in {0, 1, top}."""
+    rows, want = [], []
     for x in xs + [-x for x in xs]:
         for y in ys + [-y for y in ys]:
             t = QuadReal(x, y, m)
-            for p in {0, 1, abs(x) * q, abs(x) * q + 1, abs(x) * q - 1, 2**70}:
-                if p < 0:
-                    continue
-                want = (QuadReal(Fraction(p, q)) - abs_real(t)).sign() >= 0
-                assert _quad_abs_le(x, y, m, p, q) == want, (x, y, m, p, q)
-    assert _quad_abs_le(0, 0, m, 0, q)
-    assert _quad_abs_le(5 * q, 0, m, 5 * q * q, q)  # |x| = t exactly
-    assert not _quad_abs_le(-5, -1, m, 5 * q, q)
+            for p in sorted({0, 1, abs(x) * q, abs(x) * q + 1, max(abs(x) * q - 1, 0), top}):
+                rows.append((x, y, p))
+                want.append((QuadReal(Fraction(p, q)) - abs_real(t)).sign() >= 0)
+    return rows, want
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("q", [1, 3])
+def test_quad_within_matches_quadreal_sign(m, q):
+    """The band's array decision, once as int64 inside the overflow guard
+    and once on Python ints past 2**64 and on Pell-unit parts."""
+    small = [0, 1, 7, 40], [0, 1, 5, 29], 2**20
+    pell = _sqrt2_unit(70)
+    large = ([0, 1, 7, 2**64 + 1, pell[0], pell[0] + 1],
+             [0, 1, 5, 2**65, pell[1], pell[1] - 1], 2**70)
+    for (xs, ys, top), dtype in ((small, "int64"), (large, object)):
+        rows, want = _within_table(xs, ys, top, m, q)
+        assert lattice._int_dtype([xs + ys], [0], q, max(p for _, _, p in rows), m) == dtype
+        x, y, p = (np.array(c, dtype=dtype) for c in zip(*rows))
+        assert lattice._quad_within(x, y, m, p, q).tolist() == want
+        zero = np.zeros(1, dtype=dtype)
+        assert lattice._quad_within(zero, zero, m, 0, q).all()
+        assert lattice._quad_within(zero + 5 * q, zero, m, 5 * q * q, q).all()  # |x| = t
+        assert not lattice._quad_within(zero - 5, zero - 1, m, 5 * q, q).any()
+
+
+@pytest.mark.parametrize("b, dtype", [(2**28, np.int64), (2**28 + 1, object)])
+def test_enumerate_cube_band_on_both_sides_of_the_int64_guard(monkeypatch, b, dtype):
+    """Two columns whose sqrt2 parts cancel, so (1, 0) and (1, 1) sit on the
+    face |x|_inf = 1.  The guard product (p + q E (cap + 1) L)^2 r with
+    p = q = 1, E = a + 1, caps 1 and L = 2 is just below 2**62 at
+    b = 2**28 and just above it at b = 2**28 + 1."""
+    a = math.isqrt(2 * b * b) - 1
+    cols = [[(1 + a, -b), (1, 0)], [(-a, b), (0, 0)]]
+    lat = _lattice(cols, 2)
+    caps = _coefficient_box(lat, 1)
+    guard = (1 + (a + 1) * (max(caps) + 1) * 2) ** 2 * 2
+    assert caps == [1, 1] and (guard < 2**62) == (dtype is np.int64)
+    seen, real = [], lattice._quad_within
+
+    def spy(va, *args):
+        seen.append(va.dtype)
+        return real(va, *args)
+
+    monkeypatch.setattr(lattice, "_quad_within", spy)
+    pts = enumerate_cube(lat, 1)
+    assert pts == _brute(cols, 1, 2, caps)
+    assert (1, 0) in pts and (1, 1) in pts
+    assert seen and set(seen) == {np.dtype(dtype)}
 
 
 def test_coefficient_box_caches_row_norms(monkeypatch):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latheights.errors import ValidationError
 from latheights.heights import height_h
@@ -25,6 +27,10 @@ def field_sqrt5():
 
 def field_i():
     return nf_new([1, 0, 1], [[1, 0], [0, 1]])
+
+
+def field_sqrt_m3():
+    return nf_new([3, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
 
 
 def test_sigma_embed():
@@ -210,3 +216,52 @@ def test_height_supnorm_bound():
             assert h.cmp(rhs) <= 0
             checked += 1
     assert checked >= 40
+
+
+FIELDS = {"Q": field_q(), "Q(sqrt2)": field_sqrt2(), "Q(sqrt5)": field_sqrt5(),
+          "Q(i)": field_i(), "Q(sqrt-3)": field_sqrt_m3()}
+
+
+@st.composite
+def pseudo_bases(draw):
+    """(field, N, pairs): L <= N <= 2 random K-vectors with small power-basis
+    coefficients, over principal ideals of small elements."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    d = field.degree
+    coeff = st.integers(-3, 3)
+
+    def element():
+        den = draw(st.sampled_from([1, 1, 2]))
+        return field.element([Fraction(draw(coeff), den) for _ in range(d)])
+
+    n = draw(st.integers(1, 2))
+    pairs = []
+    for _ in range(draw(st.integers(1, n))):
+        gen = element()
+        assume(not gen.is_zero())
+        pairs.append(([element() for _ in range(n)], FracIdeal.principal(field, gen)))
+    return field, n, pairs
+
+
+@settings(max_examples=60)
+@given(pseudo_bases())
+def test_pseudo_basis_discriminant_matches_int_gram(case):
+    """Both branches of module_discriminant agree: the pseudo-basis formula
+    with its factor N(det V^T V), and the integer Gram determinant of the
+    same module given by Z-generators."""
+    field, n, pairs = case
+    try:
+        m1 = OkModule.from_pseudo_basis(field, n, pairs)
+    except ValidationError:  # dependent pseudo-basis vectors
+        assume(False)
+    m2 = OkModule.from_z_generators(field, n, m1.z_basis)
+    assert m2.pseudo_basis is None
+    assert m1.module_discriminant() == m2.module_discriminant()
+
+
+def test_non_unimodular_pseudo_basis_discriminant():
+    # 2Z as the pseudo-basis [([2], (1))] over Q: covolume 2, D = 4
+    kq = field_q()
+    two = OkModule.from_pseudo_basis(kq, 1, [([kq.rational(2)], FracIdeal.unit(kq))])
+    assert two.module_discriminant() == 4
+    assert OkModule.from_z_generators(kq, 1, two.z_basis).module_discriminant() == 4
