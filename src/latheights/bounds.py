@@ -320,8 +320,8 @@ def exact_count_zo(z: DSubspace, order: QuatOrder, radius) -> int:
     _, t, _, _ = s_t_constants(alg)
     module = intersection_module(z, order)
     cube = _rat_upper(((r * t.inverse()) ** alg.field.degree).as_real())
-    pts = [m for m in enumerate_cube(module.module_lattice(), cube) if any(m)]
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), len(module.z_basis))
+    arr = enumerate_cube(module.module_lattice(), cube).rows
+    arr = arr[arr.any(axis=1)]
     inside = _shell_heights(alg.field, norm_grams(module, alg), arr, {},
                             lambda h: h.cmp(r, context="zo height filter") <= 0)
     return (r.cmp(1, context="zo zero") >= 0) + sum(inside)  # zero has h = 1
@@ -436,14 +436,14 @@ def exact_count_d(algebra: QuatAlgebra, order: QuatOrder, n: int, radius) -> int
     w4 = 4 * d
     count = int(r.cmp(1, context="zero height") >= 0)  # zero has h = 1
     for m in range(1, m_max + 1):
-        pts = [c for c in enumerate_cube(lat, cap * m) if any(c) and math.gcd(m, *c) == 1]
-        arr = np.array(pts, dtype=np.int64).reshape(len(pts), lat.rank)
+        arr = enumerate_cube(lat, cap * m).rows
+        arr = arr[arr.any(axis=1) & (np.gcd(np.gcd.reduce(arr, axis=1), m) == 1)]
         # h_inf(y/m) where h_inf^{4d} m <= R^{4d}, as h^{4d} >= h_inf^{4d} m
         m_root = Rooted(m, w4)
         hinf = _shell_heights(field, [(g, den * m * m) for g, den in norms], arr, {},
                               lambda h: h if (h * m_root).cmp(r, context="d height filter") <= 0
                               else None)
-        for c, h in zip(pts, hinf):
+        for c, h in zip(arr.tolist(), hinf):
             if h is None:
                 continue
             if m > 1:
@@ -567,7 +567,7 @@ def _subspace_form(u: DSubspace) -> List[List[QuatElement]]:
 
 def _form_values(grams, arr):
     """[m^t G m for every row m of arr] for each integer matrix G of grams: int64
-    under an explicit overflow guard, Python ints past it (lattice._enumerate_rational)."""
+    under an explicit overflow guard, Python ints past it (as lattice._int_dtype)."""
     import numpy as np
 
     n = arr.shape[1]

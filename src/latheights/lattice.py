@@ -6,23 +6,30 @@ closed cube is decided exactly; undecidable boundary ties raise rather than
 mis-count.  The enumeration is the ground-truth oracle that every counting
 bound in this library is checked against.
 
-Every walk of a whole coefficient box goes through one kernel,
-``_box_slabs``: it checks the box against ENUM_BUDGET, fixes the first
-longest axis slab by slab, and hands each slab's values B m and coefficient
-array m to the caller's test.  The callers keep only that test: the exact
-integer test for rational lattices, the first strict minimum of the
-sup-norms in ``supnorm_min`` for rational lattices, and a float screen for
-all others.  When all entries lie in one Q(sqrt m), the float screen's
-safety band is decided as one integer array test per slab on the scaled
-columns (``_quad_within``); only balls take the certified per-point
-re-check ``_certified_in_cube``.  The one other walk,
-``strip_candidates``, serves the totally real module count
-``bounds._fast_count_totally_real``: it keeps only the integer intervals
-that the dyadic strips of the height region cut from each line, yields the
-integer coordinates of their points only (never the coefficients), and
-shares the budget check (``_check_budget``, on ``_box_size``), the free
-axis (``_free_axis``) and the prefix grid (``_prefix_grid``) with
-``_box_slabs``.
+Every rational lattice is enumerated on its integer columns A = den B by
+exact line intervals (``_enumerate_rational``): every axis but the first
+longest is fixed on a prefix grid (``_free_axis``, ``_prefix_grid``), each
+coordinate of A m is affine in the free coefficient t on a line, and the
+exact test bd |r_c + t s_c| <= bn cuts one integer interval from it, a
+floor division (the Fincke-Pohst step, exact here).  The count is the sum
+of the interval lengths; the points are built only when a caller reads
+them (``CubePoints``).
+
+The one slab kernel ``_box_slabs`` walks a whole coefficient box: it checks
+the box against ENUM_BUDGET, fixes the first longest axis slab by slab, and
+hands each slab's values B m and coefficient array m to the caller's test.
+It serves the first strict minimum of the sup-norms in ``supnorm_min`` for
+rational lattices, and the float screen of ``enumerate_cube`` for all
+others.  When all entries lie in one Q(sqrt m), the float screen's safety
+band is decided as one integer array test per slab on the scaled columns
+(``_quad_within``); only balls take the certified per-point re-check
+``_certified_in_cube``.  The one other walk, ``strip_candidates``, serves
+the totally real module count ``bounds._fast_count_totally_real``: it
+keeps only the integer intervals that the dyadic strips of the height
+region cut from each line, yields the integer coordinates of their points
+only (never the coefficients), and shares the budget check
+(``_check_budget``, on ``_box_size``), the free axis and the prefix grid
+with the other walks.
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant, and the
@@ -38,7 +45,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from . import intmat, linalg
 from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
@@ -194,16 +201,45 @@ def _pinv_row_norms(lat: RealLattice) -> List[Real]:
     return out
 
 
-def enumerate_cube(lat: RealLattice, radius) -> List[Tuple[int, ...]]:
+class CubePoints:
+    """The points of ``enumerate_cube``.  ``len()`` is their count, known
+    without building them; ``rows`` is their (P, L) int64 coefficient array,
+    built on first read and kept.  Iteration yields tuples of Python ints,
+    and ``==`` against a list or tuple compares those tuples."""
+
+    def __init__(self, count: int, build):
+        self._count, self._build, self._rows = count, build, None
+
+    def __len__(self):
+        return self._count
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows, self._build = self._build(), None
+        return self._rows
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, CubePoints)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     """All integer coefficient vectors m with |B m|_inf <= radius (closed).
 
     Exact boundary decisions; raises BudgetExceeded when the candidate box
-    is larger than ENUM_BUDGET.  Points come slab by slab: the first longest
-    coefficient axis is outermost, and every axis ascends.
+    is larger than ENUM_BUDGET, before any array is built.  Points come slab
+    by slab: the first longest coefficient axis is outermost, and every axis
+    ascends.  On a rational lattice the count needs no points: the rows are
+    built only when a caller reads them.
     """
     radius = Fraction(radius)
     if radius < 0:
-        return []
+        return CubePoints(0, lambda: _prefix_grid([0] * lat.rank, 0, 0))
     caps = _coefficient_box(lat, radius)
     scaled = lat.scaled_columns()
     if scaled is not None and scaled[0] == 0:
@@ -379,17 +415,44 @@ def _int_dtype(cols, caps, scale=1, offset=0, root=0):
 
 
 def _enumerate_rational(scaled, radius, caps):
+    """enumerate_cube on the integer columns A = den B, by exact line
+    intervals.  On a line of the prefix grid, coordinate c of A m is
+    r_c + t s_c in the free coefficient t, and bd |r_c + t s_c| <= bn holds
+    for t in one integer interval: with s_c > 0 (negate both otherwise),
+    ceil((-bn - bd r_c) / (bd s_c)) <= t <= floor((bn - bd r_c) / (bd s_c)),
+    and with s_c = 0 the whole line or none of it.  The count is the sum of
+    the lengths of the intervals' intersections with [-cap, cap]."""
     import numpy as np
 
     _, den, cols, _ = scaled
     bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
     bn, bd = bound.numerator, bound.denominator
     dtype = _int_dtype(cols, caps, bd, bn)
-    out = []
-    for (vals,), coeffs in _box_slabs(caps, [cols], dtype):
-        keep = (np.abs(vals) * bd <= bn).all(axis=1)
-        out.extend(map(tuple, coeffs[keep].tolist()))
-    return out
+    _check_budget(caps)
+    axis, rest_axes, rest_caps, lines = _free_axis(caps)
+    cap = caps[axis]
+    mat = np.array(cols, dtype=dtype).T * bd  # n x L
+    rest = _prefix_grid(rest_caps, 0, lines)
+    offset, slope = rest.astype(dtype) @ mat[:, rest_axes].T, mat[:, axis]
+    sign = np.where(slope < 0, -1, 1)
+    offset, slope = offset * sign, slope * sign
+    flat = slope == 0
+    o, s = offset[:, ~flat], slope[~flat]
+    lo = (-((bn + o) // s)).max(axis=1, initial=-cap)
+    hi = ((bn - o) // s).min(axis=1, initial=cap)
+    on = (np.abs(offset[:, flat]) <= bn).all(axis=1)
+    sizes = (np.maximum(hi - lo + 1, 0) * on).astype(np.int64)
+    live = np.flatnonzero(sizes)
+    rest, lo, sizes = rest[live], lo[live].astype(np.int64), sizes[live]
+    count = int(sizes.sum())
+
+    def build():  # slab order: by t, stably, so line order inside
+        line = np.repeat(np.arange(live.size), sizes)
+        t = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+        order = np.lexsort((line, t))
+        return np.insert(rest[line[order]], axis, t[order], axis=1)
+
+    return CubePoints(count, build)
 
 
 def _certified_in_cube(lat, m, radius) -> bool:
@@ -447,15 +510,16 @@ def _enumerate_generic(lat, radius, caps):
     tol = max(1.0, float(mags.max())) * 1e-9
     rad = float(radius)
     lo, hi = rad - tol, rad + tol
-    out = []
+    kept = []
     for (vals,), coeffs in _box_slabs(caps, [cols], "float64"):
         mx = np.abs(vals).max(axis=1)
         keep = mx <= lo
         band = np.flatnonzero((mx > lo) & (mx <= hi))
         if band.size:
             keep[band] = band_test(coeffs[band])
-        out.extend(map(tuple, coeffs[keep].tolist()))
-    return out
+        kept.append(coeffs[keep])
+    rows = np.concatenate(kept)
+    return CubePoints(len(rows), lambda: rows)
 
 
 def supnorm_min(lat: RealLattice):

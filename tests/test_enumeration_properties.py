@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from latheights import intmat, lattice, linalg, reals
 from latheights.bounds import _fast_count_totally_real, as_rooted
-from latheights.errors import ValidationError
+from latheights.errors import BudgetExceeded, ValidationError
 from latheights.heights import height_h
 from latheights.lattice import RealLattice, _coefficient_box, enumerate_cube
 from latheights.modules import OkModule, z_combination
@@ -413,8 +413,9 @@ def test_coefficient_box_matches_fraction_inverse(case):
 @PROPERTY
 @given(rational_cases(), st.integers(0, 2**70))
 def test_enumerate_cube_python_int_path(case, shift):
-    """Entries of 2^62 and more overflow int64: the walk must use Python ints
-    and give the points of the unscaled lattice, in the same order."""
+    """Entries of 2^62 and more overflow int64: the line intervals must be
+    taken on Python ints and give the points of the unscaled lattice, in the
+    same order; the unscaled lattice stays on int64."""
     cols, radius = case
     scale = 2**62 + shift
     big = _lattice([[(a * scale, 0) for a, _ in col] for col in cols], 0)
@@ -423,20 +424,125 @@ def test_enumerate_cube_python_int_path(case, shift):
     except ValidationError:  # dependent columns
         assume(False)
     assume(_box_size(caps) <= BOX_LIMIT)
-    walk, dtypes = lattice._box_slabs, []
+    pick, dtypes = lattice._int_dtype, []
 
-    def spy(caps, mats, dtype):
-        dtypes.append(dtype)
-        return walk(caps, mats, dtype)
+    def spy(*args):
+        dtypes.append(pick(*args))
+        return dtypes[-1]
 
-    lattice._box_slabs = spy
+    lattice._int_dtype = spy
     try:
         pts = enumerate_cube(big, radius * scale)
+        small = enumerate_cube(_lattice(cols, 0), radius)
     finally:
-        lattice._box_slabs = walk
-    assert dtypes == [object]
+        lattice._int_dtype = pick
+    assert dtypes == [object, "int64"]
     assert pts == _brute(cols, radius, 0, caps)
-    assert pts == enumerate_cube(_lattice(cols, 0), radius)
+    assert pts == small
+
+
+def _free_axis_of(caps):
+    return max(range(len(caps)), key=lambda j: caps[j])
+
+
+@st.composite
+def flat_line_cases(draw):
+    """Rational lattices whose free-axis column has a zero coordinate, so
+    that coordinate is flat on every line, and a negative one (a negative
+    slope); radii include 0 and 1/3."""
+    cols, radius = draw(rational_cases())
+    assume(len(cols[0]) >= 2)
+    radius = draw(st.sampled_from([Fraction(0), Fraction(1, 3), radius]))
+    try:
+        axis = _free_axis_of(_coefficient_box(_lattice(cols, 0), radius))
+    except ValidationError:  # dependent columns
+        assume(False)
+    flat, neg = draw(st.permutations(range(len(cols[0]))))[:2]
+    cols[axis][flat] = (Fraction(0), 0)
+    cols[axis][neg] = (-Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3]))), 0)
+    return cols, radius
+
+
+@PROPERTY
+@given(flat_line_cases())
+def test_enumerate_cube_flat_coordinates_and_negative_slopes(case):
+    cols, radius = case
+    lat = _lattice(cols, 0)
+    try:
+        caps = _coefficient_box(lat, radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    column = [a for a, _ in cols[_free_axis_of(caps)]]
+    assume(0 in column and min(column) < 0)
+    want = _brute(cols, radius, 0, caps)
+    assert len(enumerate_cube(lat, radius)) == len(want)
+    assert enumerate_cube(lat, radius) == want
+
+
+@PROPERTY
+@given(rational_cases())
+def test_len_of_a_rational_enumeration_builds_no_rows(case):
+    cols, radius = case
+    lat = _lattice(cols, 0)
+    try:
+        caps = _coefficient_box(lat, radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    sort, sorts = np.lexsort, []
+
+    def spy(keys):
+        sorts.append(len(keys))
+        return sort(keys)
+
+    np.lexsort = spy
+    try:
+        pts = enumerate_cube(lat, radius)
+        count = len(pts)
+        assert pts._rows is None and sorts == []
+        rows = list(pts)
+        assert sorts == [2] and list(pts) == rows
+    finally:
+        np.lexsort = sort
+    assert count == len(rows) == len(_brute(cols, radius, 0, caps))
+
+
+def test_rational_budget_is_checked_on_the_box_before_any_array(monkeypatch):
+    cols = [[(3, 0), (1, 0)], [(-2, 0), (5, 0)]]
+    lat = _lattice(cols, 0)
+    caps = _coefficient_box(lat, 7)
+    grids, grid = [], lattice._prefix_grid
+    monkeypatch.setattr(lattice, "_prefix_grid", lambda *a: grids.append(a) or grid(*a))
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps) - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_cube(lat, 7)
+    assert grids == []
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps))
+    assert enumerate_cube(lat, 7) == _brute(cols, 7, 0, caps) and len(grids) == 1
+
+
+@PROPERTY
+@given(st.one_of(rational_cases().map(lambda c: (c, 0)), sqrt2_cases().map(lambda c: (c, 2))),
+       st.sampled_from([1, 2**62]))
+def test_cube_points_are_python_int_tuples_and_compare_both_ways(case, scale):
+    (cols, radius), root = case
+    cols = [[(a * scale, b * scale) for a, b in col] for col in cols]
+    lat = _lattice(cols, root)
+    try:
+        caps = _coefficient_box(lat, radius * scale)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    pts = enumerate_cube(lat, radius * scale)
+    first = list(pts)
+    assert all(type(m) is tuple and all(type(x) is int for x in m) for m in first)
+    assert list(pts) == first and len(pts) == len(first)
+    want = _brute(cols, radius * scale, root, caps)
+    assert pts == want and want == pts
+    assert pts == tuple(want) and tuple(want) == pts
+    assert pts != want + [()] and want + [()] != pts
+    assert pts.rows.shape == (len(want), len(caps))
 
 
 def _field(root):

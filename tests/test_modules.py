@@ -68,12 +68,13 @@ def test_ok_lattice_det_sqrt2():
 
 
 def test_det_formula_across_modules():
-    # det(Lambda_K(M)) = 2^{-L r2} |D_K(M)|^{L/2}
+    # det(Lambda_K(M))^2 4^{L r2} = |D(M)|, as module_discriminant documents
     cases = []
     kq = field_q()
     cases.append(OkModule.free_module(kq, 2))
     k5 = field_sqrt5()
     cases.append(OkModule.free_module(k5, 1))
+    cases.append(OkModule.free_module(k5, 2))  # |D| = 25: |D|^L would read 625
     ki = field_i()
     cases.append(OkModule.free_module(ki, 1))
     s5 = FracIdeal.principal(k5, k5.gen())
@@ -86,8 +87,8 @@ def test_det_formula_across_modules():
         det = m.module_lattice().det_value()
         disc = m.module_discriminant()
         lhs = (det * Fraction(2) ** (big_l * r2)) ** 2
-        rhs = abs(disc) ** big_l
-        assert cmp_real(lhs, rhs) == 0, (m.field, disc)
+        assert cmp_real(lhs, abs(disc)) == 0, (m.field, disc)
+    assert cases[2].module_discriminant() == 25
 
 
 def test_module_discriminant_values():
