@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .reals import BallReal, QuadReal, _iv_ratio
-from mpmath import iv
+from .reals import BallReal, QuadReal, _enclosure, _iv
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -125,17 +124,8 @@ class AlgReal:
             width_goal = Fraction(1, 2 ** (prec - 2))
             while self.hi - self.lo > width_goal:
                 self.refine_interval()
-            old = iv.prec
-            try:
-                iv.prec = prec
-                return iv.mpf(
-                    [
-                        _iv_ratio(self.lo.numerator, self.lo.denominator).a,
-                        _iv_ratio(self.hi.numerator, self.hi.denominator).b,
-                    ]
-                )
-            finally:
-                iv.prec = old
+            lo = _enclosure(self.lo.numerator, 0, self.lo.denominator, 0, prec)[0]
+            return _iv(lo, _enclosure(self.hi.numerator, 0, self.hi.denominator, 0, prec)[1])
 
         return BallReal(fn)
 

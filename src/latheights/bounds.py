@@ -587,16 +587,17 @@ def _shell_heights(field: NumberField, norms, arr, memo, value=None) -> list:
     h(x) from the integer reduced norms of x's coordinates (``quat.norm_grams``)
     by the channel path of quat.height_h, memoized on them."""
     vals = [(_form_values(grams, arr), den) for grams, den in norms]
-    out = []
-    for k in range(len(arr)):
-        key = tuple(int(v[k]) for coords, _ in vals for v in coords)
+    # one flat key per row, the coordinates of N(x_1), N(x_2), ..., from
+    # each coordinate column read once as Python ints
+    keys = list(zip(*(v.tolist() for coords, _ in vals for v in coords)))
+    for key in dict.fromkeys(keys):  # distinct keys, in row order
         if key not in memo:
-            nrms = [field.scaled_element([int(v[k]) for v in coords], den)
+            it = iter(key)
+            nrms = [field.scaled_element([next(it) for _ in coords], den)
                     for coords, den in vals]
             h = Rooted(_arch_sq_prod(field, [field.one()] + nrms), 2 * field.degree)
             memo[key] = (_height_key(h), h) if value is None else value(h)
-        out.append(memo[key])
-    return out
+    return [memo[key] for key in keys]
 
 
 def _search_shells(module: OkModule, alg: QuatAlgebra, zeros, avoid_subspaces,

@@ -7,7 +7,11 @@ Two carriers cover every real quantity in the library:
   (p + q*sqrt(m)) / d (Cohen, GTM 138, section 4.2).  Sums, products,
   quotients and signs work on those integers and build no ``Fraction``.
   All sign decisions are exact, which is what makes closed-cube boundary
-  membership decidable at desk scale.
+  membership decidable at desk scale.  Its enclosure at p bits, the one
+  that a report prints and a ball reads, comes from the same integers
+  (``_enclosure``): mpmath's outward-rounded chain p/d + (q/d)*sqrt(m),
+  computed step for step with one directed rounding to a p-bit mantissa
+  per step and no mpmath object, equal to mpmath's chain bit for bit.
 * ``BallReal`` -- a value known only through an interval enclosure, backed by
   a recompute callback.  ``interval(p)`` depends only on p: it is the
   callback's enclosure at p bits, never narrowed by an earlier evaluation at
@@ -36,8 +40,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from mpmath import iv, mp
-from mpmath.libmp import finf, fnan, fninf
+from mpmath import iv
+from mpmath.libmp import finf, fnan, fninf, from_man_exp
 
 from .errors import PrecisionExhausted, ValidationError
 
@@ -160,12 +164,101 @@ def _rho_factor(n):
             return g
 
 
-def _iv_ratio(n, d):
-    """Enclosure of n / d, taken from the fraction in lowest terms: iv.mpf
-    rounds a numerator longer than the precision outward, so the enclosure
-    depends on the pair and not only on the value."""
-    g = math.gcd(n, d)
-    return iv.mpf(n // g) / (d // g)
+def _round(n, k, prec, away, inexact=False):
+    """The magnitude (n + f) * 2**k, for an integer n >= 0 and 0 <= f < 1
+    with f > 0 exactly when ``inexact`` (n then has at least prec bits),
+    rounded to a prec-bit mantissa toward zero or away from it: (mantissa,
+    exponent).  A carry may leave the mantissa at 2**prec."""
+    t = max(n.bit_length() - prec, 0)
+    m = n >> t
+    if away and (inexact or m << t != n):
+        m += 1
+    return m, k + t
+
+
+def _divide(a, ea, b, eb, prec):
+    """(q, k, r): (a * 2**ea) / (b * 2**eb) lies in [q, q + 1) * 2**k for
+    integers a, b > 0, with q of prec + 1 or more bits and r the remainder,
+    nonzero exactly when the quotient is inexact: one divmod, which
+    ``_round`` rounds both ways."""
+    s = prec + 1 - a.bit_length() + b.bit_length()
+    q, r = divmod(a << s, b) if s >= 0 else divmod(a, b << -s)
+    return q, ea - eb - s, r
+
+
+@functools.lru_cache(maxsize=256)
+def _sqrt_ends(m, prec):
+    """(toward, away): the ends of sqrt(m)'s enclosure for an integer
+    m > 0, each from m rounded the same way to prec bits: one isqrt each,
+    of m shifted to an even exponent and 2 prec + 2 or more bits.  A few
+    radicands serve every QuadReal, so the pairs are cached."""
+    ends = []
+    for away in (False, True):
+        n, k = _round(m, 0, prec, away)
+        e = max(2 * prec + 2 - n.bit_length(), 0)
+        e += (k - e) & 1
+        n <<= e
+        r = math.isqrt(n)
+        ends.append(_round(r, (k - e) >> 1, prec, away, r * r != n))
+    return tuple(ends)
+
+
+def _ratio_mags(a, d, prec):
+    """(toward, away): the magnitudes of the ends of a/d's enclosure, for
+    integers a, d > 0.  Each integer is first rounded to prec bits, toward
+    zero and away from it; the end toward zero divides the a toward zero
+    by the d away from zero, and the other end the reverse."""
+    g = math.gcd(a, d)
+    a, d = a // g, d // g
+    if a.bit_length() <= prec and d.bit_length() <= prec:
+        # both exact at prec bits: one quotient rounds both ways
+        q, k, r = _divide(a, 0, d, 0, prec)
+        return _round(q, k, prec, False, r), _round(q, k, prec, True, r)
+    q, k, r = _divide(*_round(a, 0, prec, False), *_round(d, 0, prec, True), prec)
+    toward = _round(q, k, prec, False, r)
+    q, k, r = _divide(*_round(a, 0, prec, True), *_round(d, 0, prec, False), prec)
+    return toward, _round(q, k, prec, True, r)
+
+
+def _sum(x, y, prec, up):
+    """x + y for (mantissa, exponent) pairs, rounded to prec bits down
+    (toward -inf) or up (toward +inf)."""
+    (a, ea), (b, eb) = x, y
+    e = min(ea, eb)
+    v = (a << (ea - e)) + (b << (eb - e))
+    m, e = _round(abs(v), e, prec, up != (v < 0))
+    return (-m if v < 0 else m), e
+
+
+def _enclosure(p, q, d, m, prec):
+    """The enclosure [lo, hi] of (p + q*sqrt(m)) / d at prec bits, for
+    integers p, q, d and m with d > 0 and m >= 0, as (mantissa, exponent)
+    pairs.
+
+    It is the outward-rounded chain p/d + (q/d) * sqrt(m) of mpmath's
+    interval arithmetic, step for step on integers: each part's numerator
+    and denominator in lowest terms, and m, rounded outward to prec bits;
+    each quotient and the square root rounded outward from one divmod and
+    one isqrt; the product's and the sum's exact ends rounded outward.
+    Every step rounds to a prec-bit mantissa, so the ends equal mpmath's
+    bit for bit."""
+    lo = hi = (0, 0)
+    if p:
+        t, a = _ratio_mags(abs(p), d, prec)
+        lo, hi = (t, a) if p > 0 else ((-a[0], a[1]), (-t[0], t[1]))
+    if not q:
+        return lo, hi
+    (qt, et), (qa, ea) = _ratio_mags(abs(q), d, prec)
+    (st, est), (sa, esa) = _sqrt_ends(m, prec)
+    xt = _round(qt * st, et + est, prec, False)
+    xa = _round(qa * sa, ea + esa, prec, True)
+    xlo, xhi = (xt, xa) if q > 0 else ((-xa[0], xa[1]), (-xt[0], xt[1]))
+    return _sum(lo, xlo, prec, False), _sum(hi, xhi, prec, True)
+
+
+def _iv(lo, hi):
+    """The mpmath interval [lo, hi] of two (mantissa, exponent) ends."""
+    return iv.make_mpf((from_man_exp(*lo), from_man_exp(*hi)))
 
 
 def quad_sign(a, b, m):
@@ -282,15 +375,7 @@ class QuadReal(Real):
         return quad_sign(self.p, self.q, self.m)
 
     def interval(self, prec):
-        old = iv.prec
-        try:
-            iv.prec = prec
-            x = _iv_ratio(self.p, self.d)
-            if self.q:
-                x += _iv_ratio(self.q, self.d) * iv.sqrt(iv.mpf(self.m))
-            return x
-        finally:
-            iv.prec = old
+        return _iv(*_enclosure(self.p, self.q, self.d, self.m, prec))
 
     def __hash__(self):
         if self.q:
@@ -535,9 +620,10 @@ def cmp_exp(x, b, context=""):
 
 @functools.lru_cache(maxsize=1024)
 def _exp_endpoints(b, prec):
-    """The endpoints of e^b's enclosure at prec bits; they depend only on
+    """The endpoints of e^b's enclosure at prec bits: mpmath's exp of b's
+    enclosure at the precision its callback is given; they depend only on
     (b, prec), so one per pair serves every comparison."""
-    return endpoints(BallReal(lambda p: iv.exp(_iv_ratio(b.numerator, b.denominator))), prec)
+    return endpoints(BallReal(lambda p: iv.exp(to_real(b).interval(p))), prec)
 
 
 def abs_real(x):
@@ -662,25 +748,41 @@ def pi_real():
     return BallReal(lambda p: iv.pi)
 
 
+def dyadic_endpoints(x, prec=None):
+    """(lo, hi, k): the enclosure of x at ``prec`` bits (default
+    ``PRECISION.start``) is [lo / 2**k, hi / 2**k], integers lo <= hi and
+    k >= 0.  A ``QuadReal``'s comes from ``_enclosure`` with no mpmath
+    object, a ball's from its interval.  Raises ValidationError when an
+    endpoint is infinite, so an unbounded enclosure never reads as 0."""
+    x = to_real(x)
+    prec = prec or PRECISION.start
+    if isinstance(x, QuadReal):
+        (a, ea), (b, eb) = _enclosure(x.p, x.q, x.d, x.m, prec)
+    else:
+        ival = x.interval(prec)
+        if any(data in (finf, fninf, fnan) for data in ival._mpi_):
+            raise ValidationError("unbounded enclosure %s" % (ival,))
+        (sa, a, ea, _), (sb, b, eb, _) = ival._mpi_
+        a, b = -int(a) if sa else int(a), -int(b) if sb else int(b)
+    k = max(0, -ea, -eb)
+    return a << (ea + k), b << (eb + k), k
+
+
 def endpoints(x, prec=None):
     """(lo, hi): the exact endpoints of the enclosure of x at ``prec`` bits
-    (default ``PRECISION.start``) as Fractions.  Raises ValidationError when
-    an endpoint is infinite, so an unbounded enclosure never reads as 0."""
-    ival = to_real(x).interval(prec or PRECISION.start)
-    out = []
-    for data in ival._mpi_:
-        if data in (finf, fninf, fnan):
-            raise ValidationError("unbounded enclosure %s" % (ival,))
-        sign, man, exp, _ = data
-        man = -int(man) if sign else int(man)
-        out.append(Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
-    return tuple(out)
+    as Fractions (``dyadic_endpoints``)."""
+    lo, hi, k = dyadic_endpoints(x, prec)
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
 def real_to_float(x):
-    """Midpoint as a float, for display and rough sorting only."""
-    a = to_real(x).interval(PRECISION.start)
-    return float(mp.mpf(a.mid))
+    """Midpoint of the enclosure at ``PRECISION.start`` bits, rounded to
+    the nearest float, for display and rough sorting only."""
+    lo, hi, k = dyadic_endpoints(x)
+    try:
+        return (lo + hi) / (2 << k)
+    except OverflowError:
+        return math.copysign(math.inf, lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -12,27 +12,39 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .bounds import BoundReport
-from .reals import PRECISION, Rooted, endpoints
+from .reals import PRECISION, Rooted, dyadic_endpoints
 
 _DIGITS = 25
+
+
+def _mid_rad(x, prec: Optional[int] = None):
+    """(mid, rad, den): the midpoint and radius of the enclosure of a
+    certified value at ``prec`` bits (default ``PRECISION.start``) are
+    mid / den and rad / den, den a power of two (``dyadic_endpoints``)."""
+    if isinstance(x, Rooted):
+        x = x.as_real()
+    lo, hi, k = dyadic_endpoints(x, prec)
+    return lo + hi, hi - lo, 2 << k
 
 
 def ball_mid_rad(x, prec: Optional[int] = None):
     """(midpoint, radius) of a certified value as exact Fractions, from its
     enclosure at ``prec`` bits (default ``PRECISION.start``)."""
-    if isinstance(x, Rooted):
-        x = x.as_real()
-    lo, hi = endpoints(x, prec)
-    return (lo + hi) / 2, (hi - lo) / 2
+    mid, rad, den = _mid_rad(x, prec)
+    return Fraction(mid, den), Fraction(rad, den)
 
 
-def frac_decimal(f: Fraction, digits: int = _DIGITS) -> str:
-    """Fixed-point decimal string, exact to `digits` fractional digits: |f|
-    times 10**digits rounded half up, on its numerator and denominator."""
-    n, d = f.numerator, f.denominator
+def _decimal(n: int, d: int, digits: int = _DIGITS) -> str:
+    """n / d (d > 0) as a fixed-point decimal string, exact to `digits`
+    fractional digits: |n| / d times 10**digits rounded half up."""
     s = str((2 * abs(n) * 10 ** digits + d) // (2 * d)).rjust(digits + 1, "0")
     whole, frac = s[:-digits], s[-digits:].rstrip("0")
     return ("-" if n < 0 else "") + whole + ("." + frac if frac else "")
+
+
+def frac_decimal(f: Fraction, digits: int = _DIGITS) -> str:
+    """Fixed-point decimal string, exact to `digits` fractional digits."""
+    return _decimal(f.numerator, f.denominator, digits)
 
 
 def _value_fields(prefix: str, x) -> Dict[str, object]:
@@ -40,8 +52,8 @@ def _value_fields(prefix: str, x) -> Dict[str, object]:
         return {prefix + "_mid": None, prefix + "_rad": None}
     if isinstance(x, (int, Fraction)):
         return {prefix + "_mid": frac_decimal(x), prefix + "_rad": "0"}
-    mid, rad = ball_mid_rad(x)
-    return {prefix + "_mid": frac_decimal(mid), prefix + "_rad": frac_decimal(rad)}
+    mid, rad, den = _mid_rad(x)
+    return {prefix + "_mid": _decimal(mid, den), prefix + "_rad": _decimal(rad, den)}
 
 
 def report_record(rep: BoundReport,

@@ -154,6 +154,45 @@ def test_unreferenced_definition_detected(tmp_path):
         (38, "Box._left_behind")]
 
 
+def _mpmath_readers(path):
+    """The top-level definitions of path that read a name bound by an
+    import from mpmath, and "<module>" for such a read outside them."""
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names
+                      if a.name.split(".")[0] == "mpmath"}
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "mpmath"):
+            names |= {a.asname or a.name for a in node.names}
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))}
+
+
+# reals owns every enclosure; the one other place that makes intervals is
+# nf's Horner evaluation of a ball, and no other module (algreal included)
+# reads mpmath
+MPMATH_READERS = {"nf": {"_eval_at"}}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "reals"],
+                         ids=lambda p: p.stem)
+def test_only_reals_and_nf_horner_build_intervals(path):
+    assert _mpmath_readers(path) == MPMATH_READERS.get(path.stem, set())
+
+
+def test_mpmath_reader_detected(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "import math\nimport mpmath.libmp as lm\nfrom mpmath import iv as ivx\n\n"
+        "def f():\n    return ivx.mpf(1)\n\n\ndef g():\n    return math.pi\n\n\n"
+        "class C:\n    def h(self):\n        return lm.fzero\n\n\nX = ivx.pi\n"
+    )
+    assert _mpmath_readers(mod) == {"f", "C", "<module>"}
+
+
 def _tracer_groups():
     """GROUPS of perfbench/tracer.py, loaded from its file (the benchmark
     directory is not a package on the test path)."""

@@ -204,3 +204,32 @@ def test_shell_heights_build_no_fraction_per_row(monkeypatch):
     assert built == []
     assert len(out) == len(seen) == len(rows)
     assert seen == [[field.one(), nrm] for nrm in by_norm]
+
+
+def test_shell_heights_one_height_per_distinct_norm_row(monkeypatch):
+    """Rows with equal reduced norms share one height: the channel path
+    runs once per distinct row, in first-appearance order, and every row
+    (object dtype included) reads its own row's value."""
+    _, alg, order, _ = next(inst for inst in cli._main_quat_instances()
+                                if inst[1].field.minpoly == (-2, 0, 1))
+    module = intersection_module(DSubspace(alg, 1, basis_cols=[[alg.one()]]), order)
+    norms = norm_grams(module, alg)
+    rng = random.Random(11)
+    rows = [[rng.randint(-2, 2) for _ in module.z_basis] for _ in range(60)]
+    rows = [m for m in rows if any(m)]
+    rows += [[-v for v in m] for m in rows[::-1]]  # N(-x) = N(x)
+    want = bounds._shell_heights(alg.field, norms, np.array(rows, dtype=np.int64), {})
+    calls = []
+    path = bounds._arch_sq_prod
+
+    def counted(f, nrms):
+        calls.append(tuple(nrms[1:]))
+        return path(f, nrms)
+
+    monkeypatch.setattr(bounds, "_arch_sq_prod", counted)
+    for dtype in (np.int64, object):
+        del calls[:]
+        got = bounds._shell_heights(alg.field, norms, np.array(rows, dtype=dtype), {})
+        assert [key for key, _ in got] == [key for key, _ in want]
+        assert all(h.cmp(w) == 0 for (_, h), (_, w) in zip(got, want))
+        assert len(calls) == len(set(calls)) <= len(rows) // 2

@@ -11,7 +11,8 @@ from mpmath import iv
 
 from latheights import reals
 from latheights.errors import PrecisionExhausted, ValidationError
-from latheights.lattice import _rat_upper
+from latheights.bounds import lemma_reports
+from latheights.lattice import RealLattice, _rat_upper, enumerate_cube, supnorm_min
 from latheights.reals import (
     PRECISION,
     BallReal,
@@ -34,11 +35,12 @@ from latheights.reals import (
     pow_real,
     quad2_sign,
     quad_sign,
+    real_to_float,
     scaled_quad,
     sqrt_real,
     to_real,
 )
-from latheights.report import ball_mid_rad
+from latheights.report import ball_mid_rad, report_record
 
 
 def test_quad_normalization():
@@ -406,6 +408,80 @@ def test_interval_reads_each_part_in_lowest_terms():
     assert ball_mid_rad(x) == ball_mid_rad(pair(a, b)) != ball_mid_rad(unreduced)
     assert ball_mid_rad(r) == ball_mid_rad(pair(a, Fraction(0)))
     assert ball_mid_rad(r) != ball_mid_rad(BallReal(lambda prec: iv.mpf(p) / d))
+
+
+def _mpmath_chain(p, q, d, m, prec):
+    """The enclosure of (p + q sqrt(m)) / d that mpmath's interval arithmetic
+    gives at prec bits, each part's fraction in lowest terms: the reference
+    that ``reals._enclosure`` equals bit for bit."""
+    old = iv.prec
+    try:
+        iv.prec = prec
+
+        def part(n):
+            g = math.gcd(n, d)
+            return iv.mpf(n // g) / (d // g)
+
+        x = part(p)
+        if q:
+            x += part(q) * iv.sqrt(iv.mpf(m))
+        return x
+    finally:
+        iv.prec = old
+
+
+_wide = st.one_of(st.integers(-1000, 1000), st.integers(-2**70, 2**70),
+                  st.integers(-2**300, 2**300))
+
+
+@settings(max_examples=400)
+@given(p=_wide, q=_wide, d=_wide.map(lambda n: abs(n) + 1), m=_wide.map(lambda n: abs(n) + 2),
+       g=st.one_of(st.just(1), st.integers(2, 2**80)),
+       prec=st.sampled_from([53, 64, 128, 256, PRECISION.cap]))
+@example(p=0, q=-3, d=7, m=2, g=1, prec=64)  # p = 0 and a negative q
+# sqrt(2^64 - 1) lies within 2^-33 of 2^32: rounding up carries to 2^64 * 2^-32
+@example(p=0, q=-1, d=1, m=2**64 - 1, g=1, prec=64)
+@example(p=2**54 - 1, q=0, d=1, m=2, g=1, prec=53)  # 2^54 - 1 rounds up to 2^54
+@example(p=5, q=3, d=2**80 + 1, m=2**89 - 1, g=1, prec=64)  # d and m past 64 bits
+@example(p=3 * (2**70 + 1), q=7, d=15, m=2, g=1, prec=64)  # gcd(p, d) = 15
+@example(p=-(2**70 + 1), q=7, d=5, m=3, g=3, prec=64)
+def test_enclosure_matches_the_mpmath_chain(p, q, d, m, g, prec):
+    """``reals._enclosure`` equals mpmath's outward-rounded chain bit for
+    bit, as an mpmath interval and as the exact endpoints of a QuadReal."""
+    p, d = p * g, d * g  # gcd(p, d) >= g
+    want = _mpmath_chain(p, q, d, m, prec)
+    assert reals._iv(*reals._enclosure(p, q, d, m, prec))._mpi_ == want._mpi_
+    x = scaled_quad(p, q, d, m)  # normalises gcd(p, q, d) = 1
+    want = _mpmath_chain(x.p, x.q, x.d, x.m, prec)
+    assert x.interval(prec)._mpi_ == want._mpi_
+    assert endpoints(x, prec) == tuple((-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+                                       for sign, man, exp, _ in want._mpi_)
+
+
+def test_exact_values_read_no_mpmath_interval(monkeypatch):
+    """endpoints, _rat_upper, real_to_float and ball_mid_rad of a surd and
+    of a rational QuadReal, and the report records of a cnt-lem lattice,
+    read the integer enclosure: with mpmath's iv replaced by a sentinel
+    that raises, they all run."""
+
+    class NoIv:
+        def __getattr__(self, name):
+            raise AssertionError("mpmath iv.%s reached" % name)
+
+    lat = RealLattice.from_rows([[3, 1], [-2, 4], [1, 1]])
+    det_val, (c, _) = lat.det_value(), supnorm_min(lat)
+    reps = [rep for radius in (2, 3, 7)
+            for rep in lemma_reports("lat", radius, len(enumerate_cube(lat, radius)),
+                                     3, 2, det_val, c, integral=True)]
+    surd, rat = QuadReal(Fraction(7, 3), Fraction(-5, 11), 2), QuadReal(Fraction(-22, 7))
+    bounds = [r.bound_value for r in reps if r.bound_value is not None]
+    assert {b.is_rational for b in bounds} == {True, False} and not det_val.is_rational
+    want = [report_record(r) for r in reps]
+    reads = [f(x) for x in (surd, rat) for f in (endpoints, _rat_upper, real_to_float, ball_mid_rad)]
+    monkeypatch.setattr(reals, "iv", NoIv())
+    assert [report_record(r) for r in reps] == want
+    assert [f(x) for x in (surd, rat)
+            for f in (endpoints, _rat_upper, real_to_float, ball_mid_rad)] == reads
 
 
 # ---------------------------------------------------------------------------
