@@ -44,11 +44,9 @@ from .reals import (
     abs_real,
     cmp_real,
     log_real,
-    max_real,
     pi_real,
     pow_real,
     real_to_float,
-    scaled_quad,
     to_real,
 )
 
@@ -112,16 +110,26 @@ def lemma_reports(instance: str, radius, exact: int, n: int, big_l: int, det_val
                        _verdict(LOWER, exact, low, "lemma lower")), upper
 
 
-def _lower_report(instance: str, r: Rooted, thresh: Rooted, growth: Rooted, power: int,
-                  count, context: str) -> BoundReport:
+def _lower_report(instance: str, r: Rooted, constants, power: int, count,
+                  context: str) -> BoundReport:
     """LOWER report of (R/thresh - 1)(growth R - 1)^power against count(),
-    the exact count, applicable from R >= thresh."""
-    applicable = r.cmp(thresh, context=context + " threshold") >= 0
+    the exact count, applicable from R >= thresh, with (thresh, growth) =
+    constants().  A count over the budget gives an INCONCLUSIVE report that
+    says so, and so does a comparison that the precision cap leaves
+    undecided, in the constants or in the count: its note names the
+    comparison's context."""
+    applicable = False  # until R >= thresh is decided
     try:
-        exact = count()
-    except BudgetExceeded:
+        thresh, growth = constants()
+        applicable = r.cmp(thresh, context=context + " threshold") >= 0
+        try:
+            exact = count()
+        except BudgetExceeded:
+            return BoundReport(instance, r, None, None, LOWER, applicable, INCONCLUSIVE,
+                               note="enumeration budget exceeded")
+    except PrecisionExhausted as e:
         return BoundReport(instance, r, None, None, LOWER, applicable, INCONCLUSIVE,
-                           note="enumeration budget exceeded")
+                           note="precision cap reached: %s" % e)
     if not applicable:
         return BoundReport(instance, r, exact, None, LOWER, False, INCONCLUSIVE,
                            note="below threshold")
@@ -152,34 +160,25 @@ def const_E1_E2(module: OkModule, minima=None) -> Tuple[Rooted, Rooted]:
 
 
 def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[int]:
-    """Vectorized count of {x in M : h(x)^d <= T}, T = rd, for integral
-    modules over totally real fields of degree <= 2.
+    """Count of {x in M : h(x)^d <= T}, T = rd >= 1, for integral modules
+    over totally real fields of degree <= 2, on integers only.
 
-    For integral x, h(x)^d = a b with a = max(1, max_i |s1(x_i)|) and
-    b = max(1, max_i |s2(x_i)|) over the two embeddings (b = 1 when d = 1).
-    Only the dyadic strips of that hyperbolic region are walked
-    (``lattice.strip_candidates``): S_0 = {max_i |s1(x_i)| <= 1,
-    max_i |s2(x_i)| <= T} and S_k = {max_i |s1(x_i)| <= 2^k,
-    max_i |s2(x_i)| <= T/2^(k-1)} for k = 1, ..., ceil(log2 T) cover it,
-    since 2^(k-1) < a <= 2^k gives b <= T/a < T/2^(k-1); for d = 1 the one
-    strip is the cube of radius T.
-    The budget is still checked on the whole coefficient box of that cube.
-
-    A float product screens the candidates, and the points in a band
-    around T are re-decided exactly on the walk's integers, so the result
-    is certified: with every coordinate (va + vb sqrt r) / den,
-    h(x)^d den^d = prod_channels max(den, max_i |va_i + vb_i sqrt r|), an
-    exact ``QuadReal`` compared with the integer T den^d; no number-field
-    element or height is formed.  The screen's error
-    bound: a coordinate x_i has the scaled values y = va + vb sqrt r and
-    y' = va - vb sqrt r in the two embeddings, and va, vb are exact floats
-    (the 2**52 guard), so fl(y) is within 3.0001 u max(|y|, |y'|) of y,
-    u = 2**-53.  Each channel factor is at least 1 (den after scaling), so
-    when the exact or the float product is at most about T the larger
-    factor is at most about T times the smaller, and the two products agree
-    to a relative 6.0002 u T + 3u.  The band half-width 1e-10 + 2**-49 T
-    covers that: points of the region screen below the upper gate, and
-    points below the lower gate lie in the region.
+    Every coordinate of x is y / den with y = va + vb sqrt r in Z[sqrt r]
+    (``RealLattice.scaled_columns``).  For d = 1, h(x) den = max(den,
+    max_i |y_i|), so the count is that of the lattice points of the cube of
+    radius T, the lengths of the exact line intervals (``lattice.line_runs``).
+    For d = 2, h(x)^2 den^2 = max(den, Y) max(den, Y'), with Y and Y' the
+    largest |y_i| and |y'_j| of the two embeddings.  It is at most T den^2
+    exactly when |y_i| <= T den, |y'_j| <= T den and |y_i y'_j| <= T den^2
+    for every pair (i, j); y_i y'_j lies in Z[sqrt r], so each pair is one
+    ``lattice._quad_within`` test, and no number-field element or height
+    is formed.  Only the dyadic strips of that hyperbolic region are walked
+    (``lattice.box_points``): S_0 = {Y <= den, Y' <= T den} and
+    S_k = {Y <= 2^k den, Y' <= T den / 2^(k-1)} for k = 1, ...,
+    ceil(log2 T) cover it, since 2^(k-1) < a <= 2^k for a = max(1, Y/den)
+    gives max(1, Y'/den) <= T/a < T/2^(k-1).  The strip bounds are rounded
+    up to integers, which keeps them a cover.  The budget is still checked
+    on the whole coefficient box of the cube of radius T.
     """
     import numpy as np
 
@@ -193,43 +192,29 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     scaled = lat.scaled_columns()
     if scaled is None:
         return None
-    m_val, den0, a0, b0 = scaled
-    den = math.lcm(den0, rd_frac.denominator)
-    a_int, b_int = ([[den // den0 * x for x in col] for col in c] for c in (a0, b0))
-    caps = _coefficient_box(lat, _rat_upper(to_real(rd_frac)))
-    big_n = lat.ambient_dim // d  # module coordinates per channel block
-    sq = math.sqrt(m_val) if m_val else 0.0
-    t_float = float(rd_frac)
+    root, den, _, _ = scaled
+    caps = _coefficient_box(lat, rd_frac)
+    tn, td = rd_frac.numerator, rd_frac.denominator
     if d == 1:
-        strips = [(t_float,)]
-    else:
-        strips, k = [(1.0, t_float)], 1
-        while 2 ** (k - 1) < rd_frac:
-            strips.append((2.0 ** k, t_float / 2 ** (k - 1)))
-            k += 1
-    strips = [np.repeat(np.array(s) * den, big_n) for s in strips]
-    # over budget raises before the guard can decline
-    batches = lattice.strip_candidates(caps, a_int, b_int, sq, strips)
-    maxentry = max(max(map(abs, col)) for col in a_int + b_int) or 1
-    if maxentry * (max(caps) + 1) * lat.rank >= 2 ** 52:
-        return None
-    target = rd_frac.numerator * (den // rd_frac.denominator) * den ** (d - 1)  # T den^d
-    band = 1e-10 + 2.0 ** -49 * t_float
-    lo_gate = float(target) * (1 - band)
-    hi_gate = float(target) * (1 + band)
+        runs = lattice.line_runs(scaled, caps, [[tn * den] * lat.ambient_dim], td)
+        return sum(int(size.sum()) for *_, size in runs)
+    big_n = lat.ambient_dim // 2  # module coordinates per embedding
+    strips, k = [[den] * big_n + [-(-tn * den // td)] * big_n], 1
+    while 2 ** (k - 1) < rd_frac:
+        strips.append([2 ** k * den] * big_n + [-(-tn * den // (td * 2 ** (k - 1)))] * big_n)
+        k += 1
     count = 0
-    for va, vb in batches:
-        vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
-        per_ch = vals.reshape(-1, d, big_n).max(axis=2)
-        np.maximum(per_ch, float(den), out=per_ch)
-        hsq = per_ch.prod(axis=1)
-        count += int((hsq <= lo_gate).sum())
-        for i in np.nonzero((hsq > lo_gate) & (hsq < hi_gate))[0]:
-            h_pow = math.prod(
-                max_real(den, *(abs_real(scaled_quad(a, b, 1, m_val)) for a, b in zip(xa, xb)))
-                for xa, xb in zip(va[i].reshape(d, big_n).tolist(),
-                                  vb[i].reshape(d, big_n).tolist()))
-            count += cmp_real(h_pow, target, context="module height band") <= 0
+    for va, vb in lattice.box_points(scaled, caps, strips):
+        v = int(max(np.abs(va).max(), np.abs(vb).max()))
+        top = tn * den * den + 2 * td * (1 + root) * v * v  # bounds every pair test
+        if top * top * (1 + root) >= 2 ** 62:
+            va, vb = va.astype(object), vb.astype(object)
+        ya, yb = va[:, :big_n, None], vb[:, :big_n, None]
+        za, zb = va[:, None, big_n:], vb[:, None, big_n:]
+        ok = lattice._quad_within(va, vb, root, tn * den, td).all(axis=1)
+        pairs = lattice._quad_within(ya * za + root * yb * zb, ya * zb + yb * za, root,
+                                     tn * den * den, td)
+        count += int((ok & pairs.all(axis=(1, 2))).sum())
     return count
 
 
@@ -273,8 +258,8 @@ def thm1_threshold(module: OkModule, minima=None) -> Tuple[Rooted, Rooted]:
 def thm1_lower(module: OkModule, radius, instance: str = "module", minima=None) -> BoundReport:
     """Lower bound on |{x in M : h(x) <= R}| versus the enumeration oracle."""
     r = as_rooted(radius)
-    thresh, e2 = thm1_threshold(module, minima)
-    return _lower_report(instance, r, thresh, e2, module.rank * module.field.degree - 1,
+    return _lower_report(instance, r, lambda: thm1_threshold(module, minima),
+                         module.rank * module.field.degree - 1,
                          lambda: exact_count_module(module, r), "thm1")
 
 
@@ -337,8 +322,8 @@ def thm_main1_lower(z: DSubspace, order: QuatOrder, radius,
                     instance: str = "subspace", minima=None) -> BoundReport:
     """Lower bound on |{x in Z cap O^N : h(x) <= R}| versus enumeration."""
     r = as_rooted(radius)
-    thresh, e4 = main1_threshold(z, order, minima)
-    return _lower_report(instance, r, thresh, e4, 4 * z.dim * order.algebra.field.degree - 1,
+    return _lower_report(instance, r, lambda: main1_threshold(z, order, minima),
+                         4 * z.dim * order.algebra.field.degree - 1,
                          lambda: exact_count_zo(z, order, r), "main1")
 
 

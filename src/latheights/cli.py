@@ -336,9 +336,11 @@ def cmd_count(args) -> int:
         for groups, line in root.get_all("prime"):
             gen = read_nf_vector(field, groups[:1], line)[0]
             s1.append((gen, int(groups[1][0])))
+        ctx = SUnitContext(field, s1=s1)
         omega_g = root.get("omega")
-        omega = int(omega_g[0][0]) if omega_g else 2
-        ctx = SUnitContext(field, s1=s1, omega=omega)
+        if omega_g and int(omega_g[0][0]) != ctx.omega:
+            raise ValidationError("omega %s differs from the field's %d roots of unity"
+                                  % (omega_g[0][0], ctx.omega))
         reps = lemma_sunit_bounds(ctx, radius, instance=instance)
     elif kind == "ffield":
         q = int(root.require("q")[0][0])

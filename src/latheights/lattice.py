@@ -6,30 +6,26 @@ closed cube is decided exactly; undecidable boundary ties raise rather than
 mis-count.  The enumeration is the ground-truth oracle that every counting
 bound in this library is checked against.
 
-Every rational lattice is enumerated on its integer columns A = den B by
-exact line intervals (``_enumerate_rational``): every axis but the first
-longest is fixed on a prefix grid (``_free_axis``, ``_prefix_grid``), each
-coordinate of A m is affine in the free coefficient t on a line, and the
-exact test bd |r_c + t s_c| <= bn cuts one integer interval from it, a
-floor division (the Fincke-Pohst step, exact here).  The count is the sum
-of the interval lengths; the points are built only when a caller reads
-them (``CubePoints``).
-
-The one slab kernel ``_box_slabs`` walks a whole coefficient box: it checks
-the box against ENUM_BUDGET, fixes the first longest axis slab by slab, and
-hands each slab's values B m and coefficient array m to the caller's test.
-It serves the first strict minimum of the sup-norms in ``supnorm_min`` for
-rational lattices, and the float screen of ``enumerate_cube`` for all
-others.  When all entries lie in one Q(sqrt m), the float screen's safety
-band is decided as one integer array test per slab on the scaled columns
-(``_quad_within``); only balls take the certified per-point re-check
-``_certified_in_cube``.  The one other walk, ``strip_candidates``, serves
-the totally real module count ``bounds._fast_count_totally_real``: it
-keeps only the integer intervals that the dyadic strips of the height
-region cut from each line, yields the integer coordinates of their points
-only (never the coefficients), and shares the budget check
-(``_check_budget``, on ``_box_size``), the free axis and the prefix grid
-with the other walks.
+Every lattice whose entries lie in one field Q(sqrt r) (r = 0 for Q) is
+walked by one exact line-interval kernel, ``line_runs``, on its integer
+columns A + B sqrt r = den times the basis (``RealLattice.scaled_columns``).
+Every axis but the first longest is fixed on a prefix grid (``_free_axis``,
+``_prefix_grid``); on a line, each coordinate is R + t S in the free
+coefficient t with R, S in Z[sqrt r], and a bound |R + t S| <= U keeps the
+integers t between (+-U - R) / S.  Times the conjugate of S, each end is
+(P + Q sqrt r) / N with integers P, Q and N = N(S) > 0, and its floor is
+floor((P + floor(Q sqrt r)) / N), with floor(Q sqrt r) from the integer
+square root of Q^2 r (``_floor_div``): the Fincke-Pohst step, exact on
+integers.  So no float decides a point.  ``enumerate_cube`` counts the
+points as the sum of the interval lengths and builds them only when a
+caller reads them (``CubePoints``); the totally real module count of
+``bounds`` cuts the union of its dyadic strips by the same kernel
+(``box_points``).  Lattices with a ball entry, or two radicands, are
+screened in floats slab by slab (``_box_slabs``), and the points in a
+safety band around the boundary are re-decided by the certified
+``_certified_in_cube``.  The rational sup-norm minimum walks its box by
+the same slab kernel, on integers.  Every walk checks ENUM_BUDGET on the
+whole box before it builds an array (``_check_budget``).
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant, and the
@@ -65,8 +61,8 @@ from .reals import (
 )
 
 ENUM_BUDGET = 30_000_000  # max candidate coefficient vectors per enumeration
-PREFIX_CHUNK = 256  # prefix lines per interval pass of strip_candidates
-SCREEN_BATCH = 2048  # candidates per screened batch of strip_candidates
+PREFIX_CHUNK = 1 << 13  # line x box x moving-coordinate entries per pass of line_runs
+SCREEN_BATCH = 2048  # points per batch of box_points
 
 
 def _rat_upper(x: Real) -> Fraction:
@@ -234,36 +230,32 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     Exact boundary decisions; raises BudgetExceeded when the candidate box
     is larger than ENUM_BUDGET, before any array is built.  Points come slab
     by slab: the first longest coefficient axis is outermost, and every axis
-    ascends.  On a rational lattice the count needs no points: the rows are
-    built only when a caller reads them.
+    ascends.  On a lattice with scaled columns the count needs no points:
+    the rows are built only when a caller reads them.
     """
     radius = Fraction(radius)
     if radius < 0:
         return CubePoints(0, lambda: _prefix_grid([0] * lat.rank, 0, 0))
     caps = _coefficient_box(lat, radius)
     scaled = lat.scaled_columns()
-    if scaled is not None and scaled[0] == 0:
-        return _enumerate_rational(scaled, radius, caps)
-    return _enumerate_generic(lat, radius, caps)
+    if scaled is None:
+        return _enumerate_generic(lat, radius, caps)
+    bound = radius * scaled[1]  # |A m + B m sqrt r| <= radius den, A, B integer
+    box = [bound.numerator] * lat.ambient_dim
+    chunks = [(rest[line], start, size) for rest, _, _, line, start, size
+              in line_runs(scaled, caps, [box], bound.denominator)]
+    count = sum(int(size.sum()) for *_, size in chunks)
 
+    def build():  # slab order: by t, stably, so line order inside
+        import numpy as np
 
-def _box_slabs(caps: Sequence[int], mats, dtype="int64"):
-    """Walk the coefficient box |m_j| <= caps[j] one slab at a time.
+        rows, lo, size = (np.concatenate(c) for c in zip(*chunks))
+        run = np.repeat(np.arange(size.size), size)
+        t = np.arange(count) - np.repeat(np.cumsum(size) - size - lo, size)
+        order = np.lexsort((run, t))
+        return np.insert(rows[run[order]], _free_axis(caps)[0], t[order], axis=1)
 
-    Each of ``mats`` is a lattice given as L columns of n entries, read as
-    an n x L array of ``dtype``.  The walk yields ``(vals, coeffs)`` per
-    slab: ``coeffs`` holds every m of the slab, one row each, and
-    ``vals[k]`` holds ``mats[k] @ m`` for the same rows.  The slabs fix the
-    first longest axis, outermost and ascending; inside a slab the other
-    axes run lexicographically.  Coefficients are int64, or Python ints when
-    ``dtype`` is object; ``coeffs[i].tolist()`` gives Python ints either
-    way.  ``coeffs`` is one array that each slab rewrites in place, so a
-    caller copies what it keeps before the next slab.  The budget is
-    checked on the call, before any array is built.  numpy is imported on
-    first use, so that importing the package stays cheap.
-    """
-    _check_budget(caps)
-    return _slabs(caps, mats, dtype)
+    return CubePoints(count, build)
 
 
 def _box_size(caps: Sequence[int]) -> int:
@@ -305,154 +297,186 @@ def _free_axis(caps: Sequence[int]):
     return axis, rest_axes, rest_caps, _box_size(rest_caps)
 
 
-def _slabs(caps, mats, dtype):
-    import numpy as np
-
-    axis, rest_axes, rest_caps, lines = _free_axis(caps)
-    rest = _prefix_grid(rest_caps, 0, lines, object if dtype is object else np.int64)
-    arrays = [np.array(m, dtype=dtype).T for m in mats]
-    rest_vals = [rest @ a[:, rest_axes].T for a in arrays]  # (#rest, n) each
-    axis_cols = [a[:, axis] for a in arrays]
-    coeffs = np.insert(rest, axis, 0, axis=1)
-    for m0 in range(-caps[axis], caps[axis] + 1):
-        coeffs[:, axis] = m0
-        yield [rv + m0 * c for rv, c in zip(rest_vals, axis_cols)], coeffs
-
-
-def strip_candidates(caps, a_int, b_int, sq, strips):
-    """Batches (va, vb) of the integer coordinates of the points m of the
-    box |m_j| <= caps[j] that can lie in one of ``strips``.
-
-    The L columns ``a_int``, ``b_int`` of n integers give the coordinates
-    va + vb sqrt(r) of m, with va = A m and vb = B m; ``sq`` is fl(sqrt r).
-    A strip is a float vector U, and m lies in it when |va_c + vb_c sqrt r|
-    <= U_c for every coordinate c.  All of A m and B m on the box must be
-    below 2**52 in size, so their floats are exact.
-
-    Every axis but the first longest is fixed, on the prefix grid of
-    ``_slabs``.  Along one prefix line each coordinate is r_c + t s_c,
-    affine in the free coefficient t, so each strip cuts one integer
-    interval from the line.  The walk merges the intervals of all strips
-    and yields their union PREFIX_CHUNK lines at a time, in batches of at
-    most SCREEN_BATCH points.  The walk yields integers only: a caller
-    decides each point on its coordinates va, vb, never on m.
-
-    The intervals enclose every lattice point of every strip.  With
-    u = 2**-53, fl(va + vb sq) is within 4u (|va| + |vb| sqrt r) of
-    va + vb sqrt r.  So on a line the float offset and slope carry an error
-    of at most 2**-51 mag_c for |t| <= cap, where mag_c = sum_j (|A_cj| +
-    |B_cj| sqrt r)(caps_j + 1), and every t of the strip meets
-    |fl(r_c) + t fl(s_c)| <= U'_c = U_c + 2**-49 (mag_c + U_c), which leaves
-    room for the rounding of mag_c and U'_c.  The float ends
-    (+-U'_c - fl(r_c)) / fl(s_c) lie within 2**-51.9 of their size of the
-    exact quotients; each end is clipped to the box widened by one, moved
-    outwards by 2**-50 of its size and rounded outwards to an integer.  A
-    zero float slope keeps the whole line when |fl(r_c)| <= U'_c, and none
-    of it otherwise.
-
-    The budget is checked on the whole box on the call, before any array
-    is built, as in ``_box_slabs``.
-    """
-    _check_budget(caps)
-    return _strip_walk(caps, a_int, b_int, sq, strips)
-
-
-def _strip_walk(caps, a_int, b_int, sq, strips):
-    import numpy as np
-
-    a_mat, b_mat = np.array(a_int, dtype=np.int64).T, np.array(b_int, dtype=np.int64).T
-    axis, rest_axes, rest_caps, n_lines = _free_axis(caps)
-    cap = caps[axis]
-    a_rest, b_rest = a_mat[:, rest_axes], b_mat[:, rest_axes]
-    a_axis, b_axis = a_mat[:, axis], b_mat[:, axis]
-    slope = a_axis.astype(np.float64) + b_axis.astype(np.float64) * sq
-    flat = slope == 0
-    box = np.array([c + 1 for c in caps], dtype=np.float64)
-    mags = np.abs(a_mat).astype(np.float64) @ box + np.abs(b_mat).astype(np.float64) @ box * sq
-    limits = np.array([u + 2.0 ** -49 * (mags + u) for u in strips])  # strip x coordinate
-    for first in range(0, n_lines, PREFIX_CHUNK):
-        rest = _prefix_grid(rest_caps, first, min(first + PREFIX_CHUNK, n_lines))
-        ra, rb = rest @ a_rest.T, rest @ b_rest.T
-        offset = (ra.astype(np.float64) + rb.astype(np.float64) * sq)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e1, e2 = (-limits - offset) / slope, (limits - offset) / slope
-        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)  # line x strip x coordinate
-        if flat.any():
-            keep = np.abs(offset[:, :, flat]) <= limits[:, flat]
-            lo[:, :, flat] = np.where(keep, -np.inf, np.inf)
-            hi[:, :, flat] = np.where(keep, np.inf, -np.inf)
-        lo = np.clip(lo.max(axis=2), -cap - 1, cap + 1)
-        hi = np.clip(hi.min(axis=2), -cap - 1, cap + 1)
-        lo = np.clip(np.ceil(lo - np.abs(lo) * 2.0 ** -50), -cap, cap + 1).astype(np.int64)
-        hi = np.clip(np.floor(hi + np.abs(hi) * 2.0 ** -50), -cap - 1, cap).astype(np.int64)
-        # union per line: sort by start, then take what reaches past the
-        # running end of the earlier intervals
-        order = np.argsort(lo, axis=1)
-        lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
-        reach = np.maximum.accumulate(hi, axis=1)
-        lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1] + 1)
-        sizes = np.maximum(hi - lo + 1, 0).ravel()
-        runs = np.flatnonzero(sizes)
-        starts, sizes = lo.ravel()[runs], sizes[runs]
-        lines = runs // len(strips)
-        ends = np.cumsum(sizes)
-        total = int(ends[-1]) if ends.size else 0
-        for b0 in range(0, total, SCREEN_BATCH):
-            k = np.arange(b0, min(b0 + SCREEN_BATCH, total), dtype=np.int64)
-            run = np.searchsorted(ends, k, side="right")
-            t = starts[run] + k - (ends[run] - sizes[run])
-            line = lines[run]
-            yield ra[line] + t[:, None] * a_axis, rb[line] + t[:, None] * b_axis
-
-
 def _int_dtype(cols, caps, scale=1, offset=0, root=0):
     """int64 when offset + scale * |A m| on the box of the integer columns
     A, squared and times root when root > 0, stays below 2**62, so no test
     on it can overflow; object (Python ints) otherwise."""
-    maxentry = max(abs(x) for col in cols for x in col) or 1
+    maxentry = max(map(abs, itertools.chain.from_iterable(cols))) or 1
     top = offset + scale * maxentry * (max(caps) + 1) * len(cols)
     return "int64" if (top * top * root if root else top) < 2**62 else object
 
 
-def _enumerate_rational(scaled, radius, caps):
-    """enumerate_cube on the integer columns A = den B, by exact line
-    intervals.  On a line of the prefix grid, coordinate c of A m is
-    r_c + t s_c in the free coefficient t, and bd |r_c + t s_c| <= bn holds
-    for t in one integer interval: with s_c > 0 (negate both otherwise),
-    ceil((-bn - bd r_c) / (bd s_c)) <= t <= floor((bn - bd r_c) / (bd s_c)),
-    and with s_c = 0 the whole line or none of it.  The count is the sum of
-    the lengths of the intervals' intersections with [-cap, cap]."""
+def _floor_div(xa, xb, ca, cb, n, root):
+    """floor((xa + xb sqrt(root)) (ca + cb sqrt(root)) / n), elementwise on
+    integer arrays, n > 0.  The product is e + f sqrt(root) with integers
+    e, f, and floor(y / n) = floor(floor(y) / n) for every real y.  With
+    s = isqrt(f^2 root), floor(f sqrt(root)) is s for f >= 0, and -s - 1
+    for f < 0 unless s^2 = f^2 root.  Below 2**62, s is the float square
+    root with one integer correction each way; on Python ints it is
+    math.isqrt."""
     import numpy as np
 
-    _, den, cols, _ = scaled
-    bound = radius * den  # |sum m_j c_j| <= bound, integer lhs vs rational rhs
-    bn, bd = bound.numerator, bound.denominator
-    dtype = _int_dtype(cols, caps, bd, bn)
+    if not root:
+        return xa * ca // n
+    e, f = xa * ca + root * xb * cb, xa * cb + xb * ca
+    x = f * f * root
+    if x.dtype == object:
+        s = np.frompyfunc(math.isqrt, 1, 1)(x)
+    else:
+        s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+        s -= s * s > x
+        s += (s + 1) * (s + 1) <= x
+    return (e + np.where(f >= 0, s, -s - (s * s != x))) // n
+
+
+def line_runs(scaled, caps, limits, q=1):
+    """The exact line-interval kernel over Z[sqrt r], r = 0 for Q.
+
+    ``scaled`` is (r, den, A, B) of ``RealLattice.scaled_columns``: the
+    point with coefficients m has coordinates (A m + B m sqrt r) / den.
+    Each of ``limits`` is a box, n integers U, and m lies in it when
+    q |(A m)_c + (B m)_c sqrt r| <= U_c for every coordinate c.
+
+    Every axis but the first longest is fixed on the prefix grid
+    (``_free_axis``, ``_prefix_grid``).  On one prefix line, coordinate c
+    is R_c + t S_c in the free coefficient t, with R_c and S_c = x + y sqrt r
+    in Z[sqrt r].  For S_c != 0 take C_c = x - y sqrt r and N_c = x^2 - r y^2
+    (C_c = 1 and N_c = x when y = 0), both negated when N_c < 0, so that
+    S_c C_c = N_c > 0.  S_c has the sign g of x when y = 0 or x^2 > r y^2
+    (|x| > |y| sqrt r), of y otherwise.  The box keeps the integers t with
+    (-g U_c - q R_c) / (q S_c) <= t <= (g U_c - q R_c) / (q S_c), and each
+    end is (g U_c -+ q R_c) C_c / (q N_c), whose floor ``_floor_div`` takes
+    exactly on integers.  A coordinate with S_c = 0 keeps the whole line or
+    none of it (``_quad_within``).  The intervals of all boxes on a line
+    are merged and clipped to |t| <= cap of the free axis.
+
+    Per chunk of PREFIX_CHUNK / (boxes x coordinates with S_c != 0) lines,
+    which bounds the size of the interval arrays, the walk yields (rest, ra,
+    rb, line, start, size): the chunk's prefix rows, their offsets A m and
+    B m at t = 0, and the runs of the merged intervals, run k holding
+    t = start[k], ..., start[k] + size[k] - 1 on line[k], ascending on each
+    line.  ``ra`` and ``rb`` are int64 or, past the overflow guard of
+    ``_int_dtype``, Python ints.  The budget is checked on the whole box
+    before any array is built.
+    """
+    import numpy as np
+
+    root, _, a_cols, b_cols = scaled
     _check_budget(caps)
+    axis, rest_axes, rest_caps, n_lines = _free_axis(caps)
+    cap, n = caps[axis], len(a_cols[0])
+    moving, flat, ends = [], [], []  # ends: (g, C_c, N_c) of each moving coordinate
+    for c, (x, y) in enumerate(zip(a_cols[axis], b_cols[axis])):
+        if x or y:
+            norm, conj = (x * x - root * y * y, (x, -y)) if y else (x, (1, 0))
+            s = 1 if norm > 0 else -1
+            moving.append(c)
+            ends.append(((x > 0) - (x < 0) if s > 0 or not y else (y > 0) - (y < 0),
+                         s * conj[0], s * conj[1], s * q * norm))
+        elif any(col[c] for col in a_cols + b_cols):
+            flat.append(c)
+    # 2 (1 + r) times a bound on the conjugates' parts, for the overflow guard
+    k = 2 * (1 + root) * max(map(abs, itertools.chain(a_cols[axis], b_cols[axis], [1])))
+    cols = [a + b for a, b in zip(a_cols, b_cols)]  # [A; B]
+    dtype = _int_dtype(cols, caps, k * q, k * max(map(max, limits)), root)
+    rest_ab = np.array([cols[j] for j in rest_axes], dtype=dtype).reshape(-1, 2 * n)
+    _, ca, cb, qn = np.array(ends, dtype=dtype).T
+    gu = np.array([[e[0] * u[c] for c, e in zip(moving, ends)] for u in limits], dtype=dtype)
+    flat_u = np.array([[u[c] for c in flat] for u in limits], dtype=dtype) if flat else None
+    sign = np.array([q, -q], dtype=dtype).reshape(2, 1, 1, 1)  # hi end, lo end
+    chunk = max(1, PREFIX_CHUNK // (len(limits) * len(moving)))
+    for first in range(0, n_lines, chunk):
+        rest = _prefix_grid(rest_caps, first, min(first + chunk, n_lines))
+        rab = rest.astype(dtype) @ rest_ab
+        ra, rb = rab[:, :n], rab[:, n:]
+        xa = sign * ra[:, None, moving]  # end x line x box x coordinate
+        xb = sign * rb[:, None, moving] if root else 0
+        floors = _floor_div(gu - xa, -xb, ca, cb, qn, root).min(axis=3, initial=cap)
+        hi, lo = floors[0], -floors[1]
+        if flat:
+            on = _quad_within(ra[:, None, flat], rb[:, None, flat], root, flat_u, q)
+            hi = np.where(on.all(axis=2), hi, -cap - 1)
+        if dtype is object:
+            lo = np.minimum(lo, cap + 1).astype(np.int64)
+            hi = np.maximum(hi, -cap - 1).astype(np.int64)
+        if len(limits) > 1:
+            # the union on each line: sort by start, then take what reaches
+            # past the running end of the earlier intervals
+            order = np.argsort(lo, axis=1)
+            lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+            lo[:, 1:] = np.maximum(lo[:, 1:], np.maximum.accumulate(hi, axis=1)[:, :-1] + 1)
+        size = np.maximum(hi - lo + 1, 0).ravel()
+        runs = np.flatnonzero(size)
+        yield rest, ra, rb, runs // len(limits), lo.ravel()[runs], size[runs]
+
+
+def box_points(scaled, caps, limits):
+    """Batches (va, vb) of the integer coordinates A m, B m of the points m
+    of the box |m_j| <= caps[j] that lie in one of the boxes ``limits``
+    (``line_runs`` with q = 1), at most SCREEN_BATCH points a batch."""
+    import numpy as np
+
+    _, _, a_cols, b_cols = scaled
+    axis = _free_axis(caps)[0]
+    for _, ra, rb, line, start, size in line_runs(scaled, caps, limits):
+        sa, sb = (np.array(c[axis], dtype=ra.dtype) for c in (a_cols, b_cols))
+        ends = np.cumsum(size)
+        total = int(ends[-1]) if ends.size else 0
+        for b0 in range(0, total, SCREEN_BATCH):
+            k = np.arange(b0, min(b0 + SCREEN_BATCH, total), dtype=np.int64)
+            run = np.searchsorted(ends, k, side="right")
+            t = (start[run] + k - (ends[run] - size[run])).astype(ra.dtype)[:, None]
+            yield ra[line[run]] + t * sa, rb[line[run]] + t * sb
+
+
+def _quad_within(va, vb, root, p, q):
+    """q |va + vb sqrt(root)| <= p, elementwise on integer arrays va, vb,
+    decided on squares: both a = p -+ q va with b = -+q vb give
+    a + b sqrt(root) >= 0, which holds iff a >= 0 and (b >= 0 or
+    a^2 >= b^2 root), or a < 0, b > 0 and b^2 root >= a^2.  With root = 0
+    it is q |va| <= p."""
+    import numpy as np
+
+    if not root:
+        return q * abs(va) <= p
+    qa, qb = q * va, q * vb
+    ok = True
+    for a, b in ((p - qa, -qb), (p + qa, qb)):
+        a2, b2r = a * a, b * b * root
+        ok = ok & np.where(a >= 0, (b >= 0) | (a2 >= b2r), (b > 0) & (b2r >= a2))
+    return ok
+
+
+def _box_slabs(caps: Sequence[int], mat, dtype="int64"):
+    """Walk the coefficient box |m_j| <= caps[j] one slab at a time.
+
+    ``mat`` is a lattice given as L columns of n entries, read as an n x L
+    array of ``dtype``.  The walk yields ``(vals, coeffs)`` per slab:
+    ``coeffs`` holds every m of the slab, one row each, and ``vals`` holds
+    ``mat @ m`` for the same rows.  The slabs fix the first longest axis,
+    outermost and ascending; inside a slab the other axes run
+    lexicographically.  Coefficients are int64, or Python ints when
+    ``dtype`` is object; ``coeffs[i].tolist()`` gives Python ints either
+    way.  ``coeffs`` is one array that each slab rewrites in place, so a
+    caller copies what it keeps before the next slab.  The budget is
+    checked on the call, before any array is built.  numpy is imported on
+    first use, so that importing the package stays cheap.
+    """
+    _check_budget(caps)
+    return _slabs(caps, mat, dtype)
+
+
+def _slabs(caps, mat, dtype):
+    import numpy as np
+
     axis, rest_axes, rest_caps, lines = _free_axis(caps)
-    cap = caps[axis]
-    mat = np.array(cols, dtype=dtype).T * bd  # n x L
-    rest = _prefix_grid(rest_caps, 0, lines)
-    offset, slope = rest.astype(dtype) @ mat[:, rest_axes].T, mat[:, axis]
-    sign = np.where(slope < 0, -1, 1)
-    offset, slope = offset * sign, slope * sign
-    flat = slope == 0
-    o, s = offset[:, ~flat], slope[~flat]
-    lo = (-((bn + o) // s)).max(axis=1, initial=-cap)
-    hi = ((bn - o) // s).min(axis=1, initial=cap)
-    on = (np.abs(offset[:, flat]) <= bn).all(axis=1)
-    sizes = (np.maximum(hi - lo + 1, 0) * on).astype(np.int64)
-    live = np.flatnonzero(sizes)
-    rest, lo, sizes = rest[live], lo[live].astype(np.int64), sizes[live]
-    count = int(sizes.sum())
-
-    def build():  # slab order: by t, stably, so line order inside
-        line = np.repeat(np.arange(live.size), sizes)
-        t = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
-        order = np.lexsort((line, t))
-        return np.insert(rest[line[order]], axis, t[order], axis=1)
-
-    return CubePoints(count, build)
+    rest = _prefix_grid(rest_caps, 0, lines, object if dtype is object else np.int64)
+    a = np.array(mat, dtype=dtype).T
+    rest_vals, axis_col = rest @ a[:, rest_axes].T, a[:, axis]  # (#rest, n)
+    coeffs = np.insert(rest, axis, 0, axis=1)
+    for m0 in range(-caps[axis], caps[axis] + 1):
+        coeffs[:, axis] = m0
+        yield rest_vals + m0 * axis_col, coeffs
 
 
 def _certified_in_cube(lat, m, radius) -> bool:
@@ -462,61 +486,23 @@ def _certified_in_cube(lat, m, radius) -> bool:
     return True
 
 
-def _quad_float(a, b, m) -> float:
-    """a + b sqrt(m) for integers a, b as a float, without cancellation:
-    real_to_float turns 1 + (sqrt2 - 1)^60, with a and b near 5e22, into -4096."""
-    s = b * math.sqrt(m)
-    return a + s if (a >= 0) == (b >= 0) else (a * a - b * b * m) / (a - s)
-
-
-def _quad_within(va, vb, root, p, q):
-    """q |va + vb sqrt(root)| <= p, elementwise on integer arrays va, vb,
-    decided on squares: both a = p -+ q va with b = -+q vb give
-    a + b sqrt(root) >= 0, which holds iff a >= 0 and (b >= 0 or
-    a^2 >= b^2 root), or a < 0, b > 0 and b^2 root >= a^2."""
-    import numpy as np
-
-    qa, qb = q * va, q * vb
-    ok = True
-    for a, b in ((p - qa, -qb), (p + qa, qb)):
-        a2, b2r = a * a, b * b * root
-        ok = ok & np.where(a >= 0, (b >= 0) | (a2 >= b2r), (b > 0) & (b2r >= a2))
-    return ok
-
-
 def _enumerate_generic(lat, radius, caps):
+    """enumerate_cube on a lattice without scaled columns (a ball entry, or
+    two radicands): a float screen slab by slab, and the points in a safety
+    band around the boundary, wide enough to absorb all rounding error,
+    decided by ``_certified_in_cube``."""
     import numpy as np
 
-    scaled = lat.scaled_columns()
-    if scaled is None:
-        floats = [[real_to_float(e) for e in col] for col in lat.columns]
-    else:  # one field Q(sqrt r): floats, and the band decided on the integers
-        root, den, a_cols, b_cols = scaled
-        p, q = (radius * den).numerator, (radius * den).denominator
-        dtype = _int_dtype([a + b for a, b in zip(a_cols, b_cols)], caps, q, p, root)
-        a_mat, b_mat = np.array(a_cols, dtype=dtype), np.array(b_cols, dtype=dtype)
-        floats = [[_quad_float(a, b, root) / den for a, b in zip(*c)] for c in zip(a_cols, b_cols)]
-
-    def band_test(m):  # exact decision of the band's rows m
-        if scaled is None:
-            return [_certified_in_cube(lat, tuple(row), radius) for row in m.tolist()]
-        m = m.astype(dtype)
-        return _quad_within(m @ a_mat, m @ b_mat, root, p, q).all(axis=1)
-
-    cols = np.array(floats, dtype=np.float64)
-    # float screen: exact decision only inside a safety band around the
-    # boundary, wide enough to absorb all rounding error
+    cols = np.array([[real_to_float(e) for e in col] for col in lat.columns], dtype=np.float64)
     mags = np.abs(cols.T) @ np.array([c + 1 for c in caps], dtype=np.float64)
     tol = max(1.0, float(mags.max())) * 1e-9
-    rad = float(radius)
-    lo, hi = rad - tol, rad + tol
+    lo, hi = float(radius) - tol, float(radius) + tol
     kept = []
-    for (vals,), coeffs in _box_slabs(caps, [cols], "float64"):
+    for vals, coeffs in _box_slabs(caps, cols, "float64"):
         mx = np.abs(vals).max(axis=1)
         keep = mx <= lo
-        band = np.flatnonzero((mx > lo) & (mx <= hi))
-        if band.size:
-            keep[band] = band_test(coeffs[band])
+        for i in np.flatnonzero((mx > lo) & (mx <= hi)):
+            keep[i] = _certified_in_cube(lat, tuple(coeffs[i].tolist()), radius)
         kept.append(coeffs[keep])
     rows = np.concatenate(kept)
     return CubePoints(len(rows), lambda: rows)
@@ -549,7 +535,7 @@ def _supnorm_min_rational(lat, scaled):
     _, den, cols, _ = scaled
     caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
     best = best_m = None
-    for (vals,), coeffs in _box_slabs(caps, [cols], _int_dtype(cols, caps)):
+    for vals, coeffs in _box_slabs(caps, cols, _int_dtype(cols, caps)):
         norms = np.abs(vals).max(axis=1)
         rows = np.flatnonzero((coeffs != 0).any(axis=1))
         if rows.size:

@@ -106,13 +106,17 @@ class SUnitContext:
 
     Finite places are given by a principal prime generator and its residue
     norm; unit generators default to the fundamental unit for real quadratic
-    fields and to the empty list for Q and imaginary quadratic fields.
+    fields and to the empty list for Q and imaginary quadratic fields.  The
+    field has degree at most 2, and its number of roots of unity omega_K
+    is read from its discriminant: 4 for D_K = -4, 6 for D_K = -3, and 2
+    otherwise.
     """
 
     def __init__(self, field: NumberField,
                  s1: Sequence[Tuple[NfElement, int]] = (),
-                 unit_gens: Optional[Sequence[NfElement]] = None,
-                 omega: int = 2):
+                 unit_gens: Optional[Sequence[NfElement]] = None):
+        if field.degree > 2:
+            raise ValidationError("S-unit counts need a field of degree at most 2")
         self.field = field
         self.s1 = list(s1)
         for gen, np in self.s1:
@@ -123,19 +127,10 @@ class SUnitContext:
                     "finite place norm must be the prime-power norm of its generator"
                 )
         if unit_gens is None:
-            r1, r2 = field.signature
-            if field.degree == 1 or (field.degree == 2 and r2 == 1):
-                unit_gens = []
-            elif field.degree == 2 and r1 == 2:
-                unit_gens = [fundamental_unit_real_quadratic(field)]
-            else:
-                raise ValidationError(
-                    "unit generators must be supplied for this field"
-                )
+            real_quadratic = field.signature[0] == 2
+            unit_gens = [fundamental_unit_real_quadratic(field)] if real_quadratic else []
         self.unit_gens = list(unit_gens)
-        if omega < 2 or omega % 2:
-            raise ValidationError("the root-of-unity count is even and >= 2")
-        self.omega = omega
+        self.omega = {-4: 4, -3: 6}.get(field.discriminant, 2)
         r1, r2 = field.signature
         self.n_places = r1 + r2 + len(self.s1)
         self.all_gens = self.unit_gens + [g for g, _ in self.s1]

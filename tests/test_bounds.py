@@ -33,7 +33,7 @@ from latheights.heights import height_h as height_h_nf
 from latheights.modules import OkModule, minima_ck_zk
 from latheights.nf import FracIdeal, nf_new
 from latheights.quat import DSubspace, QuatAlgebra, QuatOrder, bracket_inv, height_h
-from latheights.reals import QuadReal, cmp_real, real_to_float
+from latheights.reals import PRECISION, QuadReal, cmp_real, real_to_float
 
 
 def field_q():
@@ -403,3 +403,17 @@ def test_search_isotropic_anisotropic_exhausts():
     f = [[a.one()]]
     with pytest.raises(BudgetExceeded):
         search_isotropic(f, z1, od, max_radius=Fraction(2))
+
+
+
+def test_precision_cap_gives_an_inconclusive_record(monkeypatch):
+    """Over the cyclic cubic field x^3 + x^2 - 2x - 1 the embedded unit
+    vectors sit on the cube boundary, which the certified comparison cannot
+    decide at a 128-bit cap.  The report is INCONCLUSIVE, and its note
+    names the comparison context, instead of the error ending the run."""
+    field = nf_new([-1, -2, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(PRECISION, "cap", 128)
+    rep = thm1_lower(OkModule.free_module(field, 1), 2)
+    assert rep.verdict == INCONCLUSIVE and rep.kind == LOWER
+    assert rep.exact_count is None and rep.bound_value is None
+    assert "precision cap" in rep.note and "(cube boundary)" in rep.note

@@ -385,6 +385,20 @@ def test_count_sunits_command_skewed_prime(tmp_path, capsys):
     assert {r["exact"] for r in recs} == {34}
 
 
+def test_count_sunits_omega_line_must_match_the_field(tmp_path, capsys):
+    """Over Q(i) the unit group is {+-1, +-i}: an ``omega`` line of 4 is
+    accepted, one of 2 is rejected before any count."""
+    field = "field {\n minpoly = 1 0 1\n basis = 1 0 ; 0 1\n}\n"
+    path = _write(tmp_path, "qi4.lh", field + "omega = 4\n")
+    assert cli.main(["count", "sunits", path, "1"]) == 0
+    recs = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+    assert {r["exact"] for r in recs} == {4}
+    path = _write(tmp_path, "qi2.lh", field + "omega = 2\n")
+    assert cli.main(["count", "sunits", path, "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "omega" in err
+
+
 def test_verify_deterministic_and_exit_codes(capsys):
     assert cli.main(["verify", "ffield", "--seed", "42"]) == 0
     first = capsys.readouterr().out

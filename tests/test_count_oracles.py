@@ -160,8 +160,7 @@ def test_exact_count_zo_matches_per_point_reference(oname, zname, chosen):
 
 @pytest.mark.parametrize("zname", ["axis", "diag"])
 def test_exact_count_zo_band_heavy_sqrt2(zname):
-    # R = sqrt2 is past the hypothesis radius cap; each subspace's bracket
-    # lattice sends 1,776 candidates through the float screen's band
+    # R = sqrt2 is past the hypothesis radius cap
     order = ORDERS["Q(sqrt2)-special"]
     z = _subspace(order.algebra, zname)
     assert exact_count_zo(z, order, Rooted(2, 2)) == reference_count_zo(z, order, Rooted(2, 2)) == 41

@@ -3,7 +3,7 @@ against independent recounts.
 
 Each oracle is compared with a brute-force walk of its coefficient box
 whose membership test uses plain Fraction arithmetic, not the library's
-float screen.  Hypothesis runs derandomized (``conftest.py``), so every
+line intervals.  Hypothesis runs derandomized (``conftest.py``), so every
 run sees the same examples.
 """
 
@@ -136,14 +136,19 @@ def test_enumerate_cube_sqrt2_matches_brute_force(case):
     _check_against_brute(*case, root=2)
 
 
-def test_enumerate_cube_rechecks_the_float_band():
-    # x = 1 + (sqrt2 - 1)^26 exceeds 1 by 1.1e-10, inside the float screen's
-    # safety band: only the exact re-check can drop the point (1, 0) -> (x, 1)
+def test_enumerate_cube_rechecks_the_float_band(monkeypatch):
+    # x = 1 + (sqrt2 - 1)^26 exceeds 1 by 1.1e-10, inside the safety band a
+    # float screen would need: the line intervals of the kernel, exact on
+    # integers, drop the point (1, 0) -> (x, 1) with no certified re-check
     a, b = _sqrt2_unit(26)
     cols = [[(1 + a, -b), (1, 0)], [(1, 0), (0, 0)]]
+    calls, kernel = _spy_recheck(monkeypatch), lattice.line_runs
+    runs = []
+    monkeypatch.setattr(lattice, "line_runs", lambda *args: runs.append(args) or kernel(*args))
     pts = enumerate_cube(_lattice(cols, 2), 1)
     assert (1, 0) not in pts and (1, -1) in pts
     assert pts == _brute(cols, 1, 2, _coefficient_box(_lattice(cols, 2), 1))
+    assert len(runs) == 1 and calls == []
 
 
 @st.composite
@@ -205,6 +210,120 @@ def test_enumerate_cube_pell_near_tie_beyond_int64():
     pts = enumerate_cube(lat, 1)
     assert (1, 0) not in pts and (1, -1) in pts
     assert pts == _brute(cols, 1, 2, _coefficient_box(lat, 1))
+
+
+# negative slopes x + y sqrt r with parts of mixed signs: N = x^2 - r y^2
+# is negative for some (the value has the sign of y) and positive for the
+# others (the sign of x), e.g. 1 - sqrt2 and -3/2 + sqrt2
+MIXED_NEGATIVE = {2: [(1, -1), (-3, 2), (Fraction(-3, 2), 1), (-1, Fraction(1, 2))],
+                  5: [(-3, 1), (2, -1), (Fraction(-5, 2), 1), (Fraction(1, 2), Fraction(-1, 2))]}
+
+
+@st.composite
+def kernel_cases(draw):
+    """Q(sqrt2) and Q(sqrt5) lattices with integer and half-integer entries
+    whose free-axis column has a flat coordinate and a negative slope with
+    mixed-sign parts, at radii in halves and thirds, scaled by 1 or by at
+    least 2**62 (with the radius) to take the Python-int path."""
+    root = draw(st.sampled_from([2, 5]))
+    half = st.builds(lambda a, b: (Fraction(a, 2), Fraction(b, 2)),
+                     st.integers(-6, 6), st.integers(-4, 4))
+    n = draw(st.integers(2, 3))
+    cols = [[draw(half) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+    radius = Fraction(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+    try:
+        axis = _free_axis_of(_coefficient_box(_lattice(cols, root), radius))
+    except ValidationError:  # dependent columns
+        assume(False)
+    flat, neg = draw(st.permutations(range(n)))[:2]
+    cols[axis][flat] = (Fraction(0), Fraction(0))
+    cols[axis][neg] = draw(st.sampled_from(MIXED_NEGATIVE[root]))
+    scale = draw(st.sampled_from([1, 2**62 + draw(st.integers(0, 2**70))]))
+    return cols, radius, root, scale
+
+
+@PROPERTY
+@given(kernel_cases())
+def test_line_kernel_matches_brute_force(case):
+    """The exact line intervals against a Fraction walk of the box, with a
+    flat coordinate and a mixed-sign negative slope on the free axis, on
+    int64 and, scaled past 2**62, on Python ints; the count builds no
+    rows."""
+    cols, radius, root, scale = case
+    lat = _lattice(cols, root)
+    try:
+        caps = _coefficient_box(lat, radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    column = cols[_free_axis_of(caps)]
+    assume((0, 0) in column and any(c in MIXED_NEGATIVE[root] for c in column))
+    big = _lattice([[(a * scale, b * scale) for a, b in col] for col in cols], root)
+    assert _coefficient_box(big, radius * scale) == caps
+    dtypes, kernel = [], lattice._floor_div
+    lattice._floor_div = lambda xa, *args: dtypes.append(xa.dtype) or kernel(xa, *args)
+    try:
+        pts = enumerate_cube(big, radius * scale)
+    finally:
+        lattice._floor_div = kernel
+    want = _brute(cols, radius, root, caps)
+    assert len(pts) == len(want) and pts._rows is None  # counted, not built
+    assert pts == want
+    assert set(dtypes) == {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
+
+
+def _pell(root, count):
+    """count solutions (a, b) of a^2 - root b^2 = +-1, b ascending: the
+    powers of the unit 1 + sqrt2 or 2 + sqrt5, of norm -1."""
+    a, b = 1, 0
+    step = {2: (1, 1), 5: (2, 1)}[root]
+    out = []
+    for _ in range(count):
+        a, b = a * step[0] + root * b * step[1], a * step[1] + b * step[0]
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("root", [2, 5])
+def test_floor_div_exact_near_squares(root):
+    """f^2 root = a^2 +- 1 for the Pell pairs (a, f): the float square root
+    of f^2 root rounds to a whole number or across it once f^2 root passes
+    2**53, and the integer corrections must give floor(f sqrt root) on both
+    sides, for f of either sign, in int64 and on Python ints."""
+    pairs = [(a, b) for a, b in _pell(root, 40) if b * b * root < 2**62]
+    assert pairs[-1][1] ** 2 * root > 2**60
+    fs = [s * (b + d) for _, b in pairs for d in (-1, 0, 1) for s in (1, -1)]
+    es = [0, 1, -1, 7, -(2**40)]
+    for dtype in (np.int64, object):
+        f = np.array([x for x in fs for _ in es], dtype=dtype)
+        e = np.array(es * len(fs), dtype=dtype)
+        for n in (1, 3):
+            got = lattice._floor_div(e, f, 1, 0, n, root)  # (e + f sqrt r) * 1 / n
+            want = [(int(x) + (math.isqrt(int(y) ** 2 * root) if y >= 0
+                               else -math.isqrt(int(y) ** 2 * root) - 1)) // n
+                    for x, y in zip(e.tolist(), f.tolist())]
+            assert got.tolist() == want
+
+
+def test_q_sqrt_r_counts_make_no_certified_comparison(monkeypatch):
+    """A Q(sqrt r) cube enumeration and the totally real module count
+    decide every point on integers: neither calls cmp_real nor
+    real_to_float, and the points match the Fraction walk."""
+    from latheights import bounds, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float or a certified comparison decided a point")
+
+    for module in (reals, lattice, bounds):
+        for name in ("cmp_real", "real_to_float"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    cols = [[GOLDEN[0], GOLDEN[1], (0, 0)], [GOLDEN[1], (1, 0), (0, 0)], [(1, 0), (0, 0), (1, 0)]]
+    pts = enumerate_cube(_lattice(cols, 5), Fraction(5, 2))
+    assert pts == _brute(cols, Fraction(5, 2), 5, _coefficient_box(_lattice(cols, 5), Fraction(5, 2)))
+    instances = dict(cli._thm1_instances())
+    assert _fast_count_totally_real(instances["Q(sqrt2)-ideal-L1"], Fraction(32**2)) == 5789
+    assert _fast_count_totally_real(instances["Q(sqrt5)-free-L1"], Fraction(16**2)) == 3015
 
 
 def _spy_recheck(monkeypatch):
@@ -279,25 +398,29 @@ def test_quad_within_matches_quadreal_sign(m, q):
         assert not lattice._quad_within(zero - 5, zero - 1, m, 5 * q, q).any()
 
 
-@pytest.mark.parametrize("b, dtype", [(2**28, np.int64), (2**28 + 1, object)])
+@pytest.mark.parametrize("b, dtype", [(2**28, object), (2**28 + 1, object),
+                                      (5625, np.int64), (5626, object)])
 def test_enumerate_cube_band_on_both_sides_of_the_int64_guard(monkeypatch, b, dtype):
     """Two columns whose sqrt2 parts cancel, so (1, 0) and (1, 1) sit on the
-    face |x|_inf = 1.  The guard product (p + q E (cap + 1) L)^2 r with
-    p = q = 1, E = a + 1, caps 1 and L = 2 is just below 2**62 at
-    b = 2**28 and just above it at b = 2**28 + 1."""
+    face |x|_inf = 1.  The kernel's guard (k (U + q E (cap + 1) L))^2 r,
+    with k = 2 (1 + r) C for the largest conjugate entry C = a + 1 of the
+    free column, U = q = 1, E = a + 1, caps 1 and L = 2, is far above
+    2**62 at b = 2**28 and 2**28 + 1, and just below and above it at
+    b = 5625 and 5626."""
     a = math.isqrt(2 * b * b) - 1
     cols = [[(1 + a, -b), (1, 0)], [(-a, b), (0, 0)]]
     lat = _lattice(cols, 2)
     caps = _coefficient_box(lat, 1)
-    guard = (1 + (a + 1) * (max(caps) + 1) * 2) ** 2 * 2
+    k = 2 * 3 * (a + 1)
+    guard = (k * (1 + (a + 1) * (max(caps) + 1) * 2)) ** 2 * 2
     assert caps == [1, 1] and (guard < 2**62) == (dtype is np.int64)
-    seen, real = [], lattice._quad_within
+    seen, real = [], lattice._floor_div
 
-    def spy(va, *args):
-        seen.append(va.dtype)
-        return real(va, *args)
+    def spy(e, *args):
+        seen.append(e.dtype)
+        return real(e, *args)
 
-    monkeypatch.setattr(lattice, "_quad_within", spy)
+    monkeypatch.setattr(lattice, "_floor_div", spy)
     pts = enumerate_cube(lat, 1)
     assert pts == _brute(cols, 1, 2, caps)
     assert (1, 0) in pts and (1, 1) in pts

@@ -1,10 +1,11 @@
 """The totally real module count on the dyadic strips of the height region
 against the whole-box walk it replaced and against exact integer counts.
 
-``box_walk_count`` is the earlier walk of the full coefficient box of the
-cube |sigma(x_i)| <= T, kept here as the reference: same float screen and
-the same exact band re-check, over every box point.  Hypothesis runs
-derandomized (``conftest.py``), so every run sees the same examples.
+``box_walk_count`` is an earlier walk of the full coefficient box of the
+cube |sigma(x_i)| <= T, kept here as the reference: a float screen of
+every box point, with the points in a band around T re-decided by the
+exact height.  Hypothesis runs derandomized (``conftest.py``), so every
+run sees the same examples.
 """
 
 import math
@@ -49,7 +50,9 @@ def box_walk_count(module, rd_frac):
     target = float(rd_frac * den**d)
     lo_gate, hi_gate = target * (1 - 1e-10), target * (1 + 1e-10)
     count = 0
-    for (va, vb), coeff_rows in _box_slabs(caps, [a_int, b_int]):
+    stacked = [a + b for a, b in zip(a_int, b_int)]  # [A; B]: A m, then B m
+    for vals, coeff_rows in _box_slabs(caps, stacked):
+        va, vb = vals[:, : lat.ambient_dim], vals[:, lat.ambient_dim :]
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
         np.maximum(per_ch, float(den), out=per_ch)
@@ -126,25 +129,26 @@ def test_strip_count_pinned(name, radius, count):
 def test_strip_walk_screens_few_candidates():
     module = dict(cli._thm1_instances())["Q(sqrt5)-ideal-L1"]
     assert _box_size(module, Fraction(64**2)) == 12_003_651
-    walk, screened = lattice.strip_candidates, []
+    walk, screened = lattice.line_runs, []
 
     def spy(*args):
-        for va, vb in walk(*args):
-            screened.append(len(va))
-            yield va, vb
+        for chunk in walk(*args):
+            screened.append(int(chunk[-1].sum()))  # the points of the chunk's runs
+            yield chunk
 
-    lattice.strip_candidates = spy
+    lattice.line_runs = spy
     try:
         assert _fast_count_totally_real(module, Fraction(64**2)) == 13565
     finally:
-        lattice.strip_candidates = walk
+        lattice.line_runs = walk
     assert sum(screened) <= 40_000
 
 
 @pytest.mark.parametrize("root,g", [(1, 7), (2, 6), (5, 6), (2, 10)])
 def test_band_decided_on_the_walk_integers(monkeypatch, root, g):
-    """M = g O_K at T = g^2 puts points on h(x)^d = T, inside the band.  The
-    strip count decides them on the walk's integers, forming no height,
+    """M = g O_K at T = g^2 puts points on h(x)^d = T, inside the band of
+    the reference's float screen.  The strip count decides them on the
+    walk's integers, forming no height and making no certified comparison,
     and still matches the box walk, which decides its band by height_h."""
     field = FIELDS[root]
     module = OkModule.from_pseudo_basis(
@@ -164,7 +168,7 @@ def test_band_decided_on_the_walk_integers(monkeypatch, root, g):
         patch.setattr(bounds, "height_h_nf", no_height)
         patch.setattr(bounds, "cmp_real", spy)
         fast = _fast_count_totally_real(module, rd)
-    assert "module height band" in contexts
+    assert contexts == []
     assert fast == box_walk_count(module, rd)
 
 

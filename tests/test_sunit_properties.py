@@ -48,7 +48,7 @@ def _contexts():
         "Q(sqrt5)-S2,5": SUnitContext(
             K5, s1=[(K5.rational(2), 4), (K5.element([Fraction(5, 2), Fraction(1, 2)]), 5)]
         ),
-        "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)], omega=4),
+        "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)]),
     }
 
 
@@ -193,7 +193,7 @@ def _bench_contexts():
         "Q(sqrt2)-Sinf": SUnitContext(K2),
         "Q-S23": SUnitContext(Q, s1=[(Q.rational(2), 2), (Q.rational(3), 3)]),
         "Q(sqrt2)-S2": SUnitContext(K2, s1=[(K2.gen(), 2)]),
-        "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)], omega=4),
+        "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)]),
     }
 
 

@@ -112,7 +112,7 @@ def test_log_lattice_shapes():
     assert row_sums_contain_zero(ll2.ctx)
 
     # imaginary quadratic: rank zero
-    ll3 = SUnitContext(field_i(), omega=4).log_lattice()
+    ll3 = SUnitContext(field_i()).log_lattice()
     assert ll3.rank == 0
 
 
@@ -168,7 +168,7 @@ def test_count_sunits():
     )
 
     # rank zero
-    assert count_sunits(SUnitContext(field_i(), omega=4), 1) == 4
+    assert count_sunits(SUnitContext(field_i()), 1) == 4
 
     with pytest.raises(ValidationError):
         count_sunits(ctx, 0)
@@ -199,7 +199,7 @@ def test_lemma_sunit_bounds():
     assert lower3.verdict in (HOLDS, INCONCLUSIVE)
 
     # rank zero: exact
-    l0, u0 = lemma_sunit_bounds(SUnitContext(field_i(), omega=4), 1)
+    l0, u0 = lemma_sunit_bounds(SUnitContext(field_i()), 1)
     assert l0.verdict == HOLDS and u0.verdict == HOLDS
     assert l0.exact_count == 4
 
@@ -224,6 +224,29 @@ def test_regulator_bounds():
     assert all(checks2.values())
     checks3 = regulator_bound_checks(SUnitContext(field_sqrt2()), h_k=1)
     assert all(checks3.values())
+
+
+def field_sqrt_m3():
+    return nf_new([1, 1, 1], [[1, 0], [0, 1]])  # Z[omega], omega^2 + omega + 1 = 0
+
+
+@pytest.mark.parametrize("make, omega", [(field_i, 4), (field_sqrt_m3, 6), (field_q, 2),
+                                         (field_sqrt5, 2), (field_sqrt3, 2)])
+def test_roots_of_unity_read_from_the_field(make, omega):
+    """omega_K from D_K: +-1, +-i over Q(i) and the sixth roots of unity over
+    Q(sqrt -3); with S = {inf} the unit group is finite, so each of them is
+    an S-unit of height 1 and the count at B = 1 is omega_K."""
+    ctx = SUnitContext(make())
+    assert ctx.omega == omega
+    if ctx.log_lattice().rank == 0:
+        assert count_sunits(ctx, 1) == omega
+        assert [r.exact_count for r in lemma_sunit_bounds(ctx, 1)] == [omega, omega]
+
+
+def test_context_refuses_degree_above_two():
+    cubic = nf_new([-1, -2, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValidationError):
+        SUnitContext(cubic, unit_gens=[cubic.gen()])
 
 
 def test_context_validation():
