@@ -96,12 +96,12 @@ def suite_cnt_lem(seed: int) -> List[Dict[str, object]]:
         if _box_size(_coefficient_box(lat, radii[-1])) > 200_000:
             continue
         name = "lat-%03d-N%d-L%d" % (accepted + 1, n, big_l)
-        batch = []
+        batch, counts = [], []
         try:
             for radius in radii:
-                exact = len(enumerate_cube(lat, radius))
+                counts.append(len(enumerate_cube(lat, radius)))
                 batch += map(report_record, lemma_reports(
-                    name, radius, exact, n, big_l, det_val, c, integral=True))
+                    name, radius, counts[-1], n, big_l, det_val, c, integral=True))
             omega, det_omega = max_grassmann_sublattice(lat)
             binom_root = sqrt_real(math.comb(n, big_l))
             det_ok = (
@@ -110,10 +110,8 @@ def suite_cnt_lem(seed: int) -> List[Dict[str, object]]:
                              context="det sandwich") <= 0
             )
             batch.append(check_record(name, "DET", det_ok))
-            radius = radii[0]
-            big = len(enumerate_cube(lat, radius))
-            small = len(enumerate_cube(omega, Fraction(radius, big_l)))
-            batch.append(check_record(name, "PROJ", small <= big))
+            small = len(enumerate_cube(omega, Fraction(radii[0], big_l)))
+            batch.append(check_record(name, "PROJ", small <= counts[0]))
         except BudgetExceeded:
             continue
         records.extend(batch)

@@ -23,16 +23,20 @@ caller reads them (``CubePoints``); the totally real module count of
 (``box_points``).  Lattices with a ball entry, or two radicands, are
 screened in floats slab by slab (``_box_slabs``), and the points in a
 safety band around the boundary are re-decided by the certified
-``_certified_in_cube``.  The rational sup-norm minimum walks its box by
-the same slab kernel, on integers.  Every walk checks ENUM_BUDGET on the
-whole box before it builds an array (``_check_budget``).
+``_certified_in_cube``.  The rational sup-norm minimum walks the same slab
+kernel on integers, over the slabs m_axis <= 0 of its box only: -m is as
+long as m, so the first minimal vector in slab order lies there.  Every
+walk checks ENUM_BUDGET on the whole box before it builds an array
+(``_check_budget``).
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant, and the
-module discriminant, are Bareiss elimination on it, and the box caps -- the radius times the l1 row norms of
-G^{-1} B^T -- come from one fraction-free integer solve on it per lattice
-(``intmat.solve``, cached).  Other lattices (balls, irrational Gram
-matrices) solve in the entries' own type.
+module discriminant, are Bareiss elimination on it, and the box caps -- the
+radius times the l1 row norms of G^{-1} B^T -- come from one fraction-free
+integer solve on it per lattice (``intmat.solve``, cached); a rational row
+norm is kept as an integer pair, so each cap is one floor division.  Other
+lattices (balls, irrational Gram matrices) solve in the entries' own type.
+The counting-lemma bounds on exact inputs are closed forms on integers.
 """
 
 from __future__ import annotations
@@ -163,10 +167,16 @@ def _dot(x, y):
 
 
 def _coefficient_box(lat: RealLattice, radius: Fraction) -> List[int]:
-    """Per-coordinate caps M_i with |m_i| <= M_i for all points in the cube."""
+    """Per-coordinate caps M_i with |m_i| <= M_i for all points in the cube
+    of a rational radius R.  A rational row norm is cached as an integer
+    pair (num, den) and gives its cap by one floor division; an irrational
+    one gives the floor of the rational upper bound of s R."""
     if lat._box_norms is None:
-        lat._box_norms = _pinv_row_norms(lat)
-    return [max(0, math.floor(_rat_upper(s * radius))) for s in lat._box_norms]
+        lat._box_norms = [(s.p, s.d) if isinstance(s, QuadReal) and not s.q else s
+                          for s in _pinv_row_norms(lat)]
+    rn, rd = radius.numerator, radius.denominator
+    return [max(0, s[0] * rn // (s[1] * rd)) if isinstance(s, tuple)
+            else max(0, math.floor(_rat_upper(s * radius))) for s in lat._box_norms]
 
 
 def _pinv_row_norms(lat: RealLattice) -> List[Real]:
@@ -527,17 +537,21 @@ def supnorm_min(lat: RealLattice):
 
 def _supnorm_min_rational(lat, scaled):
     """supnorm_min on the integer columns A = den B: the first strict
-    minimum of max |A m| over the nonzero rows of the box.  Vectors of the
-    box outside the cube are longer than the basis vector that set the
-    radius, so they never hold the minimum."""
+    minimum of max |A m| over the nonzero rows of the box, in slab order.
+    Vectors of the box outside the cube are longer than the basis vector
+    that set the radius, so they never hold the minimum.  The slabs ascend
+    from m_axis = -cap, and -m, as long as m, lies in slab -m_axis, so the
+    first minimal row lies in a slab m_axis <= 0: the walk stops after
+    slab 0, the one slab that holds the zero row."""
     import numpy as np
 
     _, den, cols, _ = scaled
     caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
+    top = max(caps)  # slab m_axis = 0 comes at this place in the walk
     best = best_m = None
-    for vals, coeffs in _box_slabs(caps, cols, _int_dtype(cols, caps)):
+    for k, (vals, coeffs) in zip(range(top + 1), _box_slabs(caps, cols, _int_dtype(cols, caps))):
         norms = np.abs(vals).max(axis=1)
-        rows = np.flatnonzero((coeffs != 0).any(axis=1))
+        rows = np.flatnonzero((coeffs != 0).any(axis=1)) if k == top else np.arange(len(norms))
         if rows.size:
             i = rows[np.argmin(norms[rows])]
             if best is None or norms[i] < best:
@@ -580,43 +594,115 @@ def _supnorm_min_real(lat):
 
 # ---------------------------------------------------------------------------
 # counting bounds
+#
+# For an exact det whose square is rational and a rational c, each bound is
+# one closed form on integers: with R = rn / rd, c = cn / cd and X = 1 / det,
+# every branch is beta (1 + gamma Y) with rational beta, gamma and Y = X or
+# sqrt(C(n, L)) X (``_affine``), and each threshold test is one exact sign.
+# A ball det or c (the S-unit regulator and H_SK) takes the operator formulas.
+
+
+def _exact_inputs(det_val, c):
+    """((p, q, d, m), cn, cd): det = (p + q sqrt m) / d with p = 0 or q = 0,
+    and c = cn / cd with cd > 0, when both are exact and nonzero and c is
+    rational; None otherwise."""
+    parts = [(x.p, x.q, x.d, x.m) if isinstance(x, QuadReal)
+             else (x.numerator, 0, x.denominator, 0) if isinstance(x, (int, Fraction))
+             else None for x in (det_val, c)]
+    if None in parts:
+        return None
+    (p, q, d, m), (cn, cq, cd, _) = parts
+    if (p and q) or not (p or q) or cq or not cn:
+        return None
+    return (p, q, d, m), cn, cd
+
+
+def _inverse(det):
+    """1 / det for det = (p, q, d, m): d (p - q sqrt m) / (p^2 - q^2 m)."""
+    p, q, d, m = det
+    return scaled_quad(d * p, -d * q, p * p - q * q * m, m)
+
+
+def _affine(bn, bd, gn, gd, y):
+    """beta (1 + gamma y) for beta = bn / bd, gamma = gn / gd and a QuadReal
+    y, by one ``scaled_quad``."""
+    return scaled_quad(bn * (gd * y.d + gn * y.p), bn * gn * y.q, bd * gd * y.d, y.m)
 
 
 def bound_upper(n: int, big_l: int, det_val, c, radius, integral: bool = False) -> Real:
     """Upper bound for |Lambda cap C_n(R)|; min over applicable branches."""
-    det_val, c, radius = to_real(det_val), to_real(c), to_real(Fraction(radius))
-    branches = []
-    if big_l == n:
-        branches.append(
-            (2 * radius * c ** (n - 1) / det_val + 1) * (2 * radius / c + 1) ** (n - 1)
-        )
+    radius = Fraction(radius)
+    exact = _exact_inputs(det_val, c)
+    if exact is None:
+        det_val, c, radius = to_real(det_val), to_real(c), to_real(radius)
+        branches = []
+        if big_l == n:
+            branches.append(
+                (2 * radius * c ** (n - 1) / det_val + 1) * (2 * radius / c + 1) ** (n - 1)
+            )
+        else:
+            branches.append((2 * radius / c + 1) ** (n - 1))
+        if integral:
+            root = sqrt_real(math.comb(n, big_l))
+            branches.append(
+                (2 * root * radius / det_val + 1) * (2 * radius + 1) ** (big_l - 1)
+            )
+        return min_real(*branches)
+    det, cn, cd = exact
+    rn, rd = radius.numerator, radius.denominator
+    x = _inverse(det)
+    gn, gd = 2 * rn * cd + rd * cn, rd * cn  # 2R/c + 1
+    if big_l == n:  # (2R/c + 1)^{n-1} (1 + 2 R c^{n-1} X)
+        best = _affine(gn ** (n - 1), gd ** (n - 1), 2 * rn * cn ** (n - 1), rd * cd ** (n - 1), x)
     else:
-        branches.append((2 * radius / c + 1) ** (n - 1))
-    if integral:
-        root = sqrt_real(math.comb(n, big_l))
-        branches.append(
-            (2 * root * radius / det_val + 1) * (2 * radius + 1) ** (big_l - 1)
-        )
-    return min_real(*branches)
+        best = scaled_quad(gn ** (n - 1), 0, gd ** (n - 1), 0)
+    if integral:  # (2R + 1)^{L-1} (1 + 2R sqrt(C(n, L)) X)
+        alt = _affine((2 * rn + rd) ** (big_l - 1), rd ** (big_l - 1), 2 * rn, rd,
+                      sqrt_real(math.comb(n, big_l)) * x)
+        if cmp_real(alt, best) < 0:
+            best = alt
+    return best
 
 
 def lower_bound_threshold(big_l: int, det_val, c) -> Real:
     """Smallest R for which the lower bound applies: (L/2) max{det/c^{L-1}, c}."""
-    det_val, c = to_real(det_val), to_real(c)
-    return Fraction(big_l, 2) * max_real(det_val / c ** (big_l - 1), c)
+    exact = _exact_inputs(det_val, c)
+    if exact is None:
+        det_val, c = to_real(det_val), to_real(c)
+        return Fraction(big_l, 2) * max_real(det_val / c ** (big_l - 1), c)
+    (p, q, d, m), cn, cd = exact
+    e = big_l * cd ** (big_l - 1)  # t = (L/2) det / c^{L-1}
+    t = scaled_quad(p * e, q * e, 2 * d * cn ** (big_l - 1), m)
+    # t >= (L/2) c = L cn / (2 cd), on integers with t.d, cd > 0
+    if quad_sign(2 * cd * t.p - big_l * cn * t.d, 2 * cd * t.q, t.m) >= 0:
+        return t
+    return scaled_quad(big_l * cn, 0, 2 * cd, 0)
 
 
 def bound_lower(big_l: int, det_val, c, radius) -> Real:
     """Lower bound for |Lambda cap C_N(R)|; errors if R misses the threshold."""
-    det_val, c = to_real(det_val), to_real(c)
-    radius = to_real(Fraction(radius))
-    # R >= (L/2) max{det/c^{L-1}, c} exactly when neither factor is negative
-    main = 2 * radius * c ** (big_l - 1) / (big_l * det_val) - 1
-    growth = 2 * radius / (big_l * c) - 1
-    for factor in (main, growth):
-        if cmp_real(factor, 0, context="lower bound threshold") < 0:
-            raise ValidationError("lower bound not applicable: R below threshold")
-    return main * growth ** (big_l - 1)
+    radius = Fraction(radius)
+    exact = _exact_inputs(det_val, c)
+    if exact is None:
+        det_val, c, radius = to_real(det_val), to_real(c), to_real(radius)
+        # R >= (L/2) max{det/c^{L-1}, c} exactly when neither factor is negative
+        main = 2 * radius * c ** (big_l - 1) / (big_l * det_val) - 1
+        growth = 2 * radius / (big_l * c) - 1
+        for factor in (main, growth):
+            if cmp_real(factor, 0, context="lower bound threshold") < 0:
+                raise ValidationError("lower bound not applicable: R below threshold")
+        return main * growth ** (big_l - 1)
+    det, cn, cd = exact
+    rn, rd = radius.numerator, radius.denominator
+    x = _inverse(det)
+    # main = 2 R c^{L-1} X / L - 1 = (mp + mq sqrt m) / md with md > 0
+    kn, kd = 2 * rn * cn ** (big_l - 1), big_l * rd * cd ** (big_l - 1)
+    mp, mq, md = kn * x.p - kd * x.d, kn * x.q, kd * x.d
+    gn, gd = 2 * rn * cd - big_l * rd * cn, big_l * rd * cn  # growth = 2R / (L c) - 1
+    if quad_sign(mp, mq, x.m) < 0 or gn * gd < 0:
+        raise ValidationError("lower bound not applicable: R below threshold")
+    power = big_l - 1
+    return scaled_quad(mp * gn ** power, mq * gn ** power, md * gd ** power, x.m)
 
 
 def max_grassmann_sublattice(lat: RealLattice):

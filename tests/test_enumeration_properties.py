@@ -10,11 +10,12 @@ run sees the same examples.
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latheights import intmat, lattice, linalg, reals
@@ -782,3 +783,96 @@ def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
     assert witness == next(m for m in norm if norm[m] == best)
     assert dtypes == [object if scale > 1 else "int64"]
     assert det_val * det_val == _leibniz_det(gram)
+
+
+def _supnorm_full_box(lat):
+    """(best, witness, minimal rows, free axis) of a rational lattice by the
+    walk of every slab of its box, the zero row left out of each: best is
+    max |A m| on the integer columns A = den B, the witness its first strict
+    minimum in slab order, and the minimal rows every nonzero m reaching it."""
+    _, den, cols, _ = lat.scaled_columns()
+    caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
+    best = best_m = None
+    nonzero = []
+    for vals, coeffs in lattice._box_slabs(caps, cols, lattice._int_dtype(cols, caps)):
+        norms = np.abs(vals).max(axis=1)
+        rows = np.flatnonzero((coeffs != 0).any(axis=1))
+        nonzero += [(int(norms[i]), tuple(coeffs[i].tolist())) for i in rows]
+        if rows.size:
+            i = rows[np.argmin(norms[rows])]
+            if best is None or norms[i] < best:
+                best, best_m = int(norms[i]), tuple(coeffs[i].tolist())
+    return best, best_m, [m for v, m in nonzero if v == best], lattice._free_axis(caps)[0]
+
+
+@st.composite
+def supnorm_cases(draw):
+    """(rows, kind): an integer basis, of any shape, or drawn from a seed
+    until its only minimal vectors have coefficient 0 on the free axis
+    ("axis0"), or until it has more than one minimal pair +-m ("pairs")."""
+    kind = draw(st.sampled_from(["any", "axis0", "pairs"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(400):
+        n = rng.randint(1 if kind == "any" else 2, 4)
+        big_l = rng.randint(1 if kind == "any" else 2, n)
+        rows = [[rng.randint(-9, 9) for _ in range(big_l)] for _ in range(n)]
+        lat = RealLattice.from_rows(rows)
+        if intmat.det(lat.int_gram()[0]) == 0:
+            continue
+        r0 = min(max(abs(row[j]) for row in rows) for j in range(big_l))
+        if _box_size(_coefficient_box(lat, r0)) > BOX_LIMIT:
+            continue
+        if kind == "any":
+            return rows, kind
+        _, _, minimal, axis = _supnorm_full_box(lat)
+        if kind == "axis0" and all(m[axis] == 0 for m in minimal) or (
+                kind == "pairs" and len(minimal) > 2):
+            return rows, kind
+    assume(False)
+
+
+@PROPERTY
+@example(([[-6, 7], [9, 3], [-4, -5], [-1, 4]], "axis0"), 1)
+@given(supnorm_cases(), st.sampled_from([1, 2**62 + 3]))
+def test_half_box_supnorm_min_matches_the_full_box_walk(case, scale):
+    """The walk that stops after slab 0 returns the full-box walk's minimum
+    and witness: when every minimal vector has m_axis = 0, when there are
+    several minimal pairs, and on Python ints past the int64 guard."""
+    rows, kind = case
+    lat = RealLattice.from_rows([[x * scale for x in row] for row in rows])
+    best, witness, minimal, axis = _supnorm_full_box(lat)
+    dtypes = []
+    (value, got), _ = _walk_rational_lattice(lat, dtypes)
+    assert (value, got) == (QuadReal(best), witness)
+    assert dtypes == [object if scale > 1 else "int64"]
+    assert kind != "axis0" or got[axis] == 0
+    assert kind != "pairs" or len(minimal) > 2
+
+
+@PROPERTY
+@given(rational_cases(), sqrt2_cases(), st.integers(0, 60), st.sampled_from([1, 2, 3, 7, 12]))
+def test_integer_caps_equal_the_floor_of_the_rational_upper_bound(rational, sqrt2, k, den):
+    """A rational lattice's caps are max(0, floor(_rat_upper(s R))) for its
+    row norms s, made with no _rat_upper call, at radii with denominators;
+    a Q(sqrt2) lattice's caps are that formula too."""
+    radius = Fraction(k, den)
+    rat, surd = _lattice(rational[0], 0), _lattice(sqrt2[0], 2)
+    want = []
+    for lat in (rat, surd):
+        try:
+            norms = lattice._pinv_row_norms(lat)
+        except ValidationError:  # dependent columns
+            norms = None
+        want.append(norms and [max(0, math.floor(lattice._rat_upper(s * radius)))
+                               for s in norms])
+    upper = lattice._rat_upper
+
+    def refuse(x):
+        raise AssertionError("a rational row norm went through _rat_upper")
+
+    lattice._rat_upper = refuse
+    try:
+        assert want[0] is None or _coefficient_box(rat, radius) == want[0]
+    finally:
+        lattice._rat_upper = upper
+    assert want[1] is None or _coefficient_box(surd, radius) == want[1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latheights import cli, reals
+from latheights import cli, lattice, nf, reals
 from latheights.errors import PrecisionExhausted, ValidationError
 from latheights.lattice import (
     RealLattice,
@@ -23,7 +23,7 @@ from latheights.lattice import (
 )
 from latheights.modules import _ideal_lattice
 from latheights.reals import (
-    QuadReal, abs_real, cmp_real, endpoints, max_real, min_real, sqrt_real, to_real)
+    BallReal, QuadReal, abs_real, cmp_real, endpoints, max_real, min_real, sqrt_real, to_real)
 from latheights.sunits import SUnitContext
 
 
@@ -288,6 +288,11 @@ def test_bound_lower_raises_exactly_below_threshold(case):
         assert cmp_real(value, 0) >= 0
 
 
+# scaled_quad calls of `verify cnt-lem --seed 42` with the bounds formed as
+# closed forms on integers; operator dispatch made 28,795
+CNT_LEM_SCALED_QUADS = 8_270
+
+
 def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
     # every cnt-lem bound lives in Q(sqrt g) or Q(sqrt(C(n, L) g)): no BallReal
     built, init = [], reals.BallReal.__init__
@@ -296,11 +301,133 @@ def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
         built.append(fn)
         init(self, fn)
 
+    calls, make = [0], reals.scaled_quad
+
+    def count(*args):
+        calls[0] += 1
+        return make(*args)
+
     monkeypatch.setattr(reals.BallReal, "__init__", spy)
+    for module in (reals, lattice, nf):  # every module that holds the name
+        monkeypatch.setattr(module, "scaled_quad", count)
     assert cli.main(["verify", "cnt-lem", "--seed", "42"]) == 0
     assert built == []
+    # the bounds are formed once per branch, not operator by operator
+    assert calls[0] <= CNT_LEM_SCALED_QUADS * 11 // 10, calls[0]
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     (tie,) = [r for r in records if r["instance"] == "lat-045-N2-L1"
               and r["kind"] == "UPPER" and r["R_mid"] == "3"]
     # bound and count are both exactly 3: an exact comparison decides it
     assert (tie["exact"], tie["bound_mid"], tie["verdict"]) == (3, "3", "HOLDS")
+
+
+# ---------------------------------------------------------------------------
+# the closed-form bounds against the operator formulas
+
+
+def _dispatch_upper(n, big_l, det_val, c, radius, integral=False):
+    """bound_upper by Real operator dispatch, one branch at a time."""
+    det_val, c, radius = to_real(det_val), to_real(c), to_real(Fraction(radius))
+    branches = []
+    if big_l == n:
+        branches.append(
+            (2 * radius * c ** (n - 1) / det_val + 1) * (2 * radius / c + 1) ** (n - 1)
+        )
+    else:
+        branches.append((2 * radius / c + 1) ** (n - 1))
+    if integral:
+        root = sqrt_real(math.comb(n, big_l))
+        branches.append(
+            (2 * root * radius / det_val + 1) * (2 * radius + 1) ** (big_l - 1)
+        )
+    return min_real(*branches)
+
+
+def _dispatch_threshold(big_l, det_val, c):
+    det_val, c = to_real(det_val), to_real(c)
+    return Fraction(big_l, 2) * max_real(det_val / c ** (big_l - 1), c)
+
+
+def _dispatch_lower(big_l, det_val, c, radius):
+    det_val, c = to_real(det_val), to_real(c)
+    radius = to_real(Fraction(radius))
+    main = 2 * radius * c ** (big_l - 1) / (big_l * det_val) - 1
+    growth = 2 * radius / (big_l * c) - 1
+    for factor in (main, growth):
+        if cmp_real(factor, 0, context="lower bound threshold") < 0:
+            raise ValidationError("lower bound not applicable: R below threshold")
+    return main * growth ** (big_l - 1)
+
+
+def _parts(x):
+    assert isinstance(x, QuadReal)
+    return x.p, x.q, x.d, x.m
+
+
+SHAPES = [(n, big_l) for n in range(1, 7) for big_l in range(1, n + 1)]
+
+
+@st.composite
+def lemma_inputs(draw):
+    """(n, L, det, c, R): L = n or L < n (C(n, L) with a square factor, as
+    C(4, 1) = 4, or without), det the root of a rational Gram determinant
+    that is a square or not, c and R rationals with denominators, and R
+    often exactly on the rational lower-bound threshold or just below it."""
+    n, big_l = draw(st.sampled_from(SHAPES))
+    g = draw(st.integers(1, 40))
+    gram_det = Fraction(g * g if draw(st.booleans()) else g, draw(st.sampled_from([1, 3, 4, 9])))
+    det_val = sqrt_real(gram_det)
+    c = Fraction(draw(st.integers(1, 24)), draw(st.sampled_from([1, 1, 2, 3, 7])))
+    thresh = _dispatch_threshold(big_l, det_val, c)
+    mode = draw(st.sampled_from(["free", "on", "below"])) if thresh.is_rational else "free"
+    if mode == "free":
+        radius = Fraction(draw(st.integers(0, 300)), draw(st.sampled_from([1, 2, 5, 6])))
+    else:
+        radius = thresh.as_fraction() - (Fraction(1, 1000) if mode == "below" else 0)
+    return n, big_l, det_val, c, radius, mode
+
+
+@settings(max_examples=400)
+@given(lemma_inputs(), st.booleans(), st.booleans())
+def test_closed_form_bounds_equal_the_operator_formulas(case, integral, c_real):
+    """bound_upper, lower_bound_threshold and bound_lower give exactly the
+    QuadReal of the operator formulas, and raise where they raise; c comes
+    as a Fraction or as a QuadReal."""
+    n, big_l, det_val, c_frac, radius, mode = case
+    c = to_real(c_frac) if c_real else c_frac
+    assert _parts(bound_upper(n, big_l, det_val, c, radius, integral)) == _parts(
+        _dispatch_upper(n, big_l, det_val, c, radius, integral))
+    thresh = lower_bound_threshold(big_l, det_val, c)
+    assert _parts(thresh) == _parts(_dispatch_threshold(big_l, det_val, c))
+    try:
+        want = _dispatch_lower(big_l, det_val, c, radius)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            bound_lower(big_l, det_val, c, radius)
+        assert mode != "on"
+        return
+    got = bound_lower(big_l, det_val, c, radius)
+    assert _parts(got) == _parts(want)
+    assert mode != "below"
+    if mode == "on":
+        # one factor is 0 on the threshold: main, or growth with power L - 1
+        main_zero = det_val.is_rational and radius * 2 * c_frac ** (big_l - 1) == (
+            big_l * det_val.as_fraction())
+        assert (got == 0) == (big_l > 1 or main_zero)
+
+
+def test_ball_det_bounds_bracket_the_exact_bounds():
+    """A ball det takes the operator formulas: its enclosures contain the
+    closed forms of the same exact det."""
+    for n, big_l, g, c, radius in [(3, 3, 8, Fraction(3, 2), Fraction(17, 2)),
+                                   (4, 1, 5, 2, 9), (2, 1, 7, Fraction(1, 3), 4)]:
+        exact = sqrt_real(g)
+        ball = BallReal(lambda prec, x=exact: x.interval(prec))
+        pairs = [(bound_upper(n, big_l, ball, c, radius, True),
+                  bound_upper(n, big_l, exact, c, radius, True)),
+                 (lower_bound_threshold(big_l, ball, c), lower_bound_threshold(big_l, exact, c)),
+                 (bound_lower(big_l, ball, c, radius), bound_lower(big_l, exact, c, radius))]
+        for enclosed, value in pairs:
+            assert isinstance(enclosed, BallReal) and isinstance(value, QuadReal)
+            lo, hi = endpoints(enclosed)
+            assert cmp_real(lo, value) <= 0 <= cmp_real(hi, value)
