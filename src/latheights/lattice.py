@@ -15,19 +15,22 @@ coefficient t with R, S in Z[sqrt r], and a bound |R + t S| <= U keeps the
 integers t between (+-U - R) / S.  Times the conjugate of S, each end is
 (P + Q sqrt r) / N with integers P, Q and N = N(S) > 0, and its floor is
 floor((P + floor(Q sqrt r)) / N), with floor(Q sqrt r) from the integer
-square root of Q^2 r (``_floor_div``): the Fincke-Pohst step, exact on
-integers.  So no float decides a point.  ``enumerate_cube`` counts the
-points as the sum of the interval lengths and builds them only when a
-caller reads them (``CubePoints``); the totally real module count of
-``bounds`` cuts the union of its dyadic strips by the same kernel
-(``box_points``).  Lattices with a ball entry, or two radicands, are
-screened in floats slab by slab (``_box_slabs``), and the points in a
-safety band around the boundary are re-decided by the certified
-``_certified_in_cube``.  The rational sup-norm minimum walks the same slab
-kernel on integers, over the slabs m_axis <= 0 of its box only: -m is as
-long as m, so the first minimal vector in slab order lies there.  Every
-walk checks ENUM_BUDGET on the whole box before it builds an array
-(``_check_budget``).
+square root of Q^2 r (``_floor_quad``, mapped by ``_floor_div``): the
+Fincke-Pohst step, exact on integers.  So no float decides a point.
+``enumerate_cube`` counts the points as the sum of the interval lengths and
+builds them only when a caller reads them (``CubePoints``).  A one-line box
+-- every cap 0 but one -- is the one interval |t| <= top through 0, and
+top is a minimum of such floors on Python ints, with no walk
+(``_line_points``).  The totally real module count of ``bounds`` cuts the
+union of its dyadic strips by the same kernel (``box_points``).  Lattices
+with a ball entry, or two radicands, are screened in floats slab by slab
+(``_box_slabs``), and the points in a safety band around the boundary are
+re-decided by the certified ``_certified_in_cube``.  The rational sup-norm
+minimum walks the same slab kernel on integers, over the slabs m_axis <= 0
+of its box only: -m is as long as m, so the first minimal vector in slab
+order lies there; on a one-line box it is the free column, with no walk.
+Every walk, and every one-line box, checks ENUM_BUDGET on the whole box
+before it builds an array (``_check_budget``).
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant, and the
@@ -241,7 +244,9 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     is larger than ENUM_BUDGET, before any array is built.  Points come slab
     by slab: the first longest coefficient axis is outermost, and every axis
     ascends.  On a lattice with scaled columns the count needs no points:
-    the rows are built only when a caller reads them.
+    the rows are built only when a caller reads them.  There a one-line box,
+    every cap 0 but one, is counted in closed form (``_line_points``); any
+    other box is walked by ``line_runs``.
     """
     radius = Fraction(radius)
     if radius < 0:
@@ -251,6 +256,8 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     if scaled is None:
         return _enumerate_generic(lat, radius, caps)
     bound = radius * scaled[1]  # |A m + B m sqrt r| <= radius den, A, B integer
+    if _box_size(caps) == 2 * max(caps) + 1:
+        return _line_points(scaled, caps, bound.numerator, bound.denominator)
     box = [bound.numerator] * lat.ambient_dim
     chunks = [(rest[line], start, size) for rest, _, _, line, start, size
               in line_runs(scaled, caps, [box], bound.denominator)]
@@ -266,6 +273,31 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
         return np.insert(rows[run[order]], _free_axis(caps)[0], t[order], axis=1)
 
     return CubePoints(count, build)
+
+
+def _line_points(scaled, caps, u, q):
+    """enumerate_cube on a one-line box, every cap 0 but the free axis a's:
+    the points are t e_a, and coordinate c is t S_c with S_c the column
+    entry, so q |t S_c| <= u keeps |t| <= floor(u / (q |S_c|)) =
+    floor(g u C_c / (q N_c)) with g, C_c and N_c of ``_slope``.  The rows,
+    t = -top, ..., top on axis a, are in slab order."""
+    root, _, a_cols, b_cols = scaled
+    _check_budget(caps)
+    axis = _free_axis(caps)[0]
+    top = caps[axis]
+    for x, y in zip(a_cols[axis], b_cols[axis]):
+        if x or y:
+            g, ca, cb, qn = _slope(x, y, root, q)
+            top = min(top, _floor_quad(g * u * ca, g * u * cb, qn, root))
+
+    def build():
+        import numpy as np
+
+        rows = np.zeros((2 * top + 1, len(caps)), dtype=np.int64)
+        rows[:, axis] = np.arange(-top, top + 1)
+        return rows
+
+    return CubePoints(2 * top + 1, build)
 
 
 def _box_size(caps: Sequence[int]) -> int:
@@ -316,27 +348,43 @@ def _int_dtype(cols, caps, scale=1, offset=0, root=0):
     return "int64" if (top * top * root if root else top) < 2**62 else object
 
 
+def _floor_quad(e, f, n, root):
+    """floor((e + f sqrt(root)) / n) on Python ints, n > 0.  floor(y / n) =
+    floor(floor(y) / n) for every real y, and with s = isqrt(f^2 root),
+    floor(f sqrt(root)) is s for f >= 0, and -s - 1 for f < 0 unless
+    s^2 = f^2 root."""
+    x = f * f * root
+    s = math.isqrt(x)
+    return (e + (s if f >= 0 else -s - (s * s != x))) // n
+
+
 def _floor_div(xa, xb, ca, cb, n, root):
     """floor((xa + xb sqrt(root)) (ca + cb sqrt(root)) / n), elementwise on
-    integer arrays, n > 0.  The product is e + f sqrt(root) with integers
-    e, f, and floor(y / n) = floor(floor(y) / n) for every real y.  With
-    s = isqrt(f^2 root), floor(f sqrt(root)) is s for f >= 0, and -s - 1
-    for f < 0 unless s^2 = f^2 root.  Below 2**62, s is the float square
-    root with one integer correction each way; on Python ints it is
-    math.isqrt."""
+    integer arrays, n > 0: the product is e + f sqrt(root) with integers
+    e, f, floored by ``_floor_quad``, which Python ints map.  Below 2**62,
+    isqrt(f^2 root) is the float square root with one integer correction
+    each way."""
     import numpy as np
 
     if not root:
         return xa * ca // n
     e, f = xa * ca + root * xb * cb, xa * cb + xb * ca
+    if e.dtype == object:
+        return np.frompyfunc(_floor_quad, 4, 1)(e, f, n, root)
     x = f * f * root
-    if x.dtype == object:
-        s = np.frompyfunc(math.isqrt, 1, 1)(x)
-    else:
-        s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-        s -= s * s > x
-        s += (s + 1) * (s + 1) <= x
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
     return (e + np.where(f >= 0, s, -s - (s * s != x))) // n
+
+
+def _slope(x, y, root, q):
+    """(g, C_a, C_b, q N) of a slope S = x + y sqrt(root) != 0: g the sign
+    of S, and C = C_a + C_b sqrt(root) with S C = N > 0 (``line_runs``)."""
+    norm, conj = (x * x - root * y * y, (x, -y)) if y else (x, (1, 0))
+    s = 1 if norm > 0 else -1
+    return ((x > 0) - (x < 0) if s > 0 or not y else (y > 0) - (y < 0),
+            s * conj[0], s * conj[1], s * q * norm)
 
 
 def line_runs(scaled, caps, limits, q=1):
@@ -353,12 +401,13 @@ def line_runs(scaled, caps, limits, q=1):
     in Z[sqrt r].  For S_c != 0 take C_c = x - y sqrt r and N_c = x^2 - r y^2
     (C_c = 1 and N_c = x when y = 0), both negated when N_c < 0, so that
     S_c C_c = N_c > 0.  S_c has the sign g of x when y = 0 or x^2 > r y^2
-    (|x| > |y| sqrt r), of y otherwise.  The box keeps the integers t with
-    (-g U_c - q R_c) / (q S_c) <= t <= (g U_c - q R_c) / (q S_c), and each
-    end is (g U_c -+ q R_c) C_c / (q N_c), whose floor ``_floor_div`` takes
-    exactly on integers.  A coordinate with S_c = 0 keeps the whole line or
-    none of it (``_quad_within``).  The intervals of all boxes on a line
-    are merged and clipped to |t| <= cap of the free axis.
+    (|x| > |y| sqrt r), of y otherwise (``_slope``).  The box keeps the
+    integers t with (-g U_c - q R_c) / (q S_c) <= t <= (g U_c - q R_c) /
+    (q S_c), and each end is (g U_c -+ q R_c) C_c / (q N_c), whose floor
+    ``_floor_div`` takes exactly on integers.  A coordinate with S_c = 0
+    keeps the whole line or none of it (``_quad_within``).  The intervals of
+    all boxes on a line are merged and clipped to |t| <= cap of the free
+    axis.
 
     Per chunk of PREFIX_CHUNK / (boxes x coordinates with S_c != 0) lines,
     which bounds the size of the interval arrays, the walk yields (rest, ra,
@@ -375,14 +424,11 @@ def line_runs(scaled, caps, limits, q=1):
     _check_budget(caps)
     axis, rest_axes, rest_caps, n_lines = _free_axis(caps)
     cap, n = caps[axis], len(a_cols[0])
-    moving, flat, ends = [], [], []  # ends: (g, C_c, N_c) of each moving coordinate
+    moving, flat, ends = [], [], []  # ends: ``_slope`` of each moving coordinate
     for c, (x, y) in enumerate(zip(a_cols[axis], b_cols[axis])):
         if x or y:
-            norm, conj = (x * x - root * y * y, (x, -y)) if y else (x, (1, 0))
-            s = 1 if norm > 0 else -1
             moving.append(c)
-            ends.append(((x > 0) - (x < 0) if s > 0 or not y else (y > 0) - (y < 0),
-                         s * conj[0], s * conj[1], s * q * norm))
+            ends.append(_slope(x, y, root, q))
         elif any(col[c] for col in a_cols + b_cols):
             flat.append(c)
     # 2 (1 + r) times a bound on the conjugates' parts, for the overflow guard
@@ -542,12 +588,19 @@ def _supnorm_min_rational(lat, scaled):
     that set the radius, so they never hold the minimum.  The slabs ascend
     from m_axis = -cap, and -m, as long as m, lies in slab -m_axis, so the
     first minimal row lies in a slab m_axis <= 0: the walk stops after
-    slab 0, the one slab that holds the zero row."""
+    slab 0, the one slab that holds the zero row.  A one-line box, every
+    cap 0 but the free axis a's, needs no walk: its nonzero rows t e_a have
+    max |A m| = |t| max |A_a|, least at t = -1, the first of slab order."""
     import numpy as np
 
     _, den, cols, _ = scaled
     caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
     top = max(caps)  # slab m_axis = 0 comes at this place in the walk
+    if _box_size(caps) == 2 * top + 1:  # the rows t e_a: the least is t = -1
+        _check_budget(caps)
+        axis = _free_axis(caps)[0]
+        return (scaled_quad(max(map(abs, cols[axis])), 0, den, 0),
+                tuple(-(j == axis) for j in range(len(caps))))
     best = best_m = None
     for k, (vals, coeffs) in zip(range(top + 1), _box_slabs(caps, cols, _int_dtype(cols, caps))):
         norms = np.abs(vals).max(axis=1)

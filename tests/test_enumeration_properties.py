@@ -53,6 +53,12 @@ def _box_size(caps):
     return total
 
 
+def _one_line(caps):
+    """The box |m_j| <= caps[j] is one line through 0, every cap 0 but one:
+    the library takes it in closed form, with no kernel walk."""
+    return _box_size(caps) == 2 * max(caps) + 1
+
+
 def _sign(q):
     return (q > 0) - (q < 0)
 
@@ -249,7 +255,7 @@ def test_line_kernel_matches_brute_force(case):
     """The exact line intervals against a Fraction walk of the box, with a
     flat coordinate and a mixed-sign negative slope on the free axis, on
     int64 and, scaled past 2**62, on Python ints; the count builds no
-    rows."""
+    rows.  A one-line box takes no walk."""
     cols, radius, root, scale = case
     lat = _lattice(cols, root)
     try:
@@ -270,7 +276,8 @@ def test_line_kernel_matches_brute_force(case):
     want = _brute(cols, radius, root, caps)
     assert len(pts) == len(want) and pts._rows is None  # counted, not built
     assert pts == want
-    assert set(dtypes) == {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
+    want_dtypes = {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
+    assert set(dtypes) == (set() if _one_line(caps) else want_dtypes)
 
 
 def _pell(root, count):
@@ -539,7 +546,8 @@ def test_coefficient_box_matches_fraction_inverse(case):
 def test_enumerate_cube_python_int_path(case, shift):
     """Entries of 2^62 and more overflow int64: the line intervals must be
     taken on Python ints and give the points of the unscaled lattice, in the
-    same order; the unscaled lattice stays on int64."""
+    same order; the unscaled lattice stays on int64.  A one-line box takes
+    no walk, so it picks no dtype."""
     cols, radius = case
     scale = 2**62 + shift
     big = _lattice([[(a * scale, 0) for a, _ in col] for col in cols], 0)
@@ -560,7 +568,7 @@ def test_enumerate_cube_python_int_path(case, shift):
         small = enumerate_cube(_lattice(cols, 0), radius)
     finally:
         lattice._int_dtype = pick
-    assert dtypes == [object, "int64"]
+    assert dtypes == ([] if _one_line(caps) else [object, "int64"])
     assert pts == _brute(cols, radius, 0, caps)
     assert pts == small
 
@@ -626,10 +634,92 @@ def test_len_of_a_rational_enumeration_builds_no_rows(case):
         count = len(pts)
         assert pts._rows is None and sorts == []
         rows = list(pts)
-        assert sorts == [2] and list(pts) == rows
+        assert sorts == ([] if _one_line(caps) else [2]) and list(pts) == rows
     finally:
         np.lexsort = sort
     assert count == len(rows) == len(_brute(cols, radius, 0, caps))
+
+
+@st.composite
+def one_line_cases(draw):
+    """(cols, radius, root, scale): a Q, Q(sqrt2) or Q(sqrt5) lattice (half
+    integers over Q(sqrt5)) whose cube box is one line.  Rank 1, or rank
+    >= 2 with one column drawn plainly and the others k times longer, at a
+    radius below 1 / s for the second largest row norm s of the
+    pseudo-inverse, halved until the box is one line; zero and negative
+    coordinates; radii 0, below the least nonzero entry or free; scaled by
+    1 or, with the radius, by at least 2**62."""
+    root = draw(st.sampled_from([0, 2, 5]))
+    den = {0: draw(st.sampled_from([1, 2, 3])), 2: 1, 5: 2}[root]
+    entry = st.builds(lambda a, b: (Fraction(a, den), Fraction(b, den) if root else 0),
+                      st.integers(-6, 6), st.integers(-3, 3))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 40))
+    cols = [[draw(entry) for _ in range(n)]]
+    cols += [[(a * k, b * k) for a, b in (draw(entry) for _ in range(n))]
+             for _ in range(draw(st.integers(1, n)) - 1)]
+    cols = draw(st.permutations(cols))
+    lat = _lattice(cols, root)
+    try:
+        norms = sorted(map(reals.real_to_float, lattice._pinv_row_norms(lat)))
+    except ValidationError:  # dependent columns
+        assume(False)
+    reach = 1 / norms[-2] if len(norms) > 1 else 60
+    least = min(abs(a + b * math.sqrt(root)) for col in cols for a, b in col if a or b)
+    radius = {"zero": Fraction(0), "below": Fraction(math.floor(least * 0.9 * 12), 12),
+              "free": Fraction(math.floor(reach * draw(st.integers(1, 100))), 100)}[
+        draw(st.sampled_from(["zero", "below", "free", "free", "free"]))]
+    while not _one_line(_coefficient_box(lat, radius)):
+        radius /= 2
+    scale = draw(st.sampled_from([1, 2**62 + draw(st.integers(0, 2**70))]))
+    return cols, radius, root, scale
+
+
+@settings(PROPERTY, max_examples=200)
+@given(one_line_cases())
+def test_one_line_box_is_counted_in_closed_form(case):
+    """A one-line box gives the Fraction walk's points, in slab order, with
+    no kernel walk, on int64 and past the 2**62 guard; len() builds no
+    rows."""
+    cols, radius, root, scale = case
+    caps = _coefficient_box(_lattice(cols, root), radius)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    big = _lattice([[(a * scale, b * scale) for a, b in col] for col in cols], root)
+    assert _coefficient_box(big, radius * scale) == caps
+    runs, kernel = [], lattice.line_runs
+    lattice.line_runs = lambda *args: runs.append(args) or kernel(*args)
+    try:
+        pts = enumerate_cube(big, radius * scale)
+    finally:
+        lattice.line_runs = kernel
+    want = _brute(cols, radius, root, caps)
+    assert len(pts) == len(want) and pts._rows is None and runs == []
+    assert pts == want
+    assert pts.rows.dtype == np.int64 and pts.rows.shape == (len(want), len(caps))
+
+
+@pytest.mark.parametrize("root", [0, 2, 5])
+def test_one_line_box_keeps_the_column_and_budget_checks(monkeypatch, root):
+    """A zero column is refused before the closed form, and a one-line box
+    past ENUM_BUDGET raises BudgetExceeded, in enumerate_cube and, over Q,
+    in supnorm_min."""
+    y = 1 if root else 0
+    for cols in ([[(0, 0), (0, 0)]], [[(3, y), (1, 0)], [(0, 0), (0, 0)]]):
+        with pytest.raises(ValidationError):
+            enumerate_cube(_lattice(cols, root), 5)
+    cols = [[(3, y), (-1, 0), (0, 0)]]
+    caps = _coefficient_box(_lattice(cols, root), 7)
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps) - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_cube(_lattice(cols, root), 7)
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps))
+    assert enumerate_cube(_lattice(cols, root), 7) == _brute(cols, 7, root, caps)
+    if not root:
+        monkeypatch.setattr(lattice, "ENUM_BUDGET", 2)  # the box at r0 = 3 is |m| <= 1
+        with pytest.raises(BudgetExceeded):
+            lattice.supnorm_min(_lattice(cols, 0))
+        with pytest.raises(ValidationError):
+            lattice.supnorm_min(_lattice([[(0, 0), (0, 0)]], 0))
 
 
 def test_rational_budget_is_checked_on_the_box_before_any_array(monkeypatch):
@@ -760,7 +850,8 @@ def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
     scaled past the int64 guard: the minimum equals a Fraction walk of the
     box of radius r0 (the smallest column sup-norm, caps from a plain
     Fraction inverse), the witness is the first minimal vector in slab order,
-    and det_value squares to the Gram determinant."""
+    and det_value squares to the Gram determinant.  A one-line box takes no
+    walk."""
     cols, _ = case
     scale += shift if scale > 1 else 0
     cols = [[a * scale for a, _ in col] for col in cols]
@@ -781,8 +872,15 @@ def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
     best = min(norm.values())
     assert repr(value) == repr(QuadReal(best))
     assert witness == next(m for m in norm if norm[m] == best)
-    assert dtypes == [object if scale > 1 else "int64"]
+    assert dtypes == ([] if _one_line(caps) else [object if scale > 1 else "int64"])
     assert det_val * det_val == _leibniz_det(gram)
+
+
+def _supnorm_caps(lat):
+    """The caps of the sup-norm minimum's box: the cube whose radius is the
+    least column sup-norm."""
+    _, den, cols, _ = lat.scaled_columns()
+    return _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
 
 
 def _supnorm_full_box(lat):
@@ -790,8 +888,7 @@ def _supnorm_full_box(lat):
     walk of every slab of its box, the zero row left out of each: best is
     max |A m| on the integer columns A = den B, the witness its first strict
     minimum in slab order, and the minimal rows every nonzero m reaching it."""
-    _, den, cols, _ = lat.scaled_columns()
-    caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
+    cols, caps = lat.scaled_columns()[2], _supnorm_caps(lat)
     best = best_m = None
     nonzero = []
     for vals, coeffs in lattice._box_slabs(caps, cols, lattice._int_dtype(cols, caps)):
@@ -837,16 +934,48 @@ def supnorm_cases(draw):
 def test_half_box_supnorm_min_matches_the_full_box_walk(case, scale):
     """The walk that stops after slab 0 returns the full-box walk's minimum
     and witness: when every minimal vector has m_axis = 0, when there are
-    several minimal pairs, and on Python ints past the int64 guard."""
+    several minimal pairs, and on Python ints past the int64 guard.  A
+    one-line box takes no walk."""
     rows, kind = case
     lat = RealLattice.from_rows([[x * scale for x in row] for row in rows])
     best, witness, minimal, axis = _supnorm_full_box(lat)
     dtypes = []
     (value, got), _ = _walk_rational_lattice(lat, dtypes)
     assert (value, got) == (QuadReal(best), witness)
-    assert dtypes == [object if scale > 1 else "int64"]
+    walks = [] if _one_line(_supnorm_caps(lat)) else [object if scale > 1 else "int64"]
+    assert dtypes == walks
     assert kind != "axis0" or got[axis] == 0
     assert kind != "pairs" or len(minimal) > 2
+
+
+@st.composite
+def one_line_supnorm_cases(draw):
+    """Integer bases, one column drawn plainly and the others k times longer,
+    whose sup-norm box is one line."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 30))
+    entry = st.integers(-9, 9)
+    cols = [[draw(entry) for _ in range(n)]]
+    cols += [[k * draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)) - 1)]
+    cols = draw(st.permutations(cols))
+    lat = RealLattice(cols)
+    assume(intmat.det(lat.int_gram()[0]) != 0)
+    assume(_one_line(_supnorm_caps(lat)))
+    return cols
+
+
+@PROPERTY
+@given(one_line_supnorm_cases(), st.sampled_from([1, 2**62 + 3]))
+def test_one_line_supnorm_min_matches_the_full_box_walk(cols, scale):
+    """On a one-line box the minimum is the free column's sup-norm with
+    witness -e_a, as the full-box walk finds it, on int64 and past the
+    int64 guard, with no slab walk."""
+    lat = RealLattice([[x * scale for x in col] for col in cols])
+    best, witness, _, axis = _supnorm_full_box(lat)
+    dtypes = []
+    (value, got), _ = _walk_rational_lattice(lat, dtypes)
+    assert (value, got) == (QuadReal(best), witness) and dtypes == []
+    assert got == tuple(-(j == axis) for j in range(len(cols)))
 
 
 @PROPERTY

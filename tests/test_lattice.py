@@ -321,6 +321,32 @@ def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
     assert (tie["exact"], tie["bound_mid"], tie["verdict"]) == (3, "3", "HOLDS")
 
 
+# boxes of more than one line among the 500 enumerations and the 130
+# rational sup-norm minima of `verify cnt-lem --seed 42`: only they are walked
+CNT_LEM_LINE_WALKS, CNT_LEM_SLAB_WALKS = 192, 59
+
+
+def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):
+    calls = {name: 0 for name in
+             ("enumerate_cube", "line_runs", "_supnorm_min_rational", "_box_slabs")}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        counted = spy(name, getattr(lattice, name))
+        for module in (lattice, cli):  # cli imports enumerate_cube by name
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["verify", "cnt-lem", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert calls == {"enumerate_cube": 500, "line_runs": CNT_LEM_LINE_WALKS,
+                     "_supnorm_min_rational": 130, "_box_slabs": CNT_LEM_SLAB_WALKS}
+
+
 # ---------------------------------------------------------------------------
 # the closed-form bounds against the operator formulas
 
