@@ -166,7 +166,8 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
     Every coordinate of x is y / den with y = va + vb sqrt r in Z[sqrt r]
     (``RealLattice.scaled_columns``).  For d = 1, h(x) den = max(den,
     max_i |y_i|), so the count is that of the lattice points of the cube of
-    radius T, the lengths of the exact line intervals (``lattice.line_runs``).
+    radius T, counted as ``lattice.enumerate_cube`` counts them, with no rows
+    built.
     For d = 2, h(x)^2 den^2 = max(den, Y) max(den, Y'), with Y and Y' the
     largest |y_i| and |y'_j| of the two embeddings.  It is at most T den^2
     exactly when |y_i| <= T den, |y'_j| <= T den and |y_i y'_j| <= T den^2
@@ -194,10 +195,9 @@ def _fast_count_totally_real(module: OkModule, rd_frac: Fraction) -> Optional[in
         return None
     root, den, _, _ = scaled
     caps = _coefficient_box(lat, rd_frac)
-    tn, td = rd_frac.numerator, rd_frac.denominator
     if d == 1:
-        runs = lattice.line_runs(scaled, caps, [[tn * den] * lat.ambient_dim], td)
-        return sum(int(size.sum()) for *_, size in runs)
+        return len(lattice._cube_points(scaled, caps, rd_frac))
+    tn, td = rd_frac.numerator, rd_frac.denominator
     big_n = lat.ambient_dim // 2  # module coordinates per embedding
     strips, k = [[den] * big_n + [-(-tn * den // td)] * big_n], 1
     while 2 ** (k - 1) < rd_frac:

@@ -255,10 +255,15 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     scaled = lat.scaled_columns()
     if scaled is None:
         return _enumerate_generic(lat, radius, caps)
+    return _cube_points(scaled, caps, radius)
+
+
+def _cube_points(scaled, caps, radius):
+    """enumerate_cube on a lattice with scaled columns, given its caps."""
     bound = radius * scaled[1]  # |A m + B m sqrt r| <= radius den, A, B integer
     if _box_size(caps) == 2 * max(caps) + 1:
         return _line_points(scaled, caps, bound.numerator, bound.denominator)
-    box = [bound.numerator] * lat.ambient_dim
+    box = [bound.numerator] * len(scaled[2][0])
     chunks = [(rest[line], start, size) for rest, _, _, line, start, size
               in line_runs(scaled, caps, [box], bound.denominator)]
     count = sum(int(size.sum()) for *_, size in chunks)

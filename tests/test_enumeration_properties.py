@@ -255,7 +255,8 @@ def test_line_kernel_matches_brute_force(case):
     """The exact line intervals against a Fraction walk of the box, with a
     flat coordinate and a mixed-sign negative slope on the free axis, on
     int64 and, scaled past 2**62, on Python ints; the count builds no
-    rows.  A one-line box takes no walk."""
+    rows.  enumerate_cube takes a one-line box in closed form, so there the
+    kernel is run on the box itself."""
     cols, radius, root, scale = case
     lat = _lattice(cols, root)
     try:
@@ -269,15 +270,21 @@ def test_line_kernel_matches_brute_force(case):
     assert _coefficient_box(big, radius * scale) == caps
     dtypes, kernel = [], lattice._floor_div
     lattice._floor_div = lambda xa, *args: dtypes.append(xa.dtype) or kernel(xa, *args)
+    want = _brute(cols, radius, root, caps)
     try:
         pts = enumerate_cube(big, radius * scale)
+        if _one_line(caps):
+            assert dtypes == []
+            scaled = big.scaled_columns()
+            bound = radius * scale * scaled[1]
+            runs = lattice.line_runs(scaled, caps, [[bound.numerator] * big.ambient_dim],
+                                     bound.denominator)
+            assert sum(int(size.sum()) for *_, size in runs) == len(want)
     finally:
         lattice._floor_div = kernel
-    want = _brute(cols, radius, root, caps)
     assert len(pts) == len(want) and pts._rows is None  # counted, not built
     assert pts == want
-    want_dtypes = {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
-    assert set(dtypes) == (set() if _one_line(caps) else want_dtypes)
+    assert set(dtypes) == {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
 
 
 def _pell(root, count):
