@@ -24,11 +24,11 @@ top is a minimum of such floors on Python ints, with no walk
 (``_line_points``).  The totally real module count of ``bounds`` cuts the
 union of its dyadic strips by the same kernel (``box_points``).  Lattices
 with a ball entry, or two radicands, are screened in floats slab by slab
-(``_box_slabs``), and the points in a safety band around the boundary are
-re-decided by the certified ``_certified_in_cube``.  The rational sup-norm
-minimum walks the same slab kernel on integers, over the slabs m_axis <= 0
-of its box only: -m is as long as m, so the first minimal vector in slab
-order lies there; on a one-line box it is the free column, with no walk.
+(``_box_slabs``, whose one caller is that screen), and the points in a
+safety band around the boundary are re-decided by the certified
+``_certified_in_cube``.  The sup-norm minimum of every lattice reads the
+first half of ``enumerate_cube``'s points, in slab order: m -> -m reverses
+that order, so the first minimal vector lies there (``supnorm_min``).
 Every walk, and every one-line box, checks ENUM_BUDGET on the whole box
 before it builds an array (``_check_budget``).
 
@@ -521,7 +521,9 @@ def _box_slabs(caps: Sequence[int], mat, dtype="int64"):
     way.  ``coeffs`` is one array that each slab rewrites in place, so a
     caller copies what it keeps before the next slab.  The budget is
     checked on the call, before any array is built.  numpy is imported on
-    first use, so that importing the package stays cheap.
+    first use, so that importing the package stays cheap.  Its one caller
+    is the float screen ``_enumerate_generic``; every exact walk is
+    ``line_runs``.
     """
     _check_budget(caps)
     return _slabs(caps, mat, dtype)
@@ -574,80 +576,46 @@ def supnorm_min(lat: RealLattice):
 
     Certified: every nonzero lattice vector outside the searched cube has
     sup-norm exceeding the returned minimum.  The searched cube has as
-    radius the smallest basis-vector sup-norm (a valid upper bound), and
-    the witness is its first minimal vector in slab order.
+    radius r0 the smallest basis-vector sup-norm (a valid upper bound), and
+    the witness is its first minimal vector in slab order.  m -> -m
+    reverses the slab order of ``enumerate_cube`` and leaves 0 in the
+    middle, so that vector lies in the first half of the points, which
+    holds one of each pair +-m: only it is searched.  A rational lattice
+    takes the first argmin of max |A m| on its integer columns A = den B;
+    any other compares exactly by ``cmp_real``, and an exhausted
+    comparison, a tie between distinct vectors, keeps the incumbent.
     """
     if lat._supnorm_min is None:
         scaled = lat.scaled_columns()
-        if scaled is not None and scaled[0] == 0:
-            lat._supnorm_min = _supnorm_min_rational(lat, scaled)
+        rational = scaled is not None and scaled[0] == 0
+        if rational:
+            _, den, cols, _ = scaled
+            r0 = Fraction(min(max(map(abs, col)) for col in cols), den)
         else:
-            lat._supnorm_min = _supnorm_min_real(lat)
+            r0 = _rat_upper(min_real(*[max_real(*map(abs_real, col)) for col in lat.columns]))
+        pts = enumerate_cube(lat, r0)
+        half = len(pts) // 2
+        if not half:
+            raise ValidationError("no nonzero vector in the initial search cube")
+        if rational:
+            import numpy as np
+
+            rows = pts.rows[:half]
+            dtype = _int_dtype(cols, [int(np.abs(rows).max())])
+            norms = np.abs(rows.astype(dtype) @ np.array(cols, dtype=dtype)).max(axis=1)
+            i = int(np.argmin(norms))
+            lat._supnorm_min = scaled_quad(int(norms[i]), 0, den, 0), tuple(rows[i].tolist())
+        else:
+            best = best_m = None
+            for m in itertools.islice(pts, half):
+                s = max_real(*map(abs_real, lat.point(m)))
+                try:
+                    if best is None or cmp_real(s, best, context="supnorm min") < 0:
+                        best, best_m = s, m
+                except PrecisionExhausted:  # a tie between distinct vectors
+                    pass
+            lat._supnorm_min = best, best_m
     return lat._supnorm_min
-
-
-def _supnorm_min_rational(lat, scaled):
-    """supnorm_min on the integer columns A = den B: the first strict
-    minimum of max |A m| over the nonzero rows of the box, in slab order.
-    Vectors of the box outside the cube are longer than the basis vector
-    that set the radius, so they never hold the minimum.  The slabs ascend
-    from m_axis = -cap, and -m, as long as m, lies in slab -m_axis, so the
-    first minimal row lies in a slab m_axis <= 0: the walk stops after
-    slab 0, the one slab that holds the zero row.  A one-line box, every
-    cap 0 but the free axis a's, needs no walk: its nonzero rows t e_a have
-    max |A m| = |t| max |A_a|, least at t = -1, the first of slab order."""
-    import numpy as np
-
-    _, den, cols, _ = scaled
-    caps = _coefficient_box(lat, Fraction(min(max(map(abs, col)) for col in cols), den))
-    top = max(caps)  # slab m_axis = 0 comes at this place in the walk
-    if _box_size(caps) == 2 * top + 1:  # the rows t e_a: the least is t = -1
-        _check_budget(caps)
-        axis = _free_axis(caps)[0]
-        return (scaled_quad(max(map(abs, cols[axis])), 0, den, 0),
-                tuple(-(j == axis) for j in range(len(caps))))
-    best = best_m = None
-    for k, (vals, coeffs) in zip(range(top + 1), _box_slabs(caps, cols, _int_dtype(cols, caps))):
-        norms = np.abs(vals).max(axis=1)
-        rows = np.flatnonzero((coeffs != 0).any(axis=1)) if k == top else np.arange(len(norms))
-        if rows.size:
-            i = rows[np.argmin(norms[rows])]
-            if best is None or norms[i] < best:
-                best, best_m = int(norms[i]), tuple(coeffs[i].tolist())
-    if best is None:
-        raise ValidationError("no nonzero vector in the initial search cube")
-    return scaled_quad(best, 0, den, 0), best_m
-
-
-def _supnorm_min_real(lat):
-    r0 = None
-    for j in range(lat.rank):
-        s = max_real(*[abs_real(lat.columns[j][i]) for i in range(lat.ambient_dim)])
-        r0 = s if r0 is None else min_real(r0, s)
-    radius = _rat_upper(r0)
-    pts = enumerate_cube(lat, radius)
-    best = None
-    best_m = None
-    seen = set()
-    for m in pts:
-        seen.add(m)
-        # |B(-m)| = |Bm|: skip m = 0 and every -m of a visited m
-        if tuple(-x for x in m) in seen:
-            continue
-        s = max_real(*[abs_real(v) for v in lat.point(m)])
-        if best is None:
-            best, best_m = s, m
-            continue
-        try:
-            smaller = cmp_real(s, best, context="supnorm min") < 0
-        except PrecisionExhausted:
-            # a tie between distinct vectors: keep the incumbent
-            smaller = False
-        if smaller:
-            best, best_m = s, m
-    if best is None:
-        raise ValidationError("no nonzero vector in the initial search cube")
-    return best, best_m
 
 
 # ---------------------------------------------------------------------------

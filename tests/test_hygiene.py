@@ -193,6 +193,35 @@ def test_mpmath_reader_detected(tmp_path):
     assert _mpmath_readers(mod) == {"f", "C", "<module>"}
 
 
+def _readers(path, name):
+    """The top-level definitions of path, other than name's own, that read
+    name, as a plain name or an attribute, and "<module>" for such a read
+    outside them."""
+    tree = ast.parse(path.read_text())
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if getattr(node, "name", None) != name
+            and not isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))}
+
+
+def test_float_screen_is_the_one_slab_walk():
+    """Every exact walk is the line kernel ``line_runs``; the slab walk
+    ``_box_slabs`` serves only the float screen of the ball lattices."""
+    readers = {(path.stem, reader) for path in MODULES for reader in _readers(path, "_box_slabs")}
+    assert readers == {("lattice", "_enumerate_generic")}
+
+
+def test_reader_detected(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "from .lattice import walk\n\n\ndef walk(n):\n    return walk(n - 1)\n\n\n"
+        "def f():\n    return walk(1)\n\n\ndef g():\n    return lattice.walk\n\n\n"
+        "class C:\n    def h(self):\n        return [walk]\n\n\nX = walk\n"
+    )
+    assert _readers(mod, "walk") == {"f", "g", "C", "<module>"}
+
+
 def _tracer_groups():
     """GROUPS of perfbench/tracer.py, loaded from its file (the benchmark
     directory is not a package on the test path)."""

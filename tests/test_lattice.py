@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latheights import cli, lattice, nf, reals
@@ -260,6 +260,69 @@ def test_supnorm_min_skip_matches_no_skip_search():
         assert endpoints(got, 256) == endpoints(want, 256)
 
 
+def _supnorm_min_seen_skip(lat):
+    """The sup-norm minimum search of the whole cube in slab order, as the
+    library made it for irrational and ball lattices before it read only
+    the first half of the points: r0 folded column by column, and -m of a
+    visited m (and m = 0) skipped through a set of the visited points.  An
+    exhausted comparison keeps the incumbent."""
+    r0 = None
+    for col in lat.columns:
+        s = max_real(*[abs_real(e) for e in col])
+        r0 = s if r0 is None else min_real(r0, s)
+    best = best_m = None
+    seen = set()
+    for m in enumerate_cube(lat, _rat_upper(r0)):
+        seen.add(m)
+        if tuple(-x for x in m) in seen:
+            continue
+        s = max_real(*[abs_real(v) for v in lat.point(m)])
+        try:
+            if best is None or cmp_real(s, best, context="supnorm min") < 0:
+                best, best_m = s, m
+        except PrecisionExhausted:  # a tie between distinct vectors
+            pass
+    return best, best_m
+
+
+def _assert_matches_seen_skip(lat):
+    want, want_m = _supnorm_min_seen_skip(lat)
+    got, got_m = supnorm_min(lat)
+    assert (repr(got), got_m) == (repr(want), want_m)
+
+
+def test_supnorm_min_matches_the_seen_skip_search():
+    # the ideal lattices of minima_ck_zk over Q(sqrt2) and Q(sqrt5), and
+    # the S-unit log lattices (ball entries)
+    for lat in _nonrational_lattices():
+        _assert_matches_seen_skip(lat)
+
+
+@st.composite
+def quad_bases(draw):
+    """A basis of 1 to 3 columns in Q(sqrt r)^n, n <= 3, entries (a + b sqrt r)
+    / den, whose sup-norm box has at most 20,000 points."""
+    root = draw(st.sampled_from([2, 3, 5, 7]))
+    den = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 3))
+    entry = st.builds(lambda a, b: QuadReal(Fraction(a, den), Fraction(b, den), root),
+                      st.integers(-5, 5), st.integers(-3, 3))
+    lat = RealLattice([[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))])
+    r0 = _rat_upper(min_real(*[max_real(*map(abs_real, col)) for col in lat.columns]))
+    try:
+        caps = _coefficient_box(lat, r0)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(math.prod(2 * c + 1 for c in caps) <= 20_000)
+    return lat
+
+
+@settings(max_examples=80, deadline=None)
+@given(quad_bases())
+def test_supnorm_min_on_quadratic_bases_matches_the_seen_skip_search(lat):
+    _assert_matches_seen_skip(lat)
+
+
 @st.composite
 def lower_cases(draw):
     """(L, det, c, R): det rational or a square root, c rational, and R
@@ -321,14 +384,14 @@ def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
     assert (tie["exact"], tie["bound_mid"], tie["verdict"]) == (3, "3", "HOLDS")
 
 
-# boxes of more than one line among the 500 enumerations and the 130
-# rational sup-norm minima of `verify cnt-lem --seed 42`: only they are walked
-CNT_LEM_LINE_WALKS, CNT_LEM_SLAB_WALKS = 192, 59
+# boxes of more than one line among the 500 count enumerations (192) and
+# the 130 sup-norm enumerations (59) of `verify cnt-lem --seed 42`: only
+# they are walked, and all by line_runs
+CNT_LEM_LINE_WALKS = 192 + 59
 
 
 def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):
-    calls = {name: 0 for name in
-             ("enumerate_cube", "line_runs", "_supnorm_min_rational", "_box_slabs")}
+    calls = {name: 0 for name in ("enumerate_cube", "line_runs", "_box_slabs")}
 
     def spy(name, fn):
         def counted(*args):
@@ -343,8 +406,8 @@ def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, counted)
     assert cli.main(["verify", "cnt-lem", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert calls == {"enumerate_cube": 500, "line_runs": CNT_LEM_LINE_WALKS,
-                     "_supnorm_min_rational": 130, "_box_slabs": CNT_LEM_SLAB_WALKS}
+    assert calls == {"enumerate_cube": 500 + 130, "line_runs": CNT_LEM_LINE_WALKS,
+                     "_box_slabs": 0}
 
 
 # ---------------------------------------------------------------------------
