@@ -7,30 +7,33 @@ mis-count.  The enumeration is the ground-truth oracle that every counting
 bound in this library is checked against.
 
 Every lattice whose entries lie in one field Q(sqrt r) (r = 0 for Q) is
-walked by one exact line-interval kernel, ``line_runs``, on its integer
-columns A + B sqrt r = den times the basis (``RealLattice.scaled_columns``).
-Every axis but the first longest is fixed on a prefix grid (``_free_axis``,
-``_prefix_grid``); on a line, each coordinate is R + t S in the free
-coefficient t with R, S in Z[sqrt r], and a bound |R + t S| <= U keeps the
-integers t between (+-U - R) / S.  Times the conjugate of S, each end is
-(P + Q sqrt r) / N with integers P, Q and N = N(S) > 0, and its floor is
+walked line by line on its integer columns A + B sqrt r = den times the
+basis (``RealLattice.scaled_columns``).  Every axis but the first longest
+is fixed on a prefix grid (``_free_axis``, ``_prefix_grid``); on a line,
+each coordinate is R + t S in the free coefficient t with R, S in
+Z[sqrt r], and a bound |R + t S| <= U keeps the integers t between
+(+-U - R) / S.  Times the conjugate of S, each end is (P + Q sqrt r) / N
+with integers P, Q and N = N(S) > 0, and its floor is
 floor((P + floor(Q sqrt r)) / N), with floor(Q sqrt r) from the integer
-square root of Q^2 r (``_floor_quad``, mapped by ``_floor_div``): the
-Fincke-Pohst step, exact on integers.  So no float decides a point.
-``enumerate_cube`` counts the points as the sum of the interval lengths and
-builds them only when a caller reads them (``CubePoints``).  A one-line box
--- every cap 0 but one -- is the one interval |t| <= top through 0, and
-top is a minimum of such floors on Python ints, with no walk
-(``_line_points``).  The totally real module count of ``bounds`` cuts the
-union of its dyadic strips by the same kernel (``box_points``).  Lattices
-with a ball entry, or two radicands, are screened in floats slab by slab
-(``_box_slabs``, whose one caller is that screen), and the points in a
-safety band around the boundary are re-decided by the certified
-``_certified_in_cube``.  The sup-norm minimum of every lattice reads the
-first half of ``enumerate_cube``'s points, in slab order: m -> -m reverses
-that order, so the first minimal vector lies there (``supnorm_min``).
-Every walk, and every one-line box, checks ENUM_BUDGET on the whole box
-before it builds an array (``_check_budget``).
+square root of Q^2 r (``_floor_quad``): the Fincke-Pohst step, exact on
+integers.  So no float decides a point.  Two walks take these floors, by
+the box's number of prefix lines: up to SCALAR_LINES of them, a one-line
+box (every cap 0 but one) among them, are walked on Python ints
+(``_scalar_runs``), where a tiny box costs little; more go to the numpy
+kernel ``line_runs``, which maps ``_floor_quad`` on integer arrays
+(``_floor_div``) and pays a fixed set-up per call.  ``enumerate_cube``
+counts the points as the sum of the interval lengths and builds them from
+the runs only when a caller reads them (``CubePoints``, ``_slab_rows``).
+The totally real module count of ``bounds`` cuts the union of its dyadic
+strips by the kernel (``box_points``).  Lattices with a ball entry, or two
+radicands, are screened in floats slab by slab (``_box_slabs``, whose one
+caller is that screen), and the points in a safety band around the
+boundary are re-decided by the certified ``_certified_in_cube``.  The
+sup-norm minimum of every lattice reads the first half of
+``enumerate_cube``'s points, in slab order: m -> -m reverses that order,
+so the first minimal vector lies there (``supnorm_min``).  Every walk
+checks ENUM_BUDGET on the whole box before it builds anything
+(``_check_budget``).
 
 Whenever the Gram matrix is rational it is held as an integer matrix over a
 squared denominator (``RealLattice.int_gram``): the determinant, and the
@@ -69,6 +72,7 @@ from .reals import (
 
 ENUM_BUDGET = 30_000_000  # max candidate coefficient vectors per enumeration
 PREFIX_CHUNK = 1 << 13  # line x box x moving-coordinate entries per pass of line_runs
+SCALAR_LINES = 49  # most prefix lines that _cube_points walks on Python ints
 SCREEN_BATCH = 2048  # points per batch of box_points
 
 
@@ -244,9 +248,10 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     is larger than ENUM_BUDGET, before any array is built.  Points come slab
     by slab: the first longest coefficient axis is outermost, and every axis
     ascends.  On a lattice with scaled columns the count needs no points:
-    the rows are built only when a caller reads them.  There a one-line box,
-    every cap 0 but one, is counted in closed form (``_line_points``); any
-    other box is walked by ``line_runs``.
+    the rows are built only when a caller reads them.  There a box of at
+    most SCALAR_LINES prefix lines, a one-line box (every cap 0 but one)
+    among them, is walked on Python ints (``_scalar_runs``); any other box
+    by ``line_runs``.
     """
     radius = Fraction(radius)
     if radius < 0:
@@ -259,50 +264,99 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
 
 
 def _cube_points(scaled, caps, radius):
-    """enumerate_cube on a lattice with scaled columns, given its caps."""
+    """enumerate_cube on a lattice with scaled columns, given its caps: a
+    box of at most SCALAR_LINES prefix lines is walked on Python ints
+    (``_scalar_runs``), any other by ``line_runs``.  Either way the count
+    is the sum of the run sizes, and the rows are built from the runs only
+    when read (``_slab_rows``)."""
     bound = radius * scaled[1]  # |A m + B m sqrt r| <= radius den, A, B integer
-    if _box_size(caps) == 2 * max(caps) + 1:
-        return _line_points(scaled, caps, bound.numerator, bound.denominator)
-    box = [bound.numerator] * len(scaled[2][0])
-    chunks = [(rest[line], start, size) for rest, _, _, line, start, size
-              in line_runs(scaled, caps, [box], bound.denominator)]
-    count = sum(int(size.sum()) for *_, size in chunks)
+    u, q = bound.numerator, bound.denominator
+    axis = caps.index(max(caps))
+    if _box_size(caps) // (2 * caps[axis] + 1) <= SCALAR_LINES:
+        runs = _scalar_runs(scaled, caps, u, q)
+        count = sum(size for _, _, size in runs)
 
-    def build():  # slab order: by t, stably, so line order inside
-        import numpy as np
+        def build():  # the line through 0 always has a run
+            import numpy as np
 
-        rows, lo, size = (np.concatenate(c) for c in zip(*chunks))
-        run = np.repeat(np.arange(size.size), size)
-        t = np.arange(count) - np.repeat(np.cumsum(size) - size - lo, size)
-        order = np.lexsort((run, t))
-        return np.insert(rows[run[order]], _free_axis(caps)[0], t[order], axis=1)
+            return _slab_rows(axis, *(np.array(c, dtype=np.int64) for c in zip(*runs)))
+    else:
+        box = [u] * len(scaled[2][0])
+        chunks = [(rest[line], start, size) for rest, _, _, line, start, size
+                  in line_runs(scaled, caps, [box], q)]
+        count = sum(int(size.sum()) for *_, size in chunks)
+
+        def build():
+            import numpy as np
+
+            rest, lo, size = (np.concatenate(c) for c in zip(*chunks))
+            return _slab_rows(axis, np.insert(rest, axis, 0, axis=1), lo, size)
 
     return CubePoints(count, build)
 
 
-def _line_points(scaled, caps, u, q):
-    """enumerate_cube on a one-line box, every cap 0 but the free axis a's:
-    the points are t e_a, and coordinate c is t S_c with S_c the column
-    entry, so q |t S_c| <= u keeps |t| <= floor(u / (q |S_c|)) =
-    floor(g u C_c / (q N_c)) with g, C_c and N_c of ``_slope``.  The rows,
-    t = -top, ..., top on axis a, are in slab order."""
+def _slab_rows(axis, m0, lo, size):
+    """The (P, L) int64 rows of runs in slab order: run k holds the points
+    m0[k] + t e_axis for t = lo[k], ..., lo[k] + size[k] - 1, and the runs
+    come in line order, so a stable sort of the points by t gives line
+    order inside each slab."""
+    import numpy as np
+
+    t = np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size)
+    rows = np.repeat(m0, size, axis=0)
+    rows[:, axis] = t
+    return rows[np.lexsort((t,))]
+
+
+def _scalar_runs(scaled, caps, u, q):
+    """The runs of the cube q |A m + B m sqrt r| <= u on the box |m_j| <=
+    caps[j], walked on Python ints: (m0, lo, size) for each nonempty
+    interval t = lo, ..., lo + size - 1 of the free coefficient a on the
+    line m0 + t e_a (m0_a = 0), the lines in ``_prefix_grid``'s order.
+
+    The ends are those of ``line_runs``: coordinate c is R_c + t S_c, and
+    with g, C_c and N_c of ``_slope``, q R_c C_c = X + Y sqrt r is linear
+    in m0, so the line keeps t <= floor((g u C_c - X - Y sqrt r) / (q N_c)),
+    one ``_floor_quad``, over Q one floor division.  Each moving coordinate
+    gives that end on every line at once; the least of them and the cap is
+    ``hi``.  m -> -m maps the cube to itself and reverses the line order,
+    so the lower end on a line is -hi of the reversed line.  A flat
+    coordinate, S_c = 0 with R_c not always 0, is tested only on lines
+    whose interval is nonempty, by an exact integer sign.  A one-line box
+    is the case of the one line m0 = 0.  The budget is checked on the whole
+    box first."""
     root, _, a_cols, b_cols = scaled
     _check_budget(caps)
-    axis = _free_axis(caps)[0]
-    top = caps[axis]
-    for x, y in zip(a_cols[axis], b_cols[axis]):
+    axis = caps.index(max(caps))
+    ranges = [range(-k, k + 1) if j != axis else range(1) for j, k in enumerate(caps)]
+    steps = [(j, ks) for j, ks in enumerate(ranges) if len(ks) > 1]
+
+    def at(w):  # m0 . w on every line, in line order
+        vals = [0]
+        for j, ks in steps:
+            vals = [v + m * w[j] for v in vals for m in ks]
+        return vals
+
+    tops, flat = [[caps[axis]] * math.prod(map(len, ranges))], []
+    for x, y, xc, yc in zip(a_cols[axis], b_cols[axis], zip(*a_cols), zip(*b_cols)):
         if x or y:
             g, ca, cb, qn = _slope(x, y, root, q)
-            top = min(top, _floor_quad(g * u * ca, g * u * cb, qn, root))
-
-    def build():
-        import numpy as np
-
-        rows = np.zeros((2 * top + 1, len(caps)), dtype=np.int64)
-        rows[:, axis] = np.arange(-top, top + 1)
-        return rows
-
-    return CubePoints(2 * top + 1, build)
+            p, f, ka, kb = g * u * ca, g * u * cb, q * ca, q * cb
+            if root:  # R_c = ra + rb sqrt r on each line
+                tops.append([_floor_quad(p - ka * ra - root * kb * rb, f - kb * ra - ka * rb,
+                                         qn, root) for ra, rb in zip(at(xc), at(yc))])
+            else:
+                tops.append([(p - ka * ra) // qn for ra in at(xc)])
+        elif any(xc) or any(yc):
+            flat.append((xc, yc))
+    hi = list(map(min, zip(*tops)))
+    lines = zip(itertools.product(*ranges), hi, reversed(hi))
+    runs = [(m0, -bot, top + bot + 1) for m0, top, bot in lines if top + bot >= 0]
+    if flat:
+        runs = [run for run in runs if all(
+            quad_sign(u - x, -y, root) >= 0 and quad_sign(u + x, y, root) >= 0
+            for x, y in ((q * _dot(run[0], xc), q * _dot(run[0], yc)) for xc, yc in flat))]
+    return runs
 
 
 def _box_size(caps: Sequence[int]) -> int:

@@ -29,8 +29,6 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from mpmath import iv
-
 from .algreal import isolate_real_roots, poly_eval
 from .errors import ValidationError
 from .intmat import (ZSpan, _scale_to_ints, det, lattice_intersection, solve, table_rows,
@@ -265,6 +263,8 @@ def _eval_at(num: Sequence[int], den: int, val):
         return scaled_quad(num[0] * val.d + n1 * val.p, n1 * val.q, den * val.d, val.m)
     # each coefficient in lowest terms, as a Fraction holds it, so each
     # interval quotient, and with it the enclosure, is unchanged
+    from mpmath import iv
+
     gs = [math.gcd(n, den) for n in num]
     coeffs = tuple((n // g, den // g) for n, g in zip(num, gs))
 

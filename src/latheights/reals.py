@@ -40,9 +40,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from mpmath import iv
-from mpmath.libmp import finf, fnan, fninf, from_man_exp
-
 from .errors import PrecisionExhausted, ValidationError
 
 
@@ -55,6 +52,15 @@ class _Precision:
 
 
 PRECISION = _Precision()
+
+
+@functools.cache
+def _mp():
+    """mpmath's interval context, imported on first use: only a ball or an
+    interval needs it, so exact values never load mpmath."""
+    from mpmath import iv
+
+    return iv
 
 
 _RHO_FROM = 1025  # trial division below this, Pollard-Brent rho above
@@ -258,7 +264,9 @@ def _enclosure(p, q, d, m, prec):
 
 def _iv(lo, hi):
     """The mpmath interval [lo, hi] of two (mantissa, exponent) ends."""
-    return iv.make_mpf((from_man_exp(*lo), from_man_exp(*hi)))
+    from mpmath.libmp import from_man_exp
+
+    return _mp().make_mpf((from_man_exp(*lo), from_man_exp(*hi)))
 
 
 def quad_sign(a, b, m):
@@ -451,12 +459,13 @@ class BallReal(Real):
 
     def interval(self, prec):
         if self._prec != prec:
-            old = iv.prec
+            context = _mp()
+            old = context.prec
             try:
-                iv.prec = prec
+                context.prec = prec
                 self._ival = self._fn(prec)
             finally:
-                iv.prec = old
+                context.prec = old
             self._prec = prec
         return self._ival
 
@@ -623,7 +632,7 @@ def _exp_endpoints(b, prec):
     """The endpoints of e^b's enclosure at prec bits: mpmath's exp of b's
     enclosure at the precision its callback is given; they depend only on
     (b, prec), so one per pair serves every comparison."""
-    return endpoints(BallReal(lambda p: iv.exp(to_real(b).interval(p))), prec)
+    return endpoints(BallReal(lambda p: _mp().exp(to_real(b).interval(p))), prec)
 
 
 def abs_real(x):
@@ -654,7 +663,7 @@ def min_real(*xs):
 
 def _iv_max(a, b):
     # like every _iv_* helper, runs in a BallReal callback: iv.prec is set
-    return iv.mpf([max(a.a, b.a), max(a.b, b.b)])
+    return _mp().mpf([max(a.a, b.a), max(a.b, b.b)])
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +681,7 @@ def sqrt_real(x):
 
 
 def _iv_sqrt_clamped(a):
+    iv = _mp()
     if a.a < 0:
         a = iv.mpf([0, a.b])
     return iv.sqrt(a)
@@ -711,6 +721,7 @@ def _exact_iroot(k, n):
 
 
 def _iv_root(a, n):
+    iv = _mp()
     if a.a < 0:
         a = iv.mpf([0, a.b])
     if a.a == 0 and a.b == 0:
@@ -736,6 +747,7 @@ def log_real(x):
 
 
 def _iv_log(a):
+    iv = _mp()
     if a.a < 0 <= a.b:
         # the enclosure of a positive value dips below 0 at this
         # precision: clamp it, so the log is unbounded below and a
@@ -745,7 +757,7 @@ def _iv_log(a):
 
 
 def pi_real():
-    return BallReal(lambda p: iv.pi)
+    return BallReal(lambda p: _mp().pi)
 
 
 def dyadic_endpoints(x, prec=None):
@@ -759,6 +771,8 @@ def dyadic_endpoints(x, prec=None):
     if isinstance(x, QuadReal):
         (a, ea), (b, eb) = _enclosure(x.p, x.q, x.d, x.m, prec)
     else:
+        from mpmath.libmp import finf, fnan, fninf
+
         ival = x.interval(prec)
         if any(data in (finf, fninf, fnan) for data in ival._mpi_):
             raise ValidationError("unbounded enclosure %s" % (ival,))

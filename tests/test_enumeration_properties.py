@@ -54,9 +54,30 @@ def _box_size(caps):
 
 
 def _one_line(caps):
-    """The box |m_j| <= caps[j] is one line through 0, every cap 0 but one:
-    the library takes it in closed form, with no kernel walk."""
+    """The box |m_j| <= caps[j] is one line through 0, every cap 0 but one."""
     return _box_size(caps) == 2 * max(caps) + 1
+
+
+def _lines(caps):
+    """The prefix lines of the box: its size over the free axis's length."""
+    return _box_size(caps) // (2 * max(caps) + 1)
+
+
+def _points_at(scalar_lines, lat, radius):
+    """enumerate_cube's points with SCALAR_LINES set to scalar_lines: -1
+    sends every box to the numpy kernel ``line_runs``, a huge value every
+    box to the Python-int walk."""
+    keep, lattice.SCALAR_LINES = lattice.SCALAR_LINES, scalar_lines
+    try:
+        return enumerate_cube(lat, radius)
+    finally:
+        lattice.SCALAR_LINES = keep
+
+
+def _kernel_points(lat, radius):
+    """The points through ``line_runs``, which keeps that kernel under test
+    on the small boxes that the library walks on Python ints."""
+    return _points_at(-1, lat, radius)
 
 
 def _sign(q):
@@ -145,16 +166,21 @@ def test_enumerate_cube_sqrt2_matches_brute_force(case):
 
 def test_enumerate_cube_rechecks_the_float_band(monkeypatch):
     # x = 1 + (sqrt2 - 1)^26 exceeds 1 by 1.1e-10, inside the safety band a
-    # float screen would need: the line intervals of the kernel, exact on
-    # integers, drop the point (1, 0) -> (x, 1) with no certified re-check
+    # float screen would need: the line intervals, exact on integers, drop
+    # the point (1, 0) -> (x, 1) with no certified re-check, in the Python-int
+    # walk of this 3-line box and in the kernel
     a, b = _sqrt2_unit(26)
     cols = [[(1 + a, -b), (1, 0)], [(1, 0), (0, 0)]]
     calls, kernel = _spy_recheck(monkeypatch), lattice.line_runs
     runs = []
     monkeypatch.setattr(lattice, "line_runs", lambda *args: runs.append(args) or kernel(*args))
+    want = _brute(cols, 1, 2, _coefficient_box(_lattice(cols, 2), 1))
     pts = enumerate_cube(_lattice(cols, 2), 1)
     assert (1, 0) not in pts and (1, -1) in pts
-    assert pts == _brute(cols, 1, 2, _coefficient_box(_lattice(cols, 2), 1))
+    assert pts == want and runs == []
+    pts = _kernel_points(_lattice(cols, 2), 1)
+    assert (1, 0) not in pts and (1, -1) in pts
+    assert pts == want
     assert len(runs) == 1 and calls == []
 
 
@@ -255,8 +281,8 @@ def test_line_kernel_matches_brute_force(case):
     """The exact line intervals against a Fraction walk of the box, with a
     flat coordinate and a mixed-sign negative slope on the free axis, on
     int64 and, scaled past 2**62, on Python ints; the count builds no
-    rows.  enumerate_cube takes a one-line box in closed form, so there the
-    kernel is run on the box itself."""
+    rows.  enumerate_cube walks a box of at most SCALAR_LINES lines on
+    Python ints, so the kernel is also run on the box itself."""
     cols, radius, root, scale = case
     lat = _lattice(cols, root)
     try:
@@ -273,17 +299,13 @@ def test_line_kernel_matches_brute_force(case):
     want = _brute(cols, radius, root, caps)
     try:
         pts = enumerate_cube(big, radius * scale)
-        if _one_line(caps):
-            assert dtypes == []
-            scaled = big.scaled_columns()
-            bound = radius * scale * scaled[1]
-            runs = lattice.line_runs(scaled, caps, [[bound.numerator] * big.ambient_dim],
-                                     bound.denominator)
-            assert sum(int(size.sum()) for *_, size in runs) == len(want)
+        assert (dtypes == []) == (_lines(caps) <= lattice.SCALAR_LINES)
+        kpts = _kernel_points(big, radius * scale)
     finally:
         lattice._floor_div = kernel
-    assert len(pts) == len(want) and pts._rows is None  # counted, not built
-    assert pts == want
+    for got in (pts, kpts):
+        assert len(got) == len(want) and got._rows is None  # counted, not built
+        assert got == want
     assert set(dtypes) == {np.dtype(object) if scale > 1 else np.dtype(np.int64)}
 
 
@@ -369,6 +391,11 @@ def test_band_of_quadratic_lattice_skips_certified_recheck(monkeypatch):
     pts = enumerate_cube(lat, 1)
     assert pts == _brute(cols, 1, 5, caps)
     assert (1, 1, 0) in pts  # phi + conj(phi) = 1: on the face, in the band
+    # the Python-int walk signs its flat coordinate on integers; the kernel
+    # decides every point on integer arrays, with no scalar sign
+    assert calls == [] and all(type(x) is int for args in signs for x in args)
+    signs.clear()
+    assert _kernel_points(lat, 1) == pts
     assert calls == [] and signs == []
 
 
@@ -436,8 +463,12 @@ def test_enumerate_cube_band_on_both_sides_of_the_int64_guard(monkeypatch, b, dt
         return real(e, *args)
 
     monkeypatch.setattr(lattice, "_floor_div", spy)
-    pts = enumerate_cube(lat, 1)
-    assert pts == _brute(cols, 1, 2, caps)
+    want = _brute(cols, 1, 2, caps)
+    pts = enumerate_cube(lat, 1)  # 3 lines: walked on Python ints
+    assert pts == want and seen == []
+    assert (1, 0) in pts and (1, 1) in pts
+    pts = _kernel_points(lat, 1)
+    assert pts == want
     assert (1, 0) in pts and (1, 1) in pts
     assert seen and set(seen) == {np.dtype(dtype)}
 
@@ -553,8 +584,9 @@ def test_coefficient_box_matches_fraction_inverse(case):
 def test_enumerate_cube_python_int_path(case, shift):
     """Entries of 2^62 and more overflow int64: the line intervals must be
     taken on Python ints and give the points of the unscaled lattice, in the
-    same order; the unscaled lattice stays on int64.  A one-line box takes
-    no walk, so it picks no dtype."""
+    same order; the unscaled lattice stays on int64.  A box of at most
+    SCALAR_LINES lines is walked on Python ints and picks no dtype, so the
+    kernel is also run on the box itself."""
     cols, radius = case
     scale = 2**62 + shift
     big = _lattice([[(a * scale, 0) for a, _ in col] for col in cols], 0)
@@ -573,11 +605,15 @@ def test_enumerate_cube_python_int_path(case, shift):
     try:
         pts = enumerate_cube(big, radius * scale)
         small = enumerate_cube(_lattice(cols, 0), radius)
+        walked, dtypes[:] = list(dtypes), []
+        kernel = (_kernel_points(big, radius * scale), _kernel_points(_lattice(cols, 0), radius))
     finally:
         lattice._int_dtype = pick
-    assert dtypes == ([] if _one_line(caps) else [object, "int64"])
+    assert walked == ([] if _lines(caps) <= lattice.SCALAR_LINES else [object, "int64"])
+    assert dtypes == [object, "int64"]
     assert pts == _brute(cols, radius, 0, caps)
     assert pts == small
+    assert kernel == (pts, small)
 
 
 def _free_axis_of(caps):
@@ -641,7 +677,7 @@ def test_len_of_a_rational_enumeration_builds_no_rows(case):
         count = len(pts)
         assert pts._rows is None and sorts == []
         rows = list(pts)
-        assert sorts == ([] if _one_line(caps) else [2]) and list(pts) == rows
+        assert sorts == [1] and list(pts) == rows  # one stable sort by t
     finally:
         np.lexsort = sort
     assert count == len(rows) == len(_brute(cols, radius, 0, caps))
@@ -685,9 +721,9 @@ def one_line_cases(draw):
 @settings(PROPERTY, max_examples=200)
 @given(one_line_cases())
 def test_one_line_box_is_counted_in_closed_form(case):
-    """A one-line box gives the Fraction walk's points, in slab order, with
-    no kernel walk, on int64 and past the 2**62 guard; len() builds no
-    rows."""
+    """A one-line box, the Python-int walk's case of one line, gives the
+    Fraction walk's points, in slab order, with no kernel walk, on int64
+    and past the 2**62 guard; len() builds no rows."""
     cols, radius, root, scale = case
     caps = _coefficient_box(_lattice(cols, root), radius)
     assume(_box_size(caps) <= BOX_LIMIT)
@@ -707,7 +743,7 @@ def test_one_line_box_is_counted_in_closed_form(case):
 
 @pytest.mark.parametrize("root", [0, 2, 5])
 def test_one_line_box_keeps_the_column_and_budget_checks(monkeypatch, root):
-    """A zero column is refused before the closed form, and a one-line box
+    """A zero column is refused before the walk, and a one-line box
     past ENUM_BUDGET raises BudgetExceeded, in enumerate_cube and, over Q,
     in supnorm_min."""
     y = 1 if root else 0
@@ -729,6 +765,106 @@ def test_one_line_box_keeps_the_column_and_budget_checks(monkeypatch, root):
             lattice.supnorm_min(_lattice([[(0, 0), (0, 0)]], 0))
 
 
+@st.composite
+def walk_cases(draw):
+    """(cols, radius, root, scale): Q with denominators up to 3, Q(sqrt2)
+    and Q(sqrt5) half integers, radius 0 or drawn, scaled by 1 or, with the
+    radius, by 2**62 and up to 2**70 more; in half the cases the free-axis
+    column gets a flat coordinate and a negative slope, over Q(sqrt r) one
+    with parts of mixed signs."""
+    root = draw(st.sampled_from([0, 2, 5]))
+    den = {0: draw(st.sampled_from([1, 2, 3])), 2: 1, 5: 2}[root]
+    entry = st.builds(lambda a, b: (Fraction(a, den), Fraction(b, den) if root else 0),
+                      st.integers(-6, 6), st.integers(-3, 3))
+    cols = _columns(draw, entry)
+    radius = draw(st.sampled_from([Fraction(0), Fraction(draw(st.integers(1, 12)),
+                                                        draw(st.sampled_from([1, 2, 3])))]))
+    if len(cols[0]) >= 2 and draw(st.booleans()):
+        try:
+            axis = _free_axis_of(_coefficient_box(_lattice(cols, root), radius))
+        except ValidationError:  # dependent columns
+            assume(False)
+        flat, neg = draw(st.permutations(range(len(cols[0]))))[:2]
+        cols[axis][flat] = (Fraction(0), 0)
+        cols[axis][neg] = draw(st.sampled_from(MIXED_NEGATIVE[root])) if root else (
+            -Fraction(draw(st.integers(1, 6)), den), 0)
+    scale = draw(st.sampled_from([1, 2**62 + draw(st.integers(0, 2**70))]))
+    return cols, radius, root, scale
+
+
+def _check_walk_and_kernel(cols, radius, root, scale, caps):
+    """The Python-int walk and the kernel, each forced on the box of caps,
+    give the Fraction walk's count without building rows, then its points
+    in slab order as int64 rows."""
+    big = _lattice([[(a * scale, b * scale) for a, b in col] for col in cols], root)
+    want = _brute(cols, radius, root, caps)
+    runs, kernel = [], lattice.line_runs
+    lattice.line_runs = lambda *args: runs.append(args) or kernel(*args)
+    try:
+        walked = _points_at(10**9, big, radius * scale)
+        assert runs == []
+        kernel_pts = _kernel_points(big, radius * scale)
+        assert len(runs) == 1
+    finally:
+        lattice.line_runs = kernel
+    for pts in (walked, kernel_pts):
+        assert len(pts) == len(want) and pts._rows is None
+        assert pts == want
+        assert pts.rows.dtype == np.int64 and pts.rows.shape == (len(want), len(caps))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.one_of(walk_cases(), one_line_cases()))
+def test_scalar_walk_matches_the_kernel_and_brute_force(case):
+    cols, radius, root, scale = case
+    try:
+        caps = _coefficient_box(_lattice(cols, root), radius)
+    except ValidationError:  # dependent columns
+        assume(False)
+    assume(_box_size(caps) <= BOX_LIMIT)
+    _check_walk_and_kernel(cols, radius, root, scale, caps)
+
+
+# boxes of exactly SCALAR_LINES (49) lines and of 51, the next line count
+# (every count is odd, a product of odd cap lengths), over Q, Q(sqrt2) and
+# Q(sqrt5) half integers, each with a flat coordinate on its free axis
+THRESHOLD_BOXES = [
+    (0, [[(-2, 0), (Fraction(-3, 2), 0), (0, 0)], [(Fraction(1, 2), 0), (Fraction(1, 2), 0), (-2, 0)],
+         [(0, 0), (Fraction(-3, 2), 0), (0, 0)]], 6, 49),
+    (0, [[(-2, 0), (Fraction(1, 2), 0), (Fraction(-1, 2), 0)], [(-1, 0), (-2, 0), (1, 0)],
+         [(Fraction(3, 2), 0), (Fraction(-1, 2), 0), (0, 0)]], 3, 51),
+    (2, [[(2, -2), (0, 0), (-4, 2)], [(2, 0), (4, -1), (-4, 2)], [(-1, -1), (-1, -2), (-1, -2)]],
+     6, 49),
+    (2, [[(0, 2), (0, 0), (3, -1)], [(2, 1), (0, 0), (1, 0)], [(0, -1), (-3, 0), (-4, 2)]],
+     Fraction(9, 2), 51),
+    (5, [[(Fraction(-1, 2), 1), (Fraction(-3, 2), -1), (Fraction(-1, 2), 1)],
+         [(Fraction(3, 2), Fraction(1, 2)), (0, 1), (Fraction(-1, 2), Fraction(1, 2))],
+         [(0, 0), (Fraction(-1, 2), 0), (Fraction(1, 2), 1)]], 8, 49),
+    (5, [[(-1, 1), (0, Fraction(-1, 2)), (2, Fraction(1, 2))], [(Fraction(3, 2), -1), (0, 0), (0, 0)],
+         [(Fraction(1, 2), 0), (Fraction(-1, 2), 0), (2, -1)]], Fraction(7, 2), 51),
+]
+
+
+@pytest.mark.parametrize("root, cols, radius, lines", THRESHOLD_BOXES)
+@pytest.mark.parametrize("scale", [1, 2**62 + 2**69 + 1])
+def test_boxes_at_the_line_threshold(root, cols, radius, lines, scale):
+    """enumerate_cube walks a box of SCALAR_LINES lines on Python ints and
+    hands one line more to the kernel; both agree with the Fraction walk."""
+    big = _lattice([[(a * scale, b * scale) for a, b in col] for col in cols], root)
+    caps = _coefficient_box(big, radius * scale)
+    assert lattice.SCALAR_LINES == 49 and _lines(caps) == lines
+    assert any(entry == (0, 0) for entry in cols[_free_axis_of(caps)])  # a flat coordinate
+    runs, kernel = [], lattice.line_runs
+    lattice.line_runs = lambda *args: runs.append(args) or kernel(*args)
+    try:
+        pts = enumerate_cube(big, radius * scale)
+    finally:
+        lattice.line_runs = kernel
+    assert len(runs) == (lines > lattice.SCALAR_LINES)
+    assert pts == _brute(cols, radius, root, caps)
+    _check_walk_and_kernel(cols, Fraction(radius), root, scale, caps)
+
+
 def test_rational_budget_is_checked_on_the_box_before_any_array(monkeypatch):
     cols = [[(3, 0), (1, 0)], [(-2, 0), (5, 0)]]
     lat = _lattice(cols, 0)
@@ -736,11 +872,13 @@ def test_rational_budget_is_checked_on_the_box_before_any_array(monkeypatch):
     grids, grid = [], lattice._prefix_grid
     monkeypatch.setattr(lattice, "_prefix_grid", lambda *a: grids.append(a) or grid(*a))
     monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps) - 1)
-    with pytest.raises(BudgetExceeded):
-        enumerate_cube(lat, 7)
+    for enum in (enumerate_cube, _kernel_points):
+        with pytest.raises(BudgetExceeded):
+            enum(lat, 7)
     assert grids == []
     monkeypatch.setattr(lattice, "ENUM_BUDGET", _box_size(caps))
-    assert enumerate_cube(lat, 7) == _brute(cols, 7, 0, caps) and len(grids) == 1
+    assert enumerate_cube(lat, 7) == _brute(cols, 7, 0, caps) and grids == []  # Python ints
+    assert _kernel_points(lat, 7) == _brute(cols, 7, 0, caps) and len(grids) == 1
 
 
 @PROPERTY

@@ -14,7 +14,10 @@ start-up cheap.
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +184,22 @@ MPMATH_READERS = {"nf": {"_eval_at"}}
                          ids=lambda p: p.stem)
 def test_only_reals_and_nf_horner_build_intervals(path):
     assert _mpmath_readers(path) == MPMATH_READERS.get(path.stem, set())
+
+
+def test_verify_cnt_lem_loads_no_mpmath():
+    """The counting-lemma suite is exact end to end: run in a fresh
+    interpreter, it never imports mpmath, which only balls and intervals
+    need (``reals._mp``, ``nf._eval_at``)."""
+    code = ("import contextlib, io, sys\n"
+            "from latheights import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'cnt-lem', '--seed', '42']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]
 
 
 def test_mpmath_reader_detected(tmp_path):

@@ -384,10 +384,11 @@ def test_cnt_lem_builds_no_ball(monkeypatch, capsys):
     assert (tie["exact"], tie["bound_mid"], tie["verdict"]) == (3, "3", "HOLDS")
 
 
-# boxes of more than one line among the 500 count enumerations (192) and
-# the 130 sup-norm enumerations (59) of `verify cnt-lem --seed 42`: only
-# they are walked, and all by line_runs
-CNT_LEM_LINE_WALKS = 192 + 59
+# boxes of more than SCALAR_LINES (49) lines among the 500 count
+# enumerations (33) and the 130 sup-norm enumerations (11) of `verify
+# cnt-lem --seed 42`: only they are walked by line_runs, the others on
+# Python ints
+CNT_LEM_LINE_WALKS = 33 + 11
 
 
 def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):

@@ -461,8 +461,9 @@ def test_enclosure_matches_the_mpmath_chain(p, q, d, m, g, prec):
 def test_exact_values_read_no_mpmath_interval(monkeypatch):
     """endpoints, _rat_upper, real_to_float and ball_mid_rad of a surd and
     of a rational QuadReal, and the report records of a cnt-lem lattice,
-    read the integer enclosure: with mpmath's iv replaced by a sentinel
-    that raises, they all run."""
+    read the integer enclosure: with mpmath's interval context, as its one
+    accessor ``reals._mp`` hands it out, replaced by a sentinel that
+    raises, they all run."""
 
     class NoIv:
         def __getattr__(self, name):
@@ -478,7 +479,7 @@ def test_exact_values_read_no_mpmath_interval(monkeypatch):
     assert {b.is_rational for b in bounds} == {True, False} and not det_val.is_rational
     want = [report_record(r) for r in reps]
     reads = [f(x) for x in (surd, rat) for f in (endpoints, _rat_upper, real_to_float, ball_mid_rad)]
-    monkeypatch.setattr(reals, "iv", NoIv())
+    monkeypatch.setattr(reals, "_mp", NoIv)
     assert [report_record(r) for r in reps] == want
     assert [f(x) for x in (surd, rat)
             for f in (endpoints, _rat_upper, real_to_float, ball_mid_rad)] == reads
