@@ -62,9 +62,7 @@ def squarefree_part(p):
     g = poly_gcd(p, poly_deriv(p))
     if len(g) <= 1:
         return list(p)
-    q, r = poly_divmod(p, g)
-    assert not any(r)
-    return q
+    return poly_divmod(p, g)[0]  # g = gcd(p, p') divides p: no remainder
 
 
 def _sturm_chain(p):

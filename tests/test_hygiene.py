@@ -157,6 +157,24 @@ def test_unreferenced_definition_detected(tmp_path):
         (38, "Box._left_behind")]
 
 
+def _asserts(path):
+    """Line numbers of the assert statements of path: ``python -O`` strips
+    them, so a check in the package must raise explicitly."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Assert))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_assert_statements(path):
+    assert _asserts(path) == []
+
+
+def test_assert_detected(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def f(x):\n    assert x, 'x'\n    return x\n\n\nassert f(1)\n")
+    assert _asserts(mod) == [2, 6]
+
+
 def _mpmath_readers(path):
     """The top-level definitions of path that read a name bound by an
     import from mpmath, and "<module>" for such a read outside them."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latheights import intmat, sunits
@@ -49,6 +49,11 @@ def _contexts():
             K5, s1=[(K5.rational(2), 4), (K5.element([Fraction(5, 2), Fraction(1, 2)]), 5)]
         ),
         "Q(i)-S(1+i)": SUnitContext(KI, s1=[(KI.element([1, 1]), 2)]),
+        # 5 = (2 + i)(2 - i) splits: two places of S over one prime, so the
+        # norm bounds ord at the first place only loosely
+        "Q(i)-S(2+i),(2-i)": SUnitContext(
+            KI, s1=[(KI.element([2, 1]), 5), (KI.element([2, -1]), 5)]
+        ),
     }
 
 
@@ -114,24 +119,19 @@ def _cases(draw):
     return name, x
 
 
-def _ord(ctx, gen, x):
-    """ord_gen(x) = ord_gen(y) - ord_gen(den) for x = y/den, by the
-    library's integer dividers, for any x != 0."""
-    n, t, _, _ = ctx._place(gen)
+def _ord(ctx, i, x):
+    """ord_p(x) = ord_p(y) - ord_p(den) for x = y/den at the i-th finite
+    place of S, by the library's integer dividers from the bound that
+    |N(y)| gives, for any x != 0."""
+    place = ctx._places[i]
     c, den = ctx.field.scaled_coords(x)
-    return sunits._ord(n, t, c)[0] - sunits._ord(n, t, [den * e for e in ctx.field.one_coords])[0]
+    norm = abs(intmat.det(intmat.table_rows(ctx.field.mult_table, c)))
+    k = sunits._int_ord(norm, place.ell) // place.f
+    return sunits._ord(place, c, k)[0] - place.e * sunits._int_ord(den, place.ell)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 6])
-def test_s_valuations_divide_once_per_unit_of_valuation(monkeypatch, k):
-    """x = 2^k eps / 5 with the unit eps: the pass divides by 2 k + 1 times
-    at its place (k that succeed, one that fails), not once more per unit
-    of valuation to form the unit part.  5 = gen^2 times a unit at the
-    place over 5, so ord(x) = -2 there, and ord(5) is memoized."""
-    ctx = CONTEXTS["Q(sqrt5)-S2,5"]
-    (two, _), (five, _) = ctx.s1
-    x = two ** k * ctx.unit_gens[0] / 5
-    assert ctx._s_valuations(x) == [k, -2]  # memoizes ord(5) at each place
+def _spy_divisions(monkeypatch):
+    """The list that records the modulus N(p)^k of every division from now on."""
     calls = []
     divide = sunits._divide
 
@@ -140,9 +140,36 @@ def test_s_valuations_divide_once_per_unit_of_valuation(monkeypatch, k):
         return divide(n, t, c)
 
     monkeypatch.setattr(sunits, "_divide", spy)
-    assert ctx._s_valuations(x) == [k, -2]
-    assert calls.count(ctx._place(two)[0]) == k + 1
-    assert calls.count(ctx._place(five)[0]) == 1
+    return calls
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_s_valuations_divide_once_per_unit_of_valuation(monkeypatch, k):
+    """x = 2^k g^k eps with the unit eps and g = (5 + sqrt5)/2 over 5:
+    |N(x)| = 4^k 5^k bounds ord at each place by k, so the pass divides
+    once at each place, by 2^k and by g^k, whatever k, and not at all when
+    k = 0: not once per unit of valuation.  5 = g^2 times a unit, so
+    2^k eps / 5 has ord -2 at the place over 5."""
+    ctx = CONTEXTS["Q(sqrt5)-S2,5"]
+    (two, _), (five, _) = ctx.s1
+    assert ctx._s_valuations(two ** k * ctx.unit_gens[0] / 5) == [k, -2]
+    x = two ** k * five ** k * ctx.unit_gens[0]
+    assert ctx._s_valuations(x) == [k, k]  # caches the dividers
+    calls = _spy_divisions(monkeypatch)
+    assert ctx._s_valuations(x) == [k, k]
+    assert calls == ([4 ** k, 5 ** k] if k else [])
+
+
+def test_s_valuations_search_below_the_norm_bound(monkeypatch):
+    """Two places over 5 in Q(i): (2 + i)^3 (2 - i) has |N| = 5^4, so the
+    bound at 2 + i is 4 and its division fails; the bisection finds 3, and
+    the quotient's norm 5 bounds the place 2 - i exactly."""
+    ctx = CONTEXTS["Q(i)-S(2+i),(2-i)"]
+    (p, _), (q, _) = ctx.s1
+    calls = _spy_divisions(monkeypatch)
+    assert ctx._s_valuations(p ** 3 * q) == [3, 1]
+    # 5^4 fails; on [0, 4) 5^2 and then 5^1 divide; 5 at the place 2 - i
+    assert calls == [5 ** 4, 5 ** 2, 5, 5]
 
 
 @PROPERTY
@@ -151,7 +178,7 @@ def test_s_valuations_match_repeated_division(case):
     name, x = case
     ctx = CONTEXTS[name]
     ref = [_ref_ord(ctx.field, gen, x) for gen, _ in ctx.s1]
-    assert [_ord(ctx, gen, x) for gen, _ in ctx.s1] == ref, (name, x)
+    assert [_ord(ctx, i, x) for i in range(len(ctx.s1))] == ref, (name, x)
     vals = ctx._s_valuations(x)
     assert vals is None or vals == ref, (name, x)
 
@@ -173,7 +200,7 @@ def test_s_unit_test_edge_cases():
     assert ctx._s_valuations(KI.rational(Fraction(1, 2))) == [-2]  # 2 = -i (1 + i)^2
     assert ctx._s_valuations(KI.zero()) is None
     ctx5 = CONTEXTS["Q(sqrt5)-S2,5"]
-    assert _ord(ctx5, K5.rational(2), K5.rational(Fraction(3, 8))) == -3
+    assert _ord(ctx5, 0, K5.rational(Fraction(3, 8))) == -3
     assert ctx5._s_valuations(K5.rational(Fraction(3, 8))) is None
     assert ctx5._s_valuations(K5.rational(Fraction(1, 8))) == [-3, 0]
     # sqrt5 and (5 + sqrt5)/2 differ by a unit; 5 is ramified
@@ -311,6 +338,10 @@ def _float_caps(ctx, b):
 
 @settings(max_examples=12)
 @given(st.sampled_from(NAMES), st.sampled_from([Fraction(k, 4) for k in range(1, 13)]))
+# two places over 5: the S-units with valuations at both take the
+# bisection below the norm's bound at 2 + i
+@example("Q(i)-S(2+i),(2-i)", Fraction(1, 2))
+@example("Q(i)-S(2+i),(2-i)", Fraction(7, 4))
 def test_count_sunits_matches_recount(name, b):
     ctx = CONTEXTS[name]
     caps = _float_caps(ctx, b)

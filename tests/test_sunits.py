@@ -12,7 +12,8 @@ from latheights.nf import nf_new
 from latheights.reals import PRECISION, cmp_real, endpoints, max_real, real_to_float, to_real
 from latheights.sunits import (
     SUnitContext,
-    _is_prime_power,
+    _count_roots_of_unity,
+    _prime_power,
     count_sunits,
     fundamental_unit_real_quadratic,
     lemma_sunit_bounds,
@@ -235,12 +236,21 @@ def field_sqrt_m3():
 def test_roots_of_unity_read_from_the_field(make, omega):
     """omega_K from D_K: +-1, +-i over Q(i) and the sixth roots of unity over
     Q(sqrt -3); with S = {inf} the unit group is finite, so each of them is
-    an S-unit of height 1 and the count at B = 1 is omega_K."""
+    an S-unit of height 1 and the count at B = 1 is omega_K.  Pipeline 2
+    of the count finds omega_K itself, on O_K's cube of radius 1, so a
+    wrong ctx.omega makes the pipelines disagree, at every rank."""
     ctx = SUnitContext(make())
     assert ctx.omega == omega
     if ctx.log_lattice().rank == 0:
         assert count_sunits(ctx, 1) == omega
         assert [r.exact_count for r in lemma_sunit_bounds(ctx, 1)] == [omega, omega]
+    assert _count_roots_of_unity(make()) == omega
+    count = count_sunits(ctx, 1)
+    ctx.omega = omega + 2
+    with pytest.raises(ValidationError, match="pipelines disagree"):
+        count_sunits(ctx, 1)
+    ctx.omega = omega
+    assert count_sunits(ctx, 1) == count
 
 
 def test_context_refuses_degree_above_two():
@@ -255,6 +265,13 @@ def test_context_validation():
         SUnitContext(kq, s1=[(kq.rational(6), 6)])  # 6 is not a prime power
     with pytest.raises(ValidationError):
         SUnitContext(kq, s1=[(kq.rational(2), 3)])  # wrong norm
+    with pytest.raises(ValidationError, match="not prime"):
+        SUnitContext(kq, s1=[(kq.rational(4), 4)])  # (4) = (2)^2
+    ki = field_i()
+    with pytest.raises(ValidationError, match="not prime"):
+        SUnitContext(ki, s1=[(ki.rational(2), 4)])  # (2) = (1 + i)^2, 2 ramifies
+    k5 = field_sqrt5()
+    SUnitContext(k5, s1=[(k5.rational(2), 4)])  # 2 is inert in Q(sqrt5)
     with pytest.raises(ValidationError):
         SUnitContext(kq, s1=[(kq.rational(Fraction(1, 2)), 2)])  # not integral
     with pytest.raises(ValidationError):
@@ -287,8 +304,10 @@ def test_is_prime_power_large_norms():
              (10**9 + 7)**2: True, 2 * (10**9 + 7)**2: False,
              (10**9 + 7) * (10**9 + 9): False}
     start = time.perf_counter()
-    assert {n: _is_prime_power(n) for n in cases} == cases
+    assert {n: _prime_power(n) is not None for n in cases} == cases
     assert time.perf_counter() - start < 0.5
+    assert [_prime_power(n) for n in (2**40, 3**20, (10**9 + 7)**2, 1_000_003)] == [
+        (2, 40), (3, 20), (10**9 + 7, 2), (1_000_003, 1)]
     # a finite place of norm 1,000,003 (a prime) is accepted at once
     kq = field_q()
     SUnitContext(kq, s1=[(kq.rational(1_000_003), 1_000_003)])
