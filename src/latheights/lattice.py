@@ -25,11 +25,15 @@ kernel ``line_runs``, which maps ``_floor_quad`` on integer arrays
 counts the points as the sum of the interval lengths and builds them from
 the runs only when a caller reads them (``CubePoints``, ``_slab_rows``).
 The totally real module count of ``bounds`` cuts the union of its dyadic
-strips by the kernel (``box_points``).  Lattices with a ball entry, or two
-radicands, are screened in floats slab by slab (``_box_slabs``, whose one
-caller is that screen), and the points in a safety band around the
-boundary are re-decided by the certified ``_certified_in_cube``.  The
-sup-norm minimum of every lattice reads the first half of
+strips by the kernel (``box_points``).  A lattice with a ball entry, or two
+radicands, takes the same two walks on its integer enclosure
+(``_enumerate_generic``): each entry x is A / den up to a proven error
+E / den, from the dyadic endpoints of its enclosure, and the rational
+lattice A / den is walked at the radius widened by the largest error on
+the box.  Each walked point is decided on integers by its own error, and
+only a point in that error band around the boundary is re-decided by the
+certified ``_certified_in_cube``.  No float decides or screens a point of
+any lattice.  The sup-norm minimum of every lattice reads the first half of
 ``enumerate_cube``'s points, in slab order: m -> -m reverses that order,
 so the first minimal vector lies there (``supnorm_min``).  Every walk
 checks ENUM_BUDGET on the whole box before it builds anything
@@ -60,11 +64,11 @@ from .reals import (
     Real,
     abs_real,
     cmp_real,
+    dyadic_endpoints,
     endpoints,
     min_real,
     max_real,
     quad_sign,
-    real_to_float,
     scaled_quad,
     sqrt_real,
     to_real,
@@ -248,10 +252,13 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
     is larger than ENUM_BUDGET, before any array is built.  Points come slab
     by slab: the first longest coefficient axis is outermost, and every axis
     ascends.  On a lattice with scaled columns the count needs no points:
-    the rows are built only when a caller reads them.  There a box of at
-    most SCALAR_LINES prefix lines, a one-line box (every cap 0 but one)
-    among them, is walked on Python ints (``_scalar_runs``); any other box
-    by ``line_runs``.
+    the rows are built only when a caller reads them.  Every lattice is
+    walked by ``_cube_points``: a box of at most SCALAR_LINES prefix lines,
+    a one-line box (every cap 0 but one) among them, on Python ints
+    (``_scalar_runs``), any other box by ``line_runs``.  A lattice without
+    scaled columns (a ball entry, or two radicands) is walked on its
+    integer enclosure, and only the points in its error band around the
+    boundary are re-decided by ``cmp_real`` (``_enumerate_generic``).
     """
     radius = Fraction(radius)
     if radius < 0:
@@ -264,11 +271,12 @@ def enumerate_cube(lat: RealLattice, radius) -> CubePoints:
 
 
 def _cube_points(scaled, caps, radius):
-    """enumerate_cube on a lattice with scaled columns, given its caps: a
-    box of at most SCALAR_LINES prefix lines is walked on Python ints
-    (``_scalar_runs``), any other by ``line_runs``.  Either way the count
-    is the sum of the run sizes, and the rows are built from the runs only
-    when read (``_slab_rows``)."""
+    """enumerate_cube on scaled columns, a lattice's own or the integer
+    enclosure of ``_enumerate_generic``, given the caps: a box of at most
+    SCALAR_LINES prefix lines is walked on Python ints (``_scalar_runs``),
+    any other by ``line_runs``.  Either way the count is the sum of the run
+    sizes, and the rows are built from the runs only when read
+    (``_slab_rows``)."""
     bound = radius * scaled[1]  # |A m + B m sqrt r| <= radius den, A, B integer
     u, q = bound.numerator, bound.denominator
     axis = caps.index(max(caps))
@@ -562,40 +570,6 @@ def _quad_within(va, vb, root, p, q):
     return ok
 
 
-def _box_slabs(caps: Sequence[int], mat, dtype="int64"):
-    """Walk the coefficient box |m_j| <= caps[j] one slab at a time.
-
-    ``mat`` is a lattice given as L columns of n entries, read as an n x L
-    array of ``dtype``.  The walk yields ``(vals, coeffs)`` per slab:
-    ``coeffs`` holds every m of the slab, one row each, and ``vals`` holds
-    ``mat @ m`` for the same rows.  The slabs fix the first longest axis,
-    outermost and ascending; inside a slab the other axes run
-    lexicographically.  Coefficients are int64, or Python ints when
-    ``dtype`` is object; ``coeffs[i].tolist()`` gives Python ints either
-    way.  ``coeffs`` is one array that each slab rewrites in place, so a
-    caller copies what it keeps before the next slab.  The budget is
-    checked on the call, before any array is built.  numpy is imported on
-    first use, so that importing the package stays cheap.  Its one caller
-    is the float screen ``_enumerate_generic``; every exact walk is
-    ``line_runs``.
-    """
-    _check_budget(caps)
-    return _slabs(caps, mat, dtype)
-
-
-def _slabs(caps, mat, dtype):
-    import numpy as np
-
-    axis, rest_axes, rest_caps, lines = _free_axis(caps)
-    rest = _prefix_grid(rest_caps, 0, lines, object if dtype is object else np.int64)
-    a = np.array(mat, dtype=dtype).T
-    rest_vals, axis_col = rest @ a[:, rest_axes].T, a[:, axis]  # (#rest, n)
-    coeffs = np.insert(rest, axis, 0, axis=1)
-    for m0 in range(-caps[axis], caps[axis] + 1):
-        coeffs[:, axis] = m0
-        yield rest_vals + m0 * axis_col, coeffs
-
-
 def _certified_in_cube(lat, m, radius) -> bool:
     for v in lat.point(m):
         if cmp_real(abs_real(v), radius, context="cube boundary") > 0:
@@ -605,23 +579,37 @@ def _certified_in_cube(lat, m, radius) -> bool:
 
 def _enumerate_generic(lat, radius, caps):
     """enumerate_cube on a lattice without scaled columns (a ball entry, or
-    two radicands): a float screen slab by slab, and the points in a safety
-    band around the boundary, wide enough to absorb all rounding error,
-    decided by ``_certified_in_cube``."""
+    two radicands), on its integer enclosure: with each entry's dyadic
+    endpoints [lo, hi] / 2^k at one k, den = 2^(k+1) and A = lo + hi,
+    |den x - A| <= E = hi - lo.  So the rational lattice A / den, walked by
+    ``_cube_points`` at R + D / den with D = max_c sum_j E_cj caps[j], holds
+    every point of the cube, in slab order.  A walked point m is in when
+    every |(A m)_c| + e_c <= den R for its own error e_c = sum_j E_cj |m_j|,
+    out when some |(A m)_c| - e_c > den R, and re-decided by
+    ``_certified_in_cube`` otherwise; an exact entry has E = 0."""
     import numpy as np
 
-    cols = np.array([[real_to_float(e) for e in col] for col in lat.columns], dtype=np.float64)
-    mags = np.abs(cols.T) @ np.array([c + 1 for c in caps], dtype=np.float64)
-    tol = max(1.0, float(mags.max())) * 1e-9
-    lo, hi = float(radius) - tol, float(radius) + tol
-    kept = []
-    for vals, coeffs in _box_slabs(caps, cols, "float64"):
-        mx = np.abs(vals).max(axis=1)
-        keep = mx <= lo
-        for i in np.flatnonzero((mx > lo) & (mx <= hi)):
-            keep[i] = _certified_in_cube(lat, tuple(coeffs[i].tolist()), radius)
-        kept.append(coeffs[keep])
-    rows = np.concatenate(kept)
+    ends = [[dyadic_endpoints(e) for e in col] for col in lat.columns]
+    k = max(j for col in ends for _, _, j in col)
+    a_cols = [[(lo + hi) << (k - j) for lo, hi, j in col] for col in ends]
+    e_rows = list(zip(*([(hi - lo) << (k - j) for lo, hi, j in col] for col in ends)))
+    den = 2 << k
+    slack = max(_dot(e, caps) for e in e_rows)
+    walk = _cube_points((0, den, a_cols, [[0] * len(col) for col in a_cols]), caps,
+                        radius + Fraction(slack, den))
+    bound = radius * den
+    u, q = bound.numerator, bound.denominator
+
+    def keep(m):
+        inside, size = True, list(map(abs, m))
+        for a, e in zip(zip(*a_cols), e_rows):
+            v, w = abs(_dot(a, m)), _dot(e, size)
+            if q * (v - w) > u:
+                return False
+            inside = inside and q * (v + w) <= u
+        return inside or _certified_in_cube(lat, m, radius)
+
+    rows = np.array([m for m in walk if keep(m)], dtype=np.int64).reshape(-1, lat.rank)
     return CubePoints(len(rows), lambda: rows)
 
 

@@ -600,13 +600,12 @@ def cmp_exp(x, b, context=""):
     ``PRECISION.start`` bits doubling up to ``PRECISION.cap``; undecided at
     the cap it raises ``PrecisionExhausted``."""
     x = to_real(x)
-    if not isinstance(b, Fraction):
-        b = Fraction(b)
-    if not b:
+    bn, bd = _ratio(b)
+    if not bn:
         raise ValidationError("cmp_exp needs a nonzero exponent")
     prec = PRECISION.start
     while True:
-        lo, hi = _exp_endpoints(b, prec)
+        lo, hi = _exp_endpoints(bn, bd, prec)
         if isinstance(x, QuadReal):
             # the sign of (x - t) d t_den for an endpoint t, on the integers
             if quad_sign(x.p * hi.denominator - hi.numerator * x.d, x.q * hi.denominator, x.m) >= 0:
@@ -622,17 +621,19 @@ def cmp_exp(x, b, context=""):
         if prec >= PRECISION.cap:
             raise PrecisionExhausted(
                 "comparison with exp(%s) undecided at %d bits%s"
-                % (b, prec, (" (%s)" % context) if context else "")
+                % (Fraction(bn, bd), prec, (" (%s)" % context) if context else "")
             )
         prec = min(2 * prec, PRECISION.cap)
 
 
 @functools.lru_cache(maxsize=1024)
-def _exp_endpoints(b, prec):
-    """The endpoints of e^b's enclosure at prec bits: mpmath's exp of b's
-    enclosure at the precision its callback is given; they depend only on
-    (b, prec), so one per pair serves every comparison."""
-    return endpoints(BallReal(lambda p: _mp().exp(to_real(b).interval(p))), prec)
+def _exp_endpoints(bn, bd, prec):
+    """The endpoints of e^b's enclosure at prec bits, b = bn / bd, bd > 0:
+    mpmath's exp of b's enclosure at the precision its callback is given.
+    They depend only on (b, prec), keyed by b's integer pair, whose hash,
+    unlike a Fraction's, takes no modular inverse."""
+    b = scaled_quad(bn, 0, bd, 0)
+    return endpoints(BallReal(lambda p: _mp().exp(b.interval(p))), prec)
 
 
 def abs_real(x):

@@ -232,7 +232,7 @@ class SUnitContext:
             )
         self._lattice = None
         self._roots = None  # pipeline 2's own omega_K (``count_sunits``)
-        self._finite_le = {}  # (N(p), k, B) -> N(p)^k < e^B
+        self._finite_le = {}  # (N(p), k, Bn, Bd) -> N(p)^k < e^(Bn / Bd)
 
     # -- valuations ---------------------------------------------------------
 
@@ -290,16 +290,17 @@ class SUnitContext:
         the absolute values that ``log_embed`` takes logarithms of: every
         |a|_v must lie in [e^-b, e^b].  A finite place passes when
         N(p)^|ord_p(a)| <= e^b, decided once per (N(p), |ord_p(a)|, b) and
-        memoized; the finite places go first and the first failure ends the
-        test.  No |a|_v is e^(+-b) (``cmp_exp``), so no value ties the
+        memoized under b's integer pair, whose hash is cheaper than a
+        Fraction's; the finite places go first and the first failure ends
+        the test.  No |a|_v is e^(+-b) (``cmp_exp``), so no value ties the
         bound."""
         vals = self._s_valuations(a)
         if vals is None:
             raise ValidationError("element is not an S-unit")
-        memo = self._finite_le
+        memo, bn, bd = self._finite_le, b.numerator, b.denominator
         for place, v in zip(self._places, vals):
             if v:
-                key = (place.norm, abs(v), b)
+                key = (place.norm, abs(v), bn, bd)
                 below = memo.get(key)
                 if below is None:
                     below = memo[key] = cmp_exp(place.norm ** abs(v), b) < 0

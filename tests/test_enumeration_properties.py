@@ -25,7 +25,8 @@ from latheights.heights import height_h
 from latheights.lattice import RealLattice, _coefficient_box, enumerate_cube
 from latheights.modules import OkModule, z_combination
 from latheights.nf import FracIdeal, nf_new
-from latheights.reals import QuadReal, abs_real, log_real
+from latheights.reals import PRECISION, QuadReal, abs_real, cmp_real, endpoints, log_real
+from lattice_references import box_slabs
 
 PROPERTY = settings(
     max_examples=60,
@@ -401,10 +402,27 @@ def test_band_of_quadratic_lattice_skips_certified_recheck(monkeypatch):
 
 def test_band_of_ball_lattice_uses_certified_recheck(monkeypatch):
     calls = _spy_recheck(monkeypatch)
-    # log 3 = 1.09861228866810969..., just below the radius
-    radius = Fraction(10986122886681098, 10**16)
-    assert enumerate_cube(RealLattice([[log_real(3)]]), radius) == [(-1,), (0,), (1,)]
+    # the radius is the lower end of log 3's enclosure: the integer walk
+    # cannot tell +-1 from the boundary, and cmp_real finds them outside
+    radius = endpoints(log_real(3))[0]
+    assert enumerate_cube(RealLattice([[log_real(3)]]), radius) == [(0,)]
     assert sorted(calls) == [(-1,), (1,)]
+
+
+def test_exact_coordinates_of_a_ball_lattice_are_decided_on_integers(monkeypatch):
+    """O_K of the cyclic cubic x^3 + x^2 - 2x - 1 as a ball lattice: the
+    vectors +-1 lie on the boundary of the cube of radius 1, through the
+    column of 1s alone, whose enclosure has width 0.  The walk decides them
+    on integers, so a 128-bit cap leaves the minimum and its witness
+    certified."""
+    field = nf_new([-1, -2, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    lat = OkModule.free_module(field, 1).module_lattice()
+    assert lat.scaled_columns() is None
+    monkeypatch.setattr(PRECISION, "cap", 128)
+    calls = _spy_recheck(monkeypatch)
+    value, witness = lattice.supnorm_min(lat)
+    assert endpoints(value) == (1, 1) and witness == (-1, 0, 0)
+    assert calls == []
 
 
 def _within_table(xs, ys, top, m, q):
@@ -939,22 +957,29 @@ def test_reversed_one_line_points_are_the_negated_points(case):
 
 @st.composite
 def ball_cases(draw):
-    """(columns, radius): integer entries and logarithms +-log k, which make
-    the lattice a ball lattice, screened in floats by _enumerate_generic.
+    """(columns, radius): integer entries, logarithms +-log k and the two
+    radicands +-sqrt2, +-sqrt3, any of which makes the lattice one without
+    scaled columns, walked on its integer enclosure by _enumerate_generic.
     The radius is an odd multiple of 1/8: a coordinate is an integer plus
-    the logarithm of a rational, never equal to it, so no boundary tie
-    leaves the certified re-check undecided."""
+    the logarithm of a rational plus a sqrt2 + b sqrt3, which equals no
+    such radius (Lindemann), so no boundary tie leaves the certified
+    re-check undecided."""
     n = draw(st.integers(1, 3))
-    entry = st.one_of(st.integers(-3, 3), st.builds(lambda k, g: g * log_real(k),
-                                                      st.integers(2, 9), st.sampled_from([-1, 1])))
+    sign = st.sampled_from([-1, 1])
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(lambda k, g: g * log_real(k), st.integers(2, 9), sign),
+                      st.builds(lambda m, g: QuadReal(0, g, m), st.sampled_from([2, 3]), sign))
     cols = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
-    cols[0][0] = log_real(draw(st.integers(2, 9)))
+    if n > 1 and draw(st.booleans()):  # sqrt2 and sqrt3 side by side
+        cols[0][:2] = QuadReal(0, 1, 2), QuadReal(0, 1, 3)
+    else:
+        cols[0][0] = log_real(draw(st.integers(2, 9)))
     return cols, Fraction(2 * draw(st.integers(0, 23)) + 1, 8)
 
 
-@PROPERTY
-@given(ball_cases())
-def test_reversed_ball_lattice_points_are_the_negated_points(case):
+def _ball_lattice_case(case):
+    """(lattice, radius, caps) of a ball case, skipped when its columns are
+    dependent or its box is past BOX_LIMIT."""
     cols, radius = case
     lat = RealLattice(cols)
     assert lat.scaled_columns() is None
@@ -963,7 +988,38 @@ def test_reversed_ball_lattice_points_are_the_negated_points(case):
     except (ValidationError, PrecisionExhausted):  # dependent columns
         assume(False)
     assume(_box_size(caps) <= BOX_LIMIT)
+    return lat, radius, caps
+
+
+@PROPERTY
+@given(ball_cases())
+def test_reversed_ball_lattice_points_are_the_negated_points(case):
+    lat, radius, _ = _ball_lattice_case(case)
     _check_reversed_points_are_negated(lat, radius)
+
+
+@PROPERTY
+@given(ball_cases(), st.data())
+def test_ball_lattice_points_match_the_certified_box_walk(case, data):
+    """On logarithms and two radicands, the points of both walks are those
+    of a walk of every box point in slab order that decides each by
+    cmp_real on the point's own coordinates.  Half the radii are an end of
+    the 128-bit enclosure of the largest entry |x| of a column, within
+    2^-127 of |x|: the 64-bit midpoint that the integer walk reads is on the
+    wrong side of such a radius half the time, so the walk must widen its
+    radius and re-decide the points in its error band."""
+    cols, radius = case
+    if data.draw(st.booleans()):
+        x = max(data.draw(st.sampled_from(cols)), key=lambda x: endpoints(abs_real(x)))
+        radius = data.draw(st.sampled_from(endpoints(abs_real(x), 128)))
+    lat, radius, caps = _ball_lattice_case((cols, radius))
+    try:
+        want = [m for m in _slab_order(caps)
+                if all(cmp_real(abs_real(v), radius) <= 0 for v in lat.point(m))]
+    except PrecisionExhausted:  # a rational coordinate, as a ball, on the boundary
+        assume(False)
+    assert enumerate_cube(lat, radius) == want
+    assert _kernel_points(lat, radius) == want
 
 
 def _field(root):
@@ -1030,25 +1086,20 @@ def _leibniz_det(g):
     return total
 
 
-def _walk_rational_lattice(lat, dtypes):
+def _walk_rational_lattice(lat):
     """Run supnorm_min and det_value on a rational lattice with RealLattice.point
-    and cmp_real made to fail, recording the dtype of each ``_box_slabs``
-    walk: the minimum reads ``enumerate_cube``'s points, so there is none."""
-    saved = RealLattice.point, reals.cmp_real, lattice.cmp_real, lattice._box_slabs
+    and cmp_real made to fail: the minimum reads ``enumerate_cube``'s
+    points on integers."""
+    saved = RealLattice.point, reals.cmp_real, lattice.cmp_real
 
     def refuse(*args, **kwargs):
         raise AssertionError("rational supnorm_min or det_value left the integers")
 
-    def spy(caps, mats, dtype):
-        dtypes.append(dtype)
-        return saved[3](caps, mats, dtype)
-
     RealLattice.point, reals.cmp_real, lattice.cmp_real = refuse, refuse, refuse
-    lattice._box_slabs = spy
     try:
         return lattice.supnorm_min(lat), lat.det_value()
     finally:
-        RealLattice.point, reals.cmp_real, lattice.cmp_real, lattice._box_slabs = saved
+        RealLattice.point, reals.cmp_real, lattice.cmp_real = saved
 
 
 @PROPERTY
@@ -1058,8 +1109,7 @@ def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
     scaled past the int64 guard: the minimum equals a Fraction walk of the
     box of radius r0 (the smallest column sup-norm, caps from a plain
     Fraction inverse), the witness is the first minimal vector in slab order,
-    and det_value squares to the Gram determinant.  No box takes a
-    ``_box_slabs`` walk."""
+    and det_value squares to the Gram determinant."""
     cols, _ = case
     scale += shift if scale > 1 else 0
     cols = [[a * scale for a, _ in col] for col in cols]
@@ -1073,14 +1123,12 @@ def test_rational_supnorm_min_matches_brute_force(case, scale, shift):
             lattice.supnorm_min(lat)
         return
     assume(_box_size(caps) <= BOX_LIMIT)
-    dtypes = []
-    (value, witness), det_val = _walk_rational_lattice(lat, dtypes)
+    (value, witness), det_val = _walk_rational_lattice(lat)
     norm = {m: max(abs(sum(c * col[i] for c, col in zip(m, cols))) for i in range(len(cols[0])))
             for m in _slab_order(caps) if any(m)}
     best = min(norm.values())
     assert repr(value) == repr(QuadReal(best))
     assert witness == next(m for m in norm if norm[m] == best)
-    assert dtypes == []
     assert det_val * det_val == _leibniz_det(gram)
 
 
@@ -1099,7 +1147,7 @@ def _supnorm_full_box(lat):
     cols, caps = lat.scaled_columns()[2], _supnorm_caps(lat)
     best = best_m = None
     nonzero = []
-    for vals, coeffs in lattice._box_slabs(caps, cols, lattice._int_dtype(cols, caps)):
+    for vals, coeffs in box_slabs(caps, cols, lattice._int_dtype(cols, caps)):
         norms = np.abs(vals).max(axis=1)
         rows = np.flatnonzero((coeffs != 0).any(axis=1))
         nonzero += [(int(norms[i]), tuple(coeffs[i].tolist())) for i in rows]
@@ -1143,13 +1191,12 @@ def test_half_box_supnorm_min_matches_the_full_box_walk(case, scale):
     """The search of the first half of the cube's points returns the
     full-box walk's minimum and witness: when every minimal vector has
     m_axis = 0, when there are several minimal pairs, and on Python ints
-    past the int64 guard.  No box takes a ``_box_slabs`` walk."""
+    past the int64 guard."""
     rows, kind = case
     lat = RealLattice.from_rows([[x * scale for x in row] for row in rows])
     best, witness, minimal, axis = _supnorm_full_box(lat)
-    dtypes = []
-    (value, got), _ = _walk_rational_lattice(lat, dtypes)
-    assert (value, got) == (QuadReal(best), witness) and dtypes == []
+    (value, got), _ = _walk_rational_lattice(lat)
+    assert (value, got) == (QuadReal(best), witness)
     assert kind != "axis0" or got[axis] == 0
     assert kind != "pairs" or len(minimal) > 2
 
@@ -1175,12 +1222,11 @@ def one_line_supnorm_cases(draw):
 def test_one_line_supnorm_min_matches_the_full_box_walk(cols, scale):
     """On a one-line box the minimum is the free column's sup-norm with
     witness -e_a, as the full-box walk finds it, on int64 and past the
-    int64 guard, with no ``_box_slabs`` walk."""
+    int64 guard."""
     lat = RealLattice([[x * scale for x in col] for col in cols])
     best, witness, _, axis = _supnorm_full_box(lat)
-    dtypes = []
-    (value, got), _ = _walk_rational_lattice(lat, dtypes)
-    assert (value, got) == (QuadReal(best), witness) and dtypes == []
+    (value, got), _ = _walk_rational_lattice(lat)
+    assert (value, got) == (QuadReal(best), witness)
     assert got == tuple(-(j == axis) for j in range(len(cols)))
 
 

@@ -232,21 +232,31 @@ def test_mpmath_reader_detected(tmp_path):
 
 def _readers(path, name):
     """The top-level definitions of path, other than name's own, that read
-    name, as a plain name or an attribute, and "<module>" for such a read
-    outside them."""
+    name, as a plain name, an attribute or a string such as a dtype, and
+    "<module>" for such a read outside them."""
     tree = ast.parse(path.read_text())
     return {getattr(node, "name", "<module>") for node in tree.body
             if getattr(node, "name", None) != name
             and not isinstance(node, (ast.Import, ast.ImportFrom))
             and any(isinstance(n, ast.Name) and n.id == name
-                    or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))}
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    or isinstance(n, ast.Constant) and n.value == name for n in ast.walk(node))}
 
 
-def test_float_screen_is_the_one_slab_walk():
-    """Every exact walk is the line kernel ``line_runs``; the slab walk
-    ``_box_slabs`` serves only the float screen of the ball lattices."""
-    readers = {(path.stem, reader) for path in MODULES for reader in _readers(path, "_box_slabs")}
-    assert readers == {("lattice", "_enumerate_generic")}
+# real_to_float, the builtin float and numpy's float dtypes
+FLOAT_NAMES = ("real_to_float", "float", "float_", "float16", "float32", "float64",
+               "float128", "longdouble")
+
+
+def test_no_float_decides_a_lattice_point():
+    """Every lattice is walked on integers: ``lattice`` reads neither
+    ``real_to_float`` (an unused import of it fails the import rule) nor a
+    float dtype, but in ``_floor_div``, whose float64 square root is only a
+    first guess that two integer comparisons correct to the exact integer
+    square root."""
+    path = SRC / "lattice.py"
+    readers = {(name, reader) for name in FLOAT_NAMES for reader in _readers(path, name)}
+    assert readers == {("float64", "_floor_div")}
 
 
 def test_reader_detected(tmp_path):
@@ -254,9 +264,10 @@ def test_reader_detected(tmp_path):
     mod.write_text(
         "from .lattice import walk\n\n\ndef walk(n):\n    return walk(n - 1)\n\n\n"
         "def f():\n    return walk(1)\n\n\ndef g():\n    return lattice.walk\n\n\n"
-        "class C:\n    def h(self):\n        return [walk]\n\n\nX = walk\n"
+        "class C:\n    def h(self):\n        return [walk]\n\n\nX = walk\n\n\n"
+        "def k(a):\n    return a.astype(\"walk\")\n"
     )
-    assert _readers(mod, "walk") == {"f", "g", "C", "<module>"}
+    assert _readers(mod, "walk") == {"f", "g", "C", "<module>", "k"}
 
 
 def _tracer_groups():

@@ -392,7 +392,7 @@ CNT_LEM_LINE_WALKS = 33 + 11
 
 
 def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):
-    calls = {name: 0 for name in ("enumerate_cube", "line_runs", "_box_slabs")}
+    calls = {name: 0 for name in ("enumerate_cube", "line_runs")}
 
     def spy(name, fn):
         def counted(*args):
@@ -407,8 +407,7 @@ def test_cnt_lem_walks_only_multi_line_boxes(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, counted)
     assert cli.main(["verify", "cnt-lem", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert calls == {"enumerate_cube": 500 + 130, "line_runs": CNT_LEM_LINE_WALKS,
-                     "_box_slabs": 0}
+    assert calls == {"enumerate_cube": 500 + 130, "line_runs": CNT_LEM_LINE_WALKS}
 
 
 # ---------------------------------------------------------------------------

@@ -655,7 +655,7 @@ def test_exp_endpoints_enclose_and_nest(b):
         ref = _fraction(mpmath.exp(_mpq(b)))
     outer = None
     for prec in (64, 128, 256, 512):
-        lo, hi = reals._exp_endpoints(b, prec)
+        lo, hi = reals._exp_endpoints(b.numerator, b.denominator, prec)
         assert lo < ref < hi, (prec, lo, ref, hi)
         if outer is not None:
             assert outer[0] <= lo and hi <= outer[1]
@@ -684,7 +684,7 @@ def _near_log2():
 def test_cmp_exp_near_tie_decides_at_128_bits(monkeypatch):
     below, above = _near_log2()
     # 64 bits cannot separate 2 from e^b: the enclosures meet
-    lo, hi = reals._exp_endpoints(above, 64)
+    lo, hi = reals._exp_endpoints(above.numerator, above.denominator, 64)
     assert lo < 2 < hi
     monkeypatch.setattr(PRECISION, "cap", 128)
     assert cmp_exp(2, below) == 1 and cmp_exp(2, above) == -1

@@ -19,10 +19,11 @@ from latheights import bounds, cli, heights, lattice
 from latheights.bounds import _fast_count_totally_real, as_rooted, thm1_lower
 from latheights.errors import ValidationError
 from latheights.heights import height_h
-from latheights.lattice import _box_slabs, _coefficient_box, _rat_upper
+from latheights.lattice import _coefficient_box, _rat_upper
 from latheights.modules import OkModule, z_combination
 from latheights.nf import FracIdeal
 from latheights.reals import quad_sign, to_real
+from lattice_references import box_slabs
 
 PROPERTY = settings(
     max_examples=80,
@@ -51,7 +52,7 @@ def box_walk_count(module, rd_frac):
     lo_gate, hi_gate = target * (1 - 1e-10), target * (1 + 1e-10)
     count = 0
     stacked = [a + b for a, b in zip(a_int, b_int)]  # [A; B]: A m, then B m
-    for vals, coeff_rows in _box_slabs(caps, stacked):
+    for vals, coeff_rows in box_slabs(caps, stacked):
         va, vb = vals[:, : lat.ambient_dim], vals[:, lat.ambient_dim :]
         vals = np.abs(va.astype(np.float64) + vb.astype(np.float64) * sq)
         per_ch = vals.reshape(-1, d, big_n).max(axis=2)
