@@ -2,6 +2,10 @@
 prime field F_q, the P-height on functions supported on a point set P, the
 lattice determinant identity, and counting bounds verified against exact
 integer enumeration.  Everything here is exact integer arithmetic.
+
+Each curve gives its degree-zero divisor classes as a group law (the zero
+class INF, ``class_add``, ``divisor_class``), and one relation kernel builds
+L_P from that law alone, in either genus (``DivisorLattice``).
 """
 
 from __future__ import annotations
@@ -115,26 +119,63 @@ class CurveContext:
             k >>= 1
         return acc
 
+    # -- degree-zero divisor classes ----------------------------------------
+    # INF is the zero class in both models.  On P^1 every degree-zero divisor
+    # is principal, so the group is trivial; on the elliptic curve the class
+    # of D is the point sum of D in E(F_q).
+
+    def class_add(self, g, h):
+        return self.ec_add(g, h) if self.genus else INF
+
+    def divisor_class(self, vec: Sequence[int]):
+        """The class of the degree-zero divisor sum_i vec_i P_i."""
+        acc = INF
+        if self.genus:
+            for e, p in zip(vec, self.points):
+                acc = self.ec_add(acc, self.ec_mul(e, p))
+        return acc
+
 
 class DivisorLattice:
     """L_P = exponent vectors of functions with support in P: a finite-index
     sublattice of the root lattice A_{n-1}, of determinant sqrt(n) |J_{X,P}|.
+
+    L_P is the kernel of Z^{n-1} -> J, e -> sum e_i c_i with
+    c_i = [P_i - P_0], lifted to the sum-zero vectors of Z^n.  The orbit
+    closure of the zero class under the c_i records a vector v(g) with
+    sum v(g)_i c_i = g for each class g it reaches; |J_{X,P}| is their
+    number.  Each step g -> g + c_i gives the Schreier relation
+    v(g) + e_i - v(g + c_i), nonzero only on steps that reach no new class;
+    these |J| (n - 1) relations generate the kernel (C. C. Sims, Computation
+    with Finitely Presented Groups, CUP 1994).  The HNF of their span
+    (H. Cohen, GTM 138, section 2.4) is the basis, each row r lifted as
+    (sum r, -r).
     """
 
     def __init__(self, ctx: CurveContext):
         self.ctx = ctx
         n = ctx.n
-        if ctx.model == GENUS0:
-            # principal iff degree zero: L_P is all of A_{n-1}
-            self.jxp_order = 1
-            basis = []
-            for i in range(n - 1):
-                v = [0] * n
-                v[i], v[i + 1] = 1, -1
-                basis.append(v)
-            self.basis = basis
-        else:
-            self.jxp_order, self.basis = self._genus1_kernel()
+        classes = [ctx.divisor_class([-1] + [int(j == i) for j in range(1, n)])
+                   for i in range(1, n)]
+        reached = {INF: [0] * (n - 1)}
+        frontier = [INF]
+        relations = []
+        while frontier:
+            g = frontier.pop()
+            for i, c in enumerate(classes):
+                h = ctx.class_add(g, c)
+                v = list(reached[g])
+                v[i] += 1
+                if h in reached:
+                    relations.append([x - y for x, y in zip(v, reached[h])])
+                else:
+                    reached[h] = v
+                    frontier.append(h)
+        self.jxp_order = len(reached)
+        kernel = intmat.ZSpan(relations, n - 1)
+        if kernel.rank != n - 1:
+            raise ValidationError("kernel lattice is rank deficient")
+        self.basis = [[sum(r)] + [-x for x in r] for r in kernel.hnf]
         self.rank = n - 1
         # the span of the fixed basis, once: contains() reduces against it
         self._span = intmat.ZSpan(self.basis, n)
@@ -143,50 +184,6 @@ class DivisorLattice:
         # det(L_P)^2, checked against n |J|^2 by det_bound_checks
         g = [[sum(x * y for x, y in zip(u, v)) for v in self.basis] for u in self.basis]
         self._det_sq = intmat.det(g)
-
-    def _genus1_kernel(self) -> Tuple[int, List[List[int]]]:
-        ctx = self.ctx
-        n = ctx.n
-        base = ctx.points[0]
-        classes = [
-            ctx.ec_add(p, ctx.ec_neg(base)) for p in ctx.points[1:]
-        ]
-        # image subgroup by orbit closure
-        group = {INF}
-        frontier = [INF]
-        while frontier:
-            g = frontier.pop()
-            for c in classes:
-                h = ctx.ec_add(g, c)
-                if h not in group:
-                    group.add(h)
-                    frontier.append(h)
-        j = len(group)
-        # kernel of Z^{n-1} -> group on the classes c_i, as a sublattice
-        gens = []
-        for i, c in enumerate(classes):
-            # order of c_i gives j_i e_i in the kernel
-            o = 1
-            acc = c
-            while acc != INF:
-                acc = ctx.ec_add(acc, c)
-                o += 1
-            v = [0] * (n - 1)
-            v[i] = o
-            gens.append(v)
-        # small combinations complete a generating set (desk scale: j is tiny)
-        for es in itertools.product(range(j), repeat=n - 1):
-            acc = INF
-            for e, c in zip(es, classes):
-                acc = ctx.ec_add(acc, ctx.ec_mul(e, c))
-            if acc == INF and any(es):
-                gens.append(list(es))
-        kernel = intmat.ZSpan(gens, n - 1)
-        if kernel.rank != n - 1:
-            raise ValidationError("kernel lattice is rank deficient")
-        # lift to sum-zero vectors in Z^n: e_1 = -(e_2 + ... + e_n)
-        basis = [[-sum(r)] + r for r in kernel.hnf]
-        return j, basis
 
     def det_sq(self) -> int:
         return self._det_sq
@@ -213,8 +210,9 @@ def count_supported(ctx: CurveContext, b: int) -> int:
     """|{f in O_P^* : H_P(f) <= B}| by two independent pipelines.
 
     Pipeline 1 counts (q-1) times the lattice points of L_P in the closed
-    cube; pipeline 2 re-derives membership from the curve directly (degree
-    zero for P^1, vanishing divisor class on the curve for genus 1).
+    cube; pipeline 2 re-derives membership from the curve's group law
+    directly: a degree-zero exponent vector is kept when its divisor class
+    is zero.
     """
     if b < 0:
         raise ValidationError("the height bound must be nonnegative")
@@ -224,17 +222,7 @@ def count_supported(ctx: CurveContext, b: int) -> int:
     n = ctx.n
     for es in itertools.product(range(-b, b + 1), repeat=n - 1):
         head = -sum(es)
-        if abs(head) > b:
-            continue
-        if ctx.model == GENUS0:
-            ok = True  # any degree-zero divisor on P^1 is principal
-        else:
-            acc = INF
-            vec = [head] + list(es)
-            for e, p in zip(vec, ctx.points):
-                acc = ctx.ec_add(acc, ctx.ec_mul(e, p))
-            ok = acc == INF
-        if ok:
+        if abs(head) <= b and ctx.divisor_class((head,) + es) == INF:
             count2 += ctx.q - 1
     if count1 != count2:
         raise ValidationError(

@@ -12,6 +12,7 @@ once with the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -200,7 +201,9 @@ def minima_ck_zk(module: OkModule):
     Diophantine Geometry, 2006, ch. 1): only c is searched.
     Termination certificate: h(alpha)^d bounds the sup-norm of the embedded
     alpha, so the cube of radius h(alpha_0)^d, for the sup-norm minimizer
-    alpha_0, contains every candidate that could still improve c.
+    alpha_0, contains every candidate that could still improve c.  As
+    h(-alpha) = h(alpha), only the first half of the cube's points, one of
+    each pair +-m, is searched, and alpha_0 is not compared with itself.
     """
     field = module.field
     d = field.degree
@@ -214,8 +217,9 @@ def minima_ck_zk(module: OkModule):
         return height_h(field, [a]).value_pow()
 
     best_pow, best = h_pow(alpha0), alpha0
-    for m in enumerate_cube(lat, _rat_upper(best_pow)):
-        if any(m):
+    pts, skip = enumerate_cube(lat, _rat_upper(best_pow)), (m0, tuple(-x for x in m0))
+    for m in itertools.islice(pts, len(pts) // 2):
+        if m not in skip:
             (a,) = z_combination(gens, m)
             hp = h_pow(a)
             if cmp_real(hp, best_pow, context="c_K search") < 0:

@@ -407,10 +407,11 @@ def test_search_isotropic_anisotropic_exhausts():
 
 
 def test_precision_cap_gives_an_inconclusive_record(monkeypatch):
-    """Over the cyclic cubic field x^3 + x^2 - 2x - 1 the heights h(1) and
-    h(-1) tie in the c_K search, which the certified comparison cannot
-    decide at a 128-bit cap.  (The embedded unit vectors on the cube
-    boundary are decided on the integers of the lattice's enclosure.)  The
+    """Over the cyclic cubic field x^3 + x^2 - 2x - 1 the module height
+    filter meets an exact tie of two heights, which the certified comparison
+    cannot decide at a 128-bit cap.  (The embedded unit vectors on the cube
+    boundary are decided on the integers of the lattice's enclosure, and
+    the c_K search compares no height with that of its negative.)  The
     report is INCONCLUSIVE, and its note names the comparison context,
     instead of the error ending the run."""
     field = nf_new([-1, -2, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -418,4 +419,4 @@ def test_precision_cap_gives_an_inconclusive_record(monkeypatch):
     rep = thm1_lower(OkModule.free_module(field, 1), 2)
     assert rep.verdict == INCONCLUSIVE and rep.kind == LOWER
     assert rep.exact_count is None and rep.bound_value is None
-    assert "precision cap" in rep.note and "(c_K search)" in rep.note
+    assert "precision cap" in rep.note and "(module height filter)" in rep.note

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latheights import funcfield
 from latheights.bounds import HOLDS, INCONCLUSIVE
@@ -17,8 +19,10 @@ from latheights.funcfield import (
     det_bound_checks,
     lemma_pcount_bounds,
 )
+from latheights.intmat import ZSpan
 from latheights.lattice import supnorm_min
 from latheights.reals import cmp_real, real_to_float, sqrt_real, to_real
+from funcfield_references import divisor_lattice_reference
 
 
 def p1_two_points():
@@ -176,13 +180,13 @@ def e5_three_points():
 def test_det_identity_is_decided_by_its_check_record(monkeypatch):
     """A wrong |J| reaches the DET_IDENTITY record, which reads false;
     building the divisor lattice does not raise."""
-    real = funcfield.DivisorLattice._genus1_kernel
+    real = funcfield.DivisorLattice.__init__
 
-    def off_by_one(self):
-        j, basis = real(self)
-        return j + 1, basis
+    def off_by_one(self, ctx):
+        real(self, ctx)
+        self.jxp_order += 1
 
-    monkeypatch.setattr(funcfield.DivisorLattice, "_genus1_kernel", off_by_one)
+    monkeypatch.setattr(funcfield.DivisorLattice, "__init__", off_by_one)
     checks = det_bound_checks(e5_three_points())
     assert checks["det_identity"] is False
 
@@ -258,3 +262,56 @@ def test_lemma_pcount_bounds_match_inline_formulas():
                 low = (q - 1) * (to_real(2 * b) / ((n - 1) * root_n * j) - 1) * (
                     Fraction(2 * b, n - 1) - 1) ** (n - 2)
                 assert lower.bound_value == low, (ctx.model, n, b)
+
+
+def _same_lattice(ctx):
+    lat = DivisorLattice(ctx)
+    j, basis = divisor_lattice_reference(ctx)
+    assert lat.jxp_order == j, (ctx.q, ctx.a, ctx.b, ctx.points)
+    assert ZSpan(lat.basis, ctx.n).hnf == ZSpan(basis, ctx.n).hnf, (ctx.q, ctx.a, ctx.b, ctx.points)
+
+
+def test_relation_kernel_matches_reference_on_genus0():
+    for q in (5, 7):
+        pts = CurveContext(q, GENUS0).rational_points()
+        for n in range(2, 6):
+            for chosen in (pts[:n], pts[-n:], pts[::2][:n]):
+                _same_lattice(CurveContext(q, GENUS0, points=chosen))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_relation_kernel_matches_reference_on_genus1(data):
+    """|J_{X,P}| and the HNF of L_P agree with the exponent-product search
+    on random point sets of nonsingular curves over F_5, F_7 and F_11."""
+    q = data.draw(st.sampled_from([5, 7, 11]))
+    a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+    assume((4 * a ** 3 + 27 * b ** 2) % q)
+    pts = CurveContext(q, GENUS1, a=a, b=b).rational_points()
+    n = data.draw(st.integers(2, min(4, len(pts))))
+    chosen = data.draw(st.lists(st.sampled_from(pts), min_size=n, max_size=n, unique=True))
+    _same_lattice(CurveContext(q, GENUS1, a=a, b=b, points=chosen))
+
+
+def test_divisor_lattice_build_takes_one_group_sum_per_orbit_step(monkeypatch):
+    """Building L_P on E: y^2 = x^3 + x + 1 over F_23 with 4 points, where
+    |J_{X,P}| = 28, makes at most |J| (n - 1) orbit-step sums beside the
+    n - 1 class constructions c_i = [P_i - P_0]: no search over exponent
+    vectors, which would take |J|^(n-1) = 21,952 group sums."""
+    ctx = CurveContext(23, GENUS1, a=1, b=1, points=[INF, (0, 1), (0, 22), (1, 7)])
+    calls = []
+    real = CurveContext.ec_add
+
+    def counted(self, p, r):
+        calls.append(1)
+        return real(self, p, r)
+
+    monkeypatch.setattr(CurveContext, "ec_add", counted)
+    lat = DivisorLattice(ctx)
+    build = len(calls)
+    calls.clear()
+    ctx.divisor_class([-1, 1, 0, 0])
+    per_class = len(calls)
+    n, j = ctx.n, lat.jxp_order
+    assert j == 28
+    assert build <= j * (n - 1) + (n - 1) * per_class, (build, per_class)

@@ -10,7 +10,7 @@ from latheights.heights import height_h
 from latheights.lattice import supnorm_min
 from latheights.modules import OkModule, minima_ck_zk, sigma_embed
 from latheights.nf import FracIdeal, nf_new
-from latheights.reals import QuadReal, Rooted, cmp_real, sqrt_real
+from latheights.reals import PRECISION, QuadReal, Rooted, cmp_real, real_to_float, sqrt_real
 
 
 def field_q():
@@ -167,6 +167,18 @@ def test_ck_zk():
     c3, _, z3, _ = minima_ck_zk(m3)
     assert c3.cmp(3) == 0
     assert z3.cmp(9) == 0
+
+
+def test_ck_search_skips_the_sign_ties_of_the_cubic_units(monkeypatch):
+    """On O_K of the cyclic cubic field x^3 + x^2 - 2x - 1, h(1) = h(-1) is
+    a tie of two balls that no precision decides.  The c_K search compares
+    one of each pair +-alpha, never the sup-norm witness with itself, so at
+    a 128-bit cap it returns c = 1 with a witness +-1."""
+    field = nf_new([-1, -2, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(PRECISION, "cap", 128)
+    c, ac, z, az = minima_ck_zk(OkModule.free_module(field, 1))
+    assert ac in (field.one(), -field.one()) and az == ac
+    assert real_to_float(c.base) == 1.0 and real_to_float(z.base) == 1.0
 
 
 def test_coordinate_lower_bound():
