@@ -8,6 +8,7 @@ two sides, and INCONCLUSIVE when the precision cap is hit first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -236,16 +237,15 @@ def exact_count_module(module: OkModule, radius) -> int:
             fast = _fast_count_totally_real(module, base.as_fraction())
             if fast is not None:
                 return fast
-    cube = _rat_upper((r ** d).as_real())
-    count = 1  # the zero vector has height 1
-    for m in enumerate_cube(module.module_lattice(), cube):
-        if all(c == 0 for c in m):
-            continue
-        x = z_combination(module.z_basis, m)
-        h_pow = height_h_nf(field, x).as_rooted()  # value h(x)
+    # h(-x) = h(x): the first half of the cube's points holds one of each
+    # pair +-m (``lattice.supnorm_min``), and the zero vector has height 1
+    pts = enumerate_cube(module.module_lattice(), _rat_upper(rd.as_real()))
+    hits = 0
+    for m in itertools.islice(pts, len(pts) // 2):
+        h_pow = height_h_nf(field, z_combination(module.z_basis, m)).as_rooted()
         if (h_pow ** d).cmp(rd, context="module height filter") <= 0:
-            count += 1
-    return count
+            hits += 1
+    return 1 + 2 * hits
 
 
 def thm1_threshold(module: OkModule, minima=None) -> Tuple[Rooted, Rooted]:

@@ -4,7 +4,10 @@ kernels, and the Z-span of rational vectors.
 A matrix is a list of integer rows.  Everything here uses fraction-free
 integer pivoting; matrices are tiny at desk scale, so simplicity wins over
 asymptotics.  One elimination loop, ``_bareiss`` (fraction-free
-Gauss-Jordan), serves both ``det`` and ``solve``.
+Gauss-Jordan), serves both ``det`` and ``solve``.  One generator loop for
+the Z-linear map of a matrix over a ring with an integer multiplication
+table serves ``image_index`` (its cokernel order) and ``image_kernel``
+(its integer kernel, by the HNF transform of ``kernel``).
 
 ``ZSpan`` holds the Z-span of a list of rational vectors once, in integers:
 the vectors scaled by one common denominator and the row Hermite Normal
@@ -170,19 +173,28 @@ def trace_det(table):
     return det([[sum(map(operator.mul, row, t)) for row in rows] for rows in table])
 
 
-def image_index(table, coords):
-    """Index in Z^{Mk} of the image of an M x N matrix over a ring with
-    Z-basis e_0, ..., e_{k-1} and integer multiplication table ``table``
-    (as for ``table_rows``); coords[i][j] holds the integer coordinates of
-    entry (i, j).  Column j and e_w give one generator, whose block i is
-    row w of ``table_rows(table, coords[i][j])``.  Returns None if the image
-    has rank < Mk.
-    """
+def _image_generators(table, coords):
+    """Generators of the image of an M x N matrix over a ring with Z-basis
+    e_0, ..., e_{k-1} and integer multiplication table ``table`` (as for
+    ``table_rows``); coords[i][j] holds the integer coordinates of entry
+    (i, j).  Generator k j + w is the image of e_w in slot j: its block i
+    is row w of ``table_rows(table, coords[i][j])``."""
     gens = []
     for j in range(len(coords[0])):
         blocks = [table_rows(table, row[j]) for row in coords]
         gens.extend(sum(rs, []) for rs in zip(*blocks))
-    return lattice_index(gens, len(coords) * len(table))
+    return gens
+
+
+def image_index(table, coords):
+    """Index in Z^{Mk} of the span of ``_image_generators`` (every
+    finite-height index is one); None if it has rank < Mk."""
+    return lattice_index(_image_generators(table, coords), len(coords) * len(table))
+
+
+def image_kernel(table, coords):
+    """Z-basis of the kernel in Z^{Nk} of the map of ``_image_generators``."""
+    return kernel(_transpose(_image_generators(table, coords)))
 
 
 def kernel(rows):

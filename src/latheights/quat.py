@@ -23,7 +23,11 @@ from the determinant of their regular trace pairing (``intmat.trace_det``).
 One helper, ``finite_factor``, gives the finite factor of h(y/m) from the
 order coordinates of y, for ``height_h_order`` and for the count oracle
 ``bounds.exact_count_d``, which sweeps y on O^N's own Z-basis
-(``order_module``).
+(``order_module``).  The constraint matrix C of a subspace Z, scaled into
+the order, gives one integer map y -> Cy on O^N: ``subspace_height_HO``
+reads the index of its image (``intmat.image_index``), and
+``intersection_module`` reads Z cap O^N as its integer kernel
+(``intmat.image_kernel``), with no Q-basis of Z formed.
 
 Heights are carried in 2d-th or 4d-th power form so that threshold
 comparisons stay exact for quadratic base fields.
@@ -32,13 +36,12 @@ comparisons stay exact for quadratic base fields.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ValidationError
-from .intmat import ZSpan, _scale_to_ints, image_index, kernel, rational_to_scaled, trace_det
+from .intmat import ZSpan, image_index, image_kernel, trace_det
 from .modules import OkModule, _flatten_power_coords, minima_ck_zk, z_combination
 from .nf import NfElement, NumberField
 from .reals import Real, Rooted, abs_real, cmp_real, max_real, min_real
@@ -385,7 +388,9 @@ def finite_factor(order: QuatOrder, m: int, rows: Sequence[Sequence[int]]) -> Fr
     of h(x) for x = y/m, from the integer order coordinates of the y_l in O.
 
     It is at least m / gcd(m, coordinates of y): the y_l have that joint
-    additive order in O/mO."""
+    additive order in O/mO.  For m = 1 it is 1: O 1 is all of O."""
+    if m == 1:
+        return Fraction(1)
     d = order.algebra.field.degree
     ideal = [[m * c for c in order.one_coords]] + list(rows)
     return _hfin(order, ideal) * Fraction(m) ** (4 * d)
@@ -444,14 +449,13 @@ class DSubspace:
         else:
             self.dim = ambient - len(self._constraint)
         if self._basis is not None and self._constraint is not None:
-            for row in self._constraint:
-                for col in self._basis:
-                    acc = None
-                    for ri, ci in zip(row, col):
-                        term = ri * ci
-                        acc = term if acc is None else acc + term
-                    if not acc.is_zero():
-                        raise ValidationError("constraint does not annihilate basis")
+            # Z = ker C: C X = 0, with X of rank L and C of rank N - L
+            x = linalg.transpose(self._basis)
+            if (len(self._constraint) != ambient - self.dim or linalg.rank(x) != self.dim
+                    or linalg.rank(self._constraint) != ambient - self.dim):
+                raise ValidationError("basis and constraint matrices describe different subspaces")
+            if not all(e.is_zero() for row in linalg.mat_mul(self._constraint, x) for e in row):
+                raise ValidationError("constraint does not annihilate basis")
 
     def basis_cols(self) -> List[List[QuatElement]]:
         if self._basis is None:
@@ -653,41 +657,19 @@ def order_module(order: QuatOrder, n: int) -> OkModule:
 
 def intersection_module(z: DSubspace, order: QuatOrder) -> OkModule:
     """[Z cap O^N] as an O_K-module in K^{4N}, built once per (Z, O) and
-    cached on Z, so its lattice and coefficient-box norms are computed once."""
+    cached on Z, so its lattice and coefficient-box norms are computed once:
+    O^N for L = N, else the integer kernel, of rank 4dL, of y -> Cy on the
+    Z-basis of ``order_module``, with C scaled into the order."""
     if order in z._modules:
         return z._modules[order]
-    alg = z.algebra
-    field = alg.field
-    d = field.degree
-    n = z.ambient
-    lat_vecs = order_module(order, n).z_basis
-    lat_coords = [_flatten_power_coords(field, v) for v in lat_vecs]
-    # Q-basis of [Z]: x_col * theta^s * q for q in {1,i,j,k}
-    span_vecs = []
-    units = [alg.one(), alg.i(), alg.j(), alg.k()]
-    theta_pows = [field.one()]
-    for _ in range(d - 1):
-        theta_pows.append(theta_pows[-1] * field.gen())
-    for col in z.basis_cols():
-        for t in theta_pows:
-            for q in units:
-                scaled = [(x * t) * q for x in col]
-                span_vecs.append(bracket(scaled))
-    span_coords = [[Fraction(c, e) for c in w]
-                   for w, e in (_flatten_power_coords(field, v) for v in span_vecs)]
-    # linear forms vanishing on the span
-    forms = [_scale_to_ints(f) for f in linalg.kernel_basis(span_coords)]
-    gens = lat_vecs  # no forms: [Z] is everything
-    if forms:
-        # integer kernel of (forms . lat_coords^T) z = 0, each entry a
-        # product of integer vectors over the two denominators
-        ints, _ = rational_to_scaled([[Fraction(sum(map(operator.mul, a, w)), da * e)
-                                       for w, e in lat_coords] for a, da in forms])
-        gens = []
-        for m in kernel(ints):
-            vec = z_combination(lat_vecs, m)
-            if vec is not None:
-                gens.append(vec)
+    field, n = z.algebra.field, z.ambient
+    gens = order_module(order, n).z_basis  # O^N
+    if z.dim < n:
+        _, coords = _scaled_matrix(order, z.constraint_rows())
+        ker = image_kernel(order.right_table, coords)
+        if len(ker) != 4 * field.degree * z.dim:
+            raise ValidationError("constraint matrix rank is inconsistent")
+        gens = [z_combination(gens, y) for y in ker]
     module = z._modules[order] = OkModule.from_z_generators(field, 4 * n, gens)
     return module
 

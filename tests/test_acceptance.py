@@ -476,3 +476,8 @@ def test_verify_all_deterministic():
     digest = hashlib.sha256(first.stdout).hexdigest()
     assert digest == "83619e45e86d2b582db987bbbcc7cc777dffb8fef19f220f744f832e43fbffbd"
     assert b"VIOLATED" not in first.stdout
+    # a second seed draws other random instances: its bytes are pinned too
+    other = subprocess.run(cmd[:-1] + ["7"], capture_output=True, timeout=3600)
+    assert other.returncode == 0 and b"VIOLATED" not in other.stdout
+    digest = hashlib.sha256(other.stdout).hexdigest()
+    assert digest == "77aded24205c01ed6560022b9519392139c1c09d46d3be6a0f5a78c168b57577"

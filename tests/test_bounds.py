@@ -88,6 +88,20 @@ def test_exact_count_module_frozen():
     assert exact_count_module(OkModule.free_module(k5, 1), phi) == 11
 
 
+def test_exact_count_module_walks_one_of_each_sign_pair(monkeypatch):
+    """Over Q(i) the generic walk evaluates h on the first half of the
+    cube's points only, one of each pair +-x: 8,320 of its 16,640 nonzero
+    points at R = 8."""
+    calls = []
+    real = bounds.height_h_nf
+    monkeypatch.setattr(bounds, "height_h_nf", lambda *a: calls.append(1) or real(*a))
+    module = OkModule.free_module(field_i(), 1)
+    assert [exact_count_module(module, r) for r in (2, 4)] == [13, 49]
+    calls.clear()
+    assert exact_count_module(module, 8) == 197
+    assert len(calls) == 8320
+
+
 def test_exact_count_module_radius_validation():
     with pytest.raises(ValidationError):
         exact_count_module(OkModule.free_module(field_q(), 1), Fraction(1, 2))

@@ -10,6 +10,7 @@ loop, the normalising QuadReal constructor and sympy.  Hypothesis runs
 derandomized, so every run sees the same examples.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,9 @@ from latheights.heights import (
 from latheights.intmat import _scale_to_ints, lattice_index
 from latheights.modules import OkModule
 from latheights.nf import FracIdeal, _eval_at, nf_new
-from latheights.quat import QuatOrder, height_HfinO
+from latheights.quat import DSubspace, QuatAlgebra, QuatOrder, height_HfinO
 from latheights.reals import QuadReal, scaled_quad
+from quat_references import intersection_module_reference
 
 PROPERTY = settings(max_examples=40)
 
@@ -133,13 +135,16 @@ def test_integrality_is_still_checked():
 # the finite height on quaternion orders
 
 
+def _special_and_hurwitz(fname, alg, special):
+    units = [alg.one(), alg.i(), alg.j(), (alg.one() + alg.i() + alg.j() + alg.k()) / 2]
+    return [(fname + "-special", special), (fname + "-hurwitz", QuatOrder.ok_span(alg, units))]
+
+
 def _orders():
     """The special and a non-special (Hurwitz-type) order over each field."""
     out = []
     for fname, alg, special, _ in cli._main_quat_instances():
-        units = [alg.one(), alg.i(), alg.j(), (alg.one() + alg.i() + alg.j() + alg.k()) / 2]
-        out.append((fname + "-special", special))
-        out.append((fname + "-hurwitz", QuatOrder.ok_span(alg, units)))
+        out.extend(_special_and_hurwitz(fname, alg, special))
     return out
 
 
@@ -247,6 +252,79 @@ def test_height_HfinO_membership():
     assert height_HfinO(ORDERS["Q(sqrt5)-hurwitz"], [hurwitz]) == 1
     with pytest.raises(ValidationError, match="zero vector"):
         height_HfinO(order, [alg.zero()])
+
+
+def _hamilton_q():
+    alg = QuatAlgebra(FIELDS["Q"], FIELDS["Q"].rational(-1), FIELDS["Q"].rational(-1))
+    return _special_and_hurwitz("Q", alg, QuatOrder.special(alg))
+
+
+INTERSECTION_ORDERS = dict(_orders() + _hamilton_q())
+
+
+def _subspaces(alg):
+    """D^1; the axis, the diagonal and a full-rank D^2; D^3 with one or two
+    constraint rows and with one or two basis columns.  The entries carry
+    the Hurwitz element and the field generator, so the constraint rows are
+    scaled into the order and the modules are not coordinate-aligned."""
+    one, zero, i, j = alg.one(), alg.zero(), alg.i(), alg.j()
+    half, theta = (one + i + j + alg.k()) / 2, alg.element(alg.field.gen())
+    row1, row2 = [one, theta, half], [zero, i + one, j * theta]
+    col1, col2 = [one, half, theta], [zero, one + i, j]
+    return {
+        "D1": DSubspace(alg, 1, basis_cols=[[one]]),
+        "axis": DSubspace(alg, 2, constraint_rows=[[zero, one]]),
+        "diag": DSubspace(alg, 2, basis_cols=[[one, one]]),
+        "D2": DSubspace(alg, 2, basis_cols=[[one, half], [zero, theta + i]]),
+        "D3-C1": DSubspace(alg, 3, constraint_rows=[row1]),
+        "D3-C2": DSubspace(alg, 3, constraint_rows=[row1, row2]),
+        "D3-X1": DSubspace(alg, 3, basis_cols=[col1]),
+        "D3-X2": DSubspace(alg, 3, basis_cols=[col1, col2]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(INTERSECTION_ORDERS))
+def test_intersection_module_matches_fraction_kernel(name):
+    """Z cap O^N as the integer kernel of y -> Cy has the Z-basis (the
+    reduced HNF) of the Q-basis and Fraction kernel construction."""
+    order = INTERSECTION_ORDERS[name]
+    for zname, z in _subspaces(order.algebra).items():
+        module = quat.intersection_module(z, order)
+        assert module.rank == 4 * z.dim, zname
+        assert module.z_basis == intersection_module_reference(z, order).z_basis, zname
+
+
+def test_intersection_module_of_constraints_takes_no_fraction_kernel(monkeypatch):
+    order = INTERSECTION_ORDERS["Q(sqrt5)-hurwitz"]
+    subspaces = _subspaces(order.algebra)
+    calls = []
+    real = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda a: calls.append(1) or real(a))
+    for zname in ("axis", "D3-C1", "D3-C2"):
+        quat.intersection_module(subspaces[zname], order)
+    assert calls == []
+
+
+def test_rank_deficient_constraint_matrix_raises():
+    """C = [[0, 1], [0, 1]] claims dim 0, but its kernel is D x 0."""
+    order = INTERSECTION_ORDERS["Q-special"]
+    alg = order.algebra
+    z = DSubspace(alg, 2, constraint_rows=[[alg.zero(), alg.one()]] * 2)
+    with pytest.raises(ValidationError, match="constraint matrix rank is inconsistent"):
+        quat.intersection_module(z, order)
+
+
+def test_finite_factor_of_order_coordinates():
+    """m^{4d} / [O : O m + sum O y_l] for m = 1, which skips the index, and
+    for m = 2, 3, against the index itself."""
+    rng = random.Random(17)
+    for name, order in sorted(INTERSECTION_ORDERS.items()):
+        k = len(order.z_basis)
+        for m in (1, 1, 2, 3):
+            rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 2))]
+            ideal = [[m * c for c in order.one_coords]] + rows
+            ref = quat._hfin(order, ideal) * Fraction(m) ** k
+            assert quat.finite_factor(order, m, rows) == ref, name
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,25 @@ def test_subspace_heights_and_duality():
         assert h1.cmp(h2) == 0
 
 
+def test_basis_and_constraint_must_describe_one_subspace():
+    """C X = 0 is not enough: X = (1, 1, 0) and C = (0, 0, 1) in D^3 give a
+    line inside the plane ker C.  Ranks must add up to N, and both be full."""
+    a = alg_hamilton()
+    one, zero = a.one(), a.zero()
+    with pytest.raises(ValidationError, match="different subspaces"):
+        DSubspace(a, 3, basis_cols=[[one, one, zero]], constraint_rows=[[zero, zero, one]])
+    with pytest.raises(ValidationError, match="different subspaces"):  # rank X = 1
+        DSubspace(a, 3, basis_cols=[[one, one, zero]] * 2, constraint_rows=[[zero, zero, one]])
+    with pytest.raises(ValidationError, match="different subspaces"):  # rank C = 1
+        DSubspace(a, 3, basis_cols=[[one, zero, zero]], constraint_rows=[[zero, zero, one]] * 2)
+    with pytest.raises(ValidationError, match="does not annihilate"):
+        DSubspace(a, 3, basis_cols=[[one, one, zero], [zero, zero, one]],
+                  constraint_rows=[[one, one, zero]])
+    z = DSubspace(a, 3, basis_cols=[[one, one, zero], [zero, zero, a.i()]],
+                  constraint_rows=[[one, -one, zero]])
+    assert z.dim == 2
+
+
 def subspace_height_cmp_one(z, od):
     from latheights.quat import subspace_height_HO
 
